@@ -14,8 +14,8 @@ from .curvature import (CURVATURE_MODES, CurvatureMap, compute_curvature_map,
                         edge_forman, edge_forman_combinatorial, node_forman)
 from .sampler import (DEFAULT_EPSILON_FLOOR, GENERATOR_NAME, SAMPLER_KINDS,
                       ChainTrace, SamplerConfig, TransitionMatrix,
-                      build_transition_matrix, chain_seed, edge_curved_step,
-                      make_rng, make_target, mh_step, run_chain, splitmix64,
+                      build_transition_matrix, chain_seed, make_rng,
+                      make_target, run_chain, run_lockstep, splitmix64,
                       stationary_distribution)
 from .netstats import (PATH_MODES, STAT_KINDS, StatVector, betweenness,
                        closeness, compute_statistics, mean_statistic,
@@ -37,8 +37,8 @@ __all__ = [
     # sampler
     "DEFAULT_EPSILON_FLOOR", "GENERATOR_NAME", "SAMPLER_KINDS", "ChainTrace",
     "SamplerConfig", "TransitionMatrix", "build_transition_matrix",
-    "chain_seed", "edge_curved_step", "make_rng", "make_target", "mh_step",
-    "run_chain", "splitmix64", "stationary_distribution",
+    "chain_seed", "make_rng", "make_target", "run_chain", "run_lockstep",
+    "splitmix64", "stationary_distribution",
     # netstats
     "PATH_MODES", "STAT_KINDS", "StatVector", "betweenness", "closeness",
     "compute_statistics", "mean_statistic", "strength_vector",

@@ -230,7 +230,7 @@ def cmd_converge(args) -> int:
             plan = _plan_from_flags(args)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-    result = run_experiment(g, plan, threads=args.threads)
+    result = run_experiment(g, plan)
 
     if result.component_nodes is not None:
         labels = tuple(meta.labels[int(o)] for o in result.component_nodes)
@@ -331,9 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="combinatorial")
     p.add_argument("--epsilon-floor", type=float, default=DEFAULT_EPSILON_FLOOR)
     p.add_argument("--path-mode", choices=PATH_MODES, default="hop")
-    p.add_argument("--threads", type=int, default=0,
-                   help="worker thread cap (0 = all cores); results are "
-                        "identical for any value")
     p.add_argument("--plan", default=None,
                    help="JSON plan file (overrides the sampler/statistic flags)")
     p.add_argument("--largest-component", action="store_true",

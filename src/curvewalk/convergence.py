@@ -8,26 +8,24 @@ over a sampler's chains rank nodes for backbone extraction.
 
 Chains of one experiment share start nodes and per-chain seeds across
 samplers (seed of chain ``c`` is ``master_seed XOR splitmix64(c)``), so a
-curved-versus-uniform comparison is paired. Chains may execute in parallel;
-aggregation always runs in fixed chain order, so results are identical for
-any thread count.
+curved-versus-uniform comparison is paired. All chains of all samplers run
+in lockstep (:func:`curvewalk.sampler.run_lockstep`); aggregation streams
+over them in fixed chain order, so results equal those of running every
+chain alone with :func:`curvewalk.sampler.run_chain`.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .graph import WeightedGraph, connected_components, induced_subgraph
-from .curvature import compute_curvature_map
 from .netstats import STAT_KINDS, PATH_MODES, StatVector, compute_statistics, mean_statistic
-from .sampler import (ChainTrace, SamplerConfig, chain_seed, make_rng,
-                      make_target, run_chain)
+from .sampler import (ChainTrace, SamplerConfig, chain_seed, distinct_prefix_counts,
+                      make_rng, run_lockstep)
 
 logger = logging.getLogger(__name__)
 
@@ -51,7 +49,9 @@ class ExperimentPlan:
             nodes (uniform, without replacement, from the master seed);
             ``fixed_list`` uses ``start_nodes`` as given.
         start_nodes: Start node ids for ``fixed_list`` (one per chain, or a
-            single id shared by every chain).
+            single id shared by every chain), as ids of the graph given to
+            :func:`run_experiment`; under ``use_largest_component`` each
+            must lie in that component.
         master_seed: Seed from which start nodes and chain seeds derive.
         path_mode: Shortest-path flavor for betweenness/closeness.
         use_largest_component: Restrict a disconnected graph to its largest
@@ -137,13 +137,34 @@ class ExperimentResult:
     component_nodes: np.ndarray | None = None
 
 
+def _running_estimator(values: np.ndarray, visits: np.ndarray,
+                       distinct: np.ndarray, full_mean: float) -> np.ndarray:
+    """Mean of ``values`` over the distinct nodes of every prefix of ``visits``.
+
+    ``distinct`` is :func:`curvewalk.sampler.distinct_prefix_counts` of
+    ``visits``. A node adds its value at its first visit, in visit order. At
+    full node coverage the estimator equals the full mean by definition, so
+    the exact precomputed ``full_mean`` is substituted to keep the identity
+    exact in floating point as well.
+    """
+    first = np.empty(len(visits), dtype=bool)
+    first[:1] = True
+    first[1:] = distinct[1:] > distinct[:-1]
+    zbar = np.cumsum(np.where(first, values[visits], 0.0)) / distinct
+    zbar[distinct == len(values)] = full_mean
+    return zbar
+
+
 def estimator_mean(stat: StatVector, trace: ChainTrace, n: int) -> float:
     """Mean of a full-graph statistic over the distinct nodes in the first
     ``n`` samples of a chain (revisits contribute once)."""
     n = int(n)
     if not 1 <= n <= len(trace.visits):
         raise ValueError(f"n must be in 1..{len(trace.visits)}, got {n}")
-    return float(np.mean(stat.values[np.unique(trace.visits[:n])]))
+    zbar = _running_estimator(stat.values, trace.visits[:n],
+                              trace.distinct_count_at_step[:n],
+                              mean_statistic(stat))
+    return float(zbar[n - 1])
 
 
 def extract_backbone(ranking: BackboneRanking, fraction: float) -> np.ndarray:
@@ -167,32 +188,7 @@ def sampler_labels(samplers) -> tuple[str, ...]:
     return tuple(labels)
 
 
-def _chain_job(g, config, curvmap, target, stat_values, full_means):
-    """Run one chain and reduce it to per-step estimator curves.
-
-    Returns ``(zbar_by_stat, distinct_counts, visit_counts)``. At full node
-    coverage the estimator equals the full mean by definition, so the exact
-    precomputed mean is substituted to keep the identity exact in floating
-    point as well.
-    """
-    trace = run_chain(g, config, curvmap=curvmap, target=target)
-    visits = trace.visits
-    distinct = trace.distinct_count_at_step
-    mask = np.empty(len(visits), dtype=bool)
-    mask[0] = True
-    mask[1:] = distinct[1:] > distinct[:-1]
-    zbars = {}
-    for kind, values in stat_values.items():
-        increments = np.where(mask, values[visits], 0.0)
-        zbar = np.cumsum(increments) / distinct
-        zbar[distinct == g.node_count] = full_means[kind]
-        zbars[kind] = zbar
-    counts = np.bincount(visits, minlength=g.node_count)
-    return zbars, distinct, counts
-
-
-def run_experiment(g: WeightedGraph, plan: ExperimentPlan,
-                   threads: int | None = None) -> ExperimentResult:
+def run_experiment(g: WeightedGraph, plan: ExperimentPlan) -> ExperimentResult:
     """Run the full multi-chain convergence experiment described by ``plan``.
 
     Deterministic given (graph, plan): start nodes and chain seeds derive
@@ -212,6 +208,21 @@ def run_experiment(g: WeightedGraph, plan: ExperimentPlan,
         component_nodes = max(comps, key=len)
         logger.warning("restricting experiment to the largest component "
                        "(%d of %d nodes)", len(component_nodes), g.node_count)
+
+    starts = plan.start_nodes
+    if plan.start_policy == "fixed_list":
+        # start ids name nodes of the graph as given
+        for s in starts:
+            if not 0 <= s < g.node_count:
+                raise ValueError(f"start node {s} out of range")
+        if component_nodes is not None:
+            local = np.searchsorted(component_nodes, starts)
+            for s, i in zip(starts, local.tolist()):
+                if i == len(component_nodes) or component_nodes[i] != s:
+                    raise ValueError(
+                        f"start node {s} is not in the largest component")
+            starts = tuple(local.tolist())
+    if component_nodes is not None:
         g = induced_subgraph(g, component_nodes)
 
     V = g.node_count
@@ -233,65 +244,39 @@ def run_experiment(g: WeightedGraph, plan: ExperimentPlan,
         rng = make_rng(plan.master_seed)
         starts = tuple(int(s) for s in rng.permutation(eligible)[:n_chains])
     else:
-        starts = plan.start_nodes
-        for s in starts:
-            if not 0 <= s < V:
-                raise ValueError(f"start node {s} out of range")
+        for given, s in zip(plan.start_nodes, starts):
             if g.degrees[s] == 0:
-                raise ValueError(f"start node {s} is isolated")
+                raise ValueError(f"start node {given} is isolated")
     seeds = tuple(chain_seed(plan.master_seed, c) for c in range(n_chains))
 
-    # shared read-only inputs, computed once per experiment
-    modes_needed = {cfg.curvature_mode for cfg in plan.samplers
-                    if cfg.kind in ("edge_curved", "node_mh_curved")}
-    curvmaps = {mode: compute_curvature_map(g, mode) for mode in modes_needed}
-    shared = []
-    for cfg in plan.samplers:
-        curvmap = curvmaps.get(cfg.curvature_mode) \
-            if cfg.kind in ("edge_curved", "node_mh_curved") else None
-        if cfg.kind == "node_mh_curved":
-            target = make_target(g, curvmap, "curved", cfg.epsilon_floor)
-        elif cfg.kind == "node_mh_uniform":
-            target = make_target(g, None, "uniform")
-        else:
-            target = None
-        shared.append((curvmap, target))
-
-    jobs = []
-    for s_idx, template in enumerate(plan.samplers):
-        curvmap, target = shared[s_idx]
-        for c in range(n_chains):
-            config = replace(template, seed=seeds[c], start_node=starts[c],
-                             max_steps=n_steps)
-            jobs.append((g, config, curvmap, target, stat_values, full_means))
-
-    if threads is None or int(threads) <= 0:
-        threads = os.cpu_count() or 1
-    threads = int(threads)
-    if threads == 1:
-        results = [_chain_job(*job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda job: _chain_job(*job), jobs))
+    visits = run_lockstep(g, [
+        replace(template, seed=seeds[c], start_node=starts[c], max_steps=n_steps)
+        for template in plan.samplers for c in range(n_chains)])
 
     labels = sampler_labels(plan.samplers)
     curves = []
     backbones = {}
     for s_idx, label in enumerate(labels):
-        chunk = results[s_idx * n_chains:(s_idx + 1) * n_chains]
-        distinct_stack = np.stack([distinct for _, distinct, _ in chunk])
-        mean_distinct = np.mean(distinct_stack.astype(np.float64), axis=0)
+        # stream over the sampler's chains in fixed order; summing then
+        # dividing by n_chains equals np.mean over the stacked chains
+        counts = np.zeros(V, dtype=np.int64)
+        distinct_sum = np.zeros(n_steps, dtype=np.int64)
+        sq_sum = {kind: np.zeros(n_steps) for kind in plan.statistics}
+        for chain in visits[s_idx * n_chains:(s_idx + 1) * n_chains]:
+            distinct = distinct_prefix_counts(chain)
+            distinct_sum += distinct
+            counts += np.bincount(chain, minlength=V)
+            for kind in plan.statistics:
+                zbar = _running_estimator(stat_values[kind], chain, distinct,
+                                          full_means[kind])
+                sq_sum[kind] += (zbar - full_means[kind]) ** 2
+        mean_distinct = distinct_sum / n_chains
         mean_distinct.setflags(write=False)
         for kind in plan.statistics:
-            sq = np.stack([(zbars[kind] - full_means[kind]) ** 2
-                           for zbars, _, _ in chunk])
-            mse = np.mean(sq, axis=0)
+            mse = sq_sum[kind] / n_chains
             mse.setflags(write=False)
             curves.append(ConvergenceCurve(sampler=label, statistic=kind,
                                            mse=mse, mean_distinct=mean_distinct))
-        counts = np.zeros(V, dtype=np.int64)
-        for _, _, c in chunk:
-            counts += c
         ranked = np.lexsort((np.arange(V), -counts))
         counts.setflags(write=False)
         ranked.setflags(write=False)

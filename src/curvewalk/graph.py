@@ -4,7 +4,8 @@ Nodes are dense integer ids ``0 .. node_count - 1``. Graphs are simple and
 undirected: each edge is stored once as a canonical ``(u, v)`` pair with
 ``u < v``, self-loops and parallel edges are rejected, and every edge and
 node weight is strictly positive. All backing arrays are frozen after
-construction, so a graph can be shared read-only across worker threads.
+construction, so one graph can be shared read-only by every chain and
+statistic computed on it.
 """
 
 from __future__ import annotations

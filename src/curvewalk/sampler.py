@@ -19,11 +19,16 @@ the bare formulas for graphs without zero curvature.
 Reproducibility contract: chains are driven by numpy's PCG64 generator
 (recorded as ``"pcg64"`` in run manifests). A chain consumes its uniform
 stream in a fixed order: one draw to pick a random start node when
-requested, then one uniform per step for edge kinds or two per step
-(proposal, then accept) for MH kinds. Chain ``c`` of a multi-chain
-experiment is seeded with ``master_seed XOR splitmix64(c)``. Kernels are
-precomputed per node once per run (the chains are time-homogeneous), so a
-step costs O(log d) for edge kinds and O(1) for MH kinds.
+requested, then one uniform per transition for edge kinds or two per
+transition (proposal, then accept) for MH kinds, burn-in included. A chain
+draws exactly that prefix of its stream. Chain ``c`` of a multi-chain
+experiment is seeded with ``master_seed XOR splitmix64(c)``.
+
+Two drivers share one table per kernel, built once per run (the chains are
+time-homogeneous): :func:`run_chain` runs one chain in a scalar loop, and
+:func:`run_lockstep`, which experiments use, advances many chains together
+as numpy vectors and reproduces :func:`run_chain` exactly. A step costs
+O(log d) for edge kinds and O(1) for MH kinds.
 """
 
 from __future__ import annotations
@@ -42,6 +47,8 @@ GENERATOR_NAME = "pcg64"
 DEFAULT_EPSILON_FLOOR = 1e-9
 
 _MASK64 = (1 << 64) - 1
+# steps of uniforms a chain draws at a time; bounds the draw buffers
+_TIME_CHUNK = 1 << 10
 
 
 def splitmix64(value: int) -> int:
@@ -169,72 +176,53 @@ def make_target(g: WeightedGraph, curvmap: CurvatureMap | None = None,
     return target
 
 
-def _edge_row_weights(g: WeightedGraph, abs_edge_curv: np.ndarray | None,
-                      i: int, epsilon_floor: float) -> np.ndarray:
-    """Unnormalized move weights for node ``i``'s CSR row.
+def _edge_weights(g: WeightedGraph, abs_edge_curv: np.ndarray | None,
+                  epsilon_floor: float) -> np.ndarray:
+    """Unnormalized move weights of every half-edge, aligned with ``adj_neighbors``.
 
     ``abs_edge_curv = None`` means the uniform kernel. For the curved kernel
-    the weight toward neighbor ``j`` is ``max(|F(<i,j>)|, floor) / d(j)``,
-    except that a row whose curvatures are all ``<= floor`` falls back to a
-    uniform row.
+    the weight from ``i`` toward neighbor ``j`` is ``max(|F(<i,j>)|, floor) /
+    d(j)``, except that a row whose curvatures are all ``<= floor`` falls back
+    to a uniform row.
     """
-    lo, hi = g.adj_indptr[i], g.adj_indptr[i + 1]
-    if abs_edge_curv is None:
-        return np.ones(hi - lo, dtype=np.float64)
-    f = abs_edge_curv[g.adj_edge_ids[lo:hi]]
-    if hi == lo or float(f.max()) <= epsilon_floor:
-        return np.ones(hi - lo, dtype=np.float64)
-    return np.maximum(f, epsilon_floor) / g.degrees[g.adj_neighbors[lo:hi]]
+    weights = np.ones(len(g.adj_neighbors), dtype=np.float64)
+    if abs_edge_curv is None or not len(weights):
+        return weights
+    f = abs_edge_curv[g.adj_edge_ids]
+    live = g.degrees > 0
+    row_max = np.zeros(g.node_count)
+    row_max[live] = np.maximum.reduceat(f, g.adj_indptr[:-1][live])
+    curved = np.repeat(row_max > epsilon_floor, g.degrees)
+    weights[curved] = (np.maximum(f[curved], epsilon_floor)
+                       / g.degrees[g.adj_neighbors[curved]])
+    return weights
 
 
-def _cumulative_row(weights: np.ndarray) -> np.ndarray:
-    cum = np.cumsum(weights)
-    cum /= cum[-1]
-    cum[-1] = 1.0  # guard against cumulative rounding below any u < 1
+def _cumulative_rows(g: WeightedGraph, weights: np.ndarray) -> np.ndarray:
+    """Normalized running sums of each CSR row of ``weights``.
+
+    Every row is accumulated left to right, exactly as ``np.cumsum`` of the
+    row alone, divided by its total, and ends at exactly 1.0 so that no
+    uniform in [0, 1) can fall past the row's last neighbor.
+    """
+    cum = np.empty_like(weights)
+    if not len(cum):
+        return cum
+    deg = g.degrees
+    # rows by descending degree, so the rows still open at position k are a prefix
+    order = np.argsort(-deg, kind="stable")
+    starts = g.adj_indptr[:-1][order]
+    open_rows = np.searchsorted(-deg[order], -np.arange(int(deg.max())), side="left")
+    running = np.zeros(int(open_rows[0]))
+    for k, n_open in enumerate(open_rows.tolist()):
+        pos = starts[:n_open] + k
+        running = running[:n_open] + weights[pos]
+        cum[pos] = running
+    live = deg > 0
+    ends = g.adj_indptr[1:][live] - 1
+    cum /= np.repeat(cum[ends], deg[live])
+    cum[ends] = 1.0
     return cum
-
-
-def edge_curved_step(g: WeightedGraph, curvmap: CurvatureMap, current,
-                     rng: np.random.Generator,
-                     epsilon_floor: float = DEFAULT_EPSILON_FLOOR) -> int:
-    """One move of the curvature-weighted edge kernel (consumes one uniform)."""
-    current = g._check_node(current)
-    lo, hi = g.adj_indptr[current], g.adj_indptr[current + 1]
-    if hi == lo:
-        raise ValueError(f"node {current} is isolated; the chain cannot proceed")
-    weights = _edge_row_weights(g, np.abs(curvmap.edge_values), current,
-                                epsilon_floor)
-    cum = _cumulative_row(weights)
-    idx = int(np.searchsorted(cum, rng.random(), side="right"))
-    return int(g.adj_neighbors[lo + idx])
-
-
-def mh_step(g: WeightedGraph, target_g: np.ndarray, current,
-            rng: np.random.Generator) -> tuple[int, bool]:
-    """One Metropolis-Hastings move (consumes two uniforms: proposal, accept).
-
-    Proposes a uniform neighbor ``Y`` and accepts with probability
-    ``min(1, (g(Y)/d(Y)) / (g(X)/d(X)))``; on rejection the chain stays put.
-    """
-    current = g._check_node(current)
-    deg_c = int(g.degrees[current])
-    if deg_c == 0:
-        raise ValueError(f"node {current} is isolated; the chain cannot proceed")
-    g_c = float(target_g[current])
-    if not g_c > 0:
-        raise ValueError(f"target density is zero at node {current}")
-    lo = g.adj_indptr[current]
-    u = rng.random()
-    y_idx = int(u * deg_c)
-    if y_idx == deg_c:  # u * d can round up to d when u is within an ulp of 1
-        y_idx = deg_c - 1
-    y = int(g.adj_neighbors[lo + y_idx])
-    v = rng.random()
-    h_c = g_c / g.degrees[current]
-    h_y = target_g[y] / g.degrees[y]
-    if v * h_c <= h_y:
-        return y, True
-    return current, False
 
 
 def _resolve_curvmap(g, config, curvmap):
@@ -267,75 +255,70 @@ def _resolve_start(g, config, rng, target):
     return start
 
 
+def _is_mh(kind: str) -> bool:
+    return kind.startswith("node_mh")
+
+
+def _kernel_table(g, config, curvmap=None, target=None):
+    """``(table, target)`` of a configured kernel, for both chain drivers.
+
+    Edge kinds: the normalized cumulative move probabilities of every CSR
+    row (:func:`_cumulative_rows`); a step moves to the neighbor at the count
+    of row entries ``<= u``. MH kinds: ``h(i) = g(i) / d(i)`` per node, the
+    quantity the acceptance test compares. ``target`` is None for edge kinds.
+    """
+    curvmap = _resolve_curvmap(g, config, curvmap)
+    if _is_mh(config.kind):
+        target = _resolve_target(g, config, curvmap, target)
+        return target / np.maximum(g.degrees, 1), target
+    abs_curv = np.abs(curvmap.edge_values) if config.kind == "edge_curved" else None
+    return _cumulative_rows(g, _edge_weights(g, abs_curv, config.epsilon_floor)), None
+
+
 def run_chain(g: WeightedGraph, config: SamplerConfig,
               curvmap: CurvatureMap | None = None,
               target: np.ndarray | None = None) -> ChainTrace:
     """Run one chain; the trace is a pure function of (graph, config).
 
     ``curvmap`` and ``target`` are optional precomputed inputs (they are
-    derived from the config when omitted; experiments pass shared instances
-    so nothing is recomputed per chain).
+    derived from the config when omitted). This is the single-chain driver;
+    :func:`run_lockstep` runs many chains at once and reproduces it exactly.
     """
     if g.node_count == 0:
         raise ValueError("cannot sample an empty graph")
-    curvmap = _resolve_curvmap(g, config, curvmap)
-    is_mh = config.kind.startswith("node_mh")
-    if is_mh:
-        target = _resolve_target(g, config, curvmap, target)
+    table, target = _kernel_table(g, config, curvmap, target)
     rng = make_rng(config.seed)
-    start = _resolve_start(g, config, rng, target if is_mh else None)
-
-    n = config.max_steps
-    visits = np.empty(n, dtype=np.int64)
-    indptr = g.adj_indptr
-    nbr_rows = [g.adj_neighbors[indptr[i]:indptr[i + 1]].tolist()
-                for i in range(g.node_count)]
-
-    # block-drawn uniforms; a chain consumes a prefix of the seed's stream
-    def uniforms(block=1 << 16):
-        while True:
-            yield from rng.random(block).tolist()
-
-    nxt = uniforms().__next__
+    start = _resolve_start(g, config, rng, target)
+    # plain lists index fastest in a Python loop; CSR row i is lo[i]:hi[i]
+    nbrs, lookup = g.adj_neighbors.tolist(), table.tolist()
+    lo, hi = g.adj_indptr[:-1].tolist(), g.adj_indptr[1:].tolist()
+    deg = g.degrees.tolist()
+    walk = [start]
+    append = walk.append
     cur = start
     # the start is validated non-isolated and moves follow edges, so every
     # visited node has degree >= 1
-    if is_mh:
-        h = (target / np.maximum(g.degrees, 1)).tolist()
-        for _ in range(config.burn_in):
-            row = nbr_rows[cur]
-            d = len(row)
-            y_idx = int(nxt() * d)
-            if y_idx == d:
-                y_idx = d - 1
-            y = row[y_idx]
-            if nxt() * h[cur] <= h[y]:
-                cur = y
-        visits[0] = cur
-        for k in range(1, n):
-            row = nbr_rows[cur]
-            d = len(row)
-            y_idx = int(nxt() * d)
-            if y_idx == d:  # u * d can round up to d when u is within an ulp of 1
-                y_idx = d - 1
-            y = row[y_idx]
-            if nxt() * h[cur] <= h[y]:
-                cur = y
-            visits[k] = cur
-    else:
-        abs_curv = np.abs(curvmap.edge_values) if config.kind == "edge_curved" else None
-        cum_rows = [
-            _cumulative_row(_edge_row_weights(g, abs_curv, i, config.epsilon_floor)).tolist()
-            if g.degrees[i] else []
-            for i in range(g.node_count)
-        ]
-        for _ in range(config.burn_in):
-            cur = nbr_rows[cur][bisect_right(cum_rows[cur], nxt())]
-        visits[0] = cur
-        for k in range(1, n):
-            cur = nbr_rows[cur][bisect_right(cum_rows[cur], nxt())]
-            visits[k] = cur
+    left = config.burn_in + config.max_steps - 1
+    while left:
+        block = min(left, _TIME_CHUNK)
+        left -= block
+        if _is_mh(config.kind):
+            us = iter(rng.random(2 * block).tolist())
+            for u, v in zip(us, us):
+                d = deg[cur]
+                y_idx = int(u * d)
+                if y_idx == d:  # u * d can round up to d when u is within an ulp of 1
+                    y_idx = d - 1
+                y = nbrs[lo[cur] + y_idx]
+                if v * lookup[cur] <= lookup[y]:
+                    cur = y
+                append(cur)
+        else:
+            for u in rng.random(block).tolist():
+                cur = nbrs[bisect_right(lookup, u, lo[cur], hi[cur])]
+                append(cur)
 
+    visits = np.array(walk[config.burn_in:], dtype=np.int64)
     distinct = distinct_prefix_counts(visits)
     visits.setflags(write=False)
     distinct.setflags(write=False)
@@ -343,11 +326,145 @@ def run_chain(g: WeightedGraph, config: SamplerConfig,
                       distinct_count_at_step=distinct)
 
 
+def run_lockstep(g: WeightedGraph, configs) -> np.ndarray:
+    """Run many chains in lockstep; row ``c`` equals ``run_chain(g, configs[c]).visits``.
+
+    Chains of the edge kinds advance together as one numpy vector, one
+    vectorized step per time index, and so do chains of the MH kinds. Each
+    kernel table is built once and stacked with the others of its family;
+    a chain finds its own by an offset. Every chain keeps its own generator
+    and draws from it, ``_TIME_CHUNK`` steps at a time, the stream prefix
+    :func:`run_chain` consumes, so the result is bit-identical to running
+    the chains one by one. All configs must share ``max_steps``.
+
+    Returns:
+        ``(len(configs), max_steps)`` int64 array of visited node ids.
+    """
+    configs = tuple(configs)
+    if g.node_count == 0:
+        raise ValueError("cannot sample an empty graph")
+    if not configs:
+        raise ValueError("lockstep needs at least one chain")
+    n = configs[0].max_steps
+    if any(cfg.max_steps != n for cfg in configs):
+        raise ValueError("lockstep chains must share max_steps")
+    curvmaps = {}
+    kernels = {}  # (kind, curvature_mode, epsilon_floor) -> (index in family, target)
+    families = {False: ([], []), True: ([], [])}  # is_mh -> (tables, chains)
+    for row, cfg in enumerate(configs):
+        key = (cfg.kind, cfg.curvature_mode, cfg.epsilon_floor)
+        if key not in kernels:
+            curvmap = _resolve_curvmap(g, cfg, curvmaps.get(cfg.curvature_mode))
+            if curvmap is not None:
+                curvmaps[cfg.curvature_mode] = curvmap
+            table, target = _kernel_table(g, cfg, curvmap)
+            tables = families[_is_mh(cfg.kind)][0]
+            kernels[key] = (len(tables), target)
+            tables.append(table)
+        index, target = kernels[key]
+        rng = make_rng(cfg.seed)
+        start = _resolve_start(g, cfg, rng, target)
+        families[_is_mh(cfg.kind)][1].append((row, index, start, cfg.burn_in, rng))
+
+    visits = np.empty((len(configs), n), dtype=np.int64)
+    for is_mh, (tables, chains) in families.items():
+        if chains:
+            _lockstep_family(g, is_mh, tables, chains, visits)
+    visits.setflags(write=False)
+    return visits
+
+
+def _lockstep_family(g, is_mh, tables, chains, visits):
+    """Advance one family's chains together and record them into ``visits``.
+
+    A chain's state is ``index * V + node`` (``index`` picks its kernel's
+    table), so one gather serves every kernel. Chains whose burn-in is below
+    the family's longest run a few extra steps at the end; those are drawn
+    from their own generators and not recorded.
+    """
+    V, H = g.node_count, len(g.adj_neighbors)
+    rows, index, starts, burn, rngs = zip(*chains)
+    rows, burn = np.array(rows), np.array(burn)
+    node_off = np.array(index, dtype=np.int64) * V
+    state = node_off + np.array(starts, dtype=np.int64)
+    n = visits.shape[1]
+    stack = np.arange(len(tables), dtype=np.int64)[:, None]
+    row_lo = (g.adj_indptr[:-1] + stack * H).ravel()  # per stacked state
+    row_last = (g.adj_indptr[1:] - 1 + stack * H).ravel()
+    nbr = (g.adj_neighbors + stack * V).ravel()  # per stacked half-edge
+    table = np.concatenate(tables)
+    groups = [(b, np.flatnonzero(burn == b)) for b in np.unique(burn).tolist()]
+
+    def record(states, t0):
+        """Store ``states`` (one row per time index from ``t0``)."""
+        for b, cols in groups:
+            lo, hi = max(t0, b), min(t0 + len(states), b + n)
+            if lo < hi:
+                visits[rows[cols], lo - b:hi - b] = \
+                    (states[lo - t0:hi - t0, cols] - node_off[cols]).T
+
+    record(state[None, :], 0)
+    width = len(rngs)
+    draws = 2 if is_mh else 1
+    if is_mh:
+        deg = np.tile(g.degrees.astype(np.float64), len(tables))
+    else:
+        # before[p] is the entry before half-edge p, so a chain at count k of
+        # its row tests before[lo + k + 1] = entry k
+        before = np.concatenate(([np.inf], table))
+        row_end = row_last + 1
+        # descending powers of two reach every count 0 .. max_degree - 1
+        steps = [np.full(width, 1 << j, dtype=np.int64)
+                 for j in reversed(range(int(g.degrees.max() - 1).bit_length()))]
+        cand = np.empty(width, dtype=np.int64)
+    below = np.empty(width, dtype=bool)
+    u_all = np.empty((width, draws * _TIME_CHUNK))
+    total = int(burn.max()) + n - 1
+    t = 0
+    while t < total:
+        block = min(_TIME_CHUNK, total - t)
+        for c, rng in enumerate(rngs):
+            rng.random(out=u_all[c, :draws * block])
+        out = np.empty((block, width), dtype=np.int64)
+        if is_mh:
+            proposals = np.ascontiguousarray(u_all[:, 0:2 * block:2].T)
+            accepts = np.ascontiguousarray(u_all[:, 1:2 * block:2].T)
+            for i in range(block):
+                # int(u * d), clamped to d - 1 when u * d rounds up to d
+                pos = row_lo[state] + (proposals[i] * deg[state]).astype(np.int64)
+                np.minimum(pos, row_last[state], out=pos)
+                y = nbr[pos]
+                np.less_equal(accepts[i] * table[state], table[y], out=below)
+                np.copyto(state, y, where=below)
+                out[i] = state
+        else:
+            us = np.ascontiguousarray(u_all[:, :block].T)
+            for i in range(block):
+                # bisect_right: move to row entry lo + (count of entries
+                # <= u), found in a fixed number of halving steps; a
+                # candidate past the row reads its last entry, 1.0 > u
+                pos, end = row_lo[state], row_end[state]
+                for step in steps:
+                    np.add(pos, step, out=cand)
+                    np.minimum(cand, end, out=cand)
+                    np.less_equal(before[cand], us[i], out=below)
+                    np.copyto(pos, cand, where=below)
+                state = nbr[pos]
+                out[i] = state
+        record(out, t + 1)
+        t += block
+
+
 def distinct_prefix_counts(visits: np.ndarray) -> np.ndarray:
     """Number of unique nodes in each prefix of a visit sequence."""
-    mask = np.zeros(len(visits), dtype=bool)
-    mask[np.unique(visits, return_index=True)[1]] = True
-    return np.cumsum(mask, dtype=np.int64)
+    n = len(visits)
+    if n == 0:
+        return np.zeros(0, dtype=np.int64)
+    first = np.full(int(visits.max()) + 1, n)  # n marks a node never visited
+    np.minimum.at(first, visits, np.arange(n))
+    mask = np.zeros(n + 1, dtype=bool)
+    mask[first] = True
+    return np.cumsum(mask[:n], dtype=np.int64)
 
 
 def build_transition_matrix(g: WeightedGraph, config: SamplerConfig,
@@ -365,10 +482,12 @@ def build_transition_matrix(g: WeightedGraph, config: SamplerConfig,
             f"transition matrix limited to {size_guard} nodes, "
             f"graph has {g.node_count}")
     curvmap = _resolve_curvmap(g, config, curvmap)
-    is_mh = config.kind.startswith("node_mh")
+    is_mh = _is_mh(config.kind)
     if is_mh:
         target = _resolve_target(g, config, curvmap, target)
-    abs_curv = np.abs(curvmap.edge_values) if config.kind == "edge_curved" else None
+    else:
+        abs_curv = np.abs(curvmap.edge_values) if config.kind == "edge_curved" else None
+        weights = _edge_weights(g, abs_curv, config.epsilon_floor)
 
     V = g.node_count
     P = np.zeros((V, V), dtype=np.float64)
@@ -380,7 +499,7 @@ def build_transition_matrix(g: WeightedGraph, config: SamplerConfig,
             continue
         nbrs = g.adj_neighbors[lo:hi]
         if not is_mh:
-            w = _edge_row_weights(g, abs_curv, i, config.epsilon_floor)
+            w = weights[lo:hi]
             P[i, nbrs] = w / w.sum()
         else:
             g_i = float(target[i])

@@ -1,10 +1,15 @@
-"""Independent brute-force oracles for the network statistics.
+"""Independent brute-force oracles for the network statistics and chain steps.
 
-These deliberately avoid the per-source accumulation algorithm used by the
-package: hop-mode counts come from powers of the adjacency matrix (length-k
-walks at the hop distance are exactly the shortest paths) with exact rational
-pair ratios, and weighted-mode values come from Floyd-Warshall with explicit
-path reconstruction (generic weights, so shortest paths are unique).
+The statistic oracles deliberately avoid the per-source accumulation
+algorithm used by the package: hop-mode counts come from powers of the
+adjacency matrix (length-k walks at the hop distance are exactly the shortest
+paths) with exact rational pair ratios, and weighted-mode values come from
+Floyd-Warshall with explicit path reconstruction (generic weights, so
+shortest paths are unique).
+
+The step oracles apply one kernel move straight from its formula, one node
+row at a time, consuming the chain's uniforms in the documented order; the
+package's table-driven chain drivers must reproduce them bit for bit.
 """
 
 from __future__ import annotations
@@ -12,6 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
+
+from curvewalk import DEFAULT_EPSILON_FLOOR
 
 
 def adjacency_matrix(g) -> np.ndarray:
@@ -138,3 +145,58 @@ def dfs_hop_bc_oracle(g):
                 through = sum(1 for p in shortest if x in p)
                 bc[x] += through / len(shortest)
     return bc
+
+
+def edge_row_cdf(g, curvmap, i, epsilon_floor=DEFAULT_EPSILON_FLOOR):
+    """Cumulative move probabilities over node ``i``'s neighbors (ascending id).
+
+    ``curvmap = None`` is the uniform kernel. The curved weight toward ``j``
+    is ``max(|F(<i,j>)|, floor) / d(j)``; a row whose ``|F|`` are all
+    ``<= floor`` is uniform. The last entry is exactly 1.0.
+    """
+    lo, hi = g.adj_indptr[i], g.adj_indptr[i + 1]
+    if hi == lo:
+        raise ValueError(f"node {i} is isolated; the chain cannot proceed")
+    weights = np.ones(hi - lo)
+    if curvmap is not None:
+        f = np.abs(curvmap.edge_values)[g.adj_edge_ids[lo:hi]]
+        if float(f.max()) > epsilon_floor:
+            weights = np.maximum(f, epsilon_floor) / g.degrees[g.adj_neighbors[lo:hi]]
+    cum = np.cumsum(weights)
+    cum /= cum[-1]
+    cum[-1] = 1.0
+    return cum
+
+
+def edge_curved_step(g, curvmap, current, rng, epsilon_floor=DEFAULT_EPSILON_FLOOR):
+    """One move of the curvature-weighted edge kernel (consumes one uniform)."""
+    current = g._check_node(current)
+    cum = edge_row_cdf(g, curvmap, current, epsilon_floor)
+    idx = int(np.searchsorted(cum, rng.random(), side="right"))
+    return int(g.adj_neighbors[g.adj_indptr[current] + idx])
+
+
+def mh_step(g, target_g, current, rng):
+    """One Metropolis-Hastings move (consumes two uniforms: proposal, accept).
+
+    Proposes a uniform neighbor ``Y`` and accepts with probability
+    ``min(1, (g(Y)/d(Y)) / (g(X)/d(X)))``; on rejection the chain stays put.
+    """
+    current = g._check_node(current)
+    deg_c = int(g.degrees[current])
+    if deg_c == 0:
+        raise ValueError(f"node {current} is isolated; the chain cannot proceed")
+    g_c = float(target_g[current])
+    if not g_c > 0:
+        raise ValueError(f"target density is zero at node {current}")
+    lo = g.adj_indptr[current]
+    y_idx = int(rng.random() * deg_c)
+    if y_idx == deg_c:  # u * d can round up to d when u is within an ulp of 1
+        y_idx = deg_c - 1
+    y = int(g.adj_neighbors[lo + y_idx])
+    v = rng.random()
+    h_c = g_c / g.degrees[current]
+    h_y = target_g[y] / g.degrees[y]
+    if v * h_c <= h_y:
+        return y, True
+    return current, False

@@ -5,6 +5,7 @@ Each test records a PASS/FAIL line that is echoed after the pytest run.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import time
 
@@ -195,31 +196,60 @@ def test_criterion_6_estimator_sanity(acceptance):
     assert near_ok
 
 
+# sha256 of every CSV of `converge --graph data/lesmis.tsv --seed 12345`, with
+# the default samplers and with all four. Recorded when every chain still ran
+# alone; the stream contract keeps them fixed.
+GOLDEN_DEFAULT = {
+    "backbone.csv": "330bdef8763a53433d33c512c3fcb59089302c4be6e32527a6dba4d1d7457ee0",
+    "mse_node_mh_curved_betweenness.csv": "891d2afbdfbbb3cdd721efa7bf4c87f6f60a43ef1b3289210a2a98a4e5d63df3",
+    "mse_node_mh_curved_closeness.csv": "efe720dd2115d58aea15637cfc7d94273c9049d63554e394f955ca84df462fe6",
+    "mse_node_mh_curved_strength.csv": "8a17c1fd36597b5879187d9244fbdef196de109acdaf7c31572203273c399171",
+    "mse_node_mh_curved_weighted_clustering.csv": "50035dabd20d3d72e49b2c880342a4cfc19e4ca7c5c9925eab4b6fd7d87f8dbf",
+    "mse_node_mh_uniform_betweenness.csv": "c302282e28b6d3bc25867a6a7f1e99cb0074078b4930af246e49fcb4af67cdbc",
+    "mse_node_mh_uniform_closeness.csv": "206e86148814f22ba256dda92f27446f46174d7e5750d0b37bebc2d36e4e40de",
+    "mse_node_mh_uniform_strength.csv": "1e164e69dd68693436537fe53016a1c82f8bc2c83c54035d0cbd33b0a2e57a0a",
+    "mse_node_mh_uniform_weighted_clustering.csv": "ebc95e0962110dd75a78168343a89d1c038878d2e2ae520f9008ab9bbe7d9f1e",
+}
+GOLDEN_ALL_SAMPLERS = {
+    **{name: digest for name, digest in GOLDEN_DEFAULT.items()
+       if name != "backbone.csv"},
+    "backbone.csv": "83f3b47116987d9647469e45d594e387056cf9a47e28940d808f5149d2f83f9b",
+    "mse_edge_curved_betweenness.csv": "3d27c4d68b5d57461ea5e86ba86b626c5e9c604149a720aa3ea8a4479056efe3",
+    "mse_edge_curved_closeness.csv": "b09756930d589e185e15a43f151bf14895b9be621c3e63ec17cf01c8741b9177",
+    "mse_edge_curved_strength.csv": "f804cbfb331dc035f2dc0713281b5ba3fb1092aa760427df1b4a004b941fcdab",
+    "mse_edge_curved_weighted_clustering.csv": "3b568818c32f8f868d15935415ad77cbe01d8aa8b7635f8dd67224a9291fd4fa",
+    "mse_edge_uniform_betweenness.csv": "50020687941305f33cff1a1bec45951de4183613662a8744a81a24377ec9b94c",
+    "mse_edge_uniform_closeness.csv": "31d64e2522afa8deba23f558ecb6cc5e11f84bebd1699ac59b74ed54c43042a3",
+    "mse_edge_uniform_strength.csv": "fd42dc00f66a4be152d7d91c040ad84c1f1ff37cb620c9a169ff3f83d0a946cf",
+    "mse_edge_uniform_weighted_clustering.csv": "ae0d06e06494c27be832ead50ceda18bb049211c8fd0aad65f875247a16f0c98",
+}
+
+
 def test_criterion_7_determinism(acceptance, tmp_path):
     t0 = time.perf_counter()
 
-    def run(name, threads):
+    def run(name, *extra):
         out = tmp_path / name
         code = cli_main(["converge", "--graph", str(LESMIS), "--out", str(out),
-                         "--seed", "12345", "--threads", str(threads)])
+                         "--seed", "12345", *extra])
         assert code == 0
-        return out
+        return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in out.glob("*.csv")}
 
-    a = run("a", 1)
-    b = run("b", 1)
-    c = run("c", 8)
-    names = sorted(p.name for p in a.glob("*.csv"))
-    assert len(names) == 9  # 8 curves + backbone
-    identical = all((a / n).read_bytes() == (b / n).read_bytes() for n in names)
-    thread_invariant = all((a / n).read_bytes() == (c / n).read_bytes()
-                           for n in names)
+    a = run("a")
+    b = run("b")
+    c = run("c", "--samplers", "edge_curved", "edge_uniform", "node_mh_curved",
+            "node_mh_uniform")
+    assert len(a) == 9  # 8 curves + backbone
+    identical = a == b
+    golden = a == GOLDEN_DEFAULT and c == GOLDEN_ALL_SAMPLERS
     elapsed = time.perf_counter() - t0
-    ok = identical and thread_invariant and elapsed < 120.0
+    ok = identical and golden and elapsed < 120.0
     acceptance("criterion 7 (byte-identical determinism)", ok,
-               f"rerun identical: {identical}, threads 1 vs 8 identical: "
-               f"{thread_invariant}, {elapsed:.1f}s for three default runs")
+               f"rerun identical: {identical}, equal to the golden hashes: "
+               f"{golden}, {elapsed:.1f}s for three runs")
     assert identical
-    assert thread_invariant
+    assert golden
     assert elapsed < 120.0
 
 

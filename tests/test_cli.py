@@ -5,8 +5,11 @@ from __future__ import annotations
 import csv
 import json
 
+import numpy as np
 import pytest
 
+import curvewalk.convergence
+from curvewalk import run_chain
 from curvewalk.cli import main
 from conftest import LESMIS
 
@@ -141,10 +144,20 @@ class TestConverge:
         assert len(rows) == 1 + 77
         assert sum(int(r[1]) for r in rows[1:]) == 4 * 60
 
-    def test_byte_identical_reruns_and_threads(self, tmp_path):
-        _, a = self.converge(tmp_path, "a", "--threads", "1")
-        _, b = self.converge(tmp_path, "b", "--threads", "4")
-        for name in sorted(p.name for p in a.glob("*.csv")):
+    def test_byte_identical_to_run_chain_replay(self, tmp_path, monkeypatch):
+        samplers = ("--samplers", "edge_curved", "edge_uniform",
+                    "node_mh_curved", "node_mh_uniform")
+        code, a = self.converge(tmp_path, "a", *samplers)
+        assert code == 0
+        # replay: every chain alone through the scalar single-chain driver
+        monkeypatch.setattr(curvewalk.convergence, "run_lockstep",
+                            lambda g, configs: np.stack(
+                                [run_chain(g, cfg).visits for cfg in configs]))
+        code, b = self.converge(tmp_path, "b", *samplers)
+        assert code == 0
+        names = sorted(p.name for p in a.glob("*.csv"))
+        assert len(names) == 17  # 4 samplers x 4 statistics + backbone
+        for name in names:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     def test_manifest_is_replayable(self, tmp_path):

@@ -5,10 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import curvewalk.convergence
 from curvewalk import (BackboneRanking, ExperimentPlan, SamplerConfig,
                        WeightedGraph, betweenness, estimator_mean,
-                       extract_backbone, run_chain, run_experiment,
-                       strength_vector)
+                       extract_backbone, induced_subgraph, run_chain,
+                       run_experiment, strength_vector)
 from curvewalk.convergence import sampler_labels
 from conftest import path_graph, random_connected_graph, star_graph
 
@@ -147,7 +148,7 @@ class TestRunExperiment:
         for n in (1, 2, 7, 25):
             expected = np.mean([(estimator_mean(sv, t, n) - ez) ** 2
                                 for t in traces])
-            assert curve.mse[n - 1] == pytest.approx(expected, rel=1e-12, abs=1e-15)
+            assert curve.mse[n - 1] == expected
 
     def test_full_coverage_mse_exactly_zero(self):
         g = path_graph(3)
@@ -180,21 +181,31 @@ class TestRunExperiment:
         result = run_experiment(g, plan)
         assert result.curves[0].mse[0] == (sv.values[0] - ez) ** 2
 
-    def test_deterministic_and_thread_invariant(self):
+    def test_deterministic_and_equal_to_run_chain_replay(self, monkeypatch):
         rng = np.random.default_rng(1)
-        g = random_connected_graph(rng, 12, extra=1.2)
-        plan = tiny_plan(n_chains=4, max_steps=50, master_seed=77,
-                         statistics=("strength", "closeness"))
-        a = run_experiment(g, plan, threads=1)
-        b = run_experiment(g, plan, threads=1)
-        c = run_experiment(g, plan, threads=4)
-        for ca, cb, cc in zip(a.curves, b.curves, c.curves):
+        g = random_connected_graph(rng, 12, extra=1.2, weighted=True)
+        samplers = tuple(SamplerConfig(kind=kind, seed=0, max_steps=1,
+                                       curvature_mode="weighted", burn_in=3)
+                         for kind in ("edge_curved", "node_mh_curved",
+                                      "edge_uniform", "node_mh_uniform"))
+        plan = tiny_plan(samplers=samplers, n_chains=4, max_steps=50,
+                         master_seed=77, statistics=("strength", "closeness"))
+        a = run_experiment(g, plan)
+        b = run_experiment(g, plan)
+        # replay: every chain alone through the scalar single-chain driver
+        monkeypatch.setattr(curvewalk.convergence, "run_lockstep",
+                            lambda g, configs: np.stack(
+                                [run_chain(g, cfg).visits for cfg in configs]))
+        c = run_experiment(g, plan)
+        for ca, cb, cc in zip(a.curves, b.curves, c.curves, strict=True):
             assert np.array_equal(ca.mse, cb.mse)
             assert np.array_equal(ca.mse, cc.mse)
             assert np.array_equal(ca.mean_distinct, cc.mean_distinct)
         for label in a.sampler_labels:
             assert np.array_equal(a.backbones[label].visit_counts,
                                   c.backbones[label].visit_counts)
+            assert np.array_equal(a.backbones[label].ranked_nodes,
+                                  c.backbones[label].ranked_nodes)
 
     def test_mean_distinct_monotone(self):
         rng = np.random.default_rng(2)
@@ -234,6 +245,29 @@ class TestRunExperiment:
         result = run_experiment(g, plan)
         assert result.node_count == 3
         assert result.component_nodes.tolist() == [0, 1, 2]
+
+    def test_fixed_starts_name_nodes_of_the_given_graph(self):
+        # {0-1} plus the path 2-3-4-5-6: the largest component is 2..6
+        g = WeightedGraph(7, [(0, 1), (2, 3), (3, 4), (4, 5), (5, 6)])
+        sv = strength_vector(induced_subgraph(g, [2, 3, 4, 5, 6]))
+        ez = float(np.mean(sv.values))
+        for start, local in ((2, 0), (6, 4)):
+            plan = tiny_plan(samplers=(mh_template("node_mh_uniform"),),
+                             max_steps=10, start_policy="fixed_list",
+                             start_nodes=(start,), use_largest_component=True)
+            result = run_experiment(g, plan)
+            assert result.start_nodes == (local, local)
+            assert result.component_nodes[local] == start
+            assert result.curves[0].mse[0] == (sv.values[local] - ez) ** 2
+        for start in (0, 1):
+            plan = tiny_plan(max_steps=10, start_policy="fixed_list",
+                             start_nodes=(start,), use_largest_component=True)
+            with pytest.raises(ValueError, match=f"start node {start} is not in"):
+                run_experiment(g, plan)
+        plan = tiny_plan(max_steps=10, start_policy="fixed_list",
+                         start_nodes=(7,), use_largest_component=True)
+        with pytest.raises(ValueError, match="out of range"):
+            run_experiment(g, plan)
 
     def test_default_steps_scale_with_graph(self):
         rng = np.random.default_rng(6)

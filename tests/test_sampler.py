@@ -5,13 +5,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from curvewalk import (CurvatureMap, SamplerConfig, WeightedGraph,
-                       build_transition_matrix, chain_seed,
-                       compute_curvature_map, edge_curved_step, make_rng,
-                       make_target, mh_step, run_chain, splitmix64,
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from curvewalk import (SAMPLER_KINDS, CurvatureMap, SamplerConfig,
+                       WeightedGraph, build_transition_matrix, chain_seed,
+                       compute_curvature_map, load_edge_list, make_rng,
+                       make_target, run_chain, run_lockstep, splitmix64,
                        stationary_distribution)
-from conftest import (cycle_graph, path_graph, random_connected_graph,
+from curvewalk.sampler import _TIME_CHUNK, _kernel_table
+from conftest import (LESMIS, cycle_graph, path_graph, random_connected_graph,
                       star_graph)
+from oracles import edge_curved_step, edge_row_cdf, mh_step
 
 
 class TestSeeding:
@@ -294,6 +299,102 @@ class TestRunChain:
         with pytest.raises(ValueError):
             run_chain(g, SamplerConfig(kind="edge_uniform", seed=0,
                                        max_steps=5, start_node=2))
+
+
+class TestKernelTable:
+    @pytest.mark.parametrize("kind", ["edge_curved", "edge_uniform"])
+    @pytest.mark.parametrize("mode", ["combinatorial", "weighted"])
+    @pytest.mark.parametrize("floor", [0.0, 1e-9, 0.6])
+    def test_edge_rows_equal_oracle(self, kind, mode, floor):
+        rng = np.random.default_rng(41)
+        graphs = [random_connected_graph(rng, 25, extra=2.0, weighted=True),
+                  cycle_graph(7), star_graph(5), WeightedGraph(4, [(0, 1), (1, 2)])]
+        for g in graphs:
+            cfg = SamplerConfig(kind=kind, seed=0, max_steps=1,
+                                curvature_mode=mode, epsilon_floor=floor)
+            cm = compute_curvature_map(g, mode)
+            table, _ = _kernel_table(g, cfg, cm)
+            for i in np.flatnonzero(g.degrees):
+                lo, hi = g.adj_indptr[i], g.adj_indptr[i + 1]
+                expected = edge_row_cdf(g, cm if kind == "edge_curved" else None,
+                                        i, floor)
+                assert table[lo:hi].tolist() == expected.tolist()
+
+
+def lockstep_configs(g, steps, burn_in, mode="combinatorial", chains=3):
+    """``chains`` chains of every kind with distinct seeds and starts; the
+    first chain of each kind draws a random start."""
+    live = np.flatnonzero(g.degrees > 0)
+    return [SamplerConfig(kind=kind, seed=1000 * k + c, max_steps=steps,
+                          start_node=int(live[(7 * c + k) % len(live)]) if c else "random",
+                          burn_in=burn_in, curvature_mode=mode)
+            for k, kind in enumerate(SAMPLER_KINDS) for c in range(chains)]
+
+
+def assert_lockstep_equals_run_chain(g, configs):
+    visits = run_lockstep(g, configs)
+    assert visits.shape == (len(configs), configs[0].max_steps)
+    for row, cfg in zip(visits, configs):
+        assert np.array_equal(row, run_chain(g, cfg).visits), cfg
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("burn_in", [0, 17])
+    @pytest.mark.parametrize("mode", ["combinatorial", "weighted"])
+    def test_lesmis(self, burn_in, mode):
+        g, _ = load_edge_list(LESMIS)
+        assert_lockstep_equals_run_chain(g, lockstep_configs(g, 300, burn_in, mode))
+
+    @pytest.mark.parametrize("burn_in", [0, 17])
+    def test_cycle_every_row_flat(self, burn_in):
+        # every combinatorial F is 0, so each edge row takes the uniform fallback
+        g = cycle_graph(9)
+        assert_lockstep_equals_run_chain(g, lockstep_configs(g, 120, burn_in))
+
+    @pytest.mark.parametrize("burn_in", [0, 17])
+    def test_star_degree_one_leaves(self, burn_in):
+        g = star_graph(6)
+        assert_lockstep_equals_run_chain(g, lockstep_configs(g, 120, burn_in))
+
+    @pytest.mark.parametrize("burn_in", [0, 17])
+    def test_spans_chunks_not_a_multiple(self, burn_in):
+        rng = np.random.default_rng(19)
+        g = random_connected_graph(rng, 30, extra=1.5, weighted=True)
+        steps = 2 * _TIME_CHUNK + 37
+        assert_lockstep_equals_run_chain(
+            g, lockstep_configs(g, steps, burn_in, "weighted", chains=2))
+
+    def test_mixed_burn_in(self):
+        rng = np.random.default_rng(23)
+        g = random_connected_graph(rng, 15, extra=1.0)
+        configs = [SamplerConfig(kind=kind, seed=s, max_steps=50, start_node=s % 15,
+                                 burn_in=b)
+                   for s, (kind, b) in enumerate(
+                       [("edge_curved", 0), ("edge_curved", 5), ("node_mh_curved", 17),
+                        ("edge_uniform", 40), ("node_mh_uniform", 0)])]
+        assert_lockstep_equals_run_chain(g, configs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 14), extra=st.floats(0.0, 2.5),
+           weighted=st.booleans(), graph_seed=st.integers(0, 2**32 - 1),
+           burn_in=st.sampled_from([0, 17]),
+           mode=st.sampled_from(["combinatorial", "weighted"]))
+    def test_random_connected_graphs(self, n, extra, weighted, graph_seed,
+                                     burn_in, mode):
+        g = random_connected_graph(np.random.default_rng(graph_seed), n,
+                                   extra=extra, weighted=weighted)
+        assert_lockstep_equals_run_chain(
+            g, lockstep_configs(g, 40, burn_in, mode, chains=2))
+
+    def test_rejects_mixed_lengths_and_bad_starts(self):
+        g = path_graph(4)
+        with pytest.raises(ValueError):
+            run_lockstep(g, [SamplerConfig(kind="edge_uniform", seed=0, max_steps=5),
+                             SamplerConfig(kind="edge_uniform", seed=0, max_steps=6)])
+        g = WeightedGraph(3, [(0, 1)])
+        with pytest.raises(ValueError):
+            run_lockstep(g, [SamplerConfig(kind="node_mh_uniform", seed=0,
+                                           max_steps=5, start_node=2)])
 
 
 class TestTransitionMatrix:
