@@ -67,16 +67,7 @@ def edge_forman_combinatorial(g: WeightedGraph, edge) -> float:
 def node_forman(g: WeightedGraph, curvmap: CurvatureMap, i) -> float:
     """Sum of the curvatures of ``i``'s incident edges (0 for isolated nodes)."""
     i = g._check_node(i)
-    return _incident_sum(g, curvmap.edge_values, i)
-
-
-def _incident_sum(g: WeightedGraph, edge_values: np.ndarray, i: int) -> float:
-    # plain left-to-right accumulation in CSR (ascending neighbor) order
-    total = 0.0
-    lo, hi = g.adj_indptr[i], g.adj_indptr[i + 1]
-    for eid in g.adj_edge_ids[lo:hi]:
-        total += float(edge_values[eid])
-    return total
+    return float(curvmap.node_values[i])
 
 
 def compute_curvature_map(g: WeightedGraph, mode: str = "combinatorial") -> CurvatureMap:
@@ -98,8 +89,11 @@ def compute_curvature_map(g: WeightedGraph, mode: str = "combinatorial") -> Curv
     else:
         ev = np.array([edge_forman(g, (u, v)) for u, v in g.edges],
                       dtype=np.float64).reshape(g.edge_count)
-    nv = np.array([_incident_sum(g, ev, i) for i in range(g.node_count)],
-                  dtype=np.float64).reshape(g.node_count)
+    # bincount adds in input order: left to right along each CSR row; it
+    # returns integers when there are no edges, hence the cast
+    nv = np.bincount(np.repeat(np.arange(g.node_count), g.degrees),
+                     weights=ev[g.adj_edge_ids],
+                     minlength=g.node_count).astype(np.float64)
     ev.setflags(write=False)
     nv.setflags(write=False)
     return CurvatureMap(mode=mode, edge_values=ev, node_values=nv)

@@ -6,7 +6,11 @@ centrality (reciprocal sum of shortest-path distances), strength (weighted
 degree) and the Barrat weighted clustering coefficient.
 
 Shortest paths default to hop counts (``path_mode="hop"``) even on weighted
-graphs; ``path_mode="weighted"`` treats edge weights as lengths. On
+graphs; ``path_mode="weighted"`` treats edge weights as lengths. Both modes
+run the same Dijkstra routine, hop mode with unit lengths, and one sweep per
+source yields betweenness (Brandes dependency accumulation) and closeness
+together. Two weighted paths count as equally short only when their lengths
+are exactly equal floats, so ``0.1 + 0.2`` and ``0.3`` do not tie. On
 disconnected graphs closeness sums distances over the node's component only
 and betweenness skips unreachable pairs; an isolated node has closeness 0
 (logged as a warning).
@@ -16,9 +20,9 @@ from __future__ import annotations
 
 import heapq
 import logging
-from collections import deque
 from dataclasses import dataclass
 from itertools import count
+from math import inf
 
 import numpy as np
 
@@ -44,74 +48,89 @@ def _check_path_mode(path_mode):
         raise ValueError(f"unknown path mode {path_mode!r}")
 
 
-def _sssp_hop(g: WeightedGraph, s: int):
-    """BFS shortest-path data from ``s``: visit order, predecessors, path
-    counts and hop distances (-1 for unreachable)."""
-    V = g.node_count
-    dist = [-1] * V
+def _shortest_paths(indptr, nbrs, lengths, s):
+    """Dijkstra from ``s`` over plain CSR lists with per-half-edge ``lengths``.
+
+    Returns the visit order, the predecessor lists and path counts of every
+    node, and the distances (``inf`` for unreachable nodes). Entries that tie
+    on distance leave the heap in push order, and two paths tie only when
+    their lengths are exactly equal floats.
+    """
+    V = len(indptr) - 1
+    dist = [inf] * V
+    done = [False] * V
     sigma = [0] * V
     preds: list[list[int]] = [[] for _ in range(V)]
     dist[s] = 0
     sigma[s] = 1
     order = []
-    queue = deque([s])
-    while queue:
-        v = queue.popleft()
+    tie = count()
+    heap = [(0, next(tie), s)]
+    while heap:
+        d, _, v = heapq.heappop(heap)
+        if done[v]:
+            continue
+        done[v] = True
         order.append(v)
-        dv = dist[v]
-        lo, hi = g.adj_indptr[v], g.adj_indptr[v + 1]
-        for w in g.adj_neighbors[lo:hi].tolist():
-            if dist[w] < 0:
-                dist[w] = dv + 1
-                queue.append(w)
-            if dist[w] == dv + 1:
+        for pos in range(indptr[v], indptr[v + 1]):
+            w = nbrs[pos]
+            if done[w]:
+                continue
+            dw = d + lengths[pos]
+            if dw < dist[w]:
+                dist[w] = dw
+                sigma[w] = sigma[v]
+                preds[w] = [v]
+                heapq.heappush(heap, (dw, next(tie), w))
+            elif dw == dist[w]:
                 sigma[w] += sigma[v]
                 preds[w].append(v)
     return order, preds, sigma, dist
 
 
-def _sssp_weighted(g: WeightedGraph, s: int):
-    """Dijkstra shortest-path data from ``s`` (weights as lengths).
+def _path_statistics(g: WeightedGraph, path_mode: str) -> dict[str, StatVector]:
+    """Betweenness and closeness from one shortest-path sweep per source.
 
-    Path multiplicity relies on exact float equality of path lengths, the
-    standard convention for weighted betweenness.
+    Betweenness accumulates the Brandes dependencies of each source in
+    reverse visit order; closeness sums each source's distances in node-id
+    order.
     """
+    _check_path_mode(path_mode)
     V = g.node_count
-    dist = [np.inf] * V
-    sigma = [0] * V
-    preds: list[list[int]] = [[] for _ in range(V)]
-    sigma[s] = 1
-    order = []
-    done = [False] * V
-    seen = [np.inf] * V
-    seen[s] = 0.0
-    tie = count()
-    heap = [(0.0, next(tie), s, s)]
-    while heap:
-        d, _, pred, v = heapq.heappop(heap)
-        if done[v]:
-            continue
-        done[v] = True
-        sigma[v] += sigma[pred]
-        order.append(v)
-        dist[v] = d
-        lo, hi = g.adj_indptr[v], g.adj_indptr[v + 1]
-        for pos in range(lo, hi):
-            w = int(g.adj_neighbors[pos])
-            vw_dist = d + float(g.adj_weights[pos])
-            if not done[w] and vw_dist < seen[w]:
-                seen[w] = vw_dist
-                heapq.heappush(heap, (vw_dist, next(tie), v, w))
-                sigma[w] = 0
-                preds[w] = [v]
-            elif vw_dist == seen[w] and not done[w]:
-                sigma[w] += sigma[v]
-                preds[w].append(v)
-    final = [d if d != np.inf else -1 for d in dist]
-    return order, preds, sigma, final
-
-
-_SSSP = {"hop": _sssp_hop, "weighted": _sssp_weighted}
+    indptr, nbrs = g.adj_indptr.tolist(), g.adj_neighbors.tolist()
+    if path_mode == "weighted":
+        lengths = g.adj_weights.tolist()
+    else:
+        lengths = [1] * len(nbrs)  # integer hop counts, summed exactly
+    bc = [0.0] * V
+    cc = np.zeros(V, dtype=np.float64)
+    n_isolated = 0
+    for s in range(V):
+        order, preds, sigma, dist = _shortest_paths(indptr, nbrs, lengths, s)
+        delta = [0.0] * V
+        for w in reversed(order):
+            coeff = (1.0 + delta[w]) / sigma[w]
+            for v in preds[w]:
+                delta[v] += sigma[v] * coeff
+            if w != s:
+                bc[w] += delta[w]
+        total = 0.0
+        for j, d in enumerate(dist):
+            if j != s and d != inf:
+                total += d
+        if total > 0:
+            cc[s] = 1.0 / total
+        else:
+            n_isolated += 1
+    if n_isolated:
+        logger.warning(
+            "closeness undefined for %d isolated node(s); reported as 0",
+            n_isolated)
+    bc = np.array(bc) / 2.0  # per-source accumulation counts each unordered pair twice
+    bc.setflags(write=False)
+    cc.setflags(write=False)
+    return {kind: StatVector(kind=kind, values=values, path_mode=path_mode)
+            for kind, values in (("betweenness", bc), ("closeness", cc))}
 
 
 def betweenness(g: WeightedGraph, path_mode: str = "hop") -> StatVector:
@@ -120,21 +139,7 @@ def betweenness(g: WeightedGraph, path_mode: str = "hop") -> StatVector:
     Counts unordered pairs ``{i, j}`` with both endpoints distinct from the
     middle node; pairs without a connecting path contribute nothing.
     """
-    _check_path_mode(path_mode)
-    sssp = _SSSP[path_mode]
-    bc = np.zeros(g.node_count, dtype=np.float64)
-    for s in range(g.node_count):
-        order, preds, sigma, _ = sssp(g, s)
-        delta = [0.0] * g.node_count
-        for w in reversed(order):
-            coeff = (1.0 + delta[w]) / sigma[w]
-            for v in preds[w]:
-                delta[v] += sigma[v] * coeff
-            if w != s:
-                bc[w] += delta[w]
-    bc /= 2.0  # per-source accumulation counts each unordered pair twice
-    bc.setflags(write=False)
-    return StatVector(kind="betweenness", values=bc, path_mode=path_mode)
+    return _path_statistics(g, path_mode)["betweenness"]
 
 
 def closeness(g: WeightedGraph, path_mode: str = "hop") -> StatVector:
@@ -142,26 +147,7 @@ def closeness(g: WeightedGraph, path_mode: str = "hop") -> StatVector:
 
     Nodes with no reachable peer (isolated nodes) get value 0.
     """
-    _check_path_mode(path_mode)
-    sssp = _SSSP[path_mode]
-    cc = np.zeros(g.node_count, dtype=np.float64)
-    n_isolated = 0
-    for i in range(g.node_count):
-        _, _, _, dist = sssp(g, i)
-        total = 0.0
-        for j, d in enumerate(dist):
-            if j != i and d >= 0:
-                total += d
-        if total > 0:
-            cc[i] = 1.0 / total
-        else:
-            n_isolated += 1
-    if n_isolated:
-        logger.warning(
-            "closeness undefined for %d isolated node(s); reported as 0",
-            n_isolated)
-    cc.setflags(write=False)
-    return StatVector(kind="closeness", values=cc, path_mode=path_mode)
+    return _path_statistics(g, path_mode)["closeness"]
 
 
 def strength_vector(g: WeightedGraph) -> StatVector:
@@ -224,11 +210,12 @@ def compute_statistics(g: WeightedGraph, kinds=STAT_KINDS,
                        path_mode: str = "hop") -> dict[str, StatVector]:
     """Evaluate the requested statistics once on the full graph."""
     out = {}
+    paths = None
     for kind in kinds:
-        if kind == "betweenness":
-            out[kind] = betweenness(g, path_mode)
-        elif kind == "closeness":
-            out[kind] = closeness(g, path_mode)
+        if kind in ("betweenness", "closeness"):
+            if paths is None:
+                paths = _path_statistics(g, path_mode)
+            out[kind] = paths[kind]
         elif kind == "strength":
             out[kind] = strength_vector(g)
         elif kind == "weighted_clustering":

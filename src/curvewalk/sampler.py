@@ -260,7 +260,8 @@ def _is_mh(kind: str) -> bool:
 
 
 def _kernel_table(g, config, curvmap=None, target=None):
-    """``(table, target)`` of a configured kernel, for both chain drivers.
+    """``(table, target)`` of a configured kernel, for both chain drivers
+    and :func:`build_transition_matrix`.
 
     Edge kinds: the normalized cumulative move probabilities of every CSR
     row (:func:`_cumulative_rows`); a step moves to the neighbor at the count
@@ -471,46 +472,42 @@ def build_transition_matrix(g: WeightedGraph, config: SamplerConfig,
                             curvmap: CurvatureMap | None = None,
                             target: np.ndarray | None = None,
                             size_guard: int = 2000) -> TransitionMatrix:
-    """Exact dense kernel of the configured sampler.
+    """Exact dense kernel of the configured sampler, read off the table the
+    chains sample (:func:`_kernel_table`).
 
-    Edge kinds have a zero diagonal; MH kinds carry the total rejection mass
-    on the diagonal. Rows of isolated nodes (and of nodes outside the target
+    Edge rows are the step widths of each cumulative row and have a zero
+    diagonal. MH rows move to neighbor ``y`` with probability
+    ``min(1, h(y) / h(i)) / d(i)`` and carry the total rejection mass on the
+    diagonal. Rows of isolated nodes (and of nodes outside the target
     support) are absorbing so the matrix stays stochastic.
     """
     if g.node_count > size_guard:
         raise ValueError(
             f"transition matrix limited to {size_guard} nodes, "
             f"graph has {g.node_count}")
-    curvmap = _resolve_curvmap(g, config, curvmap)
-    is_mh = _is_mh(config.kind)
-    if is_mh:
-        target = _resolve_target(g, config, curvmap, target)
-    else:
-        abs_curv = np.abs(curvmap.edge_values) if config.kind == "edge_curved" else None
-        weights = _edge_weights(g, abs_curv, config.epsilon_floor)
-
+    table, target = _kernel_table(g, config, curvmap, target)
     V = g.node_count
+    src = np.repeat(np.arange(V), g.degrees)  # tail node of every half-edge
+    dst = g.adj_neighbors
     P = np.zeros((V, V), dtype=np.float64)
-    deg = g.degrees
-    for i in range(V):
-        lo, hi = g.adj_indptr[i], g.adj_indptr[i + 1]
-        if hi == lo:
-            P[i, i] = 1.0
-            continue
-        nbrs = g.adj_neighbors[lo:hi]
-        if not is_mh:
-            w = weights[lo:hi]
-            P[i, nbrs] = w / w.sum()
-        else:
-            g_i = float(target[i])
-            if not g_i > 0:
-                P[i, i] = 1.0
-                continue
-            h_i = g_i / deg[i]
-            h_nbrs = target[nbrs] / deg[nbrs]
-            accept = np.minimum(1.0, h_nbrs / h_i)
-            P[i, nbrs] = accept / deg[i]
-            P[i, i] = 1.0 - accept.sum() / deg[i]
+    moving = g.degrees > 0
+    if _is_mh(config.kind):
+        moving &= target > 0
+        half = moving[src]
+        src, dst = src[half], dst[half]
+        accept = np.minimum(1.0, table[dst] / table[src])
+        P[src, dst] = accept / g.degrees[src]
+        stay = np.flatnonzero(moving)
+        P[stay, stay] = 1.0 - (np.bincount(src, weights=accept, minlength=V)[stay]
+                               / g.degrees[stay])
+    else:
+        # the width of each step of the cumulative row the chains bisect
+        steps = np.diff(table, prepend=0.0)
+        firsts = g.adj_indptr[:-1][moving]
+        steps[firsts] = table[firsts]
+        P[src, dst] = steps
+    absorbing = np.flatnonzero(~moving)
+    P[absorbing, absorbing] = 1.0
     P.setflags(write=False)
     return TransitionMatrix(kind=config.kind, matrix=P)
 

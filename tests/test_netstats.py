@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from curvewalk import (WeightedGraph, betweenness, closeness,
-                       compute_statistics, mean_statistic, strength_vector,
-                       weighted_clustering)
+                       compute_statistics, mean_statistic, netstats,
+                       strength_vector, weighted_clustering)
 from conftest import (complete_graph, path_graph, random_connected_graph,
                       random_graph, star_graph)
 from oracles import dfs_hop_bc_oracle, hop_bc_cc_oracle, weighted_bc_cc_oracle
@@ -88,10 +88,11 @@ class TestOracleEquivalence:
     def test_unit_weight_modes_agree(self, seed):
         rng = np.random.default_rng(3000 + seed)
         g = random_connected_graph(rng, 12)
-        assert np.allclose(betweenness(g, "hop").values,
-                           betweenness(g, "weighted").values, atol=1e-9)
-        assert np.allclose(closeness(g, "hop").values,
-                           closeness(g, "weighted").values, atol=1e-9)
+        # both modes run the same routine, so unit weights agree bit for bit
+        assert np.array_equal(betweenness(g, "hop").values,
+                              betweenness(g, "weighted").values)
+        assert np.array_equal(closeness(g, "hop").values,
+                              closeness(g, "weighted").values)
 
 
 class TestProperties:
@@ -169,3 +170,51 @@ def test_compute_statistics_kinds():
     assert set(out) == {"strength", "closeness"}
     with pytest.raises(ValueError):
         compute_statistics(g, ("pagerank",))
+
+
+class TestFloatEqualityTies:
+    """Weighted path counts tie only on exactly equal float path lengths."""
+
+    @staticmethod
+    def triangle(w01, w12, w02):
+        return WeightedGraph(3, [(0, 1), (1, 2), (0, 2)], [w01, w12, w02])
+
+    @pytest.mark.parametrize("weights, middle", [
+        ((0.1, 0.2, 0.3), 0.0),  # 0.1 + 0.2 > 0.3: the direct edge is shorter
+        ((0.5, 0.5, 1.0), 0.5),  # 0.5 + 0.5 == 1.0: two shortest paths
+    ])
+    def test_triangle_middle_node(self, weights, middle):
+        g = self.triangle(*weights)
+        assert betweenness(g, "weighted").values[1] == middle
+        stats = compute_statistics(g, ("betweenness",), "weighted")
+        assert stats["betweenness"].values[1] == middle
+
+
+class TestSharedSweep:
+    @pytest.fixture
+    def graph(self):
+        return random_connected_graph(np.random.default_rng(4000), 30,
+                                      weighted=True)
+
+    @pytest.mark.parametrize("mode", ["hop", "weighted"])
+    def test_one_traversal_per_source(self, graph, mode, monkeypatch):
+        calls = []
+        inner = netstats._shortest_paths
+
+        def counted(*args):
+            calls.append(args[-1])
+            return inner(*args)
+
+        monkeypatch.setattr(netstats, "_shortest_paths", counted)
+        compute_statistics(graph, ("betweenness", "closeness"), mode)
+        assert sorted(calls) == list(range(graph.node_count))
+
+    @pytest.mark.parametrize("mode", ["hop", "weighted"])
+    def test_equals_public_functions_bitwise(self, graph, mode):
+        out = compute_statistics(graph, ("closeness", "betweenness"), mode)
+        assert list(out) == ["closeness", "betweenness"]
+        assert np.array_equal(out["betweenness"].values,
+                              betweenness(graph, mode).values)
+        assert np.array_equal(out["closeness"].values,
+                              closeness(graph, mode).values)
+        assert out["betweenness"].path_mode == out["closeness"].path_mode == mode
