@@ -6,14 +6,19 @@ centrality (reciprocal sum of shortest-path distances), strength (weighted
 degree) and the Barrat weighted clustering coefficient.
 
 Shortest paths default to hop counts (``path_mode="hop"``) even on weighted
-graphs; ``path_mode="weighted"`` treats edge weights as lengths. Both modes
-run the same Dijkstra routine, hop mode with unit lengths, and one sweep per
-source yields betweenness (Brandes dependency accumulation) and closeness
-together. Two weighted paths count as equally short only when their lengths
-are exactly equal floats, so ``0.1 + 0.2`` and ``0.3`` do not tie. On
-disconnected graphs closeness sums distances over the node's component only
-and betweenness skips unreachable pairs; an isolated node has closeness 0
-(logged as a warning).
+graphs; ``path_mode="weighted"`` treats edge weights as lengths. One sweep
+yields betweenness (Brandes dependency accumulation) and closeness together.
+Weighted mode runs a Dijkstra per source; two weighted paths count as equally
+short only when their lengths are exactly equal floats, so ``0.1 + 0.2`` and
+``0.3`` do not tie. Hop mode runs a breadth-first search that advances a
+block of sources together, one level at a time, and forms every float in the
+order the Dijkstra would on unit lengths. Its path counts are float64, so hop
+results equal the Dijkstra's bit for bit while every path count is below
+2**53; above that, betweenness agrees to within 1e-15 relative and closeness,
+summed from exact integer distances, stays exact. On disconnected graphs
+closeness sums distances over the node's component only and betweenness
+skips unreachable pairs; an isolated node has closeness 0 (logged as a
+warning).
 """
 
 from __future__ import annotations
@@ -88,23 +93,19 @@ def _shortest_paths(indptr, nbrs, lengths, s):
     return order, preds, sigma, dist
 
 
-def _path_statistics(g: WeightedGraph, path_mode: str) -> dict[str, StatVector]:
-    """Betweenness and closeness from one shortest-path sweep per source.
+def _weighted_sweep(g: WeightedGraph):
+    """One Dijkstra per source on edge-weight lengths.
 
-    Betweenness accumulates the Brandes dependencies of each source in
-    reverse visit order; closeness sums each source's distances in node-id
-    order.
+    Accumulates each source's Brandes dependencies in reverse visit order and
+    sums its distances in node-id order. Returns the per-node sum of the
+    sources' dependencies (each unordered pair counted twice) and each
+    source's distance sum, both as float64 arrays.
     """
-    _check_path_mode(path_mode)
     V = g.node_count
     indptr, nbrs = g.adj_indptr.tolist(), g.adj_neighbors.tolist()
-    if path_mode == "weighted":
-        lengths = g.adj_weights.tolist()
-    else:
-        lengths = [1] * len(nbrs)  # integer hop counts, summed exactly
+    lengths = g.adj_weights.tolist()
     bc = [0.0] * V
-    cc = np.zeros(V, dtype=np.float64)
-    n_isolated = 0
+    totals = np.zeros(V, dtype=np.float64)
     for s in range(V):
         order, preds, sigma, dist = _shortest_paths(indptr, nbrs, lengths, s)
         delta = [0.0] * V
@@ -118,15 +119,110 @@ def _path_statistics(g: WeightedGraph, path_mode: str) -> dict[str, StatVector]:
         for j, d in enumerate(dist):
             if j != s and d != inf:
                 total += d
-        if total > 0:
-            cc[s] = 1.0 / total
-        else:
-            n_isolated += 1
+        totals[s] = total
+    return np.array(bc), totals
+
+
+# Sources per hop-sweep block: the block expands at most this many
+# (source, half-edge) pairs per level and holds this many (source, node) states.
+_HOP_BLOCK_PAIRS = 1 << 15
+
+
+def _expand(g: WeightedGraph, keys):
+    """Every half-edge out of the flat states ``keys`` (``row * V + node``),
+    in key order and, per key, in CSR order.
+
+    Returns the index into ``keys`` of each half-edge's tail and the flat
+    state of its head in the same row.
+    """
+    V = g.node_count
+    nodes = keys % V
+    deg = g.degrees[nodes]
+    tail = np.repeat(np.arange(len(keys)), deg)
+    pos = np.arange(len(tail)) + (g.adj_indptr[nodes] - (np.cumsum(deg) - deg))[tail]
+    return tail, (keys - nodes)[tail] + g.adj_neighbors[pos]
+
+
+def _hop_sweep(g: WeightedGraph):
+    """Level-synchronous Brandes over blocks of sources, on hop paths.
+
+    The state of node ``v`` seen from the block's ``r``-th source sits at the
+    flat key ``r * V + v``. Each new level lists the undiscovered neighbors of
+    the last one in order of first push, which is the Dijkstra's FIFO visit
+    order, and sums their path counts from their parents in that order. The
+    dependencies flow back one level at a time: expanding a level in reverse
+    visit order hands every parent its children's shares in descending visit
+    order, as the Dijkstra's reverse sweep does.
+
+    Returns the per-node sum of the sources' dependencies and each source's
+    distance sum, summed as integers, both as float64 arrays.
+    """
+    V = g.node_count
+    block = max(1, _HOP_BLOCK_PAIRS // max(len(g.adj_neighbors), V, 1))
+    bc = np.zeros(V, dtype=np.float64)
+    totals = np.zeros(V, dtype=np.float64)
+    for first in range(0, V, block):
+        sources = np.arange(first, min(first + block, V))
+        B = len(sources)
+        roots = np.arange(B) * V + sources
+        depth = np.full(B * V, -1, dtype=np.int64)
+        depth[roots] = 0
+        sigma = np.zeros(B * V, dtype=np.float64)
+        sigma[roots] = 1.0
+        # a new node's first push position, then its index within its level
+        rank = np.zeros(B * V, dtype=np.int64)
+        levels = [roots]
+        while True:
+            above = levels[-1]
+            tail, head = _expand(g, above)
+            # index arrays: applying an irregular boolean mask twice is slower
+            fresh = np.flatnonzero(depth[head] < 0)
+            tail, head = tail[fresh], head[fresh]
+            if not len(head):
+                break
+            pushed = np.arange(len(head))
+            rank[head] = len(head)
+            np.minimum.at(rank, head, pushed)
+            level = head[rank[head] == pushed]
+            rank[level] = np.arange(len(level))
+            sigma[level] = np.bincount(rank[head], weights=sigma[above[tail]],
+                                       minlength=len(level))
+            depth[level] = len(levels)
+            levels.append(level)
+        delta = np.zeros(B * V, dtype=np.float64)
+        # down to the sources' children: a source's own dependency is unused
+        for d in range(len(levels) - 1, 1, -1):
+            below = levels[d][::-1]
+            tail, head = _expand(g, below)
+            up = np.flatnonzero(depth[head] == d - 1)
+            child, parent = below[tail[up]], head[up]
+            coeff = (1.0 + delta[child]) / sigma[child]
+            delta[levels[d - 1]] = np.bincount(
+                rank[parent], weights=sigma[parent] * coeff,
+                minlength=len(levels[d - 1]))
+        for row in delta.reshape(B, V):  # in source order, as the Dijkstra adds
+            bc += row
+        totals[sources] = np.maximum(depth, 0).reshape(B, V).sum(axis=1)
+    return bc, totals
+
+
+def _path_statistics(g: WeightedGraph, path_mode: str) -> dict[str, StatVector]:
+    """Betweenness and closeness from one shortest-path sweep: the
+    source-batched breadth-first :func:`_hop_sweep` in hop mode, one Dijkstra
+    per source (:func:`_weighted_sweep`) in weighted mode."""
+    _check_path_mode(path_mode)
+    V = g.node_count
+    sweep = _hop_sweep if path_mode == "hop" else _weighted_sweep
+    bc, totals = sweep(g)
+    reached = totals > 0
+    cc = np.zeros(V, dtype=np.float64)
+    cc[reached] = 1.0 / totals[reached]
+    n_isolated = V - int(np.count_nonzero(reached))
     if n_isolated:
         logger.warning(
             "closeness undefined for %d isolated node(s); reported as 0",
             n_isolated)
-    bc = np.array(bc) / 2.0  # per-source accumulation counts each unordered pair twice
+    bc = bc / 2.0  # per-source accumulation counts each unordered pair twice
     bc.setflags(write=False)
     cc.setflags(write=False)
     return {kind: StatVector(kind=kind, values=values, path_mode=path_mode)

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvewalk import (WeightedGraph, betweenness, closeness,
-                       compute_statistics, mean_statistic, netstats,
-                       strength_vector, weighted_clustering)
-from conftest import (complete_graph, path_graph, random_connected_graph,
-                      random_graph, star_graph)
+                       compute_statistics, load_edge_list, mean_statistic,
+                       netstats, strength_vector, weighted_clustering)
+from conftest import (LESMIS, complete_graph, path_graph,
+                      random_connected_graph, random_graph, star_graph)
 from oracles import dfs_hop_bc_oracle, hop_bc_cc_oracle, weighted_bc_cc_oracle
 
 
@@ -88,7 +90,8 @@ class TestOracleEquivalence:
     def test_unit_weight_modes_agree(self, seed):
         rng = np.random.default_rng(3000 + seed)
         g = random_connected_graph(rng, 12)
-        # both modes run the same routine, so unit weights agree bit for bit
+        # the hop breadth-first sweep forms every float in the Dijkstra's
+        # order, so on unit weights the two modes agree bit for bit
         assert np.array_equal(betweenness(g, "hop").values,
                               betweenness(g, "weighted").values)
         assert np.array_equal(closeness(g, "hop").values,
@@ -198,16 +201,26 @@ class TestSharedSweep:
 
     @pytest.mark.parametrize("mode", ["hop", "weighted"])
     def test_one_traversal_per_source(self, graph, mode, monkeypatch):
-        calls = []
-        inner = netstats._shortest_paths
+        calls, sweeps = [], []
+        inner, hop_sweep = netstats._shortest_paths, netstats._hop_sweep
 
         def counted(*args):
             calls.append(args[-1])
             return inner(*args)
 
+        def counted_sweep(g):
+            sweeps.append(g)
+            return hop_sweep(g)
+
         monkeypatch.setattr(netstats, "_shortest_paths", counted)
+        monkeypatch.setattr(netstats, "_hop_sweep", counted_sweep)
         compute_statistics(graph, ("betweenness", "closeness"), mode)
-        assert sorted(calls) == list(range(graph.node_count))
+        if mode == "hop":
+            # one source-batched sweep covers every source, with no Dijkstra
+            assert sweeps == [graph] and calls == []
+        else:
+            assert sorted(calls) == list(range(graph.node_count))
+            assert sweeps == []
 
     @pytest.mark.parametrize("mode", ["hop", "weighted"])
     def test_equals_public_functions_bitwise(self, graph, mode):
@@ -218,3 +231,83 @@ class TestSharedSweep:
         assert np.array_equal(out["closeness"].values,
                               closeness(graph, mode).values)
         assert out["betweenness"].path_mode == out["closeness"].path_mode == mode
+
+
+PATH_KINDS = ("betweenness", "closeness")
+
+
+def dijkstra_oracle(g):
+    """Path statistics of the Dijkstra on the unit-weight copy of ``g``."""
+    unit = WeightedGraph(g.node_count, g.edges)
+    return compute_statistics(unit, PATH_KINDS, "weighted")
+
+
+def assert_hop_equals(g, oracle):
+    hop = compute_statistics(g, PATH_KINDS, "hop")
+    for kind in PATH_KINDS:
+        assert np.array_equal(hop[kind].values, oracle[kind].values), kind
+
+
+def set_sources_per_block(mp, g, sources):
+    """Make the hop sweep advance ``sources`` sources per block on ``g``."""
+    per_source = max(len(g.adj_neighbors), g.node_count, 1)
+    mp.setattr(netstats, "_HOP_BLOCK_PAIRS", sources * per_source)
+
+
+class TestHopSweep:
+    """The source-batched breadth-first sweep equals the Dijkstra bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(0, 24), p=st.floats(0.0, 0.6),
+           weighted=st.booleans(), graph_seed=st.integers(0, 2**32 - 1),
+           sources=st.integers(1, 25))
+    def test_random_graphs(self, n, p, weighted, graph_seed, sources):
+        # includes disconnected graphs, isolated nodes and partial blocks
+        g = random_graph(np.random.default_rng(graph_seed), n, p, weighted)
+        with pytest.MonkeyPatch.context() as mp:
+            set_sources_per_block(mp, g, sources)
+            assert_hop_equals(g, dijkstra_oracle(g))
+
+    @pytest.fixture(scope="class")
+    def named(self):
+        graphs = {
+            "lesmis": load_edge_list(LESMIS)[0],
+            "synth500": random_connected_graph(np.random.default_rng(500),
+                                               500, extra=2.0),
+        }
+        return {name: (g, dijkstra_oracle(g)) for name, g in graphs.items()}
+
+    @pytest.mark.parametrize("sources", [1, 7, None])  # None: the default
+    @pytest.mark.parametrize("name", ["lesmis", "synth500"])
+    def test_named_graphs(self, named, name, sources, monkeypatch):
+        g, oracle = named[name]
+        if sources is not None:
+            set_sources_per_block(monkeypatch, g, sources)
+        assert_hop_equals(g, oracle)
+
+    @pytest.mark.parametrize("name", ["lesmis", "synth500"])
+    def test_default_blocks_hold_several_sources(self, named, name):
+        g, _ = named[name]
+        per_source = max(len(g.adj_neighbors), g.node_count)
+        assert netstats._HOP_BLOCK_PAIRS // per_source > 1
+
+    def test_path_counts_beyond_float_precision(self):
+        # 60 "triple diamonds": hub i reaches hub i + 1 through 3 middle
+        # nodes, so 3**60 (about 4e28, past 2**53) shortest paths join the
+        # end hubs. Float64 path counts then round differently from the
+        # Dijkstra's exact integers, within 1e-15 relative; closeness is
+        # summed from exact integer distances and stays exact.
+        hubs = 61
+        edges = []
+        for i in range(hubs - 1):
+            for k in range(3):
+                middle = hubs + 3 * i + k
+                edges += [(i, middle), (middle, i + 1)]
+        g = WeightedGraph(hubs + 3 * (hubs - 1), edges)
+        hop = compute_statistics(g, PATH_KINDS, "hop")
+        oracle = dijkstra_oracle(g)
+        np.testing.assert_allclose(hop["betweenness"].values,
+                                   oracle["betweenness"].values,
+                                   rtol=1e-15, atol=0)
+        assert np.array_equal(hop["closeness"].values,
+                              oracle["closeness"].values)

@@ -138,6 +138,33 @@ class TestEdgeKernel:
             expected[u, v] = expected[v, u] = 0.5
         assert np.allclose(tm.matrix, expected, atol=1e-15)
 
+    @staticmethod
+    def pendant_cycle_rows(floor):
+        # 6-cycle with a pendant node 6 on node 0: combinatorial F is -1 on
+        # edges (0, 1) and (5, 0) and 0 everywhere else
+        g = WeightedGraph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0),
+                              (0, 6)])
+        return build_transition_matrix(g, SamplerConfig(
+            kind="edge_curved", seed=0, max_steps=1,
+            curvature_mode="combinatorial", epsilon_floor=floor)).matrix
+
+    def test_floor_fallback_is_per_row(self):
+        P = self.pendant_cycle_rows(1e-9)
+        # row 3: every incident |F| = 0 <= floor, so the row is uniform
+        assert P[3, 2] == pytest.approx(0.5, abs=1e-15)
+        assert P[3, 4] == pytest.approx(0.5, abs=1e-15)
+        # row 0 stays curved: |F| / d(j) = 1/2, 1/2 and floor / 1
+        total = 1.0 + 1e-9
+        assert P[0, 1] == pytest.approx(0.5 / total, rel=1e-12)
+        assert P[0, 5] == pytest.approx(0.5 / total, rel=1e-12)
+        assert P[0, 6] == pytest.approx(1e-9 / total, rel=1e-12)
+
+    def test_row_max_equal_to_floor_falls_back(self):
+        # a row stays curved only while its max |F| is strictly above the floor
+        P = self.pendant_cycle_rows(1.0)
+        for j in (1, 5, 6):
+            assert P[0, j] == pytest.approx(1 / 3, abs=1e-15)
+
     def test_isolated_node_rejected(self):
         g = WeightedGraph(3, [(0, 1)])
         cm = compute_curvature_map(g)
