@@ -358,3 +358,7 @@ def main(argv=None) -> int:
 def entrypoint():
     """Console-script entry point."""
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -7,27 +7,26 @@ degree) and the Barrat weighted clustering coefficient.
 
 Shortest paths default to hop counts (``path_mode="hop"``) even on weighted
 graphs; ``path_mode="weighted"`` treats edge weights as lengths. One sweep
-yields betweenness (Brandes dependency accumulation) and closeness together.
-Weighted mode runs a Dijkstra per source; two weighted paths count as equally
-short only when their lengths are exactly equal floats, so ``0.1 + 0.2`` and
-``0.3`` do not tie. Hop mode runs a breadth-first search that advances a
-block of sources together, one level at a time, and forms every float in the
-order the Dijkstra would on unit lengths. Its path counts are float64, so hop
-results equal the Dijkstra's bit for bit while every path count is below
-2**53; above that, betweenness agrees to within 1e-15 relative and closeness,
-summed from exact integer distances, stays exact. On disconnected graphs
-closeness sums distances over the node's component only and betweenness
-skips unreachable pairs; an isolated node has closeness 0 (logged as a
-warning).
+yields betweenness (Brandes dependency accumulation) and closeness together,
+and in both modes it advances a block of sources at once and forms every
+float in the order a Dijkstra per source would. Hop mode runs a breadth-first
+search, one level at a time. Weighted mode relaxes distances until none
+improves, then places each node in the Dijkstra's pop order; ``u -> v`` is a
+shortest-path edge iff ``dist[u] + w == dist[v]`` and ``u`` pops before
+``v``. Two weighted paths count as equally short only when their lengths are
+exactly equal floats, so ``0.1 + 0.2`` and ``0.3`` do not tie. Path counts
+are float64, so both modes equal the Dijkstra's exact-integer results bit for
+bit while every path count is below 2**53; above that, betweenness agrees to
+within 1e-15 relative and closeness, summed from the same distances, stays
+exact. On disconnected graphs closeness sums distances over the node's
+component only and betweenness skips unreachable pairs; an isolated node has
+closeness 0 (logged as a warning).
 """
 
 from __future__ import annotations
 
-import heapq
 import logging
 from dataclasses import dataclass
-from itertools import count
-from math import inf
 
 import numpy as np
 
@@ -53,94 +52,206 @@ def _check_path_mode(path_mode):
         raise ValueError(f"unknown path mode {path_mode!r}")
 
 
-def _shortest_paths(indptr, nbrs, lengths, s):
-    """Dijkstra from ``s`` over plain CSR lists with per-half-edge ``lengths``.
-
-    Returns the visit order, the predecessor lists and path counts of every
-    node, and the distances (``inf`` for unreachable nodes). Entries that tie
-    on distance leave the heap in push order, and two paths tie only when
-    their lengths are exactly equal floats.
-    """
-    V = len(indptr) - 1
-    dist = [inf] * V
-    done = [False] * V
-    sigma = [0] * V
-    preds: list[list[int]] = [[] for _ in range(V)]
-    dist[s] = 0
-    sigma[s] = 1
-    order = []
-    tie = count()
-    heap = [(0, next(tie), s)]
-    while heap:
-        d, _, v = heapq.heappop(heap)
-        if done[v]:
-            continue
-        done[v] = True
-        order.append(v)
-        for pos in range(indptr[v], indptr[v + 1]):
-            w = nbrs[pos]
-            if done[w]:
-                continue
-            dw = d + lengths[pos]
-            if dw < dist[w]:
-                dist[w] = dw
-                sigma[w] = sigma[v]
-                preds[w] = [v]
-                heapq.heappush(heap, (dw, next(tie), w))
-            elif dw == dist[w]:
-                sigma[w] += sigma[v]
-                preds[w].append(v)
-    return order, preds, sigma, dist
+# Sources per sweep block: a block expands at most this many (source,
+# half-edge) pairs per round and holds this many (source, node) states.
+_BLOCK_PAIRS = 1 << 15
 
 
-def _weighted_sweep(g: WeightedGraph):
-    """One Dijkstra per source on edge-weight lengths.
-
-    Accumulates each source's Brandes dependencies in reverse visit order and
-    sums its distances in node-id order. Returns the per-node sum of the
-    sources' dependencies (each unordered pair counted twice) and each
-    source's distance sum, both as float64 arrays.
-    """
-    V = g.node_count
-    indptr, nbrs = g.adj_indptr.tolist(), g.adj_neighbors.tolist()
-    lengths = g.adj_weights.tolist()
-    bc = [0.0] * V
-    totals = np.zeros(V, dtype=np.float64)
-    for s in range(V):
-        order, preds, sigma, dist = _shortest_paths(indptr, nbrs, lengths, s)
-        delta = [0.0] * V
-        for w in reversed(order):
-            coeff = (1.0 + delta[w]) / sigma[w]
-            for v in preds[w]:
-                delta[v] += sigma[v] * coeff
-            if w != s:
-                bc[w] += delta[w]
-        total = 0.0
-        for j, d in enumerate(dist):
-            if j != s and d != inf:
-                total += d
-        totals[s] = total
-    return np.array(bc), totals
-
-
-# Sources per hop-sweep block: the block expands at most this many
-# (source, half-edge) pairs per level and holds this many (source, node) states.
-_HOP_BLOCK_PAIRS = 1 << 15
+def _block_size(g: WeightedGraph) -> int:
+    """Sources per block of :func:`_hop_sweep` and :func:`_weighted_sweep`."""
+    return max(1, _BLOCK_PAIRS // max(len(g.adj_neighbors), g.node_count, 1))
 
 
 def _expand(g: WeightedGraph, keys):
     """Every half-edge out of the flat states ``keys`` (``row * V + node``),
     in key order and, per key, in CSR order.
 
-    Returns the index into ``keys`` of each half-edge's tail and the flat
-    state of its head in the same row.
+    Returns the index into ``keys`` of each half-edge's tail, the flat state
+    of its head in the same row, and the half-edge's CSR position.
     """
     V = g.node_count
     nodes = keys % V
     deg = g.degrees[nodes]
     tail = np.repeat(np.arange(len(keys)), deg)
-    pos = np.arange(len(tail)) + (g.adj_indptr[nodes] - (np.cumsum(deg) - deg))[tail]
-    return tail, (keys - nodes)[tail] + g.adj_neighbors[pos]
+    pos = np.arange(len(tail))
+    pos += (g.adj_indptr[nodes] - (np.cumsum(deg) - deg))[tail]
+    head = (keys - nodes)[tail]
+    head += g.adj_neighbors[pos]
+    return tail, head, pos
+
+
+def _distinct(keys, slot):
+    """``keys`` without repeats, in no particular order; ``slot`` is scratch
+    space indexed by key."""
+    at = np.arange(len(keys))
+    slot[keys] = at
+    return keys[slot[keys] == at]
+
+
+def _pop_ranks(g: WeightedGraph, dist, B, flip):
+    """Each state's place in its row's Dijkstra pop order, as ``row * V +
+    position``.
+
+    ``dist`` holds the distances of a block of ``B`` rows and ``flip`` the
+    CSR position of each half-edge's reverse. A Dijkstra pops by
+    ``(distance, push order)``. A node is pushed when its first-popped
+    predecessor scans it, so its push order is ``(rank of that predecessor,
+    CSR position of the half-edge)``. A node whose distance no other node of
+    its row shares is placed by distance alone. Groups of nodes at one
+    distance are sorted by push order, the ``k``-th such group of every row
+    in turn ``k``, so each group finds its predecessors placed. A length
+    below half an ulp gives a node a predecessor at its own distance; then
+    the turns repeat until no rank changes. Each repeat places at least one
+    more node of every unsettled group as the Dijkstra does.
+    """
+    V = g.node_count
+    order = np.argsort(dist.reshape(B, V), axis=1, kind="stable")
+    order += np.arange(0, B * V, V)[:, None]  # the states of each row, by distance
+    rank = np.empty(B * V, dtype=np.int64)
+    rank[order.ravel()] = np.arange(B * V)
+    by_dist = dist[order]
+    same = (by_dist[:, 1:] == by_dist[:, :-1]) & (by_dist[:, 1:] < np.inf)
+    if not same.any():
+        return rank
+    tied = np.zeros((B, V), dtype=bool)
+    tied[:, 1:] = same
+    tied[:, :-1] |= same
+    opens = np.ones((B, V), dtype=bool)  # the first node at its distance
+    opens[:, 1:] = ~same
+    r, i = np.nonzero(tied)
+    turn = (np.cumsum(tied & opens, axis=1) - 1)[r, i]
+    members = order[r, i][np.argsort(turn, kind="stable")]
+    sizes = np.bincount(turn)
+    ends = np.cumsum(sizes)
+    while True:
+        changed = sub_ulp = False
+        for lo, hi in zip(ends - sizes, ends):
+            keys = members[lo:hi]
+            tail, head, pos = _expand(g, keys)
+            here = dist[keys][tail]
+            pred = ((dist[head] + g.adj_weights[pos] == here)
+                    & (rank[head] < rank[keys][tail]))
+            tail, head, pos = tail[pred], head[pred], pos[pred]
+            sub_ulp = sub_ulp or bool(np.any(dist[head] == here[pred]))
+            first = np.full(len(keys), B * V)  # no predecessor: last
+            np.minimum.at(first, tail, rank[head])
+            scan = rank[head] == first[tail]
+            push = np.zeros(len(keys), dtype=np.int64)
+            push[tail[scan]] = flip[pos[scan]]
+            # one group per row: rows keep their rank ranges
+            placed = np.sort(rank[keys])
+            resorted = keys[np.lexsort((push, first, keys // V))]
+            changed = changed or not np.array_equal(rank[resorted], placed)
+            rank[resorted] = placed
+        if not (sub_ulp and changed):
+            return rank
+
+
+def _weighted_sweep(g: WeightedGraph):
+    """Brandes over blocks of sources, on edge-weight lengths
+    (:func:`_weighted_block`).
+
+    Returns the per-node sum of the sources' dependencies and each source's
+    distance sum, summed in node-id order, both as float64 arrays.
+    """
+    V = g.node_count
+    owner = np.repeat(np.arange(V), g.degrees)
+    nbrs = g.adj_neighbors
+    # the CSR is sorted by (owner, neighbor), so sorting the half-edges by
+    # (neighbor, owner) lists each one's reverse in CSR order
+    flip = np.lexsort((owner, nbrs))
+    block = _block_size(g)
+    bc = np.zeros(V, dtype=np.float64)
+    totals = np.zeros(V, dtype=np.float64)
+    for first in range(0, V, block):
+        sources = np.arange(first, min(first + block, V))
+        delta, totals[sources] = _weighted_block(g, sources, owner, flip)
+        for row in delta:  # in source order, as the Dijkstra adds
+            bc += row
+    return bc, totals
+
+
+def _weighted_block(g: WeightedGraph, sources, owner, flip):
+    """Dependencies and distance sums of a block of sources on edge-weight
+    lengths; ``owner`` and ``flip`` give each half-edge's tail node and the
+    CSR position of its reverse.
+
+    States are the flat keys ``r * V + v`` of :func:`_hop_sweep`. Distances
+    come from label-correcting relaxation: each round expands the states
+    whose distance improved and keeps the least ``dist[u] + w`` per head.
+    Float addition of a positive length is monotone, so this reaches the
+    Dijkstra's distances, the least left-to-right path sums. ``u -> v`` is a
+    shortest-path edge iff ``dist[u] + w == dist[v]`` and ``u`` pops before
+    ``v`` (:func:`_pop_ranks`): a length below half an ulp of ``dist[u]``
+    leaves the distance unchanged, so ``dist[u] < dist[v]`` would drop it.
+
+    Path counts are summed level by level, a node's level being its longest
+    edge depth from the source. Dependencies flow back from the deepest
+    parents up, each parent taking its children's shares in descending pop
+    rank, as the Dijkstra's reverse sweep adds them.
+
+    Returns the ``(B, V)`` dependencies, zero at each source, and the ``B``
+    distance sums.
+    """
+    V = g.node_count
+    E2 = len(g.adj_neighbors)
+    nbrs, lengths = g.adj_neighbors, g.adj_weights
+    B = len(sources)
+    roots = np.arange(B) * V + sources
+    dist = np.full(B * V, np.inf)
+    dist[roots] = 0.0
+    slot = np.empty(B * V, dtype=np.int64)  # scratch for _distinct
+    frontier = roots
+    while len(frontier):
+        tail, head, pos = _expand(g, frontier)
+        reach = dist[frontier][tail]
+        reach += lengths[pos]
+        del tail, pos  # the largest temporaries of a block
+        closer = reach < dist[head]
+        head = head[closer]
+        np.minimum.at(dist, head, reach[closer])
+        frontier = _distinct(head, slot)
+
+    d2 = dist.reshape(B, V)
+    reach = d2[:, owner]
+    reach += lengths
+    dag = reach == d2[:, nbrs]
+    dag &= reach < np.inf  # inf + w == inf
+    del reach
+    rank = _pop_ranks(g, dist, B, flip)
+    r2 = rank.reshape(B, V)
+    dag &= r2[:, owner] < r2[:, nbrs]
+    dag = dag.ravel()
+    edge = np.flatnonzero(dag)
+    waiting = np.bincount(edge // E2 * V + nbrs[edge % E2], minlength=B * V)
+    del edge
+    sigma = np.zeros(B * V, dtype=np.float64)
+    sigma[roots] = 1.0
+    # Kahn's levels: a node joins once its last predecessor has
+    levels, edges = [roots], []
+    while True:
+        above = levels[-1]
+        tail, head, pos = _expand(g, above)
+        down = np.flatnonzero(dag[above[tail] // V * E2 + pos])
+        if not len(down):
+            break
+        tail, head = tail[down], head[down]
+        np.add.at(sigma, head, sigma[above[tail]])
+        np.subtract.at(waiting, head, 1)
+        levels.append(_distinct(head[waiting[head] == 0], slot))
+        later = np.argsort(-rank[head], kind="stable")
+        edges.append((tail[later], head[later]))
+    delta = np.zeros(B * V, dtype=np.float64)
+    # up to the sources' children: a source's own dependency is unused
+    for d in range(len(edges) - 1, 0, -1):
+        above = levels[d]
+        tail, head = edges[d]
+        coeff = (1.0 + delta[head]) / sigma[head]
+        delta[above] = np.bincount(tail, weights=sigma[above[tail]] * coeff,
+                                   minlength=len(above))
+    # summed one by one in node-id order, as the Dijkstra's loop adds them
+    totals = np.cumsum(np.where(d2 < np.inf, d2, 0.0), axis=1)[:, -1]
+    return delta.reshape(B, V), totals
 
 
 def _hop_sweep(g: WeightedGraph):
@@ -158,7 +269,7 @@ def _hop_sweep(g: WeightedGraph):
     distance sum, summed as integers, both as float64 arrays.
     """
     V = g.node_count
-    block = max(1, _HOP_BLOCK_PAIRS // max(len(g.adj_neighbors), V, 1))
+    block = _block_size(g)
     bc = np.zeros(V, dtype=np.float64)
     totals = np.zeros(V, dtype=np.float64)
     for first in range(0, V, block):
@@ -174,7 +285,7 @@ def _hop_sweep(g: WeightedGraph):
         levels = [roots]
         while True:
             above = levels[-1]
-            tail, head = _expand(g, above)
+            tail, head = _expand(g, above)[:2]
             # index arrays: applying an irregular boolean mask twice is slower
             fresh = np.flatnonzero(depth[head] < 0)
             tail, head = tail[fresh], head[fresh]
@@ -193,7 +304,7 @@ def _hop_sweep(g: WeightedGraph):
         # down to the sources' children: a source's own dependency is unused
         for d in range(len(levels) - 1, 1, -1):
             below = levels[d][::-1]
-            tail, head = _expand(g, below)
+            tail, head = _expand(g, below)[:2]
             up = np.flatnonzero(depth[head] == d - 1)
             child, parent = below[tail[up]], head[up]
             coeff = (1.0 + delta[child]) / sigma[child]
@@ -207,9 +318,10 @@ def _hop_sweep(g: WeightedGraph):
 
 
 def _path_statistics(g: WeightedGraph, path_mode: str) -> dict[str, StatVector]:
-    """Betweenness and closeness from one shortest-path sweep: the
-    source-batched breadth-first :func:`_hop_sweep` in hop mode, one Dijkstra
-    per source (:func:`_weighted_sweep`) in weighted mode."""
+    """Betweenness and closeness from one source-batched shortest-path
+    sweep: breadth-first (:func:`_hop_sweep`) in hop mode, label-correcting
+    relaxation with the pop-order edge rule (:func:`_weighted_sweep`) in
+    weighted mode."""
     _check_path_mode(path_mode)
     V = g.node_count
     sweep = _hop_sweep if path_mode == "hop" else _weighted_sweep

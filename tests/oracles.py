@@ -5,7 +5,9 @@ algorithm used by the package: hop-mode counts come from powers of the
 adjacency matrix (length-k walks at the hop distance are exactly the shortest
 paths) with exact rational pair ratios, and weighted-mode values come from
 Floyd-Warshall with explicit path reconstruction (generic weights, so
-shortest paths are unique).
+shortest paths are unique). The heap Dijkstra oracle is the per-source
+Brandes that the source-batched sweeps in ``netstats`` replaced; they must
+reproduce its floats bit for bit.
 
 The step oracles apply one kernel move straight from its formula, one node
 row at a time, consuming the chain's uniforms in the documented order; the
@@ -14,7 +16,10 @@ package's table-driven chain drivers must reproduce them bit for bit.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
+from itertools import count
+from math import inf
 
 import numpy as np
 
@@ -108,6 +113,78 @@ def weighted_bc_cc_oracle(g):
         s = float(D[i, mask].sum())
         cc[i] = 1.0 / s if s > 0 else 0.0
     return bc, cc
+
+
+def _shortest_paths(indptr, nbrs, lengths, s):
+    """Dijkstra from ``s`` over plain CSR lists with per-half-edge ``lengths``.
+
+    Returns the visit order, the predecessor lists and path counts of every
+    node, and the distances (``inf`` for unreachable nodes). Entries that tie
+    on distance leave the heap in push order, and two paths tie only when
+    their lengths are exactly equal floats.
+    """
+    V = len(indptr) - 1
+    dist = [inf] * V
+    done = [False] * V
+    sigma = [0] * V
+    preds: list[list[int]] = [[] for _ in range(V)]
+    dist[s] = 0
+    sigma[s] = 1
+    order = []
+    tie = count()
+    heap = [(0, next(tie), s)]
+    while heap:
+        d, _, v = heapq.heappop(heap)
+        if done[v]:
+            continue
+        done[v] = True
+        order.append(v)
+        for pos in range(indptr[v], indptr[v + 1]):
+            w = nbrs[pos]
+            if done[w]:
+                continue
+            dw = d + lengths[pos]
+            if dw < dist[w]:
+                dist[w] = dw
+                sigma[w] = sigma[v]
+                preds[w] = [v]
+                heapq.heappush(heap, (dw, next(tie), w))
+            elif dw == dist[w]:
+                sigma[w] += sigma[v]
+                preds[w].append(v)
+    return order, preds, sigma, dist
+
+
+def dijkstra_bc_cc_oracle(g):
+    """Weighted betweenness and closeness from one heap Dijkstra per source.
+
+    Accumulates each source's Brandes dependencies in reverse visit order
+    (exact integer path counts) and sums its distances in node-id order;
+    finishes both the way ``netstats`` does.
+    """
+    V = g.node_count
+    indptr, nbrs = g.adj_indptr.tolist(), g.adj_neighbors.tolist()
+    lengths = g.adj_weights.tolist()
+    bc = [0.0] * V
+    totals = np.zeros(V, dtype=np.float64)
+    for s in range(V):
+        order, preds, sigma, dist = _shortest_paths(indptr, nbrs, lengths, s)
+        delta = [0.0] * V
+        for w in reversed(order):
+            coeff = (1.0 + delta[w]) / sigma[w]
+            for v in preds[w]:
+                delta[v] += sigma[v] * coeff
+            if w != s:
+                bc[w] += delta[w]
+        total = 0.0
+        for j, d in enumerate(dist):
+            if j != s and d != inf:
+                total += d
+        totals[s] = total
+    reached = totals > 0
+    cc = np.zeros(V, dtype=np.float64)
+    cc[reached] = 1.0 / totals[reached]
+    return np.array(bc, dtype=np.float64) / 2.0, cc
 
 
 def dfs_hop_bc_oracle(g):

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -215,3 +219,32 @@ class TestTopLevel:
     def test_unknown_flag_exit_2(self, tmp_path, path_file):
         assert main(["stats", "--graph", str(path_file),
                      "--out", str(tmp_path / "o"), "--bogus"]) == 2
+
+
+class TestModuleEntryPoints:
+    """``python -m curvewalk.cli`` and ``python -m curvewalk`` run the CLI."""
+
+    @staticmethod
+    def run_module(module, *args):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        return subprocess.run([sys.executable, "-m", module, *args],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+
+    @pytest.mark.parametrize("module", ["curvewalk.cli", "curvewalk"])
+    def test_stats_writes_output(self, tmp_path, module):
+        out = tmp_path / "o"
+        proc = self.run_module(module, "stats", "--graph", str(LESMIS),
+                               "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert len(read_csv(out / "stats.csv")) == 1 + 77
+
+    @pytest.mark.parametrize("module", ["curvewalk.cli", "curvewalk"])
+    def test_bad_flag_exit_2(self, tmp_path, module):
+        proc = self.run_module(module, "stats", "--graph", str(LESMIS),
+                               "--out", str(tmp_path / "o"), "--bogus")
+        assert proc.returncode == 2
+        assert not (tmp_path / "o").exists()

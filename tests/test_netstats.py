@@ -12,7 +12,8 @@ from curvewalk import (WeightedGraph, betweenness, closeness,
                        netstats, strength_vector, weighted_clustering)
 from conftest import (LESMIS, complete_graph, path_graph,
                       random_connected_graph, random_graph, star_graph)
-from oracles import dfs_hop_bc_oracle, hop_bc_cc_oracle, weighted_bc_cc_oracle
+from oracles import (dfs_hop_bc_oracle, dijkstra_bc_cc_oracle, hop_bc_cc_oracle,
+                     weighted_bc_cc_oracle)
 
 
 class TestWorkedValues:
@@ -201,26 +202,14 @@ class TestSharedSweep:
 
     @pytest.mark.parametrize("mode", ["hop", "weighted"])
     def test_one_traversal_per_source(self, graph, mode, monkeypatch):
-        calls, sweeps = [], []
-        inner, hop_sweep = netstats._shortest_paths, netstats._hop_sweep
-
-        def counted(*args):
-            calls.append(args[-1])
-            return inner(*args)
-
-        def counted_sweep(g):
-            sweeps.append(g)
-            return hop_sweep(g)
-
-        monkeypatch.setattr(netstats, "_shortest_paths", counted)
-        monkeypatch.setattr(netstats, "_hop_sweep", counted_sweep)
+        calls = []
+        for name in ("_hop_sweep", "_weighted_sweep"):
+            def counted(g, _name=name, _inner=getattr(netstats, name)):
+                calls.append((_name, g))
+                return _inner(g)
+            monkeypatch.setattr(netstats, name, counted)
         compute_statistics(graph, ("betweenness", "closeness"), mode)
-        if mode == "hop":
-            # one source-batched sweep covers every source, with no Dijkstra
-            assert sweeps == [graph] and calls == []
-        else:
-            assert sorted(calls) == list(range(graph.node_count))
-            assert sweeps == []
+        assert calls == [(f"_{mode}_sweep", graph)]
 
     @pytest.mark.parametrize("mode", ["hop", "weighted"])
     def test_equals_public_functions_bitwise(self, graph, mode):
@@ -237,21 +226,36 @@ PATH_KINDS = ("betweenness", "closeness")
 
 
 def dijkstra_oracle(g):
-    """Path statistics of the Dijkstra on the unit-weight copy of ``g``."""
-    unit = WeightedGraph(g.node_count, g.edges)
-    return compute_statistics(unit, PATH_KINDS, "weighted")
+    """Path statistics of the heap Dijkstra on ``g``'s edge weights."""
+    return dict(zip(PATH_KINDS, dijkstra_bc_cc_oracle(g)))
 
 
-def assert_hop_equals(g, oracle):
-    hop = compute_statistics(g, PATH_KINDS, "hop")
+def unit_dijkstra_oracle(g):
+    """Path statistics of the heap Dijkstra on the unit-weight copy of ``g``."""
+    return dijkstra_oracle(WeightedGraph(g.node_count, g.edges))
+
+
+def assert_mode_equals(g, mode, oracle):
+    out = compute_statistics(g, PATH_KINDS, mode)
     for kind in PATH_KINDS:
-        assert np.array_equal(hop[kind].values, oracle[kind].values), kind
+        assert np.array_equal(out[kind].values, oracle[kind]), kind
 
 
 def set_sources_per_block(mp, g, sources):
-    """Make the hop sweep advance ``sources`` sources per block on ``g``."""
+    """Make both sweeps advance ``sources`` sources per block on ``g``."""
     per_source = max(len(g.adj_neighbors), g.node_count, 1)
-    mp.setattr(netstats, "_HOP_BLOCK_PAIRS", sources * per_source)
+    mp.setattr(netstats, "_BLOCK_PAIRS", sources * per_source)
+
+
+def triple_diamonds(hubs=61):
+    """Hub ``i`` reaches hub ``i + 1`` through 3 middle nodes, so
+    ``3 ** (hubs - 1)`` shortest paths join the end hubs."""
+    edges = []
+    for i in range(hubs - 1):
+        for k in range(3):
+            middle = hubs + 3 * i + k
+            edges += [(i, middle), (middle, i + 1)]
+    return WeightedGraph(hubs + 3 * (hubs - 1), edges)
 
 
 class TestHopSweep:
@@ -266,7 +270,7 @@ class TestHopSweep:
         g = random_graph(np.random.default_rng(graph_seed), n, p, weighted)
         with pytest.MonkeyPatch.context() as mp:
             set_sources_per_block(mp, g, sources)
-            assert_hop_equals(g, dijkstra_oracle(g))
+            assert_mode_equals(g, "hop", unit_dijkstra_oracle(g))
 
     @pytest.fixture(scope="class")
     def named(self):
@@ -274,6 +278,72 @@ class TestHopSweep:
             "lesmis": load_edge_list(LESMIS)[0],
             "synth500": random_connected_graph(np.random.default_rng(500),
                                                500, extra=2.0),
+        }
+        return {name: (g, unit_dijkstra_oracle(g))
+                for name, g in graphs.items()}
+
+    @pytest.mark.parametrize("sources", [1, 7, None])  # None: the default
+    @pytest.mark.parametrize("name", ["lesmis", "synth500"])
+    def test_named_graphs(self, named, name, sources, monkeypatch):
+        g, oracle = named[name]
+        if sources is not None:
+            set_sources_per_block(monkeypatch, g, sources)
+        assert_mode_equals(g, "hop", oracle)
+
+    @pytest.mark.parametrize("name", ["lesmis", "synth500"])
+    def test_default_blocks_hold_several_sources(self, named, name):
+        g, _ = named[name]
+        per_source = max(len(g.adj_neighbors), g.node_count)
+        assert netstats._BLOCK_PAIRS // per_source > 1
+
+    def test_path_counts_beyond_float_precision(self):
+        # 3**60 (about 4e28, past 2**53) shortest paths join the end hubs.
+        # Float64 path counts then round differently from the Dijkstra's
+        # exact integers, within 1e-15 relative; closeness is summed from
+        # exact integer distances and stays exact.
+        g = triple_diamonds()
+        hop = compute_statistics(g, PATH_KINDS, "hop")
+        oracle = unit_dijkstra_oracle(g)
+        np.testing.assert_allclose(hop["betweenness"].values,
+                                   oracle["betweenness"],
+                                   rtol=1e-15, atol=0)
+        assert np.array_equal(hop["closeness"].values, oracle["closeness"])
+
+
+WEIGHT_FAMILIES = {
+    "uniform": lambda rng, m: rng.uniform(0.5, 3.0, m),
+    "ints": lambda rng, m: rng.choice([1.0, 2.0, 3.0], m),
+    "tenths": lambda rng, m: rng.choice([0.1, 0.2, 0.3], m),  # 0.1 + 0.2 != 0.3
+    "unit": lambda rng, m: np.ones(m),
+    # lengths below half an ulp of the distances they are added to
+    "sub_ulp": lambda rng, m: rng.choice([1.0, 2.0, 1e-17, 3e-16], m),
+}
+
+
+class TestWeightedSweep:
+    """The source-batched weighted sweep equals the heap Dijkstra bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(0, 24), p=st.floats(0.0, 0.6),
+           family=st.sampled_from(sorted(WEIGHT_FAMILIES)),
+           graph_seed=st.integers(0, 2**32 - 1), sources=st.integers(1, 25))
+    def test_random_graphs(self, n, p, family, graph_seed, sources):
+        # includes disconnected graphs, isolated nodes, exact distance ties
+        # and partial blocks
+        rng = np.random.default_rng(graph_seed)
+        shape = random_graph(rng, n, p)
+        g = WeightedGraph(n, shape.edges,
+                          WEIGHT_FAMILIES[family](rng, shape.edge_count))
+        with pytest.MonkeyPatch.context() as mp:
+            set_sources_per_block(mp, g, sources)
+            assert_mode_equals(g, "weighted", dijkstra_oracle(g))
+
+    @pytest.fixture(scope="class")
+    def named(self):
+        graphs = {
+            "lesmis": load_edge_list(LESMIS)[0],
+            "synth500": random_connected_graph(np.random.default_rng(500),
+                                               500, extra=2.0, weighted=True),
         }
         return {name: (g, dijkstra_oracle(g)) for name, g in graphs.items()}
 
@@ -283,31 +353,20 @@ class TestHopSweep:
         g, oracle = named[name]
         if sources is not None:
             set_sources_per_block(monkeypatch, g, sources)
-        assert_hop_equals(g, oracle)
+        assert_mode_equals(g, "weighted", oracle)
 
-    @pytest.mark.parametrize("name", ["lesmis", "synth500"])
-    def test_default_blocks_hold_several_sources(self, named, name):
-        g, _ = named[name]
-        per_source = max(len(g.adj_neighbors), g.node_count)
-        assert netstats._HOP_BLOCK_PAIRS // per_source > 1
+    def test_sub_ulp_length_keeps_its_edge(self):
+        # 1.0 + 1e-17 == 1.0: nodes 1 and 2 share a distance from either end,
+        # and the edge between them stays a shortest-path edge
+        g = path_graph(4, [1.0, 1e-17, 1.0])
+        bc = betweenness(g, "weighted").values
+        assert bc.tolist() == [0.0, 2.0, 2.0, 0.0]
+        assert_mode_equals(g, "weighted", dijkstra_oracle(g))
 
     def test_path_counts_beyond_float_precision(self):
-        # 60 "triple diamonds": hub i reaches hub i + 1 through 3 middle
-        # nodes, so 3**60 (about 4e28, past 2**53) shortest paths join the
-        # end hubs. Float64 path counts then round differently from the
-        # Dijkstra's exact integers, within 1e-15 relative; closeness is
-        # summed from exact integer distances and stays exact.
-        hubs = 61
-        edges = []
-        for i in range(hubs - 1):
-            for k in range(3):
-                middle = hubs + 3 * i + k
-                edges += [(i, middle), (middle, i + 1)]
-        g = WeightedGraph(hubs + 3 * (hubs - 1), edges)
-        hop = compute_statistics(g, PATH_KINDS, "hop")
+        g = triple_diamonds()
+        out = compute_statistics(g, PATH_KINDS, "weighted")
         oracle = dijkstra_oracle(g)
-        np.testing.assert_allclose(hop["betweenness"].values,
-                                   oracle["betweenness"].values,
-                                   rtol=1e-15, atol=0)
-        assert np.array_equal(hop["closeness"].values,
-                              oracle["closeness"].values)
+        np.testing.assert_allclose(out["betweenness"].values,
+                                   oracle["betweenness"], rtol=1e-15, atol=0)
+        assert np.array_equal(out["closeness"].values, oracle["closeness"])
