@@ -178,9 +178,28 @@ def cmd_stats(args) -> int:
     return 0
 
 
+_PLAN_KEYS = frozenset({
+    "samplers", "statistics", "n_chains", "max_steps", "start_policy",
+    "start_nodes", "master_seed", "path_mode", "use_largest_component"})
+_PLAN_SAMPLER_KEYS = frozenset({
+    "kind", "curvature_mode", "epsilon_floor", "burn_in"})
+
+
+def _check_keys(entry, known, what):
+    """Refuse a plan entry that is not an object or has a key outside ``known``."""
+    if not isinstance(entry, dict):
+        raise TypeError(f"a {what} must be a JSON object")
+    unknown = sorted(set(entry) - known)
+    if unknown:
+        raise ValueError(f"unknown {what} key(s): {', '.join(map(repr, unknown))}")
+
+
 def _plan_from_json(path, args) -> ExperimentPlan:
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
+    _check_keys(raw, _PLAN_KEYS, "plan")
+    for s in raw["samplers"]:
+        _check_keys(s, _PLAN_SAMPLER_KEYS, "sampler")
     samplers = tuple(
         SamplerConfig(kind=s["kind"], seed=0, max_steps=1,
                       curvature_mode=s.get("curvature_mode", "combinatorial"),
@@ -305,7 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--steps", type=int, default=1000)
     p.add_argument("--start", default="random",
-                   help="start node id or 'random'")
+                   help="start node as a 0-based dense id (order of first "
+                        "appearance in the edge list, not its label), or "
+                        "'random'")
     p.add_argument("--curvature-mode", choices=CURVATURE_MODES,
                    default="combinatorial")
     p.add_argument("--epsilon-floor", type=float, default=DEFAULT_EPSILON_FLOOR)

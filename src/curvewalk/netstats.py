@@ -6,21 +6,22 @@ centrality (reciprocal sum of shortest-path distances), strength (weighted
 degree) and the Barrat weighted clustering coefficient.
 
 Shortest paths default to hop counts (``path_mode="hop"``) even on weighted
-graphs; ``path_mode="weighted"`` treats edge weights as lengths. One sweep
-yields betweenness (Brandes dependency accumulation) and closeness together,
-and in both modes it advances a block of sources at once and forms every
-float in the order a Dijkstra per source would. Hop mode runs a breadth-first
-search, one level at a time. Weighted mode relaxes distances until none
-improves, then places each node in the Dijkstra's pop order; ``u -> v`` is a
-shortest-path edge iff ``dist[u] + w == dist[v]`` and ``u`` pops before
-``v``. Two weighted paths count as equally short only when their lengths are
-exactly equal floats, so ``0.1 + 0.2`` and ``0.3`` do not tie. Path counts
-are float64, so both modes equal the Dijkstra's exact-integer results bit for
-bit while every path count is below 2**53; above that, betweenness agrees to
-within 1e-15 relative and closeness, summed from the same distances, stays
-exact. On disconnected graphs closeness sums distances over the node's
-component only and betweenness skips unreachable pairs; an isolated node has
-closeness 0 (logged as a warning).
+graphs; ``path_mode="weighted"`` treats edge weights as lengths. One Brandes
+pass over a block of sources at once yields betweenness (dependency
+accumulation) and closeness together, and forms every float in the order a
+Dijkstra per source would. The two modes differ only in how they build the
+block's shortest-path DAG. Hop mode runs a breadth-first search, one level at
+a time. Weighted mode relaxes distances until none improves, then places each
+node in the Dijkstra's pop order; ``u -> v`` is a shortest-path edge iff
+``dist[u] + w == dist[v]`` and ``u`` pops before ``v``. Two weighted paths
+count as equally short only when their lengths are exactly equal floats, so
+``0.1 + 0.2`` and ``0.3`` do not tie. Path counts are float64, so both modes
+equal the Dijkstra's exact-integer results bit for bit while every path count
+is below 2**53; above that, betweenness agrees to within 1e-15 relative and
+closeness, summed from the same distances, stays exact. On disconnected
+graphs closeness sums distances over the node's component only and
+betweenness skips unreachable pairs; an isolated node has closeness 0 (logged
+as a warning).
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ _BLOCK_PAIRS = 1 << 15
 
 
 def _block_size(g: WeightedGraph) -> int:
-    """Sources per block of :func:`_hop_sweep` and :func:`_weighted_sweep`."""
+    """Sources per block of :func:`_sweep`."""
     return max(1, _BLOCK_PAIRS // max(len(g.adj_neighbors), g.node_count, 1))
 
 
@@ -147,57 +148,127 @@ def _pop_ranks(g: WeightedGraph, dist, B, flip):
             return rank
 
 
-def _weighted_sweep(g: WeightedGraph):
-    """Brandes over blocks of sources, on edge-weight lengths
-    (:func:`_weighted_block`).
+def _sweep(g: WeightedGraph, path_mode: str):
+    """Brandes over blocks of sources, one pass per block.
 
-    Returns the per-node sum of the sources' dependencies and each source's
-    distance sum, summed in node-id order, both as float64 arrays.
+    The state of node ``v`` seen from the block's ``r``-th source sits at the
+    flat key ``r * V + v``. The mode's builder (:func:`_hop_dag`,
+    :func:`_weighted_dag`) fills the path counts ``sigma`` and returns the
+    distances, the DAG's levels and, per level ``d``, its edges out of
+    ``levels[d]``: each tail's index in the level and each head's flat state,
+    in descending pop rank of the head. The dependencies then flow back one
+    level at a time, from the deepest parents up, each parent taking its
+    children's shares in that order, as the Dijkstra's reverse sweep adds
+    them.
+
+    Returns the per-node sum of the sources' dependencies, added in source
+    order, and each source's distance sum, added in node-id order, both as
+    float64 arrays.
     """
     V = g.node_count
-    owner = np.repeat(np.arange(V), g.degrees)
-    nbrs = g.adj_neighbors
-    # the CSR is sorted by (owner, neighbor), so sorting the half-edges by
-    # (neighbor, owner) lists each one's reverse in CSR order
-    flip = np.lexsort((owner, nbrs))
+    if path_mode == "weighted":
+        owner = np.repeat(np.arange(V), g.degrees)
+        # the CSR is sorted by (owner, neighbor), so sorting the half-edges by
+        # (neighbor, owner) lists each one's reverse in CSR order
+        flip = np.lexsort((owner, g.adj_neighbors))
     block = _block_size(g)
     bc = np.zeros(V, dtype=np.float64)
     totals = np.zeros(V, dtype=np.float64)
     for first in range(0, V, block):
         sources = np.arange(first, min(first + block, V))
-        delta, totals[sources] = _weighted_block(g, sources, owner, flip)
-        for row in delta:  # in source order, as the Dijkstra adds
+        B = len(sources)
+        roots = np.arange(B) * V + sources
+        sigma = np.zeros(B * V, dtype=np.float64)
+        sigma[roots] = 1.0
+        if path_mode == "hop":
+            dist, levels, edges = _hop_dag(g, roots, sigma)
+        else:
+            dist, levels, edges = _weighted_dag(g, roots, sigma, owner, flip)
+        delta = np.zeros(B * V, dtype=np.float64)
+        # up to the sources' children: a source's own dependency is unused
+        for d in range(len(edges) - 1, 0, -1):
+            above = levels[d]
+            tail, head = edges[d]
+            coeff = (1.0 + delta[head]) / sigma[head]
+            delta[above] = np.bincount(tail, weights=sigma[above[tail]] * coeff,
+                                       minlength=len(above))
+        for row in delta.reshape(B, V):  # in source order, as the Dijkstra adds
             bc += row
+        d2 = dist.reshape(B, V)
+        # one by one in node-id order, as the Dijkstra's loop adds them
+        totals[sources] = np.cumsum(np.where(d2 < np.inf, d2, 0.0), axis=1)[:, -1]
+        del dist, d2, levels, edges, delta  # nothing of a block outlives it
     return bc, totals
 
 
-def _weighted_block(g: WeightedGraph, sources, owner, flip):
-    """Dependencies and distance sums of a block of sources on edge-weight
-    lengths; ``owner`` and ``flip`` give each half-edge's tail node and the
-    CSR position of its reverse.
+def _hop_dag(g: WeightedGraph, roots, sigma):
+    """Breadth-first shortest-path DAG of a block, filling the path counts
+    ``sigma``.
 
-    States are the flat keys ``r * V + v`` of :func:`_hop_sweep`. Distances
-    come from label-correcting relaxation: each round expands the states
-    whose distance improved and keeps the least ``dist[u] + w`` per head.
-    Float addition of a positive length is monotone, so this reaches the
-    Dijkstra's distances, the least left-to-right path sums. ``u -> v`` is a
-    shortest-path edge iff ``dist[u] + w == dist[v]`` and ``u`` pops before
-    ``v`` (:func:`_pop_ranks`): a length below half an ulp of ``dist[u]``
-    leaves the distance unchanged, so ``dist[u] < dist[v]`` would drop it.
+    Each new level lists the undiscovered neighbors of the last one in order
+    of first push, which is the Dijkstra's FIFO visit order, and sums their
+    path counts from their parents in that order. Expanding a level in
+    reverse visit order and keeping the heads one level up lists the edges
+    into it by descending visit order of the child.
+
+    Returns the hop distances (``inf`` if unreached), the levels and their
+    edges; ``edges[0]``, the sources' edges, is ``None``, since the sweep
+    never reads it.
+    """
+    dist = np.full(len(sigma), np.inf)
+    dist[roots] = 0.0
+    # a new node's first push position, then its index within its level
+    rank = np.zeros(len(sigma), dtype=np.int64)
+    levels = [roots]
+    while True:
+        above = levels[-1]
+        tail, head = _expand(g, above)[:2]
+        # index arrays: applying an irregular boolean mask twice is slower
+        fresh = np.flatnonzero(dist[head] == np.inf)
+        tail, head = tail[fresh], head[fresh]
+        if not len(head):
+            break
+        pushed = np.arange(len(head))
+        rank[head] = len(head)
+        np.minimum.at(rank, head, pushed)
+        level = head[rank[head] == pushed]
+        rank[level] = np.arange(len(level))
+        sigma[level] = np.bincount(rank[head], weights=sigma[above[tail]],
+                                   minlength=len(level))
+        dist[level] = len(levels)
+        levels.append(level)
+    edges = [None] * (len(levels) - 1)
+    for d in range(len(levels) - 1, 1, -1):
+        below = levels[d][::-1]
+        tail, head = _expand(g, below)[:2]
+        up = np.flatnonzero(dist[head] == d - 1)
+        edges[d - 1] = rank[head[up]], below[tail[up]]
+    return dist, levels, edges
+
+
+def _weighted_dag(g: WeightedGraph, roots, sigma, owner, flip):
+    """Shortest-path DAG of a block on edge-weight lengths, filling the path
+    counts ``sigma``; ``owner`` and ``flip`` give each half-edge's tail node
+    and the CSR position of its reverse.
+
+    Distances come from label-correcting relaxation: each round expands the
+    states whose distance improved and keeps the least ``dist[u] + w`` per
+    head. Float addition of a positive length is monotone, so this reaches
+    the Dijkstra's distances, the least left-to-right path sums. ``u -> v``
+    is a shortest-path edge iff ``dist[u] + w == dist[v]`` and ``u`` pops
+    before ``v`` (:func:`_pop_ranks`): a length below half an ulp of
+    ``dist[u]`` leaves the distance unchanged, so ``dist[u] < dist[v]`` would
+    drop it.
 
     Path counts are summed level by level, a node's level being its longest
-    edge depth from the source. Dependencies flow back from the deepest
-    parents up, each parent taking its children's shares in descending pop
-    rank, as the Dijkstra's reverse sweep adds them.
-
-    Returns the ``(B, V)`` dependencies, zero at each source, and the ``B``
-    distance sums.
+    edge depth from the source. Returns the distances (``inf`` if unreached),
+    the levels and, per level, the edges out of it in descending pop rank of
+    the head.
     """
     V = g.node_count
     E2 = len(g.adj_neighbors)
     nbrs, lengths = g.adj_neighbors, g.adj_weights
-    B = len(sources)
-    roots = np.arange(B) * V + sources
+    B = len(roots)
     dist = np.full(B * V, np.inf)
     dist[roots] = 0.0
     slot = np.empty(B * V, dtype=np.int64)  # scratch for _distinct
@@ -225,8 +296,6 @@ def _weighted_block(g: WeightedGraph, sources, owner, flip):
     edge = np.flatnonzero(dag)
     waiting = np.bincount(edge // E2 * V + nbrs[edge % E2], minlength=B * V)
     del edge
-    sigma = np.zeros(B * V, dtype=np.float64)
-    sigma[roots] = 1.0
     # Kahn's levels: a node joins once its last predecessor has
     levels, edges = [roots], []
     while True:
@@ -241,91 +310,15 @@ def _weighted_block(g: WeightedGraph, sources, owner, flip):
         levels.append(_distinct(head[waiting[head] == 0], slot))
         later = np.argsort(-rank[head], kind="stable")
         edges.append((tail[later], head[later]))
-    delta = np.zeros(B * V, dtype=np.float64)
-    # up to the sources' children: a source's own dependency is unused
-    for d in range(len(edges) - 1, 0, -1):
-        above = levels[d]
-        tail, head = edges[d]
-        coeff = (1.0 + delta[head]) / sigma[head]
-        delta[above] = np.bincount(tail, weights=sigma[above[tail]] * coeff,
-                                   minlength=len(above))
-    # summed one by one in node-id order, as the Dijkstra's loop adds them
-    totals = np.cumsum(np.where(d2 < np.inf, d2, 0.0), axis=1)[:, -1]
-    return delta.reshape(B, V), totals
-
-
-def _hop_sweep(g: WeightedGraph):
-    """Level-synchronous Brandes over blocks of sources, on hop paths.
-
-    The state of node ``v`` seen from the block's ``r``-th source sits at the
-    flat key ``r * V + v``. Each new level lists the undiscovered neighbors of
-    the last one in order of first push, which is the Dijkstra's FIFO visit
-    order, and sums their path counts from their parents in that order. The
-    dependencies flow back one level at a time: expanding a level in reverse
-    visit order hands every parent its children's shares in descending visit
-    order, as the Dijkstra's reverse sweep does.
-
-    Returns the per-node sum of the sources' dependencies and each source's
-    distance sum, summed as integers, both as float64 arrays.
-    """
-    V = g.node_count
-    block = _block_size(g)
-    bc = np.zeros(V, dtype=np.float64)
-    totals = np.zeros(V, dtype=np.float64)
-    for first in range(0, V, block):
-        sources = np.arange(first, min(first + block, V))
-        B = len(sources)
-        roots = np.arange(B) * V + sources
-        depth = np.full(B * V, -1, dtype=np.int64)
-        depth[roots] = 0
-        sigma = np.zeros(B * V, dtype=np.float64)
-        sigma[roots] = 1.0
-        # a new node's first push position, then its index within its level
-        rank = np.zeros(B * V, dtype=np.int64)
-        levels = [roots]
-        while True:
-            above = levels[-1]
-            tail, head = _expand(g, above)[:2]
-            # index arrays: applying an irregular boolean mask twice is slower
-            fresh = np.flatnonzero(depth[head] < 0)
-            tail, head = tail[fresh], head[fresh]
-            if not len(head):
-                break
-            pushed = np.arange(len(head))
-            rank[head] = len(head)
-            np.minimum.at(rank, head, pushed)
-            level = head[rank[head] == pushed]
-            rank[level] = np.arange(len(level))
-            sigma[level] = np.bincount(rank[head], weights=sigma[above[tail]],
-                                       minlength=len(level))
-            depth[level] = len(levels)
-            levels.append(level)
-        delta = np.zeros(B * V, dtype=np.float64)
-        # down to the sources' children: a source's own dependency is unused
-        for d in range(len(levels) - 1, 1, -1):
-            below = levels[d][::-1]
-            tail, head = _expand(g, below)[:2]
-            up = np.flatnonzero(depth[head] == d - 1)
-            child, parent = below[tail[up]], head[up]
-            coeff = (1.0 + delta[child]) / sigma[child]
-            delta[levels[d - 1]] = np.bincount(
-                rank[parent], weights=sigma[parent] * coeff,
-                minlength=len(levels[d - 1]))
-        for row in delta.reshape(B, V):  # in source order, as the Dijkstra adds
-            bc += row
-        totals[sources] = np.maximum(depth, 0).reshape(B, V).sum(axis=1)
-    return bc, totals
+    return dist, levels, edges
 
 
 def _path_statistics(g: WeightedGraph, path_mode: str) -> dict[str, StatVector]:
-    """Betweenness and closeness from one source-batched shortest-path
-    sweep: breadth-first (:func:`_hop_sweep`) in hop mode, label-correcting
-    relaxation with the pop-order edge rule (:func:`_weighted_sweep`) in
-    weighted mode."""
+    """Betweenness and closeness from one source-batched Brandes sweep
+    (:func:`_sweep`)."""
     _check_path_mode(path_mode)
     V = g.node_count
-    sweep = _hop_sweep if path_mode == "hop" else _weighted_sweep
-    bc, totals = sweep(g)
+    bc, totals = _sweep(g, path_mode)
     reached = totals > 0
     cc = np.zeros(V, dtype=np.float64)
     cc[reached] = 1.0 / totals[reached]

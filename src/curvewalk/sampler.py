@@ -105,8 +105,8 @@ class SamplerConfig:
             raise ValueError("max_steps must be >= 1")
         if self.burn_in < 0:
             raise ValueError("burn_in must be >= 0")
-        if not self.epsilon_floor >= 0:
-            raise ValueError("epsilon_floor must be >= 0")
+        if not 0 <= self.epsilon_floor < np.inf:
+            raise ValueError("epsilon_floor must be finite and >= 0")
         if isinstance(self.start_node, str):
             if self.start_node != "random":
                 raise ValueError("start_node must be a node id or 'random'")
@@ -164,8 +164,8 @@ def make_target(g: WeightedGraph, curvmap: CurvatureMap | None = None,
     else:
         if curvmap is None:
             raise ValueError("curved target requires a curvature map")
-        if not epsilon_floor >= 0:
-            raise ValueError("epsilon_floor must be >= 0")
+        if not 0 <= epsilon_floor < np.inf:
+            raise ValueError("epsilon_floor must be finite and >= 0")
         dens = np.maximum(np.abs(curvmap.node_values), epsilon_floor)
         target = np.where(live, dens / np.maximum(g.degrees, 1), 0.0)
         if g.node_count and float(target.max()) == 0.0:

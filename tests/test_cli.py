@@ -101,6 +101,12 @@ class TestSample:
         assert main(["sample", "--graph", str(path_file),
                      "--out", str(tmp_path / "o"), "--kind", "levy"]) == 2
 
+    def test_infinite_epsilon_floor_exit_2(self, tmp_path, path_file):
+        out = tmp_path / "o"
+        assert main(["sample", "--graph", str(path_file), "--out", str(out),
+                     "--epsilon-floor", "inf"]) == 2
+        assert not out.exists()
+
     def test_manifest_records_generator(self, tmp_path, path_file):
         out = tmp_path / "s"
         assert main(["sample", "--graph", str(path_file), "--out", str(out),
@@ -197,6 +203,25 @@ class TestConverge:
         plan.write_text("{not json", encoding="utf-8")
         assert main(["converge", "--graph", str(LESMIS),
                      "--out", str(tmp_path / "x"), "--plan", str(plan)]) == 1
+
+    def test_infinite_epsilon_floor_exit_2(self, tmp_path):
+        out = tmp_path / "x"
+        assert main(["converge", "--graph", str(LESMIS), "--out", str(out),
+                     "--epsilon-floor", "inf"]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("plan, key", [
+        ({"samplers": [{"kind": "edge_curved"}], "n_chain": 3}, "n_chain"),
+        ({"samplers": [{"kind": "edge_curved", "epsilon": 0.5}]}, "epsilon"),
+    ])
+    def test_plan_unknown_key_exit_1(self, tmp_path, capsys, plan, key):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan), encoding="utf-8")
+        out = tmp_path / "x"
+        assert main(["converge", "--graph", str(LESMIS), "--out", str(out),
+                     "--plan", str(path)]) == 1
+        assert repr(key) in capsys.readouterr().err
+        assert not out.exists()
 
     def test_disconnected_graph_exit_1(self, tmp_path):
         f = tmp_path / "two.txt"

@@ -83,6 +83,13 @@ class TestExtractBackbone:
         r = self.make_ranking(counts)
         assert len(extract_backbone(r, 0.25)) == 20  # ceil(19.25)
 
+    @pytest.mark.parametrize("fraction, n", [(0.07, 100), (0.14, 50),
+                                             (0.28, 25)])
+    def test_float_noise_does_not_round_up(self, fraction, n):
+        assert fraction * n > 7  # the float product overshoots 7
+        r = self.make_ranking(np.arange(n)[::-1].copy())
+        assert len(extract_backbone(r, fraction)) == 7
+
     def test_tie_breaks_to_lower_id(self):
         r = self.make_ranking([4, 9, 9, 1])
         assert extract_backbone(r, 0.25).tolist() == [1]

@@ -203,13 +203,12 @@ class TestSharedSweep:
     @pytest.mark.parametrize("mode", ["hop", "weighted"])
     def test_one_traversal_per_source(self, graph, mode, monkeypatch):
         calls = []
-        for name in ("_hop_sweep", "_weighted_sweep"):
-            def counted(g, _name=name, _inner=getattr(netstats, name)):
-                calls.append((_name, g))
-                return _inner(g)
-            monkeypatch.setattr(netstats, name, counted)
+        def counted(g, path_mode, _inner=netstats._sweep):
+            calls.append((g, path_mode))
+            return _inner(g, path_mode)
+        monkeypatch.setattr(netstats, "_sweep", counted)
         compute_statistics(graph, ("betweenness", "closeness"), mode)
-        assert calls == [(f"_{mode}_sweep", graph)]
+        assert calls == [(graph, mode)]
 
     @pytest.mark.parametrize("mode", ["hop", "weighted"])
     def test_equals_public_functions_bitwise(self, graph, mode):

@@ -49,6 +49,7 @@ class TestConfigValidation:
         {"burn_in": -1},
         {"start_node": "first"},
         {"start_node": -2},
+        {"epsilon_floor": float("inf")},
     ])
     def test_invalid(self, kwargs):
         base = {"kind": "edge_curved", "seed": 0, "max_steps": 5}
@@ -83,6 +84,12 @@ class TestMakeTarget:
         cm = compute_curvature_map(g, "combinatorial")
         with pytest.raises(ValueError):
             make_target(g, cm, "curved", 0.0)
+
+    def test_infinite_floor_rejected(self):
+        g = path_graph(3)
+        cm = compute_curvature_map(g, "combinatorial")
+        with pytest.raises(ValueError):
+            make_target(g, cm, "curved", float("inf"))
 
     def test_curved_requires_map(self):
         with pytest.raises(ValueError):
