@@ -13,13 +13,16 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from .convergence import (DEFAULT_N_CHAINS, ExperimentPlan, run_experiment)
+from .convergence import DEFAULT_N_CHAINS, ExperimentPlan, run_experiment
 from .curvature import CURVATURE_MODES, compute_curvature_map
 from .graph import GraphFormatError, load_edge_list
 from .netstats import PATH_MODES, STAT_KINDS, compute_statistics, mean_statistic
@@ -56,21 +59,23 @@ def _sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
 def _load_graph(args):
     return load_edge_list(args.graph, delimiter=args.delimiter,
                           weighted=not args.unweighted,
                           default_node_weight=args.node_weight)
 
 
-def _write_csv(path, header, rows):
+def _write_csv(path, header, *columns):
+    """Write ``header``, then row ``i`` of every column in turn.
+
+    ndarray columns go through ``tolist()``: ``csv`` writes a Python float
+    as its ``repr``, which for a numpy scalar would be ``np.float64(...)``.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows(zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                               for c in columns)))
 
 
 def _write_manifest(out_dir: Path, command: str, args, meta, config: dict,
@@ -103,12 +108,12 @@ def cmd_curvature(args) -> int:
     g, meta = _load_graph(args)
     curvmap = compute_curvature_map(g, args.curvature_mode)
     out = _prepare_out(args)
+    tails, heads = g.edges.T.tolist()
     _write_csv(out / "edge_curvature.csv", ["edge_u", "edge_v", "forman"],
-               ((meta.labels[u], meta.labels[v], _fmt(curvmap.edge_values[e]))
-                for e, (u, v) in enumerate(g.edges)))
+               [meta.labels[u] for u in tails], [meta.labels[v] for v in heads],
+               curvmap.edge_values)
     _write_csv(out / "node_curvature.csv", ["node", "forman"],
-               ((meta.labels[i], _fmt(curvmap.node_values[i]))
-                for i in range(g.node_count)))
+               meta.labels, curvmap.node_values)
     _write_manifest(out, "curvature", args, meta,
                     {"curvature_mode": args.curvature_mode})
     return 0
@@ -144,9 +149,9 @@ def cmd_sample(args) -> int:
     trace = run_chain(g, config)
     out = _prepare_out(args)
     _write_csv(out / "trace.csv", ["step", "node", "distinct_count"],
-               ((k + 1, meta.labels[trace.visits[k]],
-                 int(trace.distinct_count_at_step[k]))
-                for k in range(trace.steps)))
+               range(1, trace.steps + 1),
+               [meta.labels[v] for v in trace.visits.tolist()],
+               trace.distinct_count_at_step)
     _write_manifest(out, "sample", args, meta,
                     {"sampler": asdict(config), "start_node_resolved": int(trace.start)},
                     master_seed=config.seed, rng_generator=GENERATOR_NAME)
@@ -158,12 +163,7 @@ def cmd_stats(args) -> int:
     stats = compute_statistics(g, STAT_KINDS, args.path_mode)
     out = _prepare_out(args)
     _write_csv(out / "stats.csv", ["node", "bc", "cc", "strength", "wcc"],
-               ((meta.labels[i],
-                 _fmt(stats["betweenness"].values[i]),
-                 _fmt(stats["closeness"].values[i]),
-                 _fmt(stats["strength"].values[i]),
-                 _fmt(stats["weighted_clustering"].values[i]))
-                for i in range(g.node_count)))
+               meta.labels, *(stats[kind].values for kind in STAT_KINDS))
     summary = {
         "path_mode": args.path_mode,
         "node_count": g.node_count,
@@ -178,9 +178,6 @@ def cmd_stats(args) -> int:
     return 0
 
 
-_PLAN_KEYS = frozenset({
-    "samplers", "statistics", "n_chains", "max_steps", "start_policy",
-    "start_nodes", "master_seed", "path_mode", "use_largest_component"})
 _PLAN_SAMPLER_KEYS = frozenset({
     "kind", "curvature_mode", "epsilon_floor", "burn_in"})
 
@@ -194,61 +191,38 @@ def _check_keys(entry, known, what):
         raise ValueError(f"unknown {what} key(s): {', '.join(map(repr, unknown))}")
 
 
-def _plan_from_json(path, args) -> ExperimentPlan:
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    _check_keys(raw, _PLAN_KEYS, "plan")
-    for s in raw["samplers"]:
-        _check_keys(s, _PLAN_SAMPLER_KEYS, "sampler")
+def _plan(args) -> ExperimentPlan:
+    """The experiment plan: each flag gives its key's default, and the keys
+    a ``--plan`` file sets override them."""
+    raw = {}
+    if args.plan:
+        with open(args.plan, encoding="utf-8") as fh:
+            raw = json.load(fh)
+        _check_keys(raw, {f.name for f in fields(ExperimentPlan)}, "plan")
+    entries = raw.get("samplers", [{"kind": kind} for kind in args.samplers])
+    for entry in entries:
+        _check_keys(entry, _PLAN_SAMPLER_KEYS, "sampler")
     samplers = tuple(
-        SamplerConfig(kind=s["kind"], seed=0, max_steps=1,
-                      curvature_mode=s.get("curvature_mode", "combinatorial"),
-                      epsilon_floor=s.get("epsilon_floor", DEFAULT_EPSILON_FLOOR),
-                      burn_in=s.get("burn_in", 0))
-        for s in raw["samplers"])
-    return ExperimentPlan(
-        samplers=samplers,
-        statistics=tuple(raw.get("statistics", STAT_KINDS)),
-        n_chains=raw.get("n_chains", DEFAULT_N_CHAINS),
-        max_steps=raw.get("max_steps"),
-        start_policy=raw.get("start_policy", "distinct_random"),
-        start_nodes=tuple(raw["start_nodes"]) if raw.get("start_nodes") else None,
-        master_seed=raw.get("master_seed", args.seed),
-        path_mode=raw.get("path_mode", args.path_mode),
-        use_largest_component=raw.get("use_largest_component",
-                                      args.largest_component),
-    )
-
-
-def _plan_from_flags(args) -> ExperimentPlan:
-    samplers = tuple(
-        SamplerConfig(kind=kind, seed=0, max_steps=1,
-                      curvature_mode=args.curvature_mode,
-                      epsilon_floor=args.epsilon_floor)
-        for kind in args.samplers)
-    return ExperimentPlan(
-        samplers=samplers,
-        statistics=tuple(args.stats),
-        n_chains=args.chains,
-        max_steps=args.steps,
-        master_seed=args.seed,
-        path_mode=args.path_mode,
-        use_largest_component=args.largest_component,
-    )
+        SamplerConfig(**{"seed": 0, "max_steps": 1,
+                         "curvature_mode": args.curvature_mode,
+                         "epsilon_floor": args.epsilon_floor, **entry})
+        for entry in entries)
+    return ExperimentPlan(**{
+        "statistics": args.stats, "n_chains": args.chains,
+        "max_steps": args.steps, "master_seed": args.seed,
+        "path_mode": args.path_mode,
+        "use_largest_component": args.largest_component,
+        **raw, "samplers": samplers})
 
 
 def cmd_converge(args) -> int:
     g, meta = _load_graph(args)
-    if args.plan:
-        try:
-            plan = _plan_from_json(args.plan, args)
-        except (KeyError, TypeError, ValueError) as exc:
+    try:
+        plan = _plan(args)
+    except (TypeError, ValueError) as exc:
+        if args.plan:
             raise GraphFormatError(f"invalid plan file {args.plan}: {exc}") from exc
-    else:
-        try:
-            plan = _plan_from_flags(args)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        raise UsageError(str(exc)) from None
     result = run_experiment(g, plan)
 
     if result.component_nodes is not None:
@@ -261,19 +235,20 @@ def cmd_converge(args) -> int:
     for curve in result.curves:
         name = f"mse_{curve.sampler}_{curve.statistic}.csv"
         _write_csv(out / name, ["n", "mse", "mean_distinct"],
-                   ((n + 1, _fmt(curve.mse[n]), _fmt(curve.mean_distinct[n]))
-                    for n in range(len(curve.mse))))
+                   range(1, len(curve.mse) + 1), curve.mse, curve.mean_distinct)
         files.append(name)
 
     # backbone ranking of the first (primary) sampler in the plan
     first = result.sampler_labels[0]
     ranking = result.backbones[first]
+    ranked = ranking.ranked_nodes
     _write_csv(out / "backbone.csv", ["node", "visits", "rank"],
-               ((labels[int(node)], int(ranking.visit_counts[node]), rank + 1)
-                for rank, node in enumerate(ranking.ranked_nodes)))
+               [labels[node] for node in ranked.tolist()],
+               ranking.visit_counts[ranked], range(1, len(ranked) + 1))
 
     plan_dict = {
-        "samplers": [asdict(cfg) for cfg in plan.samplers],
+        "samplers": [{key: getattr(cfg, key) for key in _PLAN_SAMPLER_KEYS}
+                     for cfg in plan.samplers],
         "sampler_labels": list(result.sampler_labels),
         "statistics": list(plan.statistics),
         "n_chains": plan.n_chains,
@@ -293,6 +268,18 @@ def cmd_converge(args) -> int:
     return 0
 
 
+def _finite_positive(text: str) -> float:
+    """argparse type of a float that must be finite and > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be finite and positive, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="curvewalk",
@@ -307,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="column separator (default: any whitespace)")
     common.add_argument("--unweighted", action="store_true",
                         help="ignore weight columns, use weight 1")
-    common.add_argument("--node-weight", type=float, default=1.0,
+    common.add_argument("--node-weight", type=_finite_positive, default=1.0,
                         help="node weight assigned to every node")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -353,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon-floor", type=float, default=DEFAULT_EPSILON_FLOOR)
     p.add_argument("--path-mode", choices=PATH_MODES, default="hop")
     p.add_argument("--plan", default=None,
-                   help="JSON plan file (overrides the sampler/statistic flags)")
+                   help="JSON plan file; its keys override the matching flags")
     p.add_argument("--largest-component", action="store_true",
                    help="restrict a disconnected graph to its largest component")
     p.set_defaults(func=cmd_converge)

@@ -24,8 +24,8 @@ import numpy as np
 
 from .graph import WeightedGraph, connected_components, induced_subgraph
 from .netstats import STAT_KINDS, PATH_MODES, StatVector, compute_statistics, mean_statistic
-from .sampler import (ChainTrace, SamplerConfig, chain_seed, distinct_prefix_counts,
-                      make_rng, run_lockstep)
+from .sampler import (ChainTrace, SamplerConfig, _integer, chain_seed,
+                      distinct_prefix_counts, make_rng, run_lockstep)
 
 logger = logging.getLogger(__name__)
 
@@ -69,6 +69,9 @@ class ExperimentPlan:
     use_largest_component: bool = False
 
     def __post_init__(self):
+        for name in ("statistics", "start_nodes"):
+            if isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a list, not a string")
         object.__setattr__(self, "samplers", tuple(self.samplers))
         object.__setattr__(self, "statistics", tuple(self.statistics))
         if not self.samplers:
@@ -78,17 +81,24 @@ class ExperimentPlan:
         for kind in self.statistics:
             if kind not in STAT_KINDS:
                 raise ValueError(f"unknown statistic {kind!r}")
-        if int(self.n_chains) < 2:
+        for name in ("n_chains", "master_seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        if self.n_chains < 2:
             raise ValueError("n_chains must be >= 2")
-        object.__setattr__(self, "n_chains", int(self.n_chains))
-        if self.max_steps is not None and int(self.max_steps) < 1:
-            raise ValueError("max_steps must be >= 1")
+        if self.max_steps is not None:
+            object.__setattr__(self, "max_steps",
+                               _integer(self.max_steps, "max_steps"))
+            if self.max_steps < 1:
+                raise ValueError("max_steps must be >= 1")
+        if not isinstance(self.use_largest_component, bool):
+            raise ValueError("use_largest_component must be true or false, "
+                             f"got {self.use_largest_component!r}")
         if self.start_policy not in START_POLICIES:
             raise ValueError(f"unknown start policy {self.start_policy!r}")
         if self.start_policy == "fixed_list":
             if not self.start_nodes:
                 raise ValueError("fixed_list policy requires start_nodes")
-            starts = tuple(int(s) for s in self.start_nodes)
+            starts = tuple(_integer(s, "start_nodes") for s in self.start_nodes)
             if len(starts) == 1:
                 starts = starts * self.n_chains
             if len(starts) != self.n_chains:

@@ -199,7 +199,7 @@ def load_edge_list(path, *, delimiter=None, weighted=True,
         path: Edge-list file.
         delimiter: Column separator; None splits on any whitespace.
         weighted: Whether to honor a third column as the edge weight.
-        default_node_weight: Positive node weight assigned to all nodes.
+        default_node_weight: Finite positive node weight assigned to all nodes.
         name: Dataset label for the GraphMeta; defaults to the file stem.
 
     Returns:
@@ -212,7 +212,7 @@ def load_edge_list(path, *, delimiter=None, weighted=True,
     path = Path(path)
     default_node_weight = float(default_node_weight)
     if not (math.isfinite(default_node_weight) and default_node_weight > 0):
-        raise ValueError("default_node_weight must be positive")
+        raise ValueError("default_node_weight must be finite and positive")
 
     labels: list[str] = []
     index: dict[str, int] = {}

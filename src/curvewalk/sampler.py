@@ -33,6 +33,7 @@ O(log d) for edge kinds and O(1) for MH kinds.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -49,6 +50,16 @@ DEFAULT_EPSILON_FLOOR = 1e-9
 _MASK64 = (1 << 64) - 1
 # steps of uniforms a chain draws at a time; bounds the draw buffers
 _TIME_CHUNK = 1 << 10
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int; a float (even 2.0), string or bool is refused."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def splitmix64(value: int) -> int:
@@ -97,9 +108,8 @@ class SamplerConfig:
             raise ValueError(f"unknown sampler kind {self.kind!r}")
         if self.curvature_mode not in CURVATURE_MODES:
             raise ValueError(f"unknown curvature mode {self.curvature_mode!r}")
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "max_steps", int(self.max_steps))
-        object.__setattr__(self, "burn_in", int(self.burn_in))
+        for name in ("seed", "max_steps", "burn_in"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         object.__setattr__(self, "epsilon_floor", float(self.epsilon_floor))
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
@@ -111,7 +121,8 @@ class SamplerConfig:
             if self.start_node != "random":
                 raise ValueError("start_node must be a node id or 'random'")
         else:
-            object.__setattr__(self, "start_node", int(self.start_node))
+            object.__setattr__(self, "start_node",
+                               _integer(self.start_node, "start_node"))
             if self.start_node < 0:
                 raise ValueError("start_node must be >= 0")
 

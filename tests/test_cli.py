@@ -14,13 +14,19 @@ import pytest
 
 import curvewalk.convergence
 from curvewalk import run_chain
-from curvewalk.cli import main
+from curvewalk.cli import _PLAN_SAMPLER_KEYS, main
 from conftest import LESMIS
 
 
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
+
+
+def write_plan(tmp_path, plan):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan), encoding="utf-8")
+    return str(path)
 
 
 @pytest.fixture
@@ -133,6 +139,13 @@ class TestStats:
         assert main(["stats", "--graph", str(triangle_file),
                      "--out", str(blocker / "sub")]) == 1
 
+    @pytest.mark.parametrize("weight", ["inf", "0"])
+    def test_bad_node_weight_exit_2(self, tmp_path, triangle_file, weight):
+        out = tmp_path / "st"
+        assert main(["stats", "--graph", str(triangle_file), "--out", str(out),
+                     "--node-weight", weight]) == 2
+        assert not out.exists()
+
 
 class TestConverge:
     def converge(self, tmp_path, name, *extra):
@@ -197,6 +210,73 @@ class TestConverge:
         names = sorted(p.name for p in out.glob("mse_*.csv"))
         assert names == ["mse_edge_curved_strength.csv",
                          "mse_edge_uniform_strength.csv"]
+
+    def test_plan_takes_unset_keys_from_the_flags(self, tmp_path):
+        flags = ("--stats", "strength", "--epsilon-floor", "0.5",
+                 "--curvature-mode", "weighted")
+        plan = write_plan(tmp_path, {"samplers": [{"kind": "node_mh_curved"},
+                                                  {"kind": "edge_curved"}]})
+        code, out = self.converge(tmp_path, "p", "--plan", plan, *flags)
+        assert code == 0
+        cfg = json.loads((out / "manifest.json").read_text())["config"]
+        assert (cfg["n_chains"], cfg["max_steps"]) == (4, 60)
+        assert cfg["statistics"] == ["strength"]
+        assert cfg["samplers"] == [
+            {"kind": kind, "curvature_mode": "weighted", "epsilon_floor": 0.5,
+             "burn_in": 0} for kind in ("node_mh_curved", "edge_curved")]
+        names = sorted(p.name for p in out.glob("*.csv"))
+        assert names == ["backbone.csv", "mse_edge_curved_strength.csv",
+                         "mse_node_mh_curved_strength.csv"]
+        # the same run given by flags alone writes the same bytes
+        code, ref = self.converge(tmp_path, "f", *flags, "--samplers",
+                                  "node_mh_curved", "edge_curved")
+        assert code == 0
+        for name in names:
+            assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+
+    def test_plan_keys_override_the_flags(self, tmp_path):
+        plan = write_plan(tmp_path, {
+            "samplers": [{"kind": "edge_uniform", "epsilon_floor": 1e-6,
+                          "curvature_mode": "combinatorial"}],
+            "statistics": ["closeness"], "n_chains": 3, "max_steps": 20,
+            "master_seed": 2})
+        code, out = self.converge(tmp_path, "p", "--plan", plan,
+                                  "--stats", "strength", "--epsilon-floor", "0.5",
+                                  "--curvature-mode", "weighted")
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        cfg = manifest["config"]
+        assert manifest["master_seed"] == 2
+        assert (cfg["n_chains"], cfg["max_steps"]) == (3, 20)
+        assert cfg["samplers"] == [{"kind": "edge_uniform", "burn_in": 0,
+                                    "curvature_mode": "combinatorial",
+                                    "epsilon_floor": 1e-6}]
+        assert cfg["curve_files"] == ["mse_edge_uniform_closeness.csv"]
+        assert len(read_csv(out / cfg["curve_files"][0])) == 1 + 20
+
+    def test_plan_without_samplers_runs_the_flag_samplers(self, tmp_path):
+        plan = write_plan(tmp_path, {"statistics": ["strength"]})
+        code, out = self.converge(tmp_path, "p", "--plan", plan, "--samplers",
+                                  "edge_uniform", "node_mh_uniform")
+        assert code == 0
+        assert sorted(p.name for p in out.glob("mse_*.csv")) == [
+            "mse_edge_uniform_strength.csv", "mse_node_mh_uniform_strength.csv"]
+
+    def test_manifest_records_the_plan_sampler_keys(self, tmp_path):
+        code, out = self.converge(tmp_path, "m")
+        assert code == 0
+        entries = json.loads((out / "manifest.json").read_text())["config"]["samplers"]
+        assert len(entries) == 2
+        assert all(set(entry) == _PLAN_SAMPLER_KEYS for entry in entries)
+
+    def test_float_max_steps_plan_exit_1(self, tmp_path, capsys):
+        plan = write_plan(tmp_path, {"samplers": [{"kind": "edge_uniform"}],
+                                     "max_steps": 20.0})
+        out = tmp_path / "x"
+        assert main(["converge", "--graph", str(LESMIS), "--out", str(out),
+                     "--plan", plan]) == 1
+        assert "max_steps" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_invalid_plan_exit_1(self, tmp_path):
         plan = tmp_path / "plan.json"

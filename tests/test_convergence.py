@@ -117,9 +117,28 @@ class TestPlanValidation:
         {"start_policy": "fixed_list", "start_nodes": (0, 1, 2)},  # wrong len
         {"max_steps": 0},
         {"path_mode": "euclidean"},
+        {"n_chains": 2.5},
+        {"n_chains": 2.0},
+        {"max_steps": 20.0},
+        {"master_seed": 1.5},
+        {"statistics": "strength"},
+        {"start_policy": "fixed_list", "start_nodes": "12"},
+        {"start_policy": "fixed_list", "start_nodes": (1, 2.0)},
+        {"use_largest_component": "no"},
+        {"use_largest_component": 1},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
+            tiny_plan(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"n_chains": 2.0}, "n_chains"),
+        ({"max_steps": "20"}, "max_steps"),
+        ({"statistics": "strength"}, "statistics"),
+        ({"use_largest_component": "no"}, "use_largest_component"),
+    ])
+    def test_wrong_type_names_the_field(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
             tiny_plan(**kwargs)
 
     def test_single_start_broadcasts(self):

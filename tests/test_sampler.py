@@ -50,6 +50,12 @@ class TestConfigValidation:
         {"start_node": "first"},
         {"start_node": -2},
         {"epsilon_floor": float("inf")},
+        {"seed": 1.5},
+        {"seed": "3"},
+        {"max_steps": 20.0},
+        {"max_steps": True},
+        {"burn_in": 2.5},
+        {"start_node": 2.0},
     ])
     def test_invalid(self, kwargs):
         base = {"kind": "edge_curved", "seed": 0, "max_steps": 5}
