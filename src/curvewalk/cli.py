@@ -65,17 +65,41 @@ def _load_graph(args):
                           default_node_weight=args.node_weight)
 
 
+class _Lines(list):
+    """File-like list that keeps each string written to it."""
+
+    write = list.append
+
+
+def _cells(part) -> list[str]:
+    """CSV text of the values in ``part``, a slice of one column.
+
+    Numbers become their ``repr``, as ``csv`` writes them: the ``repr`` of
+    a list of Python ints or floats is its items' reprs joined by ", ".
+    Strings get ``csv``'s own quoting, from a row ``(s, "")`` written
+    through a ``csv.writer`` and cut before its ``",\\n"``; the empty second
+    field keeps a lone empty string unquoted, as it is inside a row.
+    """
+    values = part.tolist() if isinstance(part, np.ndarray) else list(part)
+    if not isinstance(values[0], str):
+        return repr(values)[1:-1].split(", ")
+    lines = _Lines()
+    csv.writer(lines, lineterminator="\n").writerows((v, "") for v in values)
+    return [line[:-2] for line in lines]
+
+
 def _write_csv(path, header, *columns):
     """Write ``header``, then row ``i`` of every column in turn.
 
-    ndarray columns go through ``tolist()``: ``csv`` writes a Python float
-    as its ``repr``, which for a numpy scalar would be ``np.float64(...)``.
+    Columns are turned into text a chunk of rows at a time (see
+    :func:`_cells`), so the text of a whole column is never held at once.
     """
+    chunk = 128
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(zip(*(c.tolist() if isinstance(c, np.ndarray) else c
-                               for c in columns)))
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        for lo in range(0, len(columns[0]), chunk):
+            cells = [_cells(c[lo:lo + chunk]) for c in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _write_manifest(out_dir: Path, command: str, args, meta, config: dict,
@@ -202,6 +226,8 @@ def _plan(args) -> ExperimentPlan:
     entries = raw.get("samplers", [{"kind": kind} for kind in args.samplers])
     for entry in entries:
         _check_keys(entry, _PLAN_SAMPLER_KEYS, "sampler")
+        if "kind" not in entry:
+            raise ValueError("sampler entry needs a 'kind'")
     samplers = tuple(
         SamplerConfig(**{"seed": 0, "max_steps": 1,
                          "curvature_mode": args.curvature_mode,

@@ -27,8 +27,18 @@ experiment is seeded with ``master_seed XOR splitmix64(c)``.
 Two drivers share one table per kernel, built once per run (the chains are
 time-homogeneous): :func:`run_chain` runs one chain in a scalar loop, and
 :func:`run_lockstep`, which experiments use, advances many chains together
-as numpy vectors and reproduces :func:`run_chain` exactly. A step costs
-O(log d) for edge kinds and O(1) for MH kinds.
+as numpy vectors and reproduces :func:`run_chain` exactly. An MH step costs
+O(1). An edge step inverts the row's cumulative move probabilities: the
+scalar loop bisects the whole row in O(log d); the lockstep engine first
+looks up a guide table (Chen & Asau 1974; Devroye 1986, section III.2.4)
+that splits [0, 1) into ``m`` equal cells, ``m`` a power of two, and bisects
+only the cell holding ``u``. That costs O(log c) for the fullest cell's
+count ``c`` of row entries, fixed when the table is built (1 or 2 on the
+benchmark graphs). It is exact: scaling by a power of two is exact, so
+``k = floor(u * m)`` satisfies ``k / m <= u < (k + 1) / m``, and the entries
+``<= k / m`` are counted without rounding. Row entries before the cell are
+``<= k / m <= u`` and those after it ``> (k + 1) / m > u``, so the cell
+holds the count of entries ``<= u`` that bisection of the whole row finds.
 """
 
 from __future__ import annotations
@@ -60,6 +70,13 @@ def _integer(value, name: str) -> int:
         except TypeError:
             pass
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _real(value, name: str) -> float:
+    """``value`` as a float; a string or bool is refused."""
+    if isinstance(value, (str, bytes, bool)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def splitmix64(value: int) -> int:
@@ -110,7 +127,8 @@ class SamplerConfig:
             raise ValueError(f"unknown curvature mode {self.curvature_mode!r}")
         for name in ("seed", "max_steps", "burn_in"):
             object.__setattr__(self, name, _integer(getattr(self, name), name))
-        object.__setattr__(self, "epsilon_floor", float(self.epsilon_floor))
+        object.__setattr__(self, "epsilon_floor",
+                           _real(self.epsilon_floor, "epsilon_floor"))
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
         if self.burn_in < 0:
@@ -421,13 +439,8 @@ def _lockstep_family(g, is_mh, tables, chains, visits):
     if is_mh:
         deg = np.tile(g.degrees.astype(np.float64), len(tables))
     else:
-        # before[p] is the entry before half-edge p, so a chain at count k of
-        # its row tests before[lo + k + 1] = entry k
-        before = np.concatenate(([np.inf], table))
-        row_end = row_last + 1
-        # descending powers of two reach every count 0 .. max_degree - 1
-        steps = [np.full(width, 1 << j, dtype=np.int64)
-                 for j in reversed(range(int(g.degrees.max() - 1).bit_length()))]
+        guide, m, wide = _guide_table(g, table, len(tables))
+        at = np.empty(width, dtype=np.int64)
         cand = np.empty(width, dtype=np.int64)
     below = np.empty(width, dtype=bool)
     u_all = np.empty((width, draws * _TIME_CHUNK))
@@ -451,20 +464,57 @@ def _lockstep_family(g, is_mh, tables, chains, visits):
                 out[i] = state
         else:
             us = np.ascontiguousarray(u_all[:, :block].T)
+            # out[i] holds the guide cells k = floor(u * m) of step i until
+            # the step overwrites it with the states; exact, since m is a
+            # power of two
+            np.multiply(us, m, out=out, casting="unsafe")
             for i in range(block):
-                # bisect_right: move to row entry lo + (count of entries
-                # <= u), found in a fixed number of halving steps; a
-                # candidate past the row reads its last entry, 1.0 > u
-                pos, end = row_lo[state], row_end[state]
-                for step in steps:
-                    np.add(pos, step, out=cand)
-                    np.minimum(cand, end, out=cand)
-                    np.less_equal(before[cand], us[i], out=below)
-                    np.copyto(pos, cand, where=below)
+                # bisect_right: the count of row entries <= u lies in u's
+                # guide cell; from its first position, take each halving
+                # step whose last entry is <= u. A probe past the row reads
+                # the row's last entry, 1.0 > u; the step of 1 never passes it
+                np.multiply(state, m + 1, out=at)
+                np.add(at, out[i], out=at)
+                pos = guide[at]
+                if wide:
+                    last = row_last[state]
+                for step in wide:
+                    np.add(pos, step - 1, out=cand)
+                    np.minimum(cand, last, out=cand)
+                    np.less_equal(table[cand], us[i], out=below)
+                    np.add(pos, step, out=pos, where=below)
+                np.less_equal(table[pos], us[i], out=below)
+                pos += below
                 state = nbr[pos]
                 out[i] = state
         record(out, t + 1)
         t += block
+
+
+def _guide_table(g, table, n_tables):
+    """Guide table of the stacked cumulative rows (Chen & Asau 1974).
+
+    Returns ``(guide, m, wide)``. ``m`` is a power of two: at least two cells
+    per entry of the longest row, but at most 16 guide entries per stacked
+    half-edge. ``guide[s * (m + 1) + k]`` is the stacked position of state
+    ``s``'s row start plus the count of its entries ``<= k / m``, so entry
+    ``k = m`` is the row's end. ``x <= k / m`` holds exactly when
+    ``ceil(x * m) <= k``, and ``x * m`` is exact, so one ``bincount`` of the
+    ceilings and one ``cumsum`` build the table. A uniform ``u`` in cell
+    ``k = floor(u * m)`` has ``k / m <= u < (k + 1) / m``, so the count of
+    row entries ``<= u`` lies between guide entries ``k`` and ``k + 1``.
+    ``wide`` are the descending halving steps above 1 that, with a last step
+    of 1, bisect the fullest cell.
+    """
+    V, H = g.node_count, len(g.adj_neighbors)
+    m = 1 << min(int(2 * g.degrees.max() - 1).bit_length(),
+                 max(16 * H // V, 1).bit_length() - 1)
+    owner = np.repeat(np.arange(n_tables * V), np.tile(g.degrees, n_tables))
+    counts = np.bincount(owner * (m + 1) + np.ceil(table * m).astype(np.int64),
+                         minlength=n_tables * V * (m + 1))
+    fullest = int(counts.reshape(-1, m + 1)[:, 1:].max())
+    wide = [1 << j for j in reversed(range(1, fullest.bit_length()))]
+    return np.cumsum(counts, out=counts), m, wide
 
 
 def distinct_prefix_counts(visits: np.ndarray) -> np.ndarray:

@@ -9,6 +9,10 @@ shortest paths are unique). The heap Dijkstra oracle is the per-source
 Brandes that the source-batched sweeps in ``netstats`` replaced; they must
 reproduce its floats bit for bit.
 
+The curvature oracle evaluates the weighted Forman formula one edge at a
+time in scalar Python, the loop the vectorized curvature map replaced; the
+map must reproduce its floats bit for bit.
+
 The step oracles apply one kernel move straight from its formula, one node
 row at a time, consuming the chain's uniforms in the documented order; the
 package's table-driven chain drivers must reproduce them bit for bit.
@@ -17,6 +21,7 @@ package's table-driven chain drivers must reproduce them bit for bit.
 from __future__ import annotations
 
 import heapq
+import math
 from fractions import Fraction
 from itertools import count
 from math import inf
@@ -222,6 +227,23 @@ def dfs_hop_bc_oracle(g):
                 through = sum(1 for p in shortest if x in p)
                 bc[x] += through / len(shortest)
     return bc
+
+
+def edge_forman_oracle(g, edge) -> float:
+    """Weighted Forman curvature of one edge, term by term in scalar Python."""
+    i, j = edge
+    w_ij = g.edge_weight(i, j)
+    total = 0.0
+    for node, other in ((int(i), int(j)), (int(j), int(i))):
+        term = g.node_weights[node] / w_ij
+        lo, hi = g.adj_indptr[node], g.adj_indptr[node + 1]
+        w_node = g.node_weights[node]
+        for pos in range(lo, hi):
+            if g.adj_neighbors[pos] == other:
+                continue
+            term -= w_node / math.sqrt(w_ij * g.adj_weights[pos])
+        total += term
+    return float(w_ij * total)
 
 
 def edge_row_cdf(g, curvmap, i, epsilon_floor=DEFAULT_EPSILON_FLOOR):

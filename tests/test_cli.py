@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 import curvewalk.convergence
-from curvewalk import run_chain
-from curvewalk.cli import _PLAN_SAMPLER_KEYS, main
+from curvewalk import compute_curvature_map, load_edge_list, run_chain
+from curvewalk.cli import _PLAN_SAMPLER_KEYS, _write_csv, main
 from conftest import LESMIS
 
 
@@ -278,6 +278,26 @@ class TestConverge:
         assert "max_steps" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("floor", ["0.5", True])
+    def test_non_numeric_epsilon_floor_plan_exit_1(self, tmp_path, capsys, floor):
+        plan = write_plan(tmp_path, {"samplers": [
+            {"kind": "node_mh_curved", "epsilon_floor": floor}]})
+        out = tmp_path / "x"
+        assert main(["converge", "--graph", str(LESMIS), "--out", str(out),
+                     "--plan", plan]) == 1
+        assert "epsilon_floor" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sampler_entry_without_kind_exit_1(self, tmp_path, capsys):
+        plan = write_plan(tmp_path, {"samplers": [{}]})
+        out = tmp_path / "x"
+        assert main(["converge", "--graph", str(LESMIS), "--out", str(out),
+                     "--plan", plan]) == 1
+        err = capsys.readouterr().err
+        assert "sampler entry needs a 'kind'" in err
+        assert "__init__" not in err
+        assert not out.exists()
+
     def test_invalid_plan_exit_1(self, tmp_path):
         plan = tmp_path / "plan.json"
         plan.write_text("{not json", encoding="utf-8")
@@ -312,6 +332,54 @@ class TestConverge:
         assert main(["converge", "--graph", str(f),
                      "--out", str(tmp_path / "y"), "--chains", "2",
                      "--steps", "10", "--largest-component"]) == 0
+
+
+def csv_reference(path, header, *columns):
+    """What ``csv.writer`` writes for the same rows, Python values throughout."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                               for c in columns)))
+    return path.read_bytes()
+
+
+_ODD_LABELS = ["a,b", '"q"', 'y""z', "", " lead", "tab\there", "caf\u00e9", "plain"]
+_ODD_FLOATS = [np.inf, -np.inf, np.nan, -0.0, 0.0, 1e-300, 5e-324, 1e16, 0.1, 1 / 3, -2.5]
+
+
+class TestWriter:
+    @pytest.mark.parametrize("rows", [1, 4096, 9001])
+    def test_bytes_equal_csv_writer(self, tmp_path, rows):
+        labels = [_ODD_LABELS[i % len(_ODD_LABELS)] for i in range(rows)]
+        floats = np.array([_ODD_FLOATS[i % len(_ODD_FLOATS)] for i in range(rows)])
+        ints = np.arange(rows, dtype=np.int64) * 7 - 3
+        columns = (labels, floats, range(1, rows + 1), ints, tuple(labels))
+        header = ["node", "x", "n", "k", "again"]
+        _write_csv(tmp_path / "new.csv", header, *columns)
+        assert (tmp_path / "new.csv").read_bytes() == csv_reference(
+            tmp_path / "ref.csv", header, *columns)
+
+    def test_no_rows_writes_the_header(self, tmp_path):
+        _write_csv(tmp_path / "new.csv", ["n", "mse"], range(1, 1), np.zeros(0))
+        assert (tmp_path / "new.csv").read_bytes() == b"n,mse\n"
+
+    def test_tab_delimited_labels_with_commas_and_quotes(self, tmp_path):
+        graph = tmp_path / "g.tsv"
+        graph.write_text('a,b\t"q"\t2.5\n"q"\tc d\t1e-300\nc d\ta,b\t0.1\n'
+                         'c d\tx\t1e16\nx\ty""z\n', encoding="utf-8")
+        assert main(["curvature", "--graph", str(graph), "--out", str(tmp_path / "o"),
+                     "--delimiter", "\t", "--curvature-mode", "weighted"]) == 0
+        g, meta = load_edge_list(graph, delimiter="\t")
+        cm = compute_curvature_map(g, "weighted")
+        for name, header, columns in (
+                ("edge_curvature.csv", ["edge_u", "edge_v", "forman"],
+                 ([meta.labels[u] for u in g.edges[:, 0].tolist()],
+                  [meta.labels[v] for v in g.edges[:, 1].tolist()], cm.edge_values)),
+                ("node_curvature.csv", ["node", "forman"],
+                 (meta.labels, cm.node_values))):
+            assert (tmp_path / "o" / name).read_bytes() == csv_reference(
+                tmp_path / name, header, *columns)
 
 
 class TestTopLevel:

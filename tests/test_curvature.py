@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvewalk import (WeightedGraph, compute_curvature_map, edge_forman,
                        edge_forman_combinatorial, load_edge_list, node_forman)
 from conftest import (LESMIS, cycle_graph, path_graph, random_connected_graph,
                       star_graph, two_hub_bridge)
+from oracles import edge_forman_oracle
 
 
 class TestWorkedExamples:
@@ -122,6 +125,56 @@ class TestProperties:
         cm = compute_curvature_map(cycle_graph(6), "combinatorial")
         assert np.all(cm.edge_values == 0.0)
         assert np.all(cm.node_values == 0.0)
+
+
+def assert_weighted_map_equals_oracle(g):
+    # products of two 1e-300 weights underflow to 0, so some terms are
+    # infinite and some sums NaN; both sides must agree on those too
+    with np.errstate(all="ignore"):
+        expected = np.array([edge_forman_oracle(g, (u, v))
+                             for u, v in g.edges.tolist()], dtype=np.float64)
+        cm = compute_curvature_map(g, "weighted")
+        single = [[edge_forman(g, (u, v)), edge_forman(g, (v, u))]
+                  for u, v in g.edges.tolist()]
+    assert np.array_equal(cm.edge_values, expected, equal_nan=True)
+    assert np.array_equal(np.array(single).reshape(-1, 2),
+                          np.column_stack([expected, expected]), equal_nan=True)
+
+
+# a sub-ulp weight is lost in a sum with 1.0, so term order shows
+_WEIGHTS = st.sampled_from([1.0, 0.5, 3.0, 1e-17, 1.0 + 2**-52, 1e-300, 7e5])
+
+
+class TestWeightedOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 30), hubs=st.integers(0, 2),
+           pairs=st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)),
+                          max_size=60),
+           data=st.data())
+    def test_random_graphs(self, n, hubs, pairs, data):
+        # node ids at or above n stay out; hubs join most other nodes, and
+        # nodes no pair names stay isolated
+        edges = {(min(u, v), max(u, v)) for u, v in pairs if u != v and max(u, v) < n}
+        for h in range(min(hubs, n)):
+            edges |= {(h, j) for j in range(h + 1, n) if j % 4}
+        edges = sorted(edges)
+        g = WeightedGraph(
+            n, edges,
+            data.draw(st.lists(_WEIGHTS, min_size=len(edges), max_size=len(edges))),
+            data.draw(st.lists(_WEIGHTS, min_size=n, max_size=n)))
+        assert_weighted_map_equals_oracle(g)
+
+    def test_lesmis(self):
+        g, _ = load_edge_list(LESMIS)
+        assert_weighted_map_equals_oracle(g)
+
+    def test_hub_spans_several_chunks(self):
+        # the star's terms number about 700**2, more than one chunk holds
+        rng = np.random.default_rng(8)
+        edges = [(0, i) for i in range(1, 701)] + [(i, i + 1) for i in range(1, 700, 3)]
+        g = WeightedGraph(701, edges, rng.uniform(0.5, 3.0, len(edges)),
+                          rng.uniform(0.5, 2.0, 701))
+        assert_weighted_map_equals_oracle(g)
 
 
 class TestErrors:

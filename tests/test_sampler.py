@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import curvewalk.sampler
 from curvewalk import (SAMPLER_KINDS, CurvatureMap, SamplerConfig,
                        WeightedGraph, build_transition_matrix, chain_seed,
                        compute_curvature_map, load_edge_list, make_rng,
                        make_target, run_chain, run_lockstep, splitmix64,
                        stationary_distribution)
-from curvewalk.sampler import _TIME_CHUNK, _kernel_table
+from curvewalk.sampler import _TIME_CHUNK, _guide_table, _kernel_table
 from conftest import (LESMIS, cycle_graph, path_graph, random_connected_graph,
                       star_graph)
 from oracles import edge_curved_step, edge_row_cdf, mh_step
@@ -56,6 +57,8 @@ class TestConfigValidation:
         {"max_steps": True},
         {"burn_in": 2.5},
         {"start_node": 2.0},
+        {"epsilon_floor": "0.5"},
+        {"epsilon_floor": True},
     ])
     def test_invalid(self, kwargs):
         base = {"kind": "edge_curved", "seed": 0, "max_steps": 5}
@@ -378,6 +381,75 @@ def assert_lockstep_equals_run_chain(g, configs):
         assert np.array_equal(row, run_chain(g, cfg).visits), cfg
 
 
+class FixedUniforms:
+    """Stand-in generator that cycles through ``values`` from ``offset``."""
+
+    def __init__(self, values, offset):
+        self.values, self.next = values, offset
+
+    def random(self, size=None, out=None):
+        n = size if out is None else out.size
+        picks = np.array([self.values[(self.next + j) % len(self.values)]
+                          for j in range(n)])
+        self.next += n
+        if out is None:
+            return picks
+        out[...] = picks
+        return out
+
+
+def hub_graph(rng, hub, weights, extra):
+    """Node 0 joined to nodes 1..hub, plus ``extra`` random edge draws among
+    nodes 2..hub (node 1 stays a degree-1 leaf); edge and node weights are
+    drawn from ``weights``."""
+    edges = [(0, i) for i in range(1, hub + 1)]
+    seen = set(edges)
+    for _ in range(extra):
+        u, v = sorted(rng.integers(2, hub + 1, 2).tolist())
+        if u != v and (u, v) not in seen:
+            seen.add((u, v))
+            edges.append((u, v))
+    return WeightedGraph(hub + 1, edges, rng.choice(weights, len(edges)),
+                         rng.choice(weights, hub + 1))
+
+
+def edge_lockstep_configs(g, steps, floor, burn_ins=(0, 3, 17)):
+    """Both edge kinds under weighted curvature, one chain per burn-in, from
+    the hub, a leaf and a random start."""
+    starts = [0, 1, "random"]
+    return [SamplerConfig(kind=kind, seed=31 * c + k, max_steps=steps,
+                          start_node=starts[c % 3], curvature_mode="weighted",
+                          epsilon_floor=floor, burn_in=b)
+            for k, kind in enumerate(("edge_curved", "edge_uniform"))
+            for c, b in enumerate(burn_ins)]
+
+
+class TestGuideTable:
+    @pytest.mark.parametrize("hub", [15, 16, 17, 31, 32, 33, 64])
+    @pytest.mark.parametrize("extra", [0.3, 3])
+    def test_entries_count_row_entries_up_to_each_cell(self, hub, extra):
+        g = hub_graph(np.random.default_rng(hub), hub, [1e-12, 1.0, 2.5],
+                      int(extra * hub))
+        cm = compute_curvature_map(g, "weighted")
+        tables = [_kernel_table(g, SamplerConfig(kind=kind, seed=0, max_steps=1,
+                                                 epsilon_floor=0.0), cm)[0]
+                  for kind in ("edge_curved", "edge_uniform")]
+        table = np.concatenate(tables)
+        guide, m, wide = _guide_table(g, table, len(tables))
+        assert m & (m - 1) == 0
+        guide = guide.reshape(-1, m + 1)
+        V, H = g.node_count, len(g.adj_neighbors)
+        fullest = 0
+        for s in range(len(tables) * V):
+            lo = g.adj_indptr[s % V] + (s // V) * H
+            row = table[lo:lo + g.degrees[s % V]]
+            expected = lo + np.searchsorted(row, np.arange(m + 1) / m, side="right")
+            assert guide[s].tolist() == expected.tolist()
+            fullest = max(fullest, int(np.diff(guide[s]).max(initial=0)))
+        # the halving steps, with a last step of 1, reach across the fullest cell
+        assert wide == [1 << j for j in reversed(range(1, fullest.bit_length()))]
+
+
 class TestLockstep:
     @pytest.mark.parametrize("burn_in", [0, 17])
     @pytest.mark.parametrize("mode", ["combinatorial", "weighted"])
@@ -413,6 +485,50 @@ class TestLockstep:
                        [("edge_curved", 0), ("edge_curved", 5), ("node_mh_curved", 17),
                         ("edge_uniform", 40), ("node_mh_uniform", 0)])]
         assert_lockstep_equals_run_chain(g, configs)
+
+    @pytest.mark.parametrize("g, ties", [
+        # rows of degree 2 and 4 hold multiples of 1/4, which are guide cell
+        # edges too; rows of degree 3 and 5 hold thirds and fifths, which
+        # are not
+        (WeightedGraph(8, [(i, j) for i in range(5) for j in range(i + 1, 5)]
+                       + [(4, 5), (5, 6), (6, 7), (7, 5)]),
+         [0.0, 0.25, 0.5, 0.75, 0.125, 1 / 3, 2 / 3, 0.2, 0.4, 0.6, 0.8]),
+        # the hub's 40 entries share 16 cells, so halving steps probe them
+        (star_graph(40), [j / 40 for j in range(40)]),
+    ])
+    def test_uniforms_on_entries_and_cell_edges(self, monkeypatch, g, ties):
+        # uniforms equal to a row entry, and an ulp below one, must land
+        # where bisect_right puts them
+        values = ties + [np.nextafter(u, -1.0) for u in ties[1:]] + [1 - 2**-53]
+        monkeypatch.setattr(curvewalk.sampler, "make_rng",
+                            lambda seed: FixedUniforms(values, seed))
+        configs = [SamplerConfig(kind="edge_uniform", seed=seed, max_steps=60,
+                                 start_node=seed % g.node_count, burn_in=seed % 3)
+                   for seed in range(len(values))]
+        assert_lockstep_equals_run_chain(g, configs)
+
+    @pytest.mark.parametrize("floor", [0.0, 1e-9])
+    @pytest.mark.parametrize("hub", [15, 16, 17, 31, 32, 33, 63, 64, 65])
+    @pytest.mark.parametrize("extra", [0.3, 3])
+    def test_crowded_rows_and_hubs(self, hub, extra, floor):
+        # node and edge weights of 1e-12 crowd a row's cumulative entries
+        # into one guide cell; hub degrees sit around powers of two, which
+        # set the guide's size unless the mean degree caps it
+        g = hub_graph(np.random.default_rng(hub), hub, [1e-12, 1.0, 2.5],
+                      int(extra * hub))
+        assert_lockstep_equals_run_chain(g, edge_lockstep_configs(g, 150, floor))
+
+    @settings(max_examples=30, deadline=None)
+    @given(hub=st.integers(2, 70), extra=st.integers(0, 200),
+           graph_seed=st.integers(0, 2**32 - 1),
+           floor=st.sampled_from([0.0, 1e-9, 0.5]),
+           weights=st.sampled_from([[1.0], [1e-12, 1.0], [1e-12, 0.7, 3.0]]),
+           burn_ins=st.lists(st.integers(0, 20), min_size=1, max_size=4))
+    def test_random_hub_graphs(self, hub, extra, graph_seed, floor, weights,
+                               burn_ins):
+        g = hub_graph(np.random.default_rng(graph_seed), hub, weights, extra)
+        assert_lockstep_equals_run_chain(
+            g, edge_lockstep_configs(g, 60, floor, burn_ins))
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(2, 14), extra=st.floats(0.0, 2.5),
