@@ -76,10 +76,21 @@ def _cells(part) -> list[str]:
 
     Numbers become their ``repr``, as ``csv`` writes them: the ``repr`` of
     a list of Python ints or floats is its items' reprs joined by ", ".
+    A float array is first cut into runs of equal bit patterns, and only
+    the head of each run is formatted; its text is then repeated over the
+    run. Runs compare bits rather than values, because ``-0.0 == 0.0`` but
+    the two print differently, and because ``nan`` equals nothing.
     Strings get ``csv``'s own quoting, from a row ``(s, "")`` written
     through a ``csv.writer`` and cut before its ``",\\n"``; the empty second
     field keeps a lone empty string unquoted, as it is inside a row.
     """
+    if isinstance(part, np.ndarray) and part.dtype == np.float64:
+        bits = part.view(np.int64)
+        # where each run starts, then the end of the last one
+        bounds = np.concatenate(((0,), (bits[1:] != bits[:-1]).nonzero()[0] + 1,
+                                 (len(part),)))
+        text = repr(part[bounds[:-1]].tolist())[1:-1].split(", ")
+        return np.array(text, dtype=object).repeat(bounds[1:] - bounds[:-1]).tolist()
     values = part.tolist() if isinstance(part, np.ndarray) else list(part)
     if not isinstance(values[0], str):
         return repr(values)[1:-1].split(", ")
@@ -93,6 +104,8 @@ def _write_csv(path, header, *columns):
 
     Columns are turned into text a chunk of rows at a time (see
     :func:`_cells`), so the text of a whole column is never held at once.
+    A float column costs one ``repr`` per run of equal values, and an MSE
+    curve is mostly runs: it changes only when some chain finds a node.
     """
     chunk = 128
     with open(path, "w", encoding="utf-8", newline="") as fh:

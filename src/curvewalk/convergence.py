@@ -12,6 +12,11 @@ curved-versus-uniform comparison is paired. All chains of all samplers run
 in lockstep (:func:`curvewalk.sampler.run_lockstep`); aggregation streams
 over them in fixed chain order, so results equal those of running every
 chain alone with :func:`curvewalk.sampler.run_chain`.
+
+An estimate changes only when a chain discovers a node, so each chain's
+first-visit mask is found once for all statistics, a running mean is a
+cumsum over at most ``V`` discoveries, and its squared errors reach the
+per-step sum by one ``O(steps)`` gather per statistic.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import numpy as np
 from .graph import WeightedGraph, connected_components, induced_subgraph
 from .netstats import STAT_KINDS, PATH_MODES, StatVector, compute_statistics, mean_statistic
 from .sampler import (ChainTrace, SamplerConfig, _integer, chain_seed,
-                      distinct_prefix_counts, make_rng, run_lockstep)
+                      first_visit_mask, make_rng, run_lockstep)
 
 logger = logging.getLogger(__name__)
 
@@ -81,6 +86,8 @@ class ExperimentPlan:
         for kind in self.statistics:
             if kind not in STAT_KINDS:
                 raise ValueError(f"unknown statistic {kind!r}")
+            if self.statistics.count(kind) > 1:
+                raise ValueError(f"statistic {kind!r} is listed twice")
         for name in ("n_chains", "master_seed"):
             object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.n_chains < 2:
@@ -147,22 +154,38 @@ class ExperimentResult:
     component_nodes: np.ndarray | None = None
 
 
-def _running_estimator(values: np.ndarray, visits: np.ndarray,
-                       distinct: np.ndarray, full_mean: float) -> np.ndarray:
-    """Mean of ``values`` over the distinct nodes of every prefix of ``visits``.
-
-    ``distinct`` is :func:`curvewalk.sampler.distinct_prefix_counts` of
-    ``visits``. A node adds its value at its first visit, in visit order. At
-    full node coverage the estimator equals the full mean by definition, so
-    the exact precomputed ``full_mean`` is substituted to keep the identity
-    exact in floating point as well.
-    """
-    first = np.empty(len(visits), dtype=bool)
-    first[:1] = True
-    first[1:] = distinct[1:] > distinct[:-1]
-    zbar = np.cumsum(np.where(first, values[visits], 0.0)) / distinct
-    zbar[distinct == len(values)] = full_mean
+def _discovery_means(values: np.ndarray, discovered: np.ndarray,
+                     full_mean: float) -> np.ndarray:
+    """Running mean of ``values`` over ``discovered``, a chain's nodes in
+    order of first visit: entry ``k - 1`` is the estimate at every step at
+    which the chain has seen ``k`` nodes. At full coverage the estimate is
+    the full mean by definition; the exact ``full_mean`` is substituted to
+    keep that identity exact in floating point as well."""
+    zbar = np.cumsum(values[discovered]) / np.arange(1, len(discovered) + 1)
+    if len(discovered) == len(values):
+        zbar[-1] = full_mean
     return zbar
+
+
+def _chain_sums(chains: np.ndarray, stat_values: dict, full_means: dict):
+    """Per-step sums over ``chains`` (one visit sequence per row, summed in
+    row order) of each statistic's squared estimator error and of the
+    distinct-node count, and the total visits of every node."""
+    V, n_steps = len(next(iter(stat_values.values()))), chains.shape[1]
+    counts = np.zeros(V, dtype=np.int64)
+    distinct_sum = np.zeros(n_steps, dtype=np.int64)
+    sq_sum = {kind: np.zeros(n_steps) for kind in stat_values}
+    for chain in chains:
+        first = first_visit_mask(chain)
+        distinct = np.cumsum(first, dtype=np.int64)
+        distinct_sum += distinct
+        counts += np.bincount(chain, minlength=V)
+        # one squared error per discovery, gathered onto the steps
+        discovered, at = chain[first], distinct - 1
+        for kind, values in stat_values.items():
+            zbar = _discovery_means(values, discovered, full_means[kind])
+            sq_sum[kind] += ((zbar - full_means[kind]) ** 2)[at]
+    return sq_sum, distinct_sum, counts
 
 
 def estimator_mean(stat: StatVector, trace: ChainTrace, n: int) -> float:
@@ -171,10 +194,10 @@ def estimator_mean(stat: StatVector, trace: ChainTrace, n: int) -> float:
     n = int(n)
     if not 1 <= n <= len(trace.visits):
         raise ValueError(f"n must be in 1..{len(trace.visits)}, got {n}")
-    zbar = _running_estimator(stat.values, trace.visits[:n],
-                              trace.distinct_count_at_step[:n],
-                              mean_statistic(stat))
-    return float(zbar[n - 1])
+    visits = trace.visits[:n]
+    zbar = _discovery_means(stat.values, visits[first_visit_mask(visits)],
+                            mean_statistic(stat))
+    return float(zbar[-1])
 
 
 def extract_backbone(ranking: BackboneRanking, fraction: float) -> np.ndarray:
@@ -276,19 +299,10 @@ def run_experiment(g: WeightedGraph, plan: ExperimentPlan) -> ExperimentResult:
     curves = []
     backbones = {}
     for s_idx, label in enumerate(labels):
-        # stream over the sampler's chains in fixed order; summing then
-        # dividing by n_chains equals np.mean over the stacked chains
-        counts = np.zeros(V, dtype=np.int64)
-        distinct_sum = np.zeros(n_steps, dtype=np.int64)
-        sq_sum = {kind: np.zeros(n_steps) for kind in plan.statistics}
-        for chain in visits[s_idx * n_chains:(s_idx + 1) * n_chains]:
-            distinct = distinct_prefix_counts(chain)
-            distinct_sum += distinct
-            counts += np.bincount(chain, minlength=V)
-            for kind in plan.statistics:
-                zbar = _running_estimator(stat_values[kind], chain, distinct,
-                                          full_means[kind])
-                sq_sum[kind] += (zbar - full_means[kind]) ** 2
+        sq_sum, distinct_sum, counts = _chain_sums(
+            visits[s_idx * n_chains:(s_idx + 1) * n_chains], stat_values,
+            full_means)
+        # summing then dividing by n_chains equals np.mean over the chains
         mean_distinct = distinct_sum / n_chains
         mean_distinct.setflags(write=False)
         for kind in plan.statistics:

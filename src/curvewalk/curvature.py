@@ -110,6 +110,11 @@ def compute_curvature_map(g: WeightedGraph, mode: str = "combinatorial") -> Curv
         g: Graph to evaluate.
         mode: ``"weighted"`` for the full formula, ``"combinatorial"`` for
             ``4 - d(i) - d(j)``.
+
+    Raises:
+        ValueError: unknown mode, or a weighted value that is not finite
+            (weights so far apart that a product ``w_ij * w_e`` underflows
+            to 0 or overflows); the message names the first such edge.
     """
     if mode not in CURVATURE_MODES:
         raise ValueError(f"unknown curvature mode {mode!r}")
@@ -120,7 +125,16 @@ def compute_curvature_map(g: WeightedGraph, mode: str = "combinatorial") -> Curv
         else:
             ev = np.zeros(0, dtype=np.float64)
     else:
-        ev = _weighted_forman(g, np.arange(g.edge_count))
+        with np.errstate(all="ignore"):  # a non-finite value is refused below
+            ev = _weighted_forman(g, np.arange(g.edge_count))
+        bad = np.flatnonzero(~np.isfinite(ev))
+        if len(bad):
+            e = int(bad[0])
+            u, v = g.edges[e].tolist()
+            raise ValueError(
+                f"weighted curvature of edge {e} (nodes {u}, {v}) is "
+                f"{float(ev[e])!r}: a product of edge weights leaves the "
+                "float64 range")
     # bincount adds in input order: left to right along each CSR row; it
     # returns integers when there are no edges, hence the cast
     nv = np.bincount(np.repeat(np.arange(g.node_count), g.degrees),

@@ -13,6 +13,10 @@ The curvature oracle evaluates the weighted Forman formula one edge at a
 time in scalar Python, the loop the vectorized curvature map replaced; the
 map must reproduce its floats bit for bit.
 
+The estimator oracle is the step-indexed running mean that the harness's
+per-discovery aggregation replaced; the harness must reproduce its squared
+errors bit for bit.
+
 The step oracles apply one kernel move straight from its formula, one node
 row at a time, consuming the chain's uniforms in the documented order; the
 package's table-driven chain drivers must reproduce them bit for bit.
@@ -299,3 +303,19 @@ def mh_step(g, target_g, current, rng):
     if v * h_c <= h_y:
         return y, True
     return current, False
+
+
+def running_estimator_oracle(values: np.ndarray, visits: np.ndarray,
+                             distinct: np.ndarray, full_mean: float) -> np.ndarray:
+    """Mean of ``values`` over the distinct nodes of every prefix of ``visits``.
+
+    ``distinct`` counts the unique nodes of each prefix. A node adds its
+    value at its first visit, in visit order, and every other step adds 0.0;
+    wherever every node has been seen, ``full_mean`` is the estimate.
+    """
+    first = np.empty(len(visits), dtype=bool)
+    first[:1] = True
+    first[1:] = distinct[1:] > distinct[:-1]
+    zbar = np.cumsum(np.where(first, values[visits], 0.0)) / distinct
+    zbar[distinct == len(values)] = full_mean
+    return zbar

@@ -223,6 +223,39 @@ GOLDEN_ALL_SAMPLERS = {
     "mse_edge_uniform_strength.csv": "fd42dc00f66a4be152d7d91c040ad84c1f1ff37cb620c9a169ff3f83d0a946cf",
     "mse_edge_uniform_weighted_clustering.csv": "ae0d06e06494c27be832ead50ceda18bb049211c8fd0aad65f875247a16f0c98",
 }
+# sha256 of every CSV of a weighted-curvature `converge` of all four samplers
+# on the 60-node graph of `weighted_golden_graph` (`--seed 2024 --steps 3000
+# --chains 8`). Every chain covers the graph by step 1808, so each curve ends
+# in a `0.0,60.0` run over many 128-row writer chunks.
+GOLDEN_WEIGHTED_SYNTHETIC = {
+    "backbone.csv": "f30a802104af9f9fde774dc07f6f734ba7bd7a30fbb68e842625dfd1363e0971",
+    "mse_edge_curved_betweenness.csv": "2834e6e201a7dc8138f592d2bd08c162a4b5456bcb30ffd33f0971a01335e21a",
+    "mse_edge_curved_closeness.csv": "88b625d72907b037aa73ffe7f6b89bcd527f0093ee10975d02ae68de1b7ae905",
+    "mse_edge_curved_strength.csv": "7f896f27503137c68443167ca31d16ca0141e6ca1756e280b3de19103a22fec6",
+    "mse_edge_curved_weighted_clustering.csv": "9735cf5ba8c9e240735bfc8cd94650764a7574c001d89ed542495e59397282eb",
+    "mse_edge_uniform_betweenness.csv": "bce84f2d45e0f0ed9ed41dc2b65eb48e62a9ac436421bd072e8cd69335571df5",
+    "mse_edge_uniform_closeness.csv": "4448a5e4e04878ef7b73649a707088c667909cd9cd37b7c87e5bd7240d5f41b0",
+    "mse_edge_uniform_strength.csv": "f10e7ac641f5c16fa8754169e7671c45a76c05bc7693dd00c256e3590dd75ef4",
+    "mse_edge_uniform_weighted_clustering.csv": "de29714bdf9a5c9c87630173008d050aedd3357508122e3b05b11a8fdf8fb4fd",
+    "mse_node_mh_curved_betweenness.csv": "7557c9e465980cb2bde76f00b5ed857873f13ee83e37669684b94fc35472c88e",
+    "mse_node_mh_curved_closeness.csv": "f6d22340bb4bca9ed3ef3f9003e4a35eb79a67f9abf5f7c313b205337882dd9c",
+    "mse_node_mh_curved_strength.csv": "470586a16ed2497bdaceb7d1a71881f7a1862fd8ee9b35fed34dae14efd831a2",
+    "mse_node_mh_curved_weighted_clustering.csv": "0335b9873954deb27496c3d97fffbb2a26474303f2527eb6f5fdd218cbbc665b",
+    "mse_node_mh_uniform_betweenness.csv": "5147266d9fcca6cd41186639fc4e31eec984e3f9ceb671e70bb3f7a5bf601895",
+    "mse_node_mh_uniform_closeness.csv": "e0dd1ee6df0efa5aa7d177dfde6e53b5ae63a39c63eb29c628e5c01952627004",
+    "mse_node_mh_uniform_strength.csv": "39af24eac0fc3bb2e111f0c63ad68e712b22bb94083ae3b5bc84547961a8d133",
+    "mse_node_mh_uniform_weighted_clustering.csv": "a4e28e6373cb450b223f83af41c9fb1baf1ea94a61201156771776fcfbaa2289",
+}
+
+
+def weighted_golden_graph(path):
+    """Write the fixed 60-node weighted graph of the synthetic golden run."""
+    g = random_connected_graph(np.random.default_rng(909), 60, extra=1.5,
+                               weighted=True)
+    path.write_text("".join(
+        f"{u}\t{v}\t{w!r}\n"
+        for (u, v), w in zip(g.edges.tolist(), g.edge_weights.tolist())))
+    return path
 
 
 def test_criterion_7_determinism(acceptance, tmp_path):
@@ -251,6 +284,31 @@ def test_criterion_7_determinism(acceptance, tmp_path):
     assert identical
     assert golden
     assert elapsed < 120.0
+
+
+def test_criterion_7_determinism_weighted_synthetic(acceptance, tmp_path):
+    out = tmp_path / "out"
+    code = cli_main(["converge", "--graph",
+                     str(weighted_golden_graph(tmp_path / "g60.tsv")),
+                     "--out", str(out), "--seed", "2024", "--steps", "3000",
+                     "--chains", "8", "--curvature-mode", "weighted",
+                     "--samplers", "edge_curved", "edge_uniform",
+                     "node_mh_curved", "node_mh_uniform"])
+    assert code == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in out.glob("*.csv")}
+    # the long full-coverage runs the hashes are meant to pin
+    tails = {p.name: p.read_text().splitlines()[-1024:]
+             for p in out.glob("mse_*.csv")}
+    covered = all(line.endswith(",0.0,60.0")
+                  for lines in tails.values() for line in lines)
+    golden = digests == GOLDEN_WEIGHTED_SYNTHETIC
+    acceptance("criterion 7b (weighted synthetic golden hashes)",
+               golden and covered,
+               f"equal to the golden hashes: {golden}, last 1024 rows at full "
+               f"coverage: {covered}")
+    assert covered
+    assert golden
 
 
 def test_criterion_8_qualitative_soft(acceptance):

@@ -310,6 +310,14 @@ class TestConverge:
                      "--epsilon-floor", "inf"]) == 2
         assert not out.exists()
 
+    def test_repeated_statistic_exit_2(self, tmp_path, capsys):
+        # a repeated kind would name one curve file twice
+        out = tmp_path / "x"
+        assert main(["converge", "--graph", str(LESMIS), "--out", str(out),
+                     "--stats", "strength", "strength"]) == 2
+        assert "'strength' is listed twice" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("plan, key", [
         ({"samplers": [{"kind": "edge_curved"}], "n_chain": 3}, "n_chain"),
         ({"samplers": [{"kind": "edge_curved", "epsilon": 0.5}]}, "epsilon"),
@@ -332,6 +340,36 @@ class TestConverge:
         assert main(["converge", "--graph", str(f),
                      "--out", str(tmp_path / "y"), "--chains", "2",
                      "--steps", "10", "--largest-component"]) == 0
+
+
+class TestUnderflowingWeights:
+    """Weights 1e-300, 1e-300, 1 on a triangle: the product of the two small
+    weights underflows to 0, so the weighted curvature of edge a-b is -inf.
+    Every command that needs that curvature exits 1 and writes nothing."""
+
+    @pytest.fixture
+    def tiny_triangle(self, tmp_path):
+        f = tmp_path / "tiny.txt"
+        f.write_text("a b 1e-300\nb c 1e-300\na c 1\n", encoding="utf-8")
+        return f
+
+    @pytest.mark.parametrize("argv", [
+        ["curvature", "--curvature-mode", "weighted"],
+        ["sample", "--kind", "edge_curved", "--curvature-mode", "weighted"],
+        ["sample", "--kind", "node_mh_curved", "--curvature-mode", "weighted"],
+        ["converge", "--curvature-mode", "weighted", "--chains", "2",
+         "--steps", "10"],
+    ], ids=["curvature", "sample-edge", "sample-mh", "converge"])
+    def test_exit_1_without_output(self, tmp_path, tiny_triangle, argv, capsys):
+        out = tmp_path / "o"
+        assert main([argv[0], "--graph", str(tiny_triangle), "--out", str(out),
+                     *argv[1:]]) == 1
+        assert not out.exists()
+        assert "edge 0 (nodes 0, 1) is -inf" in capsys.readouterr().err
+
+    def test_combinatorial_mode_still_runs(self, tmp_path, tiny_triangle):
+        assert main(["converge", "--graph", str(tiny_triangle), "--out",
+                     str(tmp_path / "o"), "--chains", "2", "--steps", "10"]) == 0
 
 
 def csv_reference(path, header, *columns):
@@ -359,6 +397,27 @@ class TestWriter:
         _write_csv(tmp_path / "new.csv", header, *columns)
         assert (tmp_path / "new.csv").read_bytes() == csv_reference(
             tmp_path / "ref.csv", header, *columns)
+
+    @pytest.mark.parametrize("column", [
+        [0.0, 0.0, -0.0, -0.0, 0.0, -0.0, 0.0],
+        [np.nan] * 5 + [np.inf] * 3 + [-np.inf] * 4 + [np.nan] * 2
+        + [-np.nan, np.nan] + [1.5] * 2,
+        [0.0, 5e-324, 5e-324, 0.0, -5e-324, -0.0, 5e-324],
+        # runs of 128 | 100 | 60 | 96 | 1 | 99 rows: the first and fourth
+        # end exactly on a 128-row chunk boundary, the second and third
+        # cross one
+        np.repeat([0.5, 1 / 3, 0.5, -2.0, 1e16, 0.1], [128, 100, 60, 96, 1, 99]),
+        [0.1] * 1000,
+        np.arange(300) / 7,
+        [-0.0],
+    ], ids=["signed-zeros", "nan-inf", "subnormal", "chunk-edges", "one-run",
+            "all-distinct", "one-row"])
+    def test_runs_equal_csv_writer(self, tmp_path, column):
+        column = np.array(column, dtype=np.float64)
+        columns = (range(1, len(column) + 1), column, column[::-1].copy())
+        _write_csv(tmp_path / "new.csv", ["n", "x", "y"], *columns)
+        assert (tmp_path / "new.csv").read_bytes() == csv_reference(
+            tmp_path / "ref.csv", ["n", "x", "y"], *columns)
 
     def test_no_rows_writes_the_header(self, tmp_path):
         _write_csv(tmp_path / "new.csv", ["n", "mse"], range(1, 1), np.zeros(0))

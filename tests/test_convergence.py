@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import curvewalk.convergence
-from curvewalk import (BackboneRanking, ExperimentPlan, SamplerConfig,
-                       WeightedGraph, betweenness, estimator_mean,
-                       extract_backbone, induced_subgraph, run_chain,
-                       run_experiment, strength_vector)
-from curvewalk.convergence import sampler_labels
+from curvewalk import (BackboneRanking, ChainTrace, ExperimentPlan,
+                       SamplerConfig, StatVector, WeightedGraph, betweenness,
+                       estimator_mean, extract_backbone, induced_subgraph,
+                       run_chain, run_experiment, strength_vector)
+from curvewalk.convergence import _chain_sums, sampler_labels
 from conftest import path_graph, random_connected_graph, star_graph
+from oracles import running_estimator_oracle
 
 
 def mh_template(kind="node_mh_uniform", **kwargs):
@@ -65,6 +68,75 @@ class TestEstimatorMean:
             estimator_mean(sv, trace, 0)
         with pytest.raises(ValueError):
             estimator_mean(sv, trace, 6)
+
+
+# negative values, signed zeros and repeats; sums of 1/3, 0.1, 1e-300 and
+# +-1e16 round, so they depend on the order of their terms
+_STAT_VALUES = st.sampled_from([-1.5, -0.0, 0.0, 2.0, 1 / 3, 0.1, 1e-300,
+                                -7.25, 1e16, -1e16])
+
+
+@st.composite
+def visit_arrays(draw):
+    """``(chains, values)``: chains made of runs of one node, from 1 to 12
+    steps each, over 1 to 6 nodes, so that some chains see every node and
+    some never do; two statistics over those nodes."""
+    V = draw(st.integers(1, 6))
+    n_steps = draw(st.integers(1, 80))
+    chains = []
+    for _ in range(draw(st.integers(1, 4))):
+        runs = draw(st.lists(st.tuples(st.integers(0, V - 1), st.integers(1, 12)),
+                             min_size=1, max_size=20))
+        nodes, lengths = zip(*runs)
+        chain = np.repeat(nodes, lengths)[:n_steps]
+        chains.append(np.pad(chain, (0, n_steps - len(chain)), mode="edge"))
+    values = {kind: np.array(draw(st.lists(_STAT_VALUES, min_size=V, max_size=V)))
+              for kind in ("first", "second")}
+    return np.array(chains, dtype=np.int64), values
+
+
+class TestAggregationOracle:
+    """Per-discovery aggregation against the step-indexed running mean."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(visit_arrays())
+    def test_sums_equal_the_oracle_bit_for_bit(self, drawn):
+        chains, values = drawn
+        full_means = {kind: float(np.mean(v)) for kind, v in values.items()}
+        sq_sum, distinct_sum, counts = _chain_sums(chains, values, full_means)
+        want_sq = {kind: np.zeros(chains.shape[1]) for kind in values}
+        want_distinct = np.zeros(chains.shape[1], dtype=np.int64)
+        for chain in chains:
+            seen = set()
+            distinct = np.array([len(seen.add(v) or seen) for v in chain.tolist()])
+            want_distinct += distinct
+            for kind, v in values.items():
+                zbar = running_estimator_oracle(v, chain, distinct, full_means[kind])
+                want_sq[kind] += (zbar - full_means[kind]) ** 2
+        for kind in values:
+            assert sq_sum[kind].tobytes() == want_sq[kind].tobytes()
+        assert distinct_sum.tobytes() == want_distinct.tobytes()
+        n = len(chains)
+        assert (distinct_sum / n).tobytes() == (want_distinct / n).tobytes()
+        assert counts.tolist() == np.bincount(chains.ravel(),
+                                              minlength=len(counts)).tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(visit_arrays())
+    def test_estimator_mean_equals_the_oracle(self, drawn):
+        chains, values = drawn
+        chain, v = chains[0], values["first"]
+        seen = set()
+        distinct = np.array([len(seen.add(x) or seen) for x in chain.tolist()])
+        trace = ChainTrace(config=SamplerConfig(kind="edge_uniform", seed=0,
+                                                max_steps=len(chain)),
+                           start=int(chain[0]), visits=chain,
+                           distinct_count_at_step=distinct)
+        want = running_estimator_oracle(v, chain, distinct, float(np.mean(v)))
+        for n in range(1, len(chain) + 1):
+            # as floats: the oracle's running sum adds 0.0 at each revisit,
+            # which turns a sum of -0.0 terms into 0.0; -0.0 == 0.0
+            assert estimator_mean(StatVector("x", v), trace, n) == want[n - 1]
 
 
 class TestExtractBackbone:
@@ -126,6 +198,7 @@ class TestPlanValidation:
         {"start_policy": "fixed_list", "start_nodes": (1, 2.0)},
         {"use_largest_component": "no"},
         {"use_largest_component": 1},
+        {"statistics": ("strength", "closeness", "strength")},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from curvewalk import (WeightedGraph, compute_curvature_map, edge_forman,
                        edge_forman_combinatorial, load_edge_list, node_forman)
+from curvewalk.curvature import _weighted_forman
 from conftest import (LESMIS, cycle_graph, path_graph, random_connected_graph,
                       star_graph, two_hub_bridge)
 from oracles import edge_forman_oracle
@@ -129,16 +130,24 @@ class TestProperties:
 
 def assert_weighted_map_equals_oracle(g):
     # products of two 1e-300 weights underflow to 0, so some terms are
-    # infinite and some sums NaN; both sides must agree on those too
+    # infinite and some sums NaN; the vectorized pass must agree on those
+    # too, and the map refuses them, naming the first such edge
     with np.errstate(all="ignore"):
         expected = np.array([edge_forman_oracle(g, (u, v))
                              for u, v in g.edges.tolist()], dtype=np.float64)
-        cm = compute_curvature_map(g, "weighted")
+        values = _weighted_forman(g, np.arange(g.edge_count))
         single = [[edge_forman(g, (u, v)), edge_forman(g, (v, u))]
                   for u, v in g.edges.tolist()]
-    assert np.array_equal(cm.edge_values, expected, equal_nan=True)
+    assert np.array_equal(values, expected, equal_nan=True)
     assert np.array_equal(np.array(single).reshape(-1, 2),
                           np.column_stack([expected, expected]), equal_nan=True)
+    bad = np.flatnonzero(~np.isfinite(expected))
+    if len(bad):
+        with pytest.raises(ValueError, match=f"edge {bad[0]} "):
+            compute_curvature_map(g, "weighted")
+    else:
+        assert np.array_equal(compute_curvature_map(g, "weighted").edge_values,
+                              expected)
 
 
 # a sub-ulp weight is lost in a sum with 1.0, so term order shows
@@ -184,6 +193,13 @@ class TestErrors:
             edge_forman(g, (0, 2))
         with pytest.raises(ValueError):
             edge_forman_combinatorial(g, (0, 2))
+
+    def test_underflowing_weights_name_the_edge(self):
+        # 1e-300 * 1e-300 underflows to 0, so edge (0, 1) gets a term -1/0
+        g = WeightedGraph(3, [(0, 1), (1, 2), (0, 2)], [1e-300, 1e-300, 1.0])
+        with pytest.raises(ValueError, match=r"edge 0 \(nodes 0, 1\) is -inf"):
+            compute_curvature_map(g, "weighted")
+        assert compute_curvature_map(g, "combinatorial").edge_values.tolist() == [0.0] * 3
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):
