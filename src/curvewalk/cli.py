@@ -2,9 +2,10 @@
 
 Subcommands: ``curvature``, ``sample``, ``stats``, ``converge``. Every run
 writes CSV result files plus a ``manifest.json`` that records the tool
-version, a graph checksum, the fully resolved configuration, the master seed
-and the RNG generator name, which is enough to reproduce the run
-bit-identically. Exit codes: 0 success, 1 I/O or data error, 2 usage error.
+version, a graph checksum, how the edge list was read, the fully resolved
+configuration, the master seed and the RNG generator name, which is enough
+to reproduce the run bit-identically. Exit codes: 0 success, 1 I/O or data
+error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ class RunManifest:
     node_count: int
     edge_count: int
     max_degree: int
+    ingest: dict
     rng_generator: str | None
     master_seed: int | None
     config: dict
@@ -125,6 +127,8 @@ def _write_manifest(out_dir: Path, command: str, args, meta, config: dict,
         node_count=meta.node_count,
         edge_count=meta.edge_count,
         max_degree=meta.max_degree,
+        ingest={"delimiter": args.delimiter, "unweighted": args.unweighted,
+                "node_weight": args.node_weight},
         rng_generator=rng_generator,
         master_seed=master_seed,
         config=config,
@@ -292,7 +296,6 @@ def cmd_converge(args) -> int:
         "statistics": list(plan.statistics),
         "n_chains": plan.n_chains,
         "max_steps": result.backbones[first].max_steps,
-        "start_policy": plan.start_policy,
         "start_nodes_resolved": [labels[s] for s in result.start_nodes],
         "chain_seeds": list(result.chain_seeds),
         "path_mode": plan.path_mode,

@@ -34,7 +34,6 @@ from .sampler import (ChainTrace, SamplerConfig, _integer, chain_seed,
 
 logger = logging.getLogger(__name__)
 
-START_POLICIES = ("distinct_random", "fixed_list")
 DEFAULT_STEPS_PER_NODE = 20
 DEFAULT_N_CHAINS = 50
 
@@ -50,13 +49,11 @@ class ExperimentPlan:
             :data:`curvewalk.netstats.STAT_KINDS`).
         n_chains: Chains per sampler (>= 2).
         max_steps: Chain length; None means ``20 * node_count``.
-        start_policy: ``distinct_random`` draws ``n_chains`` distinct start
-            nodes (uniform, without replacement, from the master seed);
-            ``fixed_list`` uses ``start_nodes`` as given.
-        start_nodes: Start node ids for ``fixed_list`` (one per chain, or a
-            single id shared by every chain), as ids of the graph given to
-            :func:`run_experiment`; under ``use_largest_component`` each
-            must lie in that component.
+        start_nodes: Start node ids, one per chain or a single id shared by
+            every chain, as ids of the graph given to :func:`run_experiment`;
+            under ``use_largest_component`` each must lie in that component.
+            None draws ``n_chains`` distinct start nodes (uniform, without
+            replacement, from the master seed).
         master_seed: Seed from which start nodes and chain seeds derive.
         path_mode: Shortest-path flavor for betweenness/closeness.
         use_largest_component: Restrict a disconnected graph to its largest
@@ -67,7 +64,6 @@ class ExperimentPlan:
     statistics: tuple[str, ...] = STAT_KINDS
     n_chains: int = DEFAULT_N_CHAINS
     max_steps: int | None = None
-    start_policy: str = "distinct_random"
     start_nodes: tuple[int, ...] | None = None
     master_seed: int = 0
     path_mode: str = "hop"
@@ -100,11 +96,9 @@ class ExperimentPlan:
         if not isinstance(self.use_largest_component, bool):
             raise ValueError("use_largest_component must be true or false, "
                              f"got {self.use_largest_component!r}")
-        if self.start_policy not in START_POLICIES:
-            raise ValueError(f"unknown start policy {self.start_policy!r}")
-        if self.start_policy == "fixed_list":
+        if self.start_nodes is not None:
             if not self.start_nodes:
-                raise ValueError("fixed_list policy requires start_nodes")
+                raise ValueError("start_nodes must list at least one node")
             starts = tuple(_integer(s, "start_nodes") for s in self.start_nodes)
             if len(starts) == 1:
                 starts = starts * self.n_chains
@@ -252,7 +246,7 @@ def run_experiment(g: WeightedGraph, plan: ExperimentPlan) -> ExperimentResult:
                        "(%d of %d nodes)", len(component_nodes), g.node_count)
 
     starts = plan.start_nodes
-    if plan.start_policy == "fixed_list":
+    if starts is not None:
         # start ids name nodes of the graph as given
         for s in starts:
             if not 0 <= s < g.node_count:
@@ -277,18 +271,14 @@ def run_experiment(g: WeightedGraph, plan: ExperimentPlan) -> ExperimentResult:
     stat_values = {kind: sv.values for kind, sv in stats.items()}
     full_means = {kind: mean_statistic(sv) for kind, sv in stats.items()}
 
-    eligible = np.flatnonzero(g.degrees > 0)
-    if plan.start_policy == "distinct_random":
+    if starts is None:
+        eligible = np.flatnonzero(g.degrees > 0)
         if n_chains > eligible.size:
             raise ValueError(
                 f"cannot draw {n_chains} distinct start nodes from "
                 f"{eligible.size} non-isolated nodes")
         rng = make_rng(plan.master_seed)
         starts = tuple(int(s) for s in rng.permutation(eligible)[:n_chains])
-    else:
-        for given, s in zip(plan.start_nodes, starts):
-            if g.degrees[s] == 0:
-                raise ValueError(f"start node {given} is isolated")
     seeds = tuple(chain_seed(plan.master_seed, c) for c in range(n_chains))
 
     visits = run_lockstep(g, [

@@ -197,7 +197,9 @@ def load_edge_list(path, *, delimiter=None, weighted=True,
 
     Args:
         path: Edge-list file.
-        delimiter: Column separator; None splits on any whitespace.
+        delimiter: Column separator; None splits on any whitespace. Fields
+            split on a separator lose their surrounding whitespace, and an
+            empty field is refused.
         weighted: Whether to honor a third column as the edge weight.
         default_node_weight: Finite positive node weight assigned to all nodes.
         name: Dataset label for the GraphMeta; defaults to the file stem.
@@ -206,8 +208,9 @@ def load_edge_list(path, *, delimiter=None, weighted=True,
         ``(WeightedGraph, GraphMeta)``.
 
     Raises:
-        GraphFormatError: Malformed line, non-positive weight, self-loop or
-            duplicate edge, with the offending line number in the message.
+        GraphFormatError: Malformed line or empty field, non-positive
+            weight, self-loop or duplicate edge, with the offending line
+            number in the message.
     """
     path = Path(path)
     default_node_weight = float(default_node_weight)
@@ -233,7 +236,13 @@ def load_edge_list(path, *, delimiter=None, weighted=True,
             line = raw.strip()
             if not line or line.startswith(_COMMENT_PREFIXES):
                 continue
-            parts = line.split(delimiter) if delimiter else line.split()
+            if delimiter:
+                parts = [field.strip() for field in line.split(delimiter)]
+                if "" in parts:
+                    raise GraphFormatError(
+                        f"{path}:{lineno}: empty field in {line!r}")
+            else:
+                parts = line.split()
             if len(parts) not in (2, 3):
                 raise GraphFormatError(
                     f"{path}:{lineno}: expected 'u v [w]', got {line!r}")

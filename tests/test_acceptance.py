@@ -172,16 +172,15 @@ def test_criterion_6_estimator_sanity(acceptance):
     # fixed start: MSE_1 = (Z(x0) - E[Z])^2, exact for a two-chain plan
     expected = (float(sv.values[0]) - ez) ** 2
     plan2 = ExperimentPlan(samplers=(template,), statistics=("strength",),
-                           n_chains=2, max_steps=10, start_policy="fixed_list",
-                           start_nodes=(0,), master_seed=61)
+                           n_chains=2, max_steps=10, start_nodes=(0,),
+                           master_seed=61)
     mse1_two = float(run_experiment(g, plan2).curves[0].mse[0])
     exact_ok = mse1_two == expected
 
     # with the default 50 chains the float mean of identical values may pick
     # up rounding; it must stay within a few ulp
     plan50 = ExperimentPlan(samplers=(template,), statistics=("strength",),
-                            n_chains=50, max_steps=10,
-                            start_policy="fixed_list", start_nodes=(0,),
+                            n_chains=50, max_steps=10, start_nodes=(0,),
                             master_seed=62)
     mse1_fifty = float(run_experiment(g, plan50).curves[0].mse[0])
     near_ok = abs(mse1_fifty - expected) <= 16 * math.ulp(expected)

@@ -139,6 +139,20 @@ class TestStats:
         assert main(["stats", "--graph", str(triangle_file),
                      "--out", str(blocker / "sub")]) == 1
 
+    def test_manifest_records_how_the_graph_was_read(self, tmp_path,
+                                                     triangle_file):
+        ingest = {}
+        for name, flags in (("default", ()),
+                            ("set", ("--unweighted", "--node-weight", "3"))):
+            out = tmp_path / name
+            assert main(["stats", "--graph", str(triangle_file),
+                         "--out", str(out), *flags]) == 0
+            ingest[name] = json.loads((out / "manifest.json").read_text())["ingest"]
+        assert ingest["default"] == {"delimiter": None, "unweighted": False,
+                                     "node_weight": 1.0}
+        assert ingest["set"] == {"delimiter": None, "unweighted": True,
+                                 "node_weight": 3.0}
+
     @pytest.mark.parametrize("weight", ["inf", "0"])
     def test_bad_node_weight_exit_2(self, tmp_path, triangle_file, weight):
         out = tmp_path / "st"
@@ -194,6 +208,8 @@ class TestConverge:
         assert len(cfg["start_nodes_resolved"]) == 4
         assert manifest["rng_generator"] == "pcg64"
         assert cfg["backbone_sampler"] == "node_mh_curved"
+        assert manifest["ingest"] == {"delimiter": None, "unweighted": False,
+                                      "node_weight": 1.0}
 
     def test_plan_file(self, tmp_path):
         plan = tmp_path / "plan.json"
@@ -262,6 +278,14 @@ class TestConverge:
         assert sorted(p.name for p in out.glob("mse_*.csv")) == [
             "mse_edge_uniform_strength.csv", "mse_node_mh_uniform_strength.csv"]
 
+    def test_plan_start_nodes_alone_fix_the_starts(self, tmp_path):
+        plan = write_plan(tmp_path, {"start_nodes": [0, 1],
+                                     "statistics": ["strength"]})
+        code, out = self.converge(tmp_path, "p", "--chains", "2", "--plan", plan)
+        assert code == 0
+        cfg = json.loads((out / "manifest.json").read_text())["config"]
+        assert cfg["start_nodes_resolved"] == ["Anzelma", "Eponine"]
+
     def test_manifest_records_the_plan_sampler_keys(self, tmp_path):
         code, out = self.converge(tmp_path, "m")
         assert code == 0
@@ -321,6 +345,7 @@ class TestConverge:
     @pytest.mark.parametrize("plan, key", [
         ({"samplers": [{"kind": "edge_curved"}], "n_chain": 3}, "n_chain"),
         ({"samplers": [{"kind": "edge_curved", "epsilon": 0.5}]}, "epsilon"),
+        ({"start_policy": "fixed_list"}, "start_policy"),
     ])
     def test_plan_unknown_key_exit_1(self, tmp_path, capsys, plan, key):
         path = tmp_path / "plan.json"
@@ -330,6 +355,18 @@ class TestConverge:
                      "--plan", str(path)]) == 1
         assert repr(key) in capsys.readouterr().err
         assert not out.exists()
+
+    def test_padded_comma_delimited_graph(self, tmp_path):
+        f = tmp_path / "padded.csv"
+        f.write_text("a, b, 2\nb, c, 1\n", encoding="utf-8")
+        out = tmp_path / "x"
+        assert main(["converge", "--graph", str(f), "--out", str(out),
+                     "--delimiter", ",", "--chains", "2", "--steps", "10"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["node_count"] == 3
+        assert manifest["ingest"]["delimiter"] == ","
+        assert sorted(r[0] for r in read_csv(out / "backbone.csv")[1:]) == [
+            "a", "b", "c"]
 
     def test_disconnected_graph_exit_1(self, tmp_path):
         f = tmp_path / "two.txt"

@@ -184,9 +184,8 @@ class TestPlanValidation:
         {"statistics": ()},
         {"statistics": ("pagerank",)},
         {"n_chains": 1},
-        {"start_policy": "roulette"},
-        {"start_policy": "fixed_list"},  # missing start_nodes
-        {"start_policy": "fixed_list", "start_nodes": (0, 1, 2)},  # wrong len
+        {"start_nodes": ()},
+        {"start_nodes": (0, 1, 2)},  # wrong len
         {"max_steps": 0},
         {"path_mode": "euclidean"},
         {"n_chains": 2.5},
@@ -194,8 +193,8 @@ class TestPlanValidation:
         {"max_steps": 20.0},
         {"master_seed": 1.5},
         {"statistics": "strength"},
-        {"start_policy": "fixed_list", "start_nodes": "12"},
-        {"start_policy": "fixed_list", "start_nodes": (1, 2.0)},
+        {"start_nodes": "12"},
+        {"start_nodes": (1, 2.0)},
         {"use_largest_component": "no"},
         {"use_largest_component": 1},
         {"statistics": ("strength", "closeness", "strength")},
@@ -215,7 +214,7 @@ class TestPlanValidation:
             tiny_plan(**kwargs)
 
     def test_single_start_broadcasts(self):
-        plan = tiny_plan(start_policy="fixed_list", start_nodes=(3,))
+        plan = tiny_plan(start_nodes=(3,))
         assert plan.start_nodes == (3, 3)
 
     def test_labels_disambiguate_duplicates(self):
@@ -276,9 +275,35 @@ class TestRunExperiment:
         plan = ExperimentPlan(
             samplers=(mh_template("node_mh_uniform"),),
             statistics=("strength",), n_chains=2, max_steps=10,
-            start_policy="fixed_list", start_nodes=(0,), master_seed=3)
+            start_nodes=(0,), master_seed=3)
         result = run_experiment(g, plan)
         assert result.curves[0].mse[0] == (sv.values[0] - ez) ** 2
+
+    def test_start_nodes_alone_fix_every_start(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        g = random_connected_graph(rng, 10)
+        configs = []
+        lockstep = curvewalk.convergence.run_lockstep
+
+        def recording_lockstep(g, cfgs):
+            configs.extend(cfgs)
+            return lockstep(g, cfgs)
+
+        monkeypatch.setattr(curvewalk.convergence, "run_lockstep",
+                            recording_lockstep)
+        result = run_experiment(g, tiny_plan(n_chains=3, max_steps=10,
+                                             start_nodes=(3,)))
+        assert result.start_nodes == (3, 3, 3)
+        assert [cfg.start_node for cfg in configs] == [3] * 6
+
+    @pytest.mark.parametrize("kind", ["edge_curved", "edge_uniform",
+                                      "node_mh_uniform"])
+    def test_isolated_start_on_one_node_graph(self, kind):
+        # past the connectivity gate only a one-node graph has an isolated node
+        plan = tiny_plan(samplers=(mh_template(kind),), max_steps=5,
+                         start_nodes=(0,))
+        with pytest.raises(ValueError, match="start node 0 is isolated"):
+            run_experiment(WeightedGraph(1, []), plan)
 
     def test_deterministic_and_equal_to_run_chain_replay(self, monkeypatch):
         rng = np.random.default_rng(1)
@@ -352,19 +377,19 @@ class TestRunExperiment:
         ez = float(np.mean(sv.values))
         for start, local in ((2, 0), (6, 4)):
             plan = tiny_plan(samplers=(mh_template("node_mh_uniform"),),
-                             max_steps=10, start_policy="fixed_list",
-                             start_nodes=(start,), use_largest_component=True)
+                             max_steps=10, start_nodes=(start,),
+                             use_largest_component=True)
             result = run_experiment(g, plan)
             assert result.start_nodes == (local, local)
             assert result.component_nodes[local] == start
             assert result.curves[0].mse[0] == (sv.values[local] - ez) ** 2
         for start in (0, 1):
-            plan = tiny_plan(max_steps=10, start_policy="fixed_list",
-                             start_nodes=(start,), use_largest_component=True)
+            plan = tiny_plan(max_steps=10, start_nodes=(start,),
+                             use_largest_component=True)
             with pytest.raises(ValueError, match=f"start node {start} is not in"):
                 run_experiment(g, plan)
-        plan = tiny_plan(max_steps=10, start_policy="fixed_list",
-                         start_nodes=(7,), use_largest_component=True)
+        plan = tiny_plan(max_steps=10, start_nodes=(7,),
+                         use_largest_component=True)
         with pytest.raises(ValueError, match="out of range"):
             run_experiment(g, plan)
 

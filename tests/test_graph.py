@@ -73,6 +73,19 @@ class TestLoader:
         assert f":{lineno}:" in str(err.value)
         assert msg in str(err.value)
 
+    def test_delimited_fields_lose_surrounding_spaces(self, tmp_path):
+        f = write_lines(tmp_path, "padded.csv", ["a, b, 2", "b, c, 1"])
+        g, meta = load_edge_list(f, delimiter=",")
+        assert meta.labels == ("a", "b", "c")
+        assert g.edge_weight(0, 1) == 2.0
+        assert g.edge_weight(1, 2) == 1.0
+
+    @pytest.mark.parametrize("line", ["a,,1", "a, ,1", "a,b,"])
+    def test_empty_delimited_field_refused(self, tmp_path, line):
+        f = write_lines(tmp_path, "empty.csv", ["x,y", line])
+        with pytest.raises(GraphFormatError, match=":2: empty field"):
+            load_edge_list(f, delimiter=",")
+
     def test_meta_counts(self, tmp_path):
         f = write_lines(tmp_path, "m.txt", ["a b", "a c", "a d"])
         g, meta = load_edge_list(f, name="tiny-star")
