@@ -13,13 +13,12 @@ from .graph import (GraphFormatError, GraphMeta, WeightedGraph,
 from .curvature import (CURVATURE_MODES, CurvatureMap, compute_curvature_map,
                         edge_forman, edge_forman_combinatorial, node_forman)
 from .sampler import (DEFAULT_EPSILON_FLOOR, GENERATOR_NAME, SAMPLER_KINDS,
-                      ChainTrace, SamplerConfig, TransitionMatrix,
-                      build_transition_matrix, chain_seed, make_rng,
-                      make_target, run_chain, run_lockstep, splitmix64,
-                      stationary_distribution)
-from .netstats import (PATH_MODES, STAT_KINDS, StatVector, betweenness,
-                       closeness, compute_statistics, mean_statistic,
-                       strength_vector, weighted_clustering)
+                      SamplerConfig, build_transition_matrix, chain_seed,
+                      make_rng, make_target, run_chain, run_lockstep,
+                      splitmix64, stationary_distribution)
+from .netstats import (PATH_MODES, STAT_KINDS, betweenness, closeness,
+                       compute_statistics, mean_statistic, strength_vector,
+                       weighted_clustering)
 from .convergence import (BackboneRanking, ConvergenceCurve, ExperimentPlan,
                           ExperimentResult, estimator_mean, extract_backbone,
                           run_experiment)
@@ -35,12 +34,12 @@ __all__ = [
     "CURVATURE_MODES", "CurvatureMap", "compute_curvature_map", "edge_forman",
     "edge_forman_combinatorial", "node_forman",
     # sampler
-    "DEFAULT_EPSILON_FLOOR", "GENERATOR_NAME", "SAMPLER_KINDS", "ChainTrace",
-    "SamplerConfig", "TransitionMatrix", "build_transition_matrix",
-    "chain_seed", "make_rng", "make_target", "run_chain", "run_lockstep",
-    "splitmix64", "stationary_distribution",
+    "DEFAULT_EPSILON_FLOOR", "GENERATOR_NAME", "SAMPLER_KINDS",
+    "SamplerConfig", "build_transition_matrix", "chain_seed", "make_rng",
+    "make_target", "run_chain", "run_lockstep", "splitmix64",
+    "stationary_distribution",
     # netstats
-    "PATH_MODES", "STAT_KINDS", "StatVector", "betweenness", "closeness",
+    "PATH_MODES", "STAT_KINDS", "betweenness", "closeness",
     "compute_statistics", "mean_statistic", "strength_vector",
     "weighted_clustering",
     # convergence

@@ -28,7 +28,7 @@ from .curvature import CURVATURE_MODES, compute_curvature_map
 from .graph import GraphFormatError, load_edge_list
 from .netstats import PATH_MODES, STAT_KINDS, compute_statistics, mean_statistic
 from .sampler import (DEFAULT_EPSILON_FLOOR, GENERATOR_NAME, SAMPLER_KINDS,
-                      SamplerConfig, run_chain)
+                      SamplerConfig, distinct_prefix_counts, run_chain)
 
 
 class UsageError(ValueError):
@@ -187,14 +187,14 @@ def cmd_sample(args) -> int:
                                burn_in=args.burn_in)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    trace = run_chain(g, config)
+    visits = run_chain(g, config)
     out = _prepare_out(args)
     _write_csv(out / "trace.csv", ["step", "node", "distinct_count"],
-               range(1, trace.steps + 1),
-               [meta.labels[v] for v in trace.visits.tolist()],
-               trace.distinct_count_at_step)
+               range(1, len(visits) + 1),
+               [meta.labels[v] for v in visits.tolist()],
+               distinct_prefix_counts(visits))
     _write_manifest(out, "sample", args, meta,
-                    {"sampler": asdict(config), "start_node_resolved": int(trace.start)},
+                    {"sampler": asdict(config), "start_node_resolved": int(visits[0])},
                     master_seed=config.seed, rng_generator=GENERATOR_NAME)
     return 0
 
@@ -204,13 +204,13 @@ def cmd_stats(args) -> int:
     stats = compute_statistics(g, STAT_KINDS, args.path_mode)
     out = _prepare_out(args)
     _write_csv(out / "stats.csv", ["node", "bc", "cc", "strength", "wcc"],
-               meta.labels, *(stats[kind].values for kind in STAT_KINDS))
+               meta.labels, *(stats[kind] for kind in STAT_KINDS))
     summary = {
         "path_mode": args.path_mode,
         "node_count": g.node_count,
         "edge_count": g.edge_count,
-        "full_graph_means": {kind: mean_statistic(sv)
-                             for kind, sv in stats.items()},
+        "full_graph_means": {kind: mean_statistic(values)
+                             for kind, values in stats.items()},
     }
     with open(out / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

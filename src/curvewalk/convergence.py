@@ -28,9 +28,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .graph import WeightedGraph, connected_components, induced_subgraph
-from .netstats import STAT_KINDS, PATH_MODES, StatVector, compute_statistics, mean_statistic
-from .sampler import (ChainTrace, SamplerConfig, _integer, chain_seed,
-                      first_visit_mask, make_rng, run_lockstep)
+from .netstats import STAT_KINDS, PATH_MODES, compute_statistics, mean_statistic
+from .sampler import (SamplerConfig, _integer, chain_seed, first_visit_mask,
+                      make_rng, run_lockstep)
 
 logger = logging.getLogger(__name__)
 
@@ -70,9 +70,10 @@ class ExperimentPlan:
     use_largest_component: bool = False
 
     def __post_init__(self):
-        for name in ("statistics", "start_nodes"):
-            if isinstance(getattr(self, name), str):
-                raise ValueError(f"{name} must be a list, not a string")
+        starts = () if self.start_nodes is None else self.start_nodes
+        for name, value in (("statistics", self.statistics), ("start_nodes", starts)):
+            if isinstance(value, str) or not hasattr(value, "__iter__"):
+                raise ValueError(f"{name} must be a list, got {value!r}")
         object.__setattr__(self, "samplers", tuple(self.samplers))
         object.__setattr__(self, "statistics", tuple(self.statistics))
         if not self.samplers:
@@ -182,15 +183,15 @@ def _chain_sums(chains: np.ndarray, stat_values: dict, full_means: dict):
     return sq_sum, distinct_sum, counts
 
 
-def estimator_mean(stat: StatVector, trace: ChainTrace, n: int) -> float:
-    """Mean of a full-graph statistic over the distinct nodes in the first
-    ``n`` samples of a chain (revisits contribute once)."""
+def estimator_mean(values: np.ndarray, visits: np.ndarray, n: int) -> float:
+    """Mean of a statistic's per-node ``values`` over the distinct nodes in
+    the first ``n`` of a chain's ``visits`` (revisits contribute once)."""
     n = int(n)
-    if not 1 <= n <= len(trace.visits):
-        raise ValueError(f"n must be in 1..{len(trace.visits)}, got {n}")
-    visits = trace.visits[:n]
-    zbar = _discovery_means(stat.values, visits[first_visit_mask(visits)],
-                            mean_statistic(stat))
+    if not 1 <= n <= len(visits):
+        raise ValueError(f"n must be in 1..{len(visits)}, got {n}")
+    visits = visits[:n]
+    zbar = _discovery_means(values, visits[first_visit_mask(visits)],
+                            mean_statistic(values))
     return float(zbar[-1])
 
 
@@ -267,9 +268,9 @@ def run_experiment(g: WeightedGraph, plan: ExperimentPlan) -> ExperimentResult:
     n_steps = plan.max_steps if plan.max_steps is not None else DEFAULT_STEPS_PER_NODE * V
     n_chains = plan.n_chains
 
-    stats = compute_statistics(g, plan.statistics, plan.path_mode)
-    stat_values = {kind: sv.values for kind, sv in stats.items()}
-    full_means = {kind: mean_statistic(sv) for kind, sv in stats.items()}
+    stat_values = compute_statistics(g, plan.statistics, plan.path_mode)
+    full_means = {kind: mean_statistic(values)
+                  for kind, values in stat_values.items()}
 
     if starts is None:
         eligible = np.flatnonzero(g.degrees > 0)

@@ -83,7 +83,8 @@ class WeightedGraph:
 
         lo = pairs.min(axis=1)
         hi = pairs.max(axis=1)
-        if m and np.unique(lo * node_count + hi).size != m:
+        keys = np.sort(lo * node_count + hi)
+        if (keys[1:] == keys[:-1]).any():
             raise GraphFormatError("duplicate undirected edge")
 
         src = np.concatenate([lo, hi])

@@ -3,7 +3,8 @@
 Four statistics are provided: betweenness centrality (shortest-path counting
 over unordered pairs, endpoints excluded, no normalization), closeness
 centrality (reciprocal sum of shortest-path distances), strength (weighted
-degree) and the Barrat weighted clustering coefficient.
+degree) and the Barrat weighted clustering coefficient, each a read-only
+float64 array of one value per node.
 
 Shortest paths default to hop counts (``path_mode="hop"``) even on weighted
 graphs; ``path_mode="weighted"`` treats edge weights as lengths. One Brandes
@@ -27,7 +28,6 @@ as a warning).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,15 +37,6 @@ logger = logging.getLogger(__name__)
 
 STAT_KINDS = ("betweenness", "closeness", "strength", "weighted_clustering")
 PATH_MODES = ("hop", "weighted")
-
-
-@dataclass(frozen=True)
-class StatVector:
-    """One per-node statistic evaluated on the full graph."""
-
-    kind: str
-    values: np.ndarray
-    path_mode: str | None = None
 
 
 def _check_path_mode(path_mode):
@@ -313,7 +304,7 @@ def _weighted_dag(g: WeightedGraph, roots, sigma, owner, flip):
     return dist, levels, edges
 
 
-def _path_statistics(g: WeightedGraph, path_mode: str) -> dict[str, StatVector]:
+def _path_statistics(g: WeightedGraph, path_mode: str) -> dict[str, np.ndarray]:
     """Betweenness and closeness from one source-batched Brandes sweep
     (:func:`_sweep`)."""
     _check_path_mode(path_mode)
@@ -330,11 +321,10 @@ def _path_statistics(g: WeightedGraph, path_mode: str) -> dict[str, StatVector]:
     bc = bc / 2.0  # per-source accumulation counts each unordered pair twice
     bc.setflags(write=False)
     cc.setflags(write=False)
-    return {kind: StatVector(kind=kind, values=values, path_mode=path_mode)
-            for kind, values in (("betweenness", bc), ("closeness", cc))}
+    return {"betweenness": bc, "closeness": cc}
 
 
-def betweenness(g: WeightedGraph, path_mode: str = "hop") -> StatVector:
+def betweenness(g: WeightedGraph, path_mode: str = "hop") -> np.ndarray:
     """Betweenness centrality by per-source shortest-path accumulation.
 
     Counts unordered pairs ``{i, j}`` with both endpoints distinct from the
@@ -343,7 +333,7 @@ def betweenness(g: WeightedGraph, path_mode: str = "hop") -> StatVector:
     return _path_statistics(g, path_mode)["betweenness"]
 
 
-def closeness(g: WeightedGraph, path_mode: str = "hop") -> StatVector:
+def closeness(g: WeightedGraph, path_mode: str = "hop") -> np.ndarray:
     """Closeness centrality: 1 / (sum of distances to reachable nodes).
 
     Nodes with no reachable peer (isolated nodes) get value 0.
@@ -351,14 +341,13 @@ def closeness(g: WeightedGraph, path_mode: str = "hop") -> StatVector:
     return _path_statistics(g, path_mode)["closeness"]
 
 
-def strength_vector(g: WeightedGraph) -> StatVector:
-    """Row sums of the weighted adjacency matrix (degree for unit weights)."""
-    values = g.strengths.copy()
-    values.setflags(write=False)
-    return StatVector(kind="strength", values=values)
+def strength_vector(g: WeightedGraph) -> np.ndarray:
+    """Row sums of the weighted adjacency matrix (degree for unit weights):
+    the graph's own read-only ``strengths``."""
+    return g.strengths
 
 
-def weighted_clustering(g: WeightedGraph) -> StatVector:
+def weighted_clustering(g: WeightedGraph) -> np.ndarray:
     """Barrat weighted clustering coefficient.
 
     For node ``i``, sums ``W_ij + W_ih`` over ordered neighbor pairs
@@ -388,28 +377,30 @@ def weighted_clustering(g: WeightedGraph) -> StatVector:
         if num:
             values[i] = num / (2.0 * g.strengths[i] * (d - 1))
     values.setflags(write=False)
-    return StatVector(kind="weighted_clustering", values=values)
+    return values
 
 
-def mean_statistic(stat: StatVector, nodes="all") -> float:
-    """Arithmetic mean of a statistic over a node set (``"all"`` = every node)."""
+def mean_statistic(values: np.ndarray, nodes="all") -> float:
+    """Arithmetic mean of a per-node statistic's ``values`` over a node set
+    (``"all"`` = every node; a repeated node counts once)."""
     if isinstance(nodes, str):
         if nodes != "all":
             raise ValueError(f"nodes must be a node set or 'all', got {nodes!r}")
-        if len(stat.values) == 0:
+        if len(values) == 0:
             raise ValueError("mean of an empty node set")
-        return float(np.mean(stat.values))
+        return float(np.mean(values))
     idx = sorted({int(n) for n in nodes})
     if not idx:
         raise ValueError("mean of an empty node set")
-    if idx[0] < 0 or idx[-1] >= len(stat.values):
+    if idx[0] < 0 or idx[-1] >= len(values):
         raise ValueError("node id out of range")
-    return float(np.mean(stat.values[np.array(idx, dtype=np.int64)]))
+    return float(np.mean(values[np.array(idx, dtype=np.int64)]))
 
 
 def compute_statistics(g: WeightedGraph, kinds=STAT_KINDS,
-                       path_mode: str = "hop") -> dict[str, StatVector]:
-    """Evaluate the requested statistics once on the full graph."""
+                       path_mode: str = "hop") -> dict[str, np.ndarray]:
+    """Evaluate the requested statistics once on the full graph, each as a
+    read-only float64 array of one value per node."""
     out = {}
     paths = None
     for kind in kinds:

@@ -27,14 +27,15 @@ experiment is seeded with ``master_seed XOR splitmix64(c)``.
 Two drivers share one table per kernel, built once per run (the chains are
 time-homogeneous): :func:`run_chain` runs one chain in a scalar loop, and
 :func:`run_lockstep`, which experiments use, advances many chains together
-as numpy vectors and reproduces :func:`run_chain` exactly. An MH step costs
-O(1). An edge step inverts the row's cumulative move probabilities: the
-scalar loop bisects the whole row in O(log d); the lockstep engine first
-looks up a guide table (Chen & Asau 1974; Devroye 1986, section III.2.4)
-that splits [0, 1) into ``m`` equal cells, ``m`` a power of two, and bisects
-only the cell holding ``u``. That costs O(log c) for the fullest cell's
-count ``c`` of row entries, fixed when the table is built (1 or 2 on the
-benchmark graphs). It is exact: scaling by a power of two is exact, so
+as numpy vectors and reproduces :func:`run_chain` exactly. Both return a
+chain as its read-only int64 visits array. An MH step costs O(1). An edge
+step inverts the row's cumulative move probabilities: the scalar loop
+bisects the whole row in O(log d); the lockstep engine first looks up a
+guide table (Chen & Asau 1974; Devroye 1986, section III.2.4) that splits
+[0, 1) into ``m`` equal cells, ``m`` a power of two, and bisects only the
+cell holding ``u``. That costs O(log c) for the fullest cell's count ``c``
+of row entries, fixed when the table is built (1 or 2 on the benchmark
+graphs). It is exact: scaling by a power of two is exact, so
 ``k = floor(u * m)`` satisfies ``k / m <= u < (k + 1) / m``, and the entries
 ``<= k / m`` are counted without rounding. Row entries before the cell are
 ``<= k / m <= u`` and those after it ``> (k + 1) / m > u``, so the cell
@@ -145,33 +146,6 @@ class SamplerConfig:
                 raise ValueError("start_node must be >= 0")
 
 
-@dataclass(frozen=True)
-class ChainTrace:
-    """One chain realization.
-
-    ``visits[0]`` is the (post burn-in) start node and ``len(visits)`` equals
-    ``config.max_steps``. ``distinct_count_at_step[k]`` counts the unique
-    nodes among ``visits[:k + 1]``.
-    """
-
-    config: SamplerConfig
-    start: int
-    visits: np.ndarray
-    distinct_count_at_step: np.ndarray
-
-    @property
-    def steps(self) -> int:
-        return len(self.visits)
-
-
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """Dense row-stochastic kernel of a configured sampler (diagnostic)."""
-
-    kind: str
-    matrix: np.ndarray
-
-
 def make_target(g: WeightedGraph, curvmap: CurvatureMap | None = None,
                 kind: str = "curved",
                 epsilon_floor: float = DEFAULT_EPSILON_FLOOR) -> np.ndarray:
@@ -183,7 +157,8 @@ def make_target(g: WeightedGraph, curvmap: CurvatureMap | None = None,
 
     Raises:
         ValueError: curved kind without a curvature map, or a density that is
-            zero everywhere (all-zero ``|F|`` with ``epsilon_floor = 0``).
+            zero everywhere (a graph without edges, or all-zero ``|F|`` with
+            ``epsilon_floor = 0``).
     """
     if kind not in TARGET_KINDS:
         raise ValueError(f"unknown target kind {kind!r}")
@@ -198,9 +173,9 @@ def make_target(g: WeightedGraph, curvmap: CurvatureMap | None = None,
         dens = np.maximum(np.abs(curvmap.node_values), epsilon_floor)
         target = np.where(live, dens / np.maximum(g.degrees, 1), 0.0)
         if g.node_count and float(target.max()) == 0.0:
-            raise ValueError(
-                "curved target density is zero everywhere; "
-                "set a positive epsilon_floor")
+            hint = ("set a positive epsilon_floor" if live.any()
+                    else "the graph has no edges")
+            raise ValueError(f"curved target density is zero everywhere; {hint}")
     target.setflags(write=False)
     return target
 
@@ -307,8 +282,9 @@ def _kernel_table(g, config, curvmap=None, target=None):
 
 def run_chain(g: WeightedGraph, config: SamplerConfig,
               curvmap: CurvatureMap | None = None,
-              target: np.ndarray | None = None) -> ChainTrace:
-    """Run one chain; the trace is a pure function of (graph, config).
+              target: np.ndarray | None = None) -> np.ndarray:
+    """Run one chain; its visits, ``config.max_steps`` node ids from the start
+    after burn-in, are a pure function of (graph, config).
 
     ``curvmap`` and ``target`` are optional precomputed inputs (they are
     derived from the config when omitted). This is the single-chain driver;
@@ -349,15 +325,12 @@ def run_chain(g: WeightedGraph, config: SamplerConfig,
                 append(cur)
 
     visits = np.array(walk[config.burn_in:], dtype=np.int64)
-    distinct = distinct_prefix_counts(visits)
     visits.setflags(write=False)
-    distinct.setflags(write=False)
-    return ChainTrace(config=config, start=int(visits[0]), visits=visits,
-                      distinct_count_at_step=distinct)
+    return visits
 
 
 def run_lockstep(g: WeightedGraph, configs) -> np.ndarray:
-    """Run many chains in lockstep; row ``c`` equals ``run_chain(g, configs[c]).visits``.
+    """Run many chains in lockstep; row ``c`` equals ``run_chain(g, configs[c])``.
 
     Chains of the edge kinds advance together as one numpy vector, one
     vectorized step per time index, and so do chains of the MH kinds. Each
@@ -423,7 +396,7 @@ def _lockstep_family(g, is_mh, tables, chains, visits):
     row_last = (g.adj_indptr[1:] - 1 + stack * H).ravel()
     nbr = (g.adj_neighbors + stack * V).ravel()  # per stacked half-edge
     table = np.concatenate(tables)
-    groups = [(b, np.flatnonzero(burn == b)) for b in np.unique(burn).tolist()]
+    groups = [(b, np.flatnonzero(burn == b)) for b in sorted(set(burn.tolist()))]
 
     def record(states, t0):
         """Store ``states`` (one row per time index from ``t0``)."""
@@ -536,9 +509,10 @@ def distinct_prefix_counts(visits: np.ndarray) -> np.ndarray:
 def build_transition_matrix(g: WeightedGraph, config: SamplerConfig,
                             curvmap: CurvatureMap | None = None,
                             target: np.ndarray | None = None,
-                            size_guard: int = 2000) -> TransitionMatrix:
-    """Exact dense kernel of the configured sampler, read off the table the
-    chains sample (:func:`_kernel_table`).
+                            size_guard: int = 2000) -> np.ndarray:
+    """Exact dense kernel ``P`` of the configured sampler, a read-only
+    row-stochastic float64 array read off the table the chains sample
+    (:func:`_kernel_table`).
 
     Edge rows are the step widths of each cumulative row and have a zero
     diagonal. MH rows move to neighbor ``y`` with probability
@@ -574,10 +548,10 @@ def build_transition_matrix(g: WeightedGraph, config: SamplerConfig,
     absorbing = np.flatnonzero(~moving)
     P[absorbing, absorbing] = 1.0
     P.setflags(write=False)
-    return TransitionMatrix(kind=config.kind, matrix=P)
+    return P
 
 
-def stationary_distribution(tm: TransitionMatrix | np.ndarray) -> np.ndarray:
+def stationary_distribution(P: np.ndarray) -> np.ndarray:
     """Stationary law pi with pi P = pi, sum(pi) = 1, by GTH elimination.
 
     The Grassmann-Taksar-Heyman reduction uses no subtractions, so the
@@ -588,8 +562,7 @@ def stationary_distribution(tm: TransitionMatrix | np.ndarray) -> np.ndarray:
         numpy.linalg.LinAlgError: the kernel is reducible (no unique
             stationary distribution).
     """
-    P = tm.matrix if isinstance(tm, TransitionMatrix) else np.asarray(tm)
-    P = P.astype(np.float64, copy=True)
+    P = np.array(P, dtype=np.float64)
     n = P.shape[0]
     if n == 0 or P.shape != (n, n):
         raise ValueError("transition matrix must be square and non-empty")

@@ -68,10 +68,9 @@ def test_criterion_2_mh_stationarity(acceptance):
         cfg = SamplerConfig(kind="node_mh_curved", seed=0, max_steps=1)
         cm = compute_curvature_map(g, "combinatorial")
         target = make_target(g, cm, "curved", cfg.epsilon_floor)
-        tm = build_transition_matrix(g, cfg, curvmap=cm, target=target)
-        pi = stationary_distribution(tm)
+        P = build_transition_matrix(g, cfg, curvmap=cm, target=target)
+        pi = stationary_distribution(P)
         worst_pi = max(worst_pi, float(np.abs(pi - target / target.sum()).max()))
-        P = tm.matrix
         for u, v in g.edges:
             worst_db = max(worst_db, abs(float(pi[u] * P[u, v] - pi[v] * P[v, u])))
     elapsed = time.perf_counter() - t0
@@ -91,7 +90,7 @@ def test_criterion_3_empirical_chain_law(acceptance):
     cfg = SamplerConfig(kind="node_mh_curved", seed=424242, max_steps=1_000_000,
                         start_node=0)
     trace = run_chain(g, cfg)
-    freq = np.bincount(trace.visits, minlength=30) / cfg.max_steps
+    freq = np.bincount(trace, minlength=30) / cfg.max_steps
     pi = stationary_distribution(build_transition_matrix(g, cfg))
     tv = 0.5 * float(np.abs(freq - pi).sum())
     elapsed = time.perf_counter() - t0
@@ -110,18 +109,18 @@ def test_criterion_4_stat_oracles(acceptance):
         p = float(rng.uniform(0.15, 0.85))
         g = random_graph(rng, n, p)
         bc_o, cc_o = hop_bc_cc_oracle(g)
-        worst_bc = max(worst_bc, float(np.abs(betweenness(g, "hop").values - bc_o).max()))
-        worst_cc = max(worst_cc, float(np.abs(closeness(g, "hop").values - cc_o).max()))
+        worst_bc = max(worst_bc, float(np.abs(betweenness(g, "hop") - bc_o).max()))
+        worst_cc = max(worst_cc, float(np.abs(closeness(g, "hop") - cc_o).max()))
         if trial < 100:
             gw = random_graph(rng, n, p, weighted=True)
             bc_w, cc_w = weighted_bc_cc_oracle(gw)
             worst_bc = max(worst_bc, float(
-                np.abs(betweenness(gw, "weighted").values - bc_w).max()))
+                np.abs(betweenness(gw, "weighted") - bc_w).max()))
             worst_cc = max(worst_cc, float(
-                np.abs(closeness(gw, "weighted").values - cc_w).max()))
+                np.abs(closeness(gw, "weighted") - cc_w).max()))
 
-    tri_ok = bool(np.all(weighted_clustering(complete_graph(3)).values == 1.0))
-    star_ok = all(betweenness(star_graph(k)).values[0] == k * (k - 1) / 2
+    tri_ok = bool(np.all(weighted_clustering(complete_graph(3)) == 1.0))
+    star_ok = all(betweenness(star_graph(k))[0] == k * (k - 1) / 2
                   for k in (3, 4, 6, 9))
 
     ok = worst_bc <= 1e-9 and worst_cc <= 1e-9 and tri_ok and star_ok
@@ -159,7 +158,7 @@ def test_criterion_5_dataset_facts_celegans(acceptance):
 def test_criterion_6_estimator_sanity(acceptance):
     g = path_graph(5)
     sv = strength_vector(g)
-    ez = float(np.mean(sv.values))
+    ez = float(np.mean(sv))
     template = SamplerConfig(kind="node_mh_uniform", seed=0, max_steps=1)
 
     # full coverage: wherever every chain has seen all nodes, MSE must be 0.0
@@ -170,7 +169,7 @@ def test_criterion_6_estimator_sanity(acceptance):
     coverage_ok = bool(covered.any()) and bool(np.all(curve.mse[covered] == 0.0))
 
     # fixed start: MSE_1 = (Z(x0) - E[Z])^2, exact for a two-chain plan
-    expected = (float(sv.values[0]) - ez) ** 2
+    expected = (float(sv[0]) - ez) ** 2
     plan2 = ExperimentPlan(samplers=(template,), statistics=("strength",),
                            n_chains=2, max_steps=10, start_nodes=(0,),
                            master_seed=61)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -161,6 +162,57 @@ class TestStats:
         assert not out.exists()
 
 
+SAMPLE_FLAGS = ("--seed", "11", "--start", "4", "--burn-in", "5")
+# sha256 of every CSV and summary.json these lesmis runs write; criterion 7
+# pins `converge` the same way
+GOLDEN_OUTPUTS = {
+    ("curvature", "--curvature-mode", "combinatorial"): {
+        "edge_curvature.csv": "386a07d0434046c3413f63cea3dbd633dc45fab6c51e356f2cc0eee23cfd0f2e",
+        "node_curvature.csv": "f121232fb44c31665868c30cdcf45a7c7ac0f9ed7a784ef57d46611d81389ffc",
+    },
+    ("curvature", "--curvature-mode", "weighted"): {
+        "edge_curvature.csv": "9ccb32b0feb8bd2840d1f6cc76f0cb8dca0eb2befbaf61c22bc7b666238e92ab",
+        "node_curvature.csv": "59ef446a32484cf1a2a38cf9f68284bebed399b92a5aceae5d8bcc86bd4329c7",
+    },
+    ("stats", "--path-mode", "hop"): {
+        "stats.csv": "4e3a6dc360e05928ef3576315c45da844a537ff6ce347b01010bf170809d62a5",
+        "summary.json": "4d60cd6b9570f4355b8d76518b4a5c45bd46f45321b02f56a8b7aca4bbf11b73",
+    },
+    ("stats", "--path-mode", "weighted"): {
+        "stats.csv": "a7be03eba45992642c1e2ff6bf21fd8cea98530e61f1c505567a699696846110",
+        "summary.json": "d082b99b43a2dd9d1923bd093e77892866d061f51b49c093d6e6b63cdde4da35",
+    },
+    ("sample", "--kind", "edge_curved", *SAMPLE_FLAGS): {
+        "trace.csv": "b74c232924fabf2129708f6d997402bc213d964aae068f68bee3e92a6ca8a6fa",
+    },
+    ("sample", "--kind", "edge_uniform", *SAMPLE_FLAGS): {
+        "trace.csv": "e528be9d75a7c754c85b12d6a0cc9d63313dd1b0227af74a16c690d5be4b088e",
+    },
+    ("sample", "--kind", "node_mh_curved", *SAMPLE_FLAGS): {
+        "trace.csv": "572657c2b0ae673b66f2ce08b4dd00a8a5f46f3347120c75206e395b57a80111",
+    },
+    ("sample", "--kind", "node_mh_uniform", *SAMPLE_FLAGS): {
+        "trace.csv": "c0690a56ba0984f47a77e4e5a8ced78520a7e08e81f0e3f4212fe98d14078b85",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_OUTPUTS), ids=" ".join)
+def test_golden_outputs(tmp_path, argv):
+    out = tmp_path / "o"
+    assert main([argv[0], "--graph", str(LESMIS), "--out", str(out),
+                 *argv[1:]]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in out.iterdir() if p.name != "manifest.json"}
+    assert digests == GOLDEN_OUTPUTS[argv]
+    if argv[0] == "sample":
+        # the manifest names the first row's node: the start after burn-in
+        _, meta = load_edge_list(LESMIS)
+        start = json.loads((out / "manifest.json").read_text())[
+            "config"]["start_node_resolved"]
+        assert meta.labels[start] == read_csv(out / "trace.csv")[1][1]
+
+
 class TestConverge:
     def converge(self, tmp_path, name, *extra):
         out = tmp_path / name
@@ -189,7 +241,7 @@ class TestConverge:
         # replay: every chain alone through the scalar single-chain driver
         monkeypatch.setattr(curvewalk.convergence, "run_lockstep",
                             lambda g, configs: np.stack(
-                                [run_chain(g, cfg).visits for cfg in configs]))
+                                [run_chain(g, cfg) for cfg in configs]))
         code, b = self.converge(tmp_path, "b", *samplers)
         assert code == 0
         names = sorted(p.name for p in a.glob("*.csv"))
@@ -356,6 +408,15 @@ class TestConverge:
         assert repr(key) in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["start_nodes", "statistics"])
+    def test_plan_number_for_a_list_exit_1(self, tmp_path, capsys, key):
+        plan = write_plan(tmp_path, {key: 3})
+        out = tmp_path / "x"
+        assert main(["converge", "--graph", str(LESMIS), "--out", str(out),
+                     "--plan", plan]) == 1
+        assert f"{key} must be a list, got 3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_padded_comma_delimited_graph(self, tmp_path):
         f = tmp_path / "padded.csv"
         f.write_text("a, b, 2\nb, c, 1\n", encoding="utf-8")
@@ -490,18 +551,22 @@ class TestTopLevel:
                      "--out", str(tmp_path / "o"), "--bogus"]) == 2
 
 
+def run_python(*args):
+    """A fresh interpreter on ``args``, with this checkout's sources first."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 class TestModuleEntryPoints:
     """``python -m curvewalk.cli`` and ``python -m curvewalk`` run the CLI."""
 
     @staticmethod
     def run_module(module, *args):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
-        return subprocess.run([sys.executable, "-m", module, *args],
-                              env=env, capture_output=True, text=True,
-                              timeout=120)
+        return run_python("-m", module, *args)
 
     @pytest.mark.parametrize("module", ["curvewalk.cli", "curvewalk"])
     def test_stats_writes_output(self, tmp_path, module):
@@ -517,3 +582,28 @@ class TestModuleEntryPoints:
                                "--out", str(tmp_path / "o"), "--bogus")
         assert proc.returncode == 2
         assert not (tmp_path / "o").exists()
+
+
+# numpy 2 imports numpy.ma on the first np.unique call, ~10 ms of set-up
+_NUMPY_MA_PROBE = """
+import sys
+import numpy
+if "numpy.ma" in sys.modules:
+    print("loaded by numpy")
+    raise SystemExit
+from curvewalk import load_edge_list
+from curvewalk.cli import main
+load_edge_list(sys.argv[1])
+code = main(["converge", "--graph", sys.argv[1], "--out", sys.argv[2],
+             "--chains", "2", "--steps", "20", "--samplers", "edge_curved",
+             "node_mh_uniform"])
+print(code, "numpy.ma" in sys.modules)
+"""
+
+
+def test_load_and_converge_do_not_import_numpy_ma(tmp_path):
+    proc = run_python("-c", _NUMPY_MA_PROBE, str(LESMIS), str(tmp_path / "c"))
+    assert proc.returncode == 0, proc.stderr
+    if proc.stdout.strip() == "loaded by numpy":
+        pytest.skip("this numpy imports numpy.ma with numpy itself")
+    assert proc.stdout.split() == ["0", "False"]

@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import curvewalk.convergence
-from curvewalk import (BackboneRanking, ChainTrace, ExperimentPlan,
-                       SamplerConfig, StatVector, WeightedGraph, betweenness,
-                       estimator_mean, extract_backbone, induced_subgraph,
-                       run_chain, run_experiment, strength_vector)
+from curvewalk import (BackboneRanking, ExperimentPlan, SamplerConfig,
+                       WeightedGraph, betweenness, estimator_mean,
+                       extract_backbone, induced_subgraph, run_chain,
+                       run_experiment, strength_vector)
+from curvewalk.sampler import distinct_prefix_counts
 from curvewalk.convergence import _chain_sums, sampler_labels
 from conftest import path_graph, random_connected_graph, star_graph
 from oracles import running_estimator_oracle
@@ -39,7 +40,7 @@ class TestEstimatorMean:
         sv = betweenness(g)
         trace = run_chain(g, SamplerConfig(kind="edge_uniform", seed=0,
                                            max_steps=10, start_node=1))
-        assert estimator_mean(sv, trace, 1) == sv.values[1]
+        assert estimator_mean(sv, trace, 1) == sv[1]
 
     def test_revisits_count_once(self):
         g = WeightedGraph(2, [(0, 1)])
@@ -56,7 +57,7 @@ class TestEstimatorMean:
         sv = betweenness(g)
         trace = run_chain(g, SamplerConfig(kind="edge_uniform", seed=1,
                                            max_steps=2, start_node=0))
-        assert trace.visits.tolist() == [0, 1]
+        assert trace.tolist() == [0, 1]
         assert estimator_mean(sv, trace, 2) == pytest.approx(0.5)
 
     def test_bounds(self):
@@ -128,15 +129,11 @@ class TestAggregationOracle:
         chain, v = chains[0], values["first"]
         seen = set()
         distinct = np.array([len(seen.add(x) or seen) for x in chain.tolist()])
-        trace = ChainTrace(config=SamplerConfig(kind="edge_uniform", seed=0,
-                                                max_steps=len(chain)),
-                           start=int(chain[0]), visits=chain,
-                           distinct_count_at_step=distinct)
         want = running_estimator_oracle(v, chain, distinct, float(np.mean(v)))
         for n in range(1, len(chain) + 1):
             # as floats: the oracle's running sum adds 0.0 at each revisit,
             # which turns a sum of -0.0 terms into 0.0; -0.0 == 0.0
-            assert estimator_mean(StatVector("x", v), trace, n) == want[n - 1]
+            assert estimator_mean(v, chain, n) == want[n - 1]
 
 
 class TestExtractBackbone:
@@ -198,6 +195,8 @@ class TestPlanValidation:
         {"use_largest_component": "no"},
         {"use_largest_component": 1},
         {"statistics": ("strength", "closeness", "strength")},
+        {"start_nodes": 3},
+        {"statistics": 3},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -208,6 +207,8 @@ class TestPlanValidation:
         ({"max_steps": "20"}, "max_steps"),
         ({"statistics": "strength"}, "statistics"),
         ({"use_largest_component": "no"}, "use_largest_component"),
+        ({"start_nodes": 3}, "start_nodes"),
+        ({"statistics": 3}, "statistics"),
     ])
     def test_wrong_type_names_the_field(self, kwargs, name):
         with pytest.raises(ValueError, match=name):
@@ -237,7 +238,7 @@ class TestRunExperiment:
         result = run_experiment(g, plan)
         curve = result.curves[0]
         sv = betweenness(g)
-        ez = float(np.mean(sv.values))
+        ez = float(np.mean(sv))
         traces = [
             run_chain(g, SamplerConfig(kind="node_mh_uniform", seed=seed,
                                        max_steps=25, start_node=start))
@@ -261,9 +262,9 @@ class TestRunExperiment:
             for seed, start in zip(result.chain_seeds, result.start_nodes)
         ]
         # first step at which every chain has seen all three nodes
-        covered = int(max(np.argmax(t.distinct_count_at_step == 3)
-                          for t in traces))
-        assert all(t.distinct_count_at_step[covered] == 3 for t in traces)
+        distinct = [distinct_prefix_counts(t) for t in traces]
+        covered = int(max(np.argmax(d == 3) for d in distinct))
+        assert all(d[covered] == 3 for d in distinct)
         for curve in result.curves:
             assert np.all(curve.mse[covered:] == 0.0)
             assert np.any(curve.mse[:covered] > 0.0)
@@ -271,13 +272,13 @@ class TestRunExperiment:
     def test_mse1_fixed_start_exact_for_two_chains(self):
         g = path_graph(5)
         sv = strength_vector(g)
-        ez = float(np.mean(sv.values))
+        ez = float(np.mean(sv))
         plan = ExperimentPlan(
             samplers=(mh_template("node_mh_uniform"),),
             statistics=("strength",), n_chains=2, max_steps=10,
             start_nodes=(0,), master_seed=3)
         result = run_experiment(g, plan)
-        assert result.curves[0].mse[0] == (sv.values[0] - ez) ** 2
+        assert result.curves[0].mse[0] == (sv[0] - ez) ** 2
 
     def test_start_nodes_alone_fix_every_start(self, monkeypatch):
         rng = np.random.default_rng(8)
@@ -319,7 +320,7 @@ class TestRunExperiment:
         # replay: every chain alone through the scalar single-chain driver
         monkeypatch.setattr(curvewalk.convergence, "run_lockstep",
                             lambda g, configs: np.stack(
-                                [run_chain(g, cfg).visits for cfg in configs]))
+                                [run_chain(g, cfg) for cfg in configs]))
         c = run_experiment(g, plan)
         for ca, cb, cc in zip(a.curves, b.curves, c.curves, strict=True):
             assert np.array_equal(ca.mse, cb.mse)
@@ -374,7 +375,7 @@ class TestRunExperiment:
         # {0-1} plus the path 2-3-4-5-6: the largest component is 2..6
         g = WeightedGraph(7, [(0, 1), (2, 3), (3, 4), (4, 5), (5, 6)])
         sv = strength_vector(induced_subgraph(g, [2, 3, 4, 5, 6]))
-        ez = float(np.mean(sv.values))
+        ez = float(np.mean(sv))
         for start, local in ((2, 0), (6, 4)):
             plan = tiny_plan(samplers=(mh_template("node_mh_uniform"),),
                              max_steps=10, start_nodes=(start,),
@@ -382,7 +383,7 @@ class TestRunExperiment:
             result = run_experiment(g, plan)
             assert result.start_nodes == (local, local)
             assert result.component_nodes[local] == start
-            assert result.curves[0].mse[0] == (sv.values[local] - ez) ** 2
+            assert result.curves[0].mse[0] == (sv[local] - ez) ** 2
         for start in (0, 1):
             plan = tiny_plan(max_steps=10, start_nodes=(start,),
                              use_largest_component=True)

@@ -18,48 +18,48 @@ from oracles import (dfs_hop_bc_oracle, dijkstra_bc_cc_oracle, hop_bc_cc_oracle,
 
 class TestWorkedValues:
     def test_path_betweenness(self):
-        bc = betweenness(path_graph(3)).values
+        bc = betweenness(path_graph(3))
         assert bc.tolist() == [0.0, 1.0, 0.0]
 
     def test_star_center_betweenness(self):
-        bc = betweenness(star_graph(4)).values
+        bc = betweenness(star_graph(4))
         assert bc[0] == 6.0  # C(4, 2) leaf pairs route through the center
         assert np.all(bc[1:] == 0.0)
 
     def test_complete_graph_zero(self):
-        assert np.all(betweenness(complete_graph(5)).values == 0.0)
+        assert np.all(betweenness(complete_graph(5)) == 0.0)
 
     def test_path_closeness(self):
-        cc = closeness(path_graph(3)).values
+        cc = closeness(path_graph(3))
         assert cc[1] == pytest.approx(0.5)
         assert cc[0] == pytest.approx(1 / 3)
         assert cc[2] == pytest.approx(1 / 3)
 
     def test_star_center_closeness(self):
         for k in (3, 5, 8):
-            cc = closeness(star_graph(k)).values
+            cc = closeness(star_graph(k))
             assert cc[0] == pytest.approx(1 / k)
 
     def test_strength(self):
-        assert strength_vector(star_graph(4)).values[0] == 4.0
+        assert strength_vector(star_graph(4))[0] == 4.0
         g = WeightedGraph(3, [(0, 1), (0, 2)], [2.0, 0.5])
-        assert strength_vector(g).values[0] == 2.5
+        assert strength_vector(g)[0] == 2.5
         g2 = WeightedGraph(2, [])
-        assert strength_vector(g2).values.tolist() == [0.0, 0.0]
+        assert strength_vector(g2).tolist() == [0.0, 0.0]
 
     def test_triangle_clustering_is_one(self):
         g = complete_graph(3)
-        assert np.all(weighted_clustering(g).values == 1.0)
+        assert np.all(weighted_clustering(g) == 1.0)
 
     def test_degree_one_clustering_zero(self):
-        assert weighted_clustering(path_graph(3)).values[0] == 0.0
+        assert weighted_clustering(path_graph(3))[0] == 0.0
 
     def test_star_clustering_zero(self):
-        assert np.all(weighted_clustering(star_graph(5)).values == 0.0)
+        assert np.all(weighted_clustering(star_graph(5)) == 0.0)
 
     def test_isolated_closeness_zero(self):
         g = WeightedGraph(3, [(0, 1)])
-        assert closeness(g).values[2] == 0.0
+        assert closeness(g)[2] == 0.0
 
 
 class TestOracleEquivalence:
@@ -68,8 +68,8 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(seed)
         g = random_graph(rng, int(rng.integers(2, 13)), float(rng.uniform(0.15, 0.8)))
         bc_o, cc_o = hop_bc_cc_oracle(g)
-        assert np.allclose(betweenness(g, "hop").values, bc_o, atol=1e-9)
-        assert np.allclose(closeness(g, "hop").values, cc_o, atol=1e-9)
+        assert np.allclose(betweenness(g, "hop"), bc_o, atol=1e-9)
+        assert np.allclose(closeness(g, "hop"), cc_o, atol=1e-9)
 
     @pytest.mark.parametrize("seed", range(25))
     def test_weighted_against_floyd_warshall(self, seed):
@@ -77,14 +77,14 @@ class TestOracleEquivalence:
         g = random_graph(rng, int(rng.integers(2, 13)),
                          float(rng.uniform(0.2, 0.8)), weighted=True)
         bc_o, cc_o = weighted_bc_cc_oracle(g)
-        assert np.allclose(betweenness(g, "weighted").values, bc_o, atol=1e-9)
-        assert np.allclose(closeness(g, "weighted").values, cc_o, atol=1e-9)
+        assert np.allclose(betweenness(g, "weighted"), bc_o, atol=1e-9)
+        assert np.allclose(closeness(g, "weighted"), cc_o, atol=1e-9)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_hop_against_dfs_enumeration(self, seed):
         rng = np.random.default_rng(2000 + seed)
         g = random_graph(rng, int(rng.integers(2, 8)), 0.45)
-        assert np.allclose(betweenness(g, "hop").values,
+        assert np.allclose(betweenness(g, "hop"),
                            dfs_hop_bc_oracle(g), atol=1e-9)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -93,10 +93,10 @@ class TestOracleEquivalence:
         g = random_connected_graph(rng, 12)
         # the hop breadth-first sweep forms every float in the Dijkstra's
         # order, so on unit weights the two modes agree bit for bit
-        assert np.array_equal(betweenness(g, "hop").values,
-                              betweenness(g, "weighted").values)
-        assert np.array_equal(closeness(g, "hop").values,
-                              closeness(g, "weighted").values)
+        assert np.array_equal(betweenness(g, "hop"),
+                              betweenness(g, "weighted"))
+        assert np.array_equal(closeness(g, "hop"),
+                              closeness(g, "weighted"))
 
 
 class TestProperties:
@@ -104,7 +104,7 @@ class TestProperties:
     def test_strength_equals_degree_on_unit_weights(self, seed):
         rng = np.random.default_rng(seed)
         g = random_connected_graph(rng, 15)
-        assert np.array_equal(strength_vector(g).values,
+        assert np.array_equal(strength_vector(g),
                               g.degrees.astype(float))
 
     @pytest.mark.parametrize("seed", range(5))
@@ -121,7 +121,7 @@ class TestProperties:
             tri = sum(1 for j in nbr[i] for h in nbr[i]
                       if j < h and h in nbr[j])
             expected[i] = tri / (d * (d - 1) / 2)
-        assert np.allclose(weighted_clustering(g).values, expected, atol=1e-12)
+        assert np.allclose(weighted_clustering(g), expected, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_permutation_equivariance(self, seed):
@@ -135,13 +135,13 @@ class TestProperties:
         )
         for kind, sv in compute_statistics(g).items():
             sv2 = compute_statistics(g2, (kind,))[kind]
-            assert np.allclose(sv2.values[perm], sv.values, atol=1e-9), kind
+            assert np.allclose(sv2[perm], sv, atol=1e-9), kind
 
     def test_clustering_bounds(self):
         rng = np.random.default_rng(71)
         for _ in range(5):
             g = random_connected_graph(rng, 14, extra=2.5, weighted=True)
-            vals = weighted_clustering(g).values
+            vals = weighted_clustering(g)
             assert np.all(vals >= 0) and np.all(vals <= 1 + 1e-12)
 
 
@@ -168,6 +168,16 @@ class TestMeanStatistic:
             mean_statistic(sv, "some")
 
 
+def test_statistics_are_read_only_float_arrays():
+    g = path_graph(4, [1.0, 2.0, 0.5])
+    results = [betweenness(g, "weighted"), closeness(g), strength_vector(g),
+               weighted_clustering(g), *compute_statistics(g).values()]
+    for values in results:
+        assert isinstance(values, np.ndarray)
+        assert values.dtype == np.float64 and values.shape == (4,)
+        assert not values.flags.writeable
+
+
 def test_compute_statistics_kinds():
     g = path_graph(4)
     out = compute_statistics(g, ("strength", "closeness"))
@@ -189,9 +199,9 @@ class TestFloatEqualityTies:
     ])
     def test_triangle_middle_node(self, weights, middle):
         g = self.triangle(*weights)
-        assert betweenness(g, "weighted").values[1] == middle
+        assert betweenness(g, "weighted")[1] == middle
         stats = compute_statistics(g, ("betweenness",), "weighted")
-        assert stats["betweenness"].values[1] == middle
+        assert stats["betweenness"][1] == middle
 
 
 class TestSharedSweep:
@@ -214,11 +224,10 @@ class TestSharedSweep:
     def test_equals_public_functions_bitwise(self, graph, mode):
         out = compute_statistics(graph, ("closeness", "betweenness"), mode)
         assert list(out) == ["closeness", "betweenness"]
-        assert np.array_equal(out["betweenness"].values,
-                              betweenness(graph, mode).values)
-        assert np.array_equal(out["closeness"].values,
-                              closeness(graph, mode).values)
-        assert out["betweenness"].path_mode == out["closeness"].path_mode == mode
+        assert np.array_equal(out["betweenness"],
+                              betweenness(graph, mode))
+        assert np.array_equal(out["closeness"],
+                              closeness(graph, mode))
 
 
 PATH_KINDS = ("betweenness", "closeness")
@@ -237,7 +246,7 @@ def unit_dijkstra_oracle(g):
 def assert_mode_equals(g, mode, oracle):
     out = compute_statistics(g, PATH_KINDS, mode)
     for kind in PATH_KINDS:
-        assert np.array_equal(out[kind].values, oracle[kind]), kind
+        assert np.array_equal(out[kind], oracle[kind]), kind
 
 
 def set_sources_per_block(mp, g, sources):
@@ -303,10 +312,10 @@ class TestHopSweep:
         g = triple_diamonds()
         hop = compute_statistics(g, PATH_KINDS, "hop")
         oracle = unit_dijkstra_oracle(g)
-        np.testing.assert_allclose(hop["betweenness"].values,
+        np.testing.assert_allclose(hop["betweenness"],
                                    oracle["betweenness"],
                                    rtol=1e-15, atol=0)
-        assert np.array_equal(hop["closeness"].values, oracle["closeness"])
+        assert np.array_equal(hop["closeness"], oracle["closeness"])
 
 
 WEIGHT_FAMILIES = {
@@ -358,7 +367,7 @@ class TestWeightedSweep:
         # 1.0 + 1e-17 == 1.0: nodes 1 and 2 share a distance from either end,
         # and the edge between them stays a shortest-path edge
         g = path_graph(4, [1.0, 1e-17, 1.0])
-        bc = betweenness(g, "weighted").values
+        bc = betweenness(g, "weighted")
         assert bc.tolist() == [0.0, 2.0, 2.0, 0.0]
         assert_mode_equals(g, "weighted", dijkstra_oracle(g))
 
@@ -366,6 +375,6 @@ class TestWeightedSweep:
         g = triple_diamonds()
         out = compute_statistics(g, PATH_KINDS, "weighted")
         oracle = dijkstra_oracle(g)
-        np.testing.assert_allclose(out["betweenness"].values,
+        np.testing.assert_allclose(out["betweenness"],
                                    oracle["betweenness"], rtol=1e-15, atol=0)
-        assert np.array_equal(out["closeness"].values, oracle["closeness"])
+        assert np.array_equal(out["closeness"], oracle["closeness"])

@@ -14,7 +14,8 @@ from curvewalk import (SAMPLER_KINDS, CurvatureMap, SamplerConfig,
                        compute_curvature_map, load_edge_list, make_rng,
                        make_target, run_chain, run_lockstep, splitmix64,
                        stationary_distribution)
-from curvewalk.sampler import _TIME_CHUNK, _guide_table, _kernel_table
+from curvewalk.sampler import (_TIME_CHUNK, _guide_table, _kernel_table,
+                               distinct_prefix_counts)
 from conftest import (LESMIS, cycle_graph, path_graph, random_connected_graph,
                       star_graph)
 from oracles import edge_curved_step, edge_row_cdf, mh_step
@@ -91,8 +92,18 @@ class TestMakeTarget:
     def test_all_zero_density_rejected(self):
         g = cycle_graph(5)  # every edge and node has zero curvature
         cm = compute_curvature_map(g, "combinatorial")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="set a positive epsilon_floor"):
             make_target(g, cm, "curved", 0.0)
+
+    @pytest.mark.parametrize("floor", [0.0, 1e-9, 1.0])
+    def test_graph_without_edges_named(self, floor):
+        # no floor helps: every node is isolated, so none is in the support
+        g = WeightedGraph(3, [])
+        cm = compute_curvature_map(g, "combinatorial")
+        with pytest.raises(ValueError) as err:
+            make_target(g, cm, "curved", floor)
+        assert str(err.value) == ("curved target density is zero everywhere; "
+                                  "the graph has no edges")
 
     def test_infinite_floor_rejected(self):
         g = path_graph(3)
@@ -115,10 +126,10 @@ class TestEdgeKernel:
     def test_path_middle_splits_evenly(self):
         # both incident edges have F = 1 and far-end degree 1
         g = path_graph(3)
-        tm = build_transition_matrix(g, SamplerConfig(
+        P = build_transition_matrix(g, SamplerConfig(
             kind="edge_curved", seed=0, max_steps=1))
-        assert tm.matrix[1, 0] == pytest.approx(0.5, abs=1e-15)
-        assert tm.matrix[1, 2] == pytest.approx(0.5, abs=1e-15)
+        assert P[1, 0] == pytest.approx(0.5, abs=1e-15)
+        assert P[1, 2] == pytest.approx(0.5, abs=1e-15)
 
     def test_hand_weighted_example(self):
         # |F| = 2 toward a degree-2 neighbor and |F| = 1 toward a degree-1
@@ -130,10 +141,10 @@ class TestEdgeKernel:
         ev[g.edge_id(1, 3)] = 5.0
         cm = CurvatureMap(mode="combinatorial", edge_values=ev,
                           node_values=np.zeros(4))
-        tm = build_transition_matrix(g, SamplerConfig(
+        P = build_transition_matrix(g, SamplerConfig(
             kind="edge_curved", seed=0, max_steps=1), curvmap=cm)
-        assert tm.matrix[0, 1] == pytest.approx(0.5, abs=1e-15)
-        assert tm.matrix[0, 2] == pytest.approx(0.5, abs=1e-15)
+        assert P[0, 1] == pytest.approx(0.5, abs=1e-15)
+        assert P[0, 2] == pytest.approx(0.5, abs=1e-15)
 
     def test_star_center_uniform_over_leaves(self):
         g = star_graph(4)
@@ -147,12 +158,12 @@ class TestEdgeKernel:
 
     def test_flat_row_falls_back_to_uniform(self):
         g = cycle_graph(6)  # all |F| = 0 <= floor
-        tm = build_transition_matrix(g, SamplerConfig(
+        P = build_transition_matrix(g, SamplerConfig(
             kind="edge_curved", seed=0, max_steps=1))
         expected = np.zeros((6, 6))
         for u, v in g.edges:
             expected[u, v] = expected[v, u] = 0.5
-        assert np.allclose(tm.matrix, expected, atol=1e-15)
+        assert np.allclose(P, expected, atol=1e-15)
 
     @staticmethod
     def pendant_cycle_rows(floor):
@@ -162,7 +173,7 @@ class TestEdgeKernel:
                               (0, 6)])
         return build_transition_matrix(g, SamplerConfig(
             kind="edge_curved", seed=0, max_steps=1,
-            curvature_mode="combinatorial", epsilon_floor=floor)).matrix
+            curvature_mode="combinatorial", epsilon_floor=floor))
 
     def test_floor_fallback_is_per_row(self):
         P = self.pendant_cycle_rows(1e-9)
@@ -203,11 +214,11 @@ class TestMHStep:
         # (1 * 2) / (4 * 1) = 1/2, so P[b, a] = (1/2) * (1/2) = 1/4
         g = path_graph(3)
         target = np.array([1.0, 4.0, 1.0])
-        tm = build_transition_matrix(g, SamplerConfig(
+        P = build_transition_matrix(g, SamplerConfig(
             kind="node_mh_curved", seed=0, max_steps=1), target=target)
-        assert tm.matrix[1, 0] == pytest.approx(0.25, abs=1e-15)
-        assert tm.matrix[1, 2] == pytest.approx(0.25, abs=1e-15)
-        assert tm.matrix[1, 1] == pytest.approx(0.5, abs=1e-15)
+        assert P[1, 0] == pytest.approx(0.25, abs=1e-15)
+        assert P[1, 2] == pytest.approx(0.25, abs=1e-15)
+        assert P[1, 1] == pytest.approx(0.5, abs=1e-15)
 
     def test_half_ratio_empirical(self):
         g = path_graph(3)
@@ -234,9 +245,16 @@ class TestRunChain:
         g = path_graph(3)
         trace = run_chain(g, SamplerConfig(kind="edge_uniform", seed=0,
                                            max_steps=1, start_node=2))
-        assert trace.visits.tolist() == [2]
-        assert trace.distinct_count_at_step.tolist() == [1]
-        assert trace.start == 2
+        assert trace.tolist() == [2]
+        assert distinct_prefix_counts(trace).tolist() == [1]
+
+    @pytest.mark.parametrize("kind", SAMPLER_KINDS)
+    def test_visits_are_a_read_only_int64_array(self, kind):
+        g = path_graph(4)
+        trace = run_chain(g, SamplerConfig(kind=kind, seed=3, max_steps=9))
+        assert isinstance(trace, np.ndarray)
+        assert trace.dtype == np.int64 and trace.shape == (9,)
+        assert not trace.flags.writeable
 
     @pytest.mark.parametrize("kind", ["edge_curved", "edge_uniform",
                                       "node_mh_curved", "node_mh_uniform"])
@@ -246,22 +264,20 @@ class TestRunChain:
         cfg = SamplerConfig(kind=kind, seed=99, max_steps=200)
         a = run_chain(g, cfg)
         b = run_chain(g, cfg)
-        assert np.array_equal(a.visits, b.visits)
-        assert np.array_equal(a.distinct_count_at_step,
-                              b.distinct_count_at_step)
+        assert np.array_equal(a, b)
 
     def test_two_node_graph_alternates(self):
         g = WeightedGraph(2, [(0, 1)])
         trace = run_chain(g, SamplerConfig(kind="edge_curved", seed=5,
                                            max_steps=6, start_node=0))
-        assert trace.visits.tolist() == [0, 1, 0, 1, 0, 1]
+        assert trace.tolist() == [0, 1, 0, 1, 0, 1]
 
     @pytest.mark.parametrize("kind", ["edge_curved", "node_mh_curved"])
     def test_trace_moves_are_edges(self, kind):
         rng = np.random.default_rng(21)
         g = random_connected_graph(rng, 10)
         trace = run_chain(g, SamplerConfig(kind=kind, seed=17, max_steps=300))
-        for a, b in zip(trace.visits[:-1], trace.visits[1:]):
+        for a, b in zip(trace[:-1], trace[1:]):
             if a == b:
                 assert kind.startswith("node_mh")  # self moves only on reject
             else:
@@ -272,7 +288,7 @@ class TestRunChain:
         g = random_connected_graph(rng, 10)
         trace = run_chain(g, SamplerConfig(kind="node_mh_uniform", seed=3,
                                            max_steps=150))
-        d = trace.distinct_count_at_step
+        d = distinct_prefix_counts(trace)
         assert np.all(np.diff(d) >= 0)
         assert np.all(d <= np.arange(1, len(d) + 1))
         assert d[0] == 1
@@ -292,7 +308,7 @@ class TestRunChain:
         for _ in range(119):
             cur = edge_curved_step(g, cm, cur, replay_rng, cfg.epsilon_floor)
             visits.append(cur)
-        assert trace.visits.tolist() == visits
+        assert trace.tolist() == visits
 
         cfg = SamplerConfig(kind="node_mh_curved", seed=78, max_steps=120,
                             start_node=4)
@@ -303,7 +319,7 @@ class TestRunChain:
         for _ in range(119):
             cur, _ = mh_step(g, target, cur, replay_rng)
             visits.append(cur)
-        assert trace.visits.tolist() == visits
+        assert trace.tolist() == visits
 
     def test_mh_self_moves_match_rejections(self):
         rng = np.random.default_rng(6)
@@ -317,7 +333,7 @@ class TestRunChain:
         cur = 0
         for k in range(1, 200):
             nxt, accepted = mh_step(g, target, cur, replay_rng)
-            assert (trace.visits[k] == trace.visits[k - 1]) == (not accepted)
+            assert (trace[k] == trace[k - 1]) == (not accepted)
             cur = nxt
 
     def test_burn_in_equals_trimmed_long_chain(self):
@@ -328,14 +344,13 @@ class TestRunChain:
                                               start_node=1))
             short = run_chain(g, SamplerConfig(kind=kind, seed=9, max_steps=40,
                                                start_node=1, burn_in=20))
-            assert np.array_equal(long.visits[20:], short.visits)
-            assert short.start == short.visits[0]
+            assert np.array_equal(long[20:], short)
 
     def test_random_start_is_seed_deterministic(self):
         rng = np.random.default_rng(14)
         g = random_connected_graph(rng, 15)
         cfg = SamplerConfig(kind="edge_uniform", seed=1234, max_steps=5)
-        assert run_chain(g, cfg).start == run_chain(g, cfg).start
+        assert run_chain(g, cfg)[0] == run_chain(g, cfg)[0]
 
     def test_isolated_start_rejected(self):
         g = WeightedGraph(3, [(0, 1)])
@@ -378,7 +393,7 @@ def assert_lockstep_equals_run_chain(g, configs):
     visits = run_lockstep(g, configs)
     assert visits.shape == (len(configs), configs[0].max_steps)
     for row, cfg in zip(visits, configs):
-        assert np.array_equal(row, run_chain(g, cfg).visits), cfg
+        assert np.array_equal(row, run_chain(g, cfg)), cfg
 
 
 class FixedUniforms:
@@ -560,9 +575,9 @@ class TestTransitionMatrix:
     def test_rows_stochastic_and_supported(self, kind, seed):
         rng = np.random.default_rng(seed)
         g = random_connected_graph(rng, 12, weighted=True)
-        tm = build_transition_matrix(g, SamplerConfig(kind=kind, seed=0,
-                                                      max_steps=1))
-        P = tm.matrix
+        P = build_transition_matrix(g, SamplerConfig(kind=kind, seed=0,
+                                                     max_steps=1))
+        assert P.dtype == np.float64 and not P.flags.writeable
         assert np.all(np.abs(P.sum(axis=1) - 1.0) < 1e-12)
         assert np.all(P >= 0)
         is_mh = kind.startswith("node_mh")
@@ -575,15 +590,14 @@ class TestTransitionMatrix:
 
     def test_star_uniform_row(self):
         g = star_graph(4)
-        tm = build_transition_matrix(g, SamplerConfig(kind="edge_uniform",
-                                                      seed=0, max_steps=1))
-        assert np.allclose(tm.matrix[0, 1:], 0.25, atol=1e-15)
+        P = build_transition_matrix(g, SamplerConfig(kind="edge_uniform",
+                                                     seed=0, max_steps=1))
+        assert np.allclose(P[0, 1:], 0.25, atol=1e-15)
 
     def test_mh_diagonal_is_rejection_mass(self):
         g = path_graph(5)
         cfg = SamplerConfig(kind="node_mh_curved", seed=0, max_steps=1)
-        tm = build_transition_matrix(g, cfg)
-        P = tm.matrix
+        P = build_transition_matrix(g, cfg)
         for i in range(5):
             off = P[i].sum() - P[i, i]
             assert P[i, i] == pytest.approx(1.0 - off, abs=1e-12)
@@ -593,8 +607,8 @@ class TestTransitionMatrix:
         cfg = SamplerConfig(kind="node_mh_curved", seed=0, max_steps=1)
         cm = compute_curvature_map(g, "combinatorial")
         target = make_target(g, cm, "curved", cfg.epsilon_floor)
-        tm = build_transition_matrix(g, cfg, curvmap=cm, target=target)
-        pi = stationary_distribution(tm)
+        P = build_transition_matrix(g, cfg, curvmap=cm, target=target)
+        pi = stationary_distribution(P)
         assert np.abs(pi - target / target.sum()).max() < 1e-10
 
     @pytest.mark.parametrize("kind", ["node_mh_curved", "node_mh_uniform"])
@@ -603,16 +617,15 @@ class TestTransitionMatrix:
         rng = np.random.default_rng(300 + seed)
         g = random_connected_graph(rng, int(rng.integers(3, 30)))
         cfg = SamplerConfig(kind=kind, seed=0, max_steps=1)
-        tm = build_transition_matrix(g, cfg)
-        pi = stationary_distribution(tm)
-        assert np.abs(pi @ tm.matrix - pi).max() < 1e-10
+        P = build_transition_matrix(g, cfg)
+        pi = stationary_distribution(P)
+        assert np.abs(pi @ P - pi).max() < 1e-10
         if kind == "node_mh_curved":
             cm = compute_curvature_map(g, "combinatorial")
             target = make_target(g, cm, "curved", cfg.epsilon_floor)
         else:
             target = make_target(g, None, "uniform")
         assert np.abs(pi - target / target.sum()).max() < 1e-10
-        P = tm.matrix
         for u, v in g.edges:
             assert abs(pi[u] * P[u, v] - pi[v] * P[v, u]) < 1e-10
 
@@ -624,9 +637,9 @@ class TestTransitionMatrix:
 
     def test_isolated_row_absorbing(self):
         g = WeightedGraph(3, [(0, 1)])
-        tm = build_transition_matrix(g, SamplerConfig(kind="edge_uniform",
-                                                      seed=0, max_steps=1))
-        assert tm.matrix[2, 2] == 1.0
+        P = build_transition_matrix(g, SamplerConfig(kind="edge_uniform",
+                                                     seed=0, max_steps=1))
+        assert P[2, 2] == 1.0
 
     def test_stationary_known_two_state(self):
         P = np.array([[0.5, 0.5], [0.25, 0.75]])
@@ -640,7 +653,7 @@ def test_empirical_visit_law_small():
     cfg = SamplerConfig(kind="node_mh_curved", seed=2024, max_steps=200_000,
                         start_node=0)
     trace = run_chain(g, cfg)
-    freq = np.bincount(trace.visits, minlength=20) / cfg.max_steps
+    freq = np.bincount(trace, minlength=20) / cfg.max_steps
     pi = stationary_distribution(build_transition_matrix(g, cfg))
     tv = 0.5 * np.abs(freq - pi).sum()
     assert tv < 0.05
