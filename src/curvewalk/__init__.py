@@ -7,9 +7,9 @@ statistics, and measures how fast multi-chain sampled estimates converge to
 full-network values.
 """
 
-from .graph import (GraphFormatError, GraphMeta, WeightedGraph,
-                    connected_components, induced_subgraph, largest_component,
-                    load_edge_list, write_edge_list)
+from .graph import (GraphFormatError, WeightedGraph, connected_components,
+                    induced_subgraph, largest_component, load_edge_list,
+                    write_edge_list)
 from .curvature import (CURVATURE_MODES, CurvatureMap, compute_curvature_map,
                         edge_forman, edge_forman_combinatorial, node_forman)
 from .sampler import (DEFAULT_EPSILON_FLOOR, GENERATOR_NAME, SAMPLER_KINDS,
@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # graph
-    "GraphFormatError", "GraphMeta", "WeightedGraph", "connected_components",
+    "GraphFormatError", "WeightedGraph", "connected_components",
     "induced_subgraph", "largest_component", "load_edge_list", "write_edge_list",
     # curvature
     "CURVATURE_MODES", "CurvatureMap", "compute_curvature_map", "edge_forman",

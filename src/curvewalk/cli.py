@@ -2,10 +2,10 @@
 
 Subcommands: ``curvature``, ``sample``, ``stats``, ``converge``. Every run
 writes CSV result files plus a ``manifest.json`` that records the tool
-version, a graph checksum, how the edge list was read, the fully resolved
-configuration, the master seed and the RNG generator name, which is enough
-to reproduce the run bit-identically. Exit codes: 0 success, 1 I/O or data
-error, 2 usage error.
+version, the graph's checksum and counts, how the edge list was read, the
+fully resolved configuration, the master seed and the RNG generator name,
+which is enough to reproduce the run bit-identically. Exit codes: 0 success,
+1 I/O or data error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -33,24 +33,6 @@ from .sampler import (DEFAULT_EPSILON_FLOOR, GENERATOR_NAME, SAMPLER_KINDS,
 
 class UsageError(ValueError):
     """Invalid flag or flag value; mapped to exit code 2."""
-
-
-@dataclass
-class RunManifest:
-    """Reproducibility record written next to every command's outputs."""
-
-    tool_version: str
-    command: str
-    graph_path: str
-    graph_sha256: str
-    node_count: int
-    edge_count: int
-    max_degree: int
-    ingest: dict
-    rng_generator: str | None
-    master_seed: int | None
-    config: dict
-    created_utc: str
 
 
 def _sha256_file(path) -> str:
@@ -117,25 +99,26 @@ def _write_csv(path, header, *columns):
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
-def _write_manifest(out_dir: Path, command: str, args, meta, config: dict,
+def _write_manifest(out_dir: Path, command: str, args, g, config: dict,
                     master_seed=None, rng_generator=None):
-    manifest = RunManifest(
-        tool_version=__version__,
-        command=command,
-        graph_path=str(args.graph),
-        graph_sha256=_sha256_file(args.graph),
-        node_count=meta.node_count,
-        edge_count=meta.edge_count,
-        max_degree=meta.max_degree,
-        ingest={"delimiter": args.delimiter, "unweighted": args.unweighted,
-                "node_weight": args.node_weight},
-        rng_generator=rng_generator,
-        master_seed=master_seed,
-        config=config,
-        created_utc=datetime.now(timezone.utc).isoformat(),
-    )
+    """Write the reproducibility record of a run next to its outputs."""
+    manifest = {
+        "tool_version": __version__,
+        "command": command,
+        "graph_path": str(args.graph),
+        "graph_sha256": _sha256_file(args.graph),
+        "node_count": g.node_count,
+        "edge_count": g.edge_count,
+        "max_degree": int(g.degrees.max()) if g.node_count else 0,
+        "ingest": {"delimiter": args.delimiter, "unweighted": args.unweighted,
+                   "node_weight": args.node_weight},
+        "rng_generator": rng_generator,
+        "master_seed": master_seed,
+        "config": config,
+        "created_utc": datetime.now(timezone.utc).isoformat(),
+    }
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(asdict(manifest), fh, indent=2, sort_keys=True)
+        json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -146,16 +129,16 @@ def _prepare_out(args) -> Path:
 
 
 def cmd_curvature(args) -> int:
-    g, meta = _load_graph(args)
+    g, labels = _load_graph(args)
     curvmap = compute_curvature_map(g, args.curvature_mode)
     out = _prepare_out(args)
     tails, heads = g.edges.T.tolist()
     _write_csv(out / "edge_curvature.csv", ["edge_u", "edge_v", "forman"],
-               [meta.labels[u] for u in tails], [meta.labels[v] for v in heads],
+               [labels[u] for u in tails], [labels[v] for v in heads],
                curvmap.edge_values)
     _write_csv(out / "node_curvature.csv", ["node", "forman"],
-               meta.labels, curvmap.node_values)
-    _write_manifest(out, "curvature", args, meta,
+               labels, curvmap.node_values)
+    _write_manifest(out, "curvature", args, g,
                     {"curvature_mode": args.curvature_mode})
     return 0
 
@@ -177,7 +160,7 @@ def _resolve_start(args, g):
 
 
 def cmd_sample(args) -> int:
-    g, meta = _load_graph(args)
+    g, labels = _load_graph(args)
     start = _resolve_start(args, g)
     try:
         config = SamplerConfig(kind=args.kind, seed=args.seed,
@@ -191,20 +174,20 @@ def cmd_sample(args) -> int:
     out = _prepare_out(args)
     _write_csv(out / "trace.csv", ["step", "node", "distinct_count"],
                range(1, len(visits) + 1),
-               [meta.labels[v] for v in visits.tolist()],
+               [labels[v] for v in visits.tolist()],
                distinct_prefix_counts(visits))
-    _write_manifest(out, "sample", args, meta,
+    _write_manifest(out, "sample", args, g,
                     {"sampler": asdict(config), "start_node_resolved": int(visits[0])},
                     master_seed=config.seed, rng_generator=GENERATOR_NAME)
     return 0
 
 
 def cmd_stats(args) -> int:
-    g, meta = _load_graph(args)
+    g, labels = _load_graph(args)
     stats = compute_statistics(g, STAT_KINDS, args.path_mode)
     out = _prepare_out(args)
     _write_csv(out / "stats.csv", ["node", "bc", "cc", "strength", "wcc"],
-               meta.labels, *(stats[kind] for kind in STAT_KINDS))
+               labels, *(stats[kind] for kind in STAT_KINDS))
     summary = {
         "path_mode": args.path_mode,
         "node_count": g.node_count,
@@ -215,7 +198,7 @@ def cmd_stats(args) -> int:
     with open(out / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    _write_manifest(out, "stats", args, meta, {"path_mode": args.path_mode})
+    _write_manifest(out, "stats", args, g, {"path_mode": args.path_mode})
     return 0
 
 
@@ -241,6 +224,8 @@ def _plan(args) -> ExperimentPlan:
             raw = json.load(fh)
         _check_keys(raw, {f.name for f in fields(ExperimentPlan)}, "plan")
     entries = raw.get("samplers", [{"kind": kind} for kind in args.samplers])
+    if not isinstance(entries, list):
+        raise ValueError(f"samplers must be a list, got {entries!r}")
     for entry in entries:
         _check_keys(entry, _PLAN_SAMPLER_KEYS, "sampler")
         if "kind" not in entry:
@@ -259,7 +244,7 @@ def _plan(args) -> ExperimentPlan:
 
 
 def cmd_converge(args) -> int:
-    g, meta = _load_graph(args)
+    g, labels = _load_graph(args)
     try:
         plan = _plan(args)
     except (TypeError, ValueError) as exc:
@@ -269,9 +254,7 @@ def cmd_converge(args) -> int:
     result = run_experiment(g, plan)
 
     if result.component_nodes is not None:
-        labels = tuple(meta.labels[int(o)] for o in result.component_nodes)
-    else:
-        labels = meta.labels
+        labels = tuple(labels[int(o)] for o in result.component_nodes)
 
     out = _prepare_out(args)
     files = []
@@ -305,7 +288,7 @@ def cmd_converge(args) -> int:
         "curve_files": files,
         "full_graph_means": result.full_means,
     }
-    _write_manifest(out, "converge", args, meta, plan_dict,
+    _write_manifest(out, "converge", args, g, plan_dict,
                     master_seed=plan.master_seed, rng_generator=GENERATOR_NAME)
     return 0
 

@@ -13,8 +13,9 @@ incident edges. Values are static for a static graph, so they are computed
 once into a :class:`CurvatureMap` and reused by the samplers.
 
 The weighted map is one vectorized pass over all ``sum(d(i)**2)`` terms (one
-``np.bincount`` per chunk of edges); it gives the floats of evaluating the
-formula term by term, left to right, for each edge alone.
+``np.bincount`` per chunk of edges, each endpoint's row listed by
+``graph._expand``); it gives the floats of evaluating the formula term by
+term, left to right, for each edge alone.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import WeightedGraph
+from .graph import WeightedGraph, _expand
 
 CURVATURE_MODES = ("weighted", "combinatorial")
 
@@ -38,7 +39,6 @@ class CurvatureMap:
     bit-reproducible for a fixed graph.
     """
 
-    mode: str
     edge_values: np.ndarray
     node_values: np.ndarray
 
@@ -56,9 +56,8 @@ def _weighted_forman(g: WeightedGraph, edge_ids: np.ndarray) -> np.ndarray:
     """
     out = np.empty(len(edge_ids), dtype=np.float64)
     ends = g.edges[edge_ids]
-    deg, indptr = g.degrees, g.adj_indptr
     # pairs each edge contributes; chunk boundaries keep a chunk under the cap
-    cost = np.cumsum(deg[ends].sum(axis=1))
+    cost = np.cumsum(g.degrees[ends].sum(axis=1))
     cap = 1 << 18
     lo = 0
     while lo < len(edge_ids):
@@ -69,11 +68,9 @@ def _weighted_forman(g: WeightedGraph, edge_ids: np.ndarray) -> np.ndarray:
         others = ends[lo:hi, ::-1].ravel()
         w_half = np.repeat(w_ij, 2)
         w_node = g.node_weights[nodes]
-        lens = deg[nodes]
-        group = np.repeat(np.arange(len(nodes)), lens)
-        # the CSR positions of each group's row, in row order
-        pos = np.arange(len(group)) + np.repeat(indptr[nodes] - np.cumsum(lens) + lens, lens)
-        keep = g.adj_neighbors[pos] != others[group]
+        # each group's row: its half-edges' neighbors and CSR positions
+        group, nbr, pos = _expand(g, nodes)
+        keep = nbr != others[group]
         group, pos = group[keep], pos[keep]
         terms = np.concatenate((
             w_node / w_half,
@@ -137,9 +134,8 @@ def compute_curvature_map(g: WeightedGraph, mode: str = "combinatorial") -> Curv
                 "float64 range")
     # bincount adds in input order: left to right along each CSR row; it
     # returns integers when there are no edges, hence the cast
-    nv = np.bincount(np.repeat(np.arange(g.node_count), g.degrees),
-                     weights=ev[g.adj_edge_ids],
+    nv = np.bincount(g.adj_tails, weights=ev[g.adj_edge_ids],
                      minlength=g.node_count).astype(np.float64)
     ev.setflags(write=False)
     nv.setflags(write=False)
-    return CurvatureMap(mode=mode, edge_values=ev, node_values=nv)
+    return CurvatureMap(edge_values=ev, node_values=nv)

@@ -6,14 +6,17 @@ undirected: each edge is stored once as a canonical ``(u, v)`` pair with
 node weight is strictly positive. All backing arrays are frozen after
 construction, so one graph can be shared read-only by every chain and
 statistic computed on it.
+
+The graph is the one record of a network's facts, each half-edge's tail
+(``adj_tails``) included; :func:`load_edge_list` returns a file's labels
+beside it. Curvature and the path statistics share one half-edge walk,
+:func:`_expand`.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from collections import deque
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +47,8 @@ class WeightedGraph:
         adj_indptr / adj_neighbors / adj_weights / adj_edge_ids: CSR adjacency;
             the slice ``adj_indptr[i]:adj_indptr[i + 1]`` lists node ``i``'s
             incident half-edges sorted by neighbor id.
+        adj_tails: The tail node of every half-edge, aligned with
+            ``adj_neighbors``: node ``i`` repeated ``d(i)`` times.
         degrees: Per-node degree (``len(adj(i))``).
         strengths: Per-node sum of incident edge weights.
     """
@@ -51,7 +56,7 @@ class WeightedGraph:
     __slots__ = (
         "node_count", "edge_count", "edges", "edge_weights", "node_weights",
         "adj_indptr", "adj_neighbors", "adj_weights", "adj_edge_ids",
-        "degrees", "strengths",
+        "adj_tails", "degrees", "strengths",
     )
 
     def __init__(self, node_count, edges, edge_weights=None, node_weights=None):
@@ -105,11 +110,13 @@ class WeightedGraph:
         self.adj_neighbors = dst[order]
         self.adj_weights = w2[order]
         self.adj_edge_ids = eid2[order]
+        self.adj_tails = src[order]
         self.degrees = np.diff(indptr)
         self.strengths = np.bincount(src, weights=w2, minlength=node_count)
         for arr in (self.edges, self.edge_weights, self.node_weights,
                     self.adj_indptr, self.adj_neighbors, self.adj_weights,
-                    self.adj_edge_ids, self.degrees, self.strengths):
+                    self.adj_edge_ids, self.adj_tails, self.degrees,
+                    self.strengths):
             arr.setflags(write=False)
 
     def __repr__(self):
@@ -157,43 +164,15 @@ class WeightedGraph:
         return float(self.edge_weights[self.edge_id(i, j)])
 
 
-@dataclass(frozen=True)
-class GraphMeta:
-    """Provenance and label bookkeeping for a loaded graph.
-
-    ``labels[k]`` is the original label of dense node id ``k``.
-    """
-
-    name: str
-    source_path: str
-    node_count: int
-    edge_count: int
-    max_degree: int
-    labels: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_label_index", {lab: k for k, lab in enumerate(self.labels)})
-
-    def node_id(self, label: str) -> int:
-        try:
-            return self._label_index[label]
-        except KeyError:
-            raise KeyError(f"unknown node label {label!r}") from None
-
-    def label_of(self, node: int) -> str:
-        return self.labels[node]
-
-
 def load_edge_list(path, *, delimiter=None, weighted=True,
-                   default_node_weight=1.0, name=None):
+                   default_node_weight=1.0):
     """Parse ``u v [w]`` lines into a graph with dense node ids.
 
     Blank lines and lines starting with ``%`` or ``#`` (KONECT headers
     included) are skipped. Node labels are arbitrary tokens and get dense ids
-    in order of first appearance; the label map is kept on the returned
-    GraphMeta. A missing weight column means weight 1; ``weighted=False``
-    forces weight 1 even when a third column is present. Every node receives
+    in order of first appearance: ``labels[k]`` is the label of node ``k``.
+    A missing weight column means weight 1; ``weighted=False`` forces weight
+    1 even when a third column is present. Every node receives
     ``default_node_weight`` as its node weight.
 
     Args:
@@ -203,10 +182,9 @@ def load_edge_list(path, *, delimiter=None, weighted=True,
             empty field is refused.
         weighted: Whether to honor a third column as the edge weight.
         default_node_weight: Finite positive node weight assigned to all nodes.
-        name: Dataset label for the GraphMeta; defaults to the file stem.
 
     Returns:
-        ``(WeightedGraph, GraphMeta)``.
+        ``(WeightedGraph, labels)``, ``labels`` a tuple of str.
 
     Raises:
         GraphFormatError: Malformed line or empty field, non-positive
@@ -272,15 +250,7 @@ def load_edge_list(path, *, delimiter=None, weighted=True,
 
     g = WeightedGraph(len(labels), edges, weights,
                       np.full(len(labels), default_node_weight))
-    meta = GraphMeta(
-        name=name or path.stem,
-        source_path=str(path),
-        node_count=g.node_count,
-        edge_count=g.edge_count,
-        max_degree=int(g.degrees.max()) if g.node_count else 0,
-        labels=tuple(labels),
-    )
-    return g, meta
+    return g, tuple(labels)
 
 
 def write_edge_list(g: WeightedGraph, path, labels=None, comments=()):
@@ -322,26 +292,48 @@ def induced_subgraph(g: WeightedGraph, nodes) -> WeightedGraph:
     return WeightedGraph(len(keep), sub_edges, sub_weights, g.node_weights[keep])
 
 
+def _expand(g: WeightedGraph, keys):
+    """Every half-edge out of the flat states ``keys`` (``row * V + node``),
+    in key order and, per key, in CSR order.
+
+    Returns the index into ``keys`` of each half-edge's tail, the flat state
+    of its head in the same row, and the half-edge's CSR position.
+    """
+    V = g.node_count
+    nodes = keys % V
+    deg = g.degrees[nodes]
+    tail = np.repeat(np.arange(len(keys)), deg)
+    pos = np.arange(len(tail))
+    pos += (g.adj_indptr[nodes] - (np.cumsum(deg) - deg))[tail]
+    head = (keys - nodes)[tail]
+    head += g.adj_neighbors[pos]
+    return tail, head, pos
+
+
 def connected_components(g: WeightedGraph) -> list[np.ndarray]:
-    """Connected components as sorted id arrays, ordered by smallest member."""
-    seen = np.zeros(g.node_count, dtype=bool)
-    comps = []
-    for s in range(g.node_count):
-        if seen[s]:
-            continue
-        seen[s] = True
-        members = [s]
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            lo, hi = g.adj_indptr[v], g.adj_indptr[v + 1]
-            for w in g.adj_neighbors[lo:hi]:
-                if not seen[w]:
-                    seen[w] = True
-                    members.append(int(w))
-                    queue.append(int(w))
-        comps.append(np.array(sorted(members), dtype=np.int64))
-    return comps
+    """Connected components as sorted id arrays, ordered by smallest member.
+
+    Hook and jump (Shiloach & Vishkin 1982): every node points toward the
+    root of its tree, which is the tree's smallest node. Each round hooks
+    the larger root of every edge that joins two trees under the smaller
+    one, then jumps pointers to their roots until none changes. A round
+    with no such edge leaves one tree per component.
+    """
+    root = np.arange(g.node_count)
+    tails, heads = g.edges.T
+    while True:
+        a, b = root[tails], root[heads]
+        joins = a != b
+        if not joins.any():
+            break
+        a, b = a[joins], b[joins]
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(hop := root[root], root):
+            root = hop
+    if not len(root):
+        return []
+    order = np.argsort(root, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(root[order])) + 1)
 
 
 def largest_component(g: WeightedGraph) -> np.ndarray:

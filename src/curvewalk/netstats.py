@@ -11,7 +11,8 @@ graphs; ``path_mode="weighted"`` treats edge weights as lengths. One Brandes
 pass over a block of sources at once yields betweenness (dependency
 accumulation) and closeness together, and forms every float in the order a
 Dijkstra per source would. The two modes differ only in how they build the
-block's shortest-path DAG. Hop mode runs a breadth-first search, one level at
+block's shortest-path DAG, and both walk the half-edges out of a set of states
+with ``graph._expand``. Hop mode runs a breadth-first search, one level at
 a time. Weighted mode relaxes distances until none improves, then places each
 node in the Dijkstra's pop order; ``u -> v`` is a shortest-path edge iff
 ``dist[u] + w == dist[v]`` and ``u`` pops before ``v``. Two weighted paths
@@ -31,7 +32,7 @@ import logging
 
 import numpy as np
 
-from .graph import WeightedGraph
+from .graph import WeightedGraph, _expand
 
 logger = logging.getLogger(__name__)
 
@@ -52,24 +53,6 @@ _BLOCK_PAIRS = 1 << 15
 def _block_size(g: WeightedGraph) -> int:
     """Sources per block of :func:`_sweep`."""
     return max(1, _BLOCK_PAIRS // max(len(g.adj_neighbors), g.node_count, 1))
-
-
-def _expand(g: WeightedGraph, keys):
-    """Every half-edge out of the flat states ``keys`` (``row * V + node``),
-    in key order and, per key, in CSR order.
-
-    Returns the index into ``keys`` of each half-edge's tail, the flat state
-    of its head in the same row, and the half-edge's CSR position.
-    """
-    V = g.node_count
-    nodes = keys % V
-    deg = g.degrees[nodes]
-    tail = np.repeat(np.arange(len(keys)), deg)
-    pos = np.arange(len(tail))
-    pos += (g.adj_indptr[nodes] - (np.cumsum(deg) - deg))[tail]
-    head = (keys - nodes)[tail]
-    head += g.adj_neighbors[pos]
-    return tail, head, pos
 
 
 def _distinct(keys, slot):
@@ -158,10 +141,9 @@ def _sweep(g: WeightedGraph, path_mode: str):
     """
     V = g.node_count
     if path_mode == "weighted":
-        owner = np.repeat(np.arange(V), g.degrees)
-        # the CSR is sorted by (owner, neighbor), so sorting the half-edges by
-        # (neighbor, owner) lists each one's reverse in CSR order
-        flip = np.lexsort((owner, g.adj_neighbors))
+        # the CSR is sorted by (tail, neighbor), so sorting the half-edges by
+        # (neighbor, tail) lists each one's reverse in CSR order
+        flip = np.lexsort((g.adj_tails, g.adj_neighbors))
     block = _block_size(g)
     bc = np.zeros(V, dtype=np.float64)
     totals = np.zeros(V, dtype=np.float64)
@@ -174,7 +156,7 @@ def _sweep(g: WeightedGraph, path_mode: str):
         if path_mode == "hop":
             dist, levels, edges = _hop_dag(g, roots, sigma)
         else:
-            dist, levels, edges = _weighted_dag(g, roots, sigma, owner, flip)
+            dist, levels, edges = _weighted_dag(g, roots, sigma, flip)
         delta = np.zeros(B * V, dtype=np.float64)
         # up to the sources' children: a source's own dependency is unused
         for d in range(len(edges) - 1, 0, -1):
@@ -237,10 +219,10 @@ def _hop_dag(g: WeightedGraph, roots, sigma):
     return dist, levels, edges
 
 
-def _weighted_dag(g: WeightedGraph, roots, sigma, owner, flip):
+def _weighted_dag(g: WeightedGraph, roots, sigma, flip):
     """Shortest-path DAG of a block on edge-weight lengths, filling the path
-    counts ``sigma``; ``owner`` and ``flip`` give each half-edge's tail node
-    and the CSR position of its reverse.
+    counts ``sigma``; ``flip`` gives the CSR position of each half-edge's
+    reverse.
 
     Distances come from label-correcting relaxation: each round expands the
     states whose distance improved and keeps the least ``dist[u] + w`` per
@@ -258,7 +240,7 @@ def _weighted_dag(g: WeightedGraph, roots, sigma, owner, flip):
     """
     V = g.node_count
     E2 = len(g.adj_neighbors)
-    nbrs, lengths = g.adj_neighbors, g.adj_weights
+    tails, nbrs, lengths = g.adj_tails, g.adj_neighbors, g.adj_weights
     B = len(roots)
     dist = np.full(B * V, np.inf)
     dist[roots] = 0.0
@@ -275,14 +257,14 @@ def _weighted_dag(g: WeightedGraph, roots, sigma, owner, flip):
         frontier = _distinct(head, slot)
 
     d2 = dist.reshape(B, V)
-    reach = d2[:, owner]
+    reach = d2[:, tails]
     reach += lengths
     dag = reach == d2[:, nbrs]
     dag &= reach < np.inf  # inf + w == inf
     del reach
     rank = _pop_ranks(g, dist, B, flip)
     r2 = rank.reshape(B, V)
-    dag &= r2[:, owner] < r2[:, nbrs]
+    dag &= r2[:, tails] < r2[:, nbrs]
     dag = dag.ravel()
     edge = np.flatnonzero(dag)
     waiting = np.bincount(edge // E2 * V + nbrs[edge % E2], minlength=B * V)

@@ -196,7 +196,7 @@ def _edge_weights(g: WeightedGraph, abs_edge_curv: np.ndarray | None,
     live = g.degrees > 0
     row_max = np.zeros(g.node_count)
     row_max[live] = np.maximum.reduceat(f, g.adj_indptr[:-1][live])
-    curved = np.repeat(row_max > epsilon_floor, g.degrees)
+    curved = (row_max > epsilon_floor)[g.adj_tails]
     weights[curved] = (np.maximum(f[curved], epsilon_floor)
                        / g.degrees[g.adj_neighbors[curved]])
     return weights
@@ -482,7 +482,7 @@ def _guide_table(g, table, n_tables):
     V, H = g.node_count, len(g.adj_neighbors)
     m = 1 << min(int(2 * g.degrees.max() - 1).bit_length(),
                  max(16 * H // V, 1).bit_length() - 1)
-    owner = np.repeat(np.arange(n_tables * V), np.tile(g.degrees, n_tables))
+    owner = (g.adj_tails + np.arange(n_tables)[:, None] * V).ravel()
     counts = np.bincount(owner * (m + 1) + np.ceil(table * m).astype(np.int64),
                          minlength=n_tables * V * (m + 1))
     fullest = int(counts.reshape(-1, m + 1)[:, 1:].max())
@@ -526,7 +526,7 @@ def build_transition_matrix(g: WeightedGraph, config: SamplerConfig,
             f"graph has {g.node_count}")
     table, target = _kernel_table(g, config, curvmap, target)
     V = g.node_count
-    src = np.repeat(np.arange(V), g.degrees)  # tail node of every half-edge
+    src = g.adj_tails
     dst = g.adj_neighbors
     P = np.zeros((V, V), dtype=np.float64)
     moving = g.degrees > 0

@@ -20,12 +20,17 @@ errors bit for bit.
 The step oracles apply one kernel move straight from its formula, one node
 row at a time, consuming the chain's uniforms in the documented order; the
 package's table-driven chain drivers must reproduce them bit for bit.
+
+The component oracle is the per-node breadth-first search that the package's
+hook-and-jump ``connected_components`` replaced; it must return the same
+arrays in the same order.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from collections import deque
 from fractions import Fraction
 from itertools import count
 from math import inf
@@ -33,6 +38,29 @@ from math import inf
 import numpy as np
 
 from curvewalk import DEFAULT_EPSILON_FLOOR
+
+
+def connected_components_oracle(g) -> list[np.ndarray]:
+    """Connected components by a breadth-first search from each unseen node:
+    sorted int64 id arrays, ordered by smallest member."""
+    seen = np.zeros(g.node_count, dtype=bool)
+    comps = []
+    for s in range(g.node_count):
+        if seen[s]:
+            continue
+        seen[s] = True
+        members = [s]
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            lo, hi = g.adj_indptr[v], g.adj_indptr[v + 1]
+            for w in g.adj_neighbors[lo:hi]:
+                if not seen[w]:
+                    seen[w] = True
+                    members.append(int(w))
+                    queue.append(int(w))
+        comps.append(np.array(sorted(members), dtype=np.int64))
+    return comps
 
 
 def adjacency_matrix(g) -> np.ndarray:

@@ -207,10 +207,41 @@ def test_golden_outputs(tmp_path, argv):
     assert digests == GOLDEN_OUTPUTS[argv]
     if argv[0] == "sample":
         # the manifest names the first row's node: the start after burn-in
-        _, meta = load_edge_list(LESMIS)
+        _, labels = load_edge_list(LESMIS)
         start = json.loads((out / "manifest.json").read_text())[
             "config"]["start_node_resolved"]
-        assert meta.labels[start] == read_csv(out / "trace.csv")[1][1]
+        assert labels[start] == read_csv(out / "trace.csv")[1][1]
+
+
+MANIFEST_KEYS = {
+    "tool_version", "command", "graph_path", "graph_sha256", "node_count",
+    "edge_count", "max_degree", "ingest", "rng_generator", "master_seed",
+    "config", "created_utc"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["curvature"], ["sample", "--steps", "5"], ["stats"],
+    ["converge", "--chains", "2", "--steps", "5"]], ids=lambda argv: argv[0])
+def test_manifest_keys_and_graph_counts(tmp_path, argv):
+    out = tmp_path / "o"
+    assert main([argv[0], "--graph", str(LESMIS), "--out", str(out),
+                 *argv[1:]]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest) == MANIFEST_KEYS
+    assert (manifest["node_count"], manifest["edge_count"],
+            manifest["max_degree"]) == (77, 254, 36)
+    assert manifest["command"] == argv[0]
+
+
+def test_manifest_of_a_graph_without_edges(tmp_path):
+    f = tmp_path / "empty.txt"
+    f.write_text("% no edges\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["curvature", "--graph", str(f), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest) == MANIFEST_KEYS
+    assert (manifest["node_count"], manifest["edge_count"],
+            manifest["max_degree"]) == (0, 0, 0)
 
 
 class TestConverge:
@@ -408,13 +439,22 @@ class TestConverge:
         assert repr(key) in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("key", ["start_nodes", "statistics"])
+    @pytest.mark.parametrize("key", ["start_nodes", "statistics", "samplers"])
     def test_plan_number_for_a_list_exit_1(self, tmp_path, capsys, key):
         plan = write_plan(tmp_path, {key: 3})
         out = tmp_path / "x"
         assert main(["converge", "--graph", str(LESMIS), "--out", str(out),
                      "--plan", plan]) == 1
         assert f"{key} must be a list, got 3" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_plan_string_for_samplers_exit_1(self, tmp_path, capsys):
+        plan = write_plan(tmp_path, {"samplers": "edge_uniform"})
+        out = tmp_path / "x"
+        assert main(["converge", "--graph", str(LESMIS), "--out", str(out),
+                     "--plan", plan]) == 1
+        assert ("samplers must be a list, got 'edge_uniform'"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_padded_comma_delimited_graph(self, tmp_path):
@@ -527,14 +567,14 @@ class TestWriter:
                          'c d\tx\t1e16\nx\ty""z\n', encoding="utf-8")
         assert main(["curvature", "--graph", str(graph), "--out", str(tmp_path / "o"),
                      "--delimiter", "\t", "--curvature-mode", "weighted"]) == 0
-        g, meta = load_edge_list(graph, delimiter="\t")
+        g, labels = load_edge_list(graph, delimiter="\t")
         cm = compute_curvature_map(g, "weighted")
         for name, header, columns in (
                 ("edge_curvature.csv", ["edge_u", "edge_v", "forman"],
-                 ([meta.labels[u] for u in g.edges[:, 0].tolist()],
-                  [meta.labels[v] for v in g.edges[:, 1].tolist()], cm.edge_values)),
+                 ([labels[u] for u in g.edges[:, 0].tolist()],
+                  [labels[v] for v in g.edges[:, 1].tolist()], cm.edge_values)),
                 ("node_curvature.csv", ["node", "forman"],
-                 (meta.labels, cm.node_values))):
+                 (labels, cm.node_values))):
             assert (tmp_path / "o" / name).read_bytes() == csv_reference(
                 tmp_path / name, header, *columns)
 

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvewalk import (GraphFormatError, WeightedGraph, connected_components,
                        induced_subgraph, largest_component, load_edge_list,
                        write_edge_list)
 from conftest import path_graph, star_graph, random_connected_graph
+from oracles import connected_components_oracle
 
 
 def write_lines(tmp_path, name, lines):
@@ -20,28 +23,35 @@ def write_lines(tmp_path, name, lines):
 class TestLoader:
     def test_two_edge_path(self, tmp_path):
         f = write_lines(tmp_path, "p.txt", ["0 1", "1 2"])
-        g, meta = load_edge_list(f)
+        g, labels = load_edge_list(f)
         assert g.node_count == 3
         assert [g.degree(i) for i in range(3)] == [1, 2, 1]
         assert np.all(g.edge_weights == 1.0)
-        assert meta.labels == ("0", "1", "2")
+        assert labels == ("0", "1", "2")
 
     def test_comments_headers_blanks(self, tmp_path):
         f = write_lines(tmp_path, "k.tsv", [
             "% sym positive", "# a comment", "", "a\tb\t2.5", "b\tc"])
-        g, meta = load_edge_list(f)
+        g, labels = load_edge_list(f)
         assert g.node_count == 3
-        assert g.edge_weight(meta.node_id("a"), meta.node_id("b")) == 2.5
-        assert g.edge_weight(meta.node_id("b"), meta.node_id("c")) == 1.0
+        assert g.edge_weight(labels.index("a"), labels.index("b")) == 2.5
+        assert g.edge_weight(labels.index("b"), labels.index("c")) == 1.0
 
     def test_labels_first_seen_order(self, tmp_path):
         f = write_lines(tmp_path, "l.txt", ["x y", "z x"])
-        _, meta = load_edge_list(f)
-        assert meta.labels == ("x", "y", "z")
-        assert meta.node_id("z") == 2
-        assert meta.label_of(1) == "y"
-        with pytest.raises(KeyError):
-            meta.node_id("nope")
+        _, labels = load_edge_list(f)
+        assert labels == ("x", "y", "z")
+        assert labels.index("z") == 2
+        assert labels[1] == "y"
+        with pytest.raises(ValueError):
+            labels.index("nope")
+
+    def test_labels_are_a_tuple_of_str(self, tmp_path):
+        f = write_lines(tmp_path, "t.txt", ["7 x 2", "x 8.5"])
+        _, labels = load_edge_list(f)
+        assert type(labels) is tuple
+        assert labels == ("7", "x", "8.5")
+        assert all(type(label) is str for label in labels)
 
     def test_unweighted_flag_ignores_column(self, tmp_path):
         f = write_lines(tmp_path, "w.txt", ["a b 9"])
@@ -75,8 +85,8 @@ class TestLoader:
 
     def test_delimited_fields_lose_surrounding_spaces(self, tmp_path):
         f = write_lines(tmp_path, "padded.csv", ["a, b, 2", "b, c, 1"])
-        g, meta = load_edge_list(f, delimiter=",")
-        assert meta.labels == ("a", "b", "c")
+        g, labels = load_edge_list(f, delimiter=",")
+        assert labels == ("a", "b", "c")
         assert g.edge_weight(0, 1) == 2.0
         assert g.edge_weight(1, 2) == 1.0
 
@@ -88,22 +98,22 @@ class TestLoader:
 
     def test_meta_counts(self, tmp_path):
         f = write_lines(tmp_path, "m.txt", ["a b", "a c", "a d"])
-        g, meta = load_edge_list(f, name="tiny-star")
-        assert (meta.node_count, meta.edge_count, meta.max_degree) == (4, 3, 3)
-        assert meta.name == "tiny-star"
+        g, labels = load_edge_list(f)
+        assert (g.node_count, g.edge_count, int(g.degrees.max())) == (4, 3, 3)
+        assert labels == ("a", "b", "c", "d")
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
         g = random_connected_graph(rng, 15, extra=1.0, weighted=True)
         out = tmp_path / "rt.txt"
         write_edge_list(g, out, comments=["round trip"])
-        g2, meta = load_edge_list(out)
+        g2, labels = load_edge_list(out)
         assert g2.node_count == g.node_count
         original = {(int(u), int(v)): float(w)
                     for (u, v), w in zip(g.edges, g.edge_weights)}
         reloaded = {}
         for (u, v), w in zip(g2.edges, g2.edge_weights):
-            a, b = int(meta.labels[u]), int(meta.labels[v])
+            a, b = int(labels[u]), int(labels[v])
             reloaded[(min(a, b), max(a, b))] = float(w)
         assert reloaded == original
 
@@ -220,6 +230,16 @@ class TestInvariants:
                 back = dict(g.neighbors(j))
                 assert back[i] == w
 
+    @pytest.mark.parametrize("g", [
+        WeightedGraph(0, []), WeightedGraph(3, []), path_graph(4), star_graph(5),
+        WeightedGraph(6, [(4, 1), (0, 5), (1, 3), (2, 0)]),
+    ], ids=["empty", "no-edges", "path", "star", "shuffled"])
+    def test_adj_tails_is_the_read_only_tail_of_every_half_edge(self, g):
+        expected = np.repeat(np.arange(g.node_count), g.degrees)
+        assert g.adj_tails.dtype == np.int64
+        assert np.array_equal(g.adj_tails, expected)
+        assert not g.adj_tails.flags.writeable
+
     def test_neighbor_order_ascending(self):
         rng = np.random.default_rng(3)
         g = random_connected_graph(rng, 15)
@@ -239,3 +259,35 @@ class TestComponents:
         comps = connected_components(g)
         assert [c.tolist() for c in comps] == [[0, 1], [2, 3], [4]]
         assert largest_component(g).tolist() == [0, 1]
+
+    @staticmethod
+    def assert_equals_oracle(g):
+        comps = connected_components(g)
+        want = connected_components_oracle(g)
+        assert len(comps) == len(want)
+        for got, ref in zip(comps, want):
+            assert got.dtype == ref.dtype
+            assert np.array_equal(got, ref)
+
+    def test_empty_graph(self):
+        assert connected_components(WeightedGraph(0, [])) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 40))
+    def test_equals_the_bfs_oracle(self, data, n):
+        # edges come in drawn order and orientation; sparse draws leave
+        # isolated nodes, and none at all leaves every node alone
+        pairs = data.draw(st.lists(
+            st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0))),
+            max_size=2 * n))
+        edges = list({tuple(sorted(p)): p for p in pairs if p[0] != p[1]}.values())
+        self.assert_equals_oracle(WeightedGraph(n, edges))
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_long_path_equals_the_bfs_oracle(self, shuffled):
+        V = 10_000
+        ids = np.random.default_rng(7).permutation(V) if shuffled else np.arange(V)
+        edges = np.column_stack((ids[:-1], ids[1:]))
+        if shuffled:
+            edges = edges[np.random.default_rng(8).permutation(V - 1)]
+        self.assert_equals_oracle(WeightedGraph(V, edges))

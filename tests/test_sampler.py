@@ -139,8 +139,7 @@ class TestEdgeKernel:
         ev[g.edge_id(0, 1)] = 2.0   # d(1) = 2
         ev[g.edge_id(0, 2)] = -1.0  # d(2) = 1
         ev[g.edge_id(1, 3)] = 5.0
-        cm = CurvatureMap(mode="combinatorial", edge_values=ev,
-                          node_values=np.zeros(4))
+        cm = CurvatureMap(edge_values=ev, node_values=np.zeros(4))
         P = build_transition_matrix(g, SamplerConfig(
             kind="edge_curved", seed=0, max_steps=1), curvmap=cm)
         assert P[0, 1] == pytest.approx(0.5, abs=1e-15)
