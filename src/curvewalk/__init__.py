@@ -19,9 +19,8 @@ from .sampler import (DEFAULT_EPSILON_FLOOR, GENERATOR_NAME, SAMPLER_KINDS,
 from .netstats import (PATH_MODES, STAT_KINDS, betweenness, closeness,
                        compute_statistics, mean_statistic, strength_vector,
                        weighted_clustering)
-from .convergence import (BackboneRanking, ConvergenceCurve, ExperimentPlan,
-                          ExperimentResult, estimator_mean, extract_backbone,
-                          run_experiment)
+from .convergence import (ExperimentPlan, ExperimentResult, estimator_mean,
+                          extract_backbone, run_experiment)
 
 __version__ = "0.1.0"
 
@@ -43,6 +42,6 @@ __all__ = [
     "compute_statistics", "mean_statistic", "strength_vector",
     "weighted_clustering",
     # convergence
-    "BackboneRanking", "ConvergenceCurve", "ExperimentPlan",
-    "ExperimentResult", "estimator_mean", "extract_backbone", "run_experiment",
+    "ExperimentPlan", "ExperimentResult", "estimator_mean", "extract_backbone",
+    "run_experiment",
 ]

@@ -16,6 +16,7 @@ import hashlib
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -23,8 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .convergence import DEFAULT_N_CHAINS, ExperimentPlan, run_experiment
-from .curvature import CURVATURE_MODES, compute_curvature_map
+from .convergence import (DEFAULT_N_CHAINS, ExperimentPlan, extract_backbone,
+                          run_experiment)
+from .curvature import CURVATURE_MODES, _NonFiniteCurvature, compute_curvature_map
 from .graph import GraphFormatError, load_edge_list
 from .netstats import PATH_MODES, STAT_KINDS, compute_statistics, mean_statistic
 from .sampler import (DEFAULT_EPSILON_FLOOR, GENERATOR_NAME, SAMPLER_KINDS,
@@ -47,6 +49,16 @@ def _load_graph(args):
     return load_edge_list(args.graph, delimiter=args.delimiter,
                           weighted=not args.unweighted,
                           default_node_weight=args.node_weight)
+
+
+@contextmanager
+def _edge_labels(labels):
+    """Name the edge of a curvature refusal by its labels in the edge list."""
+    try:
+        yield
+    except _NonFiniteCurvature as exc:
+        exc.nodes = tuple(labels[i] for i in exc.nodes)
+        raise
 
 
 class _Lines(list):
@@ -130,7 +142,8 @@ def _prepare_out(args) -> Path:
 
 def cmd_curvature(args) -> int:
     g, labels = _load_graph(args)
-    curvmap = compute_curvature_map(g, args.curvature_mode)
+    with _edge_labels(labels):
+        curvmap = compute_curvature_map(g, args.curvature_mode)
     out = _prepare_out(args)
     tails, heads = g.edges.T.tolist()
     _write_csv(out / "edge_curvature.csv", ["edge_u", "edge_v", "forman"],
@@ -170,7 +183,8 @@ def cmd_sample(args) -> int:
                                burn_in=args.burn_in)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    visits = run_chain(g, config)
+    with _edge_labels(labels):
+        visits = run_chain(g, config)
     out = _prepare_out(args)
     _write_csv(out / "trace.csv", ["step", "node", "distinct_count"],
                range(1, len(visits) + 1),
@@ -251,34 +265,37 @@ def cmd_converge(args) -> int:
         if args.plan:
             raise GraphFormatError(f"invalid plan file {args.plan}: {exc}") from exc
         raise UsageError(str(exc)) from None
-    result = run_experiment(g, plan)
+    with _edge_labels(labels):
+        result = run_experiment(g, plan)
 
     if result.component_nodes is not None:
         labels = tuple(labels[int(o)] for o in result.component_nodes)
 
     out = _prepare_out(args)
     files = []
-    for curve in result.curves:
-        name = f"mse_{curve.sampler}_{curve.statistic}.csv"
-        _write_csv(out / name, ["n", "mse", "mean_distinct"],
-                   range(1, len(curve.mse) + 1), curve.mse, curve.mean_distinct)
-        files.append(name)
+    for sampler, curves in result.mse.items():
+        mean_distinct = result.mean_distinct[sampler]
+        for kind, mse in curves.items():
+            name = f"mse_{sampler}_{kind}.csv"
+            _write_csv(out / name, ["n", "mse", "mean_distinct"],
+                       range(1, len(mse) + 1), mse, mean_distinct)
+            files.append(name)
 
     # backbone ranking of the first (primary) sampler in the plan
-    first = result.sampler_labels[0]
-    ranking = result.backbones[first]
-    ranked = ranking.ranked_nodes
+    first = next(iter(result.visit_counts))
+    counts = result.visit_counts[first]
+    ranked = extract_backbone(counts, 1.0)
     _write_csv(out / "backbone.csv", ["node", "visits", "rank"],
                [labels[node] for node in ranked.tolist()],
-               ranking.visit_counts[ranked], range(1, len(ranked) + 1))
+               counts[ranked], range(1, len(ranked) + 1))
 
     plan_dict = {
         "samplers": [{key: getattr(cfg, key) for key in _PLAN_SAMPLER_KEYS}
                      for cfg in plan.samplers],
-        "sampler_labels": list(result.sampler_labels),
+        "sampler_labels": list(result.mse),
         "statistics": list(plan.statistics),
         "n_chains": plan.n_chains,
-        "max_steps": result.backbones[first].max_steps,
+        "max_steps": len(result.mean_distinct[first]),
         "start_nodes_resolved": [labels[s] for s in result.start_nodes],
         "chain_seeds": list(result.chain_seeds),
         "path_mode": plan.path_mode,

@@ -3,8 +3,8 @@
 Runs ``n_chains`` chains per sampler, forms the running mean of each
 full-graph statistic over the distinct nodes sampled so far, and reports the
 mean squared error of that estimator against the full-network mean at every
-step, together with the mean distinct-node count. Visit counts aggregated
-over a sampler's chains rank nodes for backbone extraction.
+step, together with the mean distinct-node count, as read-only arrays keyed
+by sampler label. :func:`extract_backbone` ranks nodes by their visits.
 
 Chains of one experiment share start nodes and per-chain seeds across
 samplers (seed of chain ``c`` is ``master_seed XOR splitmix64(c)``), so a
@@ -27,6 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .curvature import _NonFiniteCurvature
 from .graph import WeightedGraph, connected_components, induced_subgraph
 from .netstats import STAT_KINDS, PATH_MODES, compute_statistics, mean_statistic
 from .sampler import (SamplerConfig, _integer, chain_seed, first_visit_mask,
@@ -111,41 +112,23 @@ class ExperimentPlan:
 
 
 @dataclass(frozen=True)
-class ConvergenceCurve:
-    """Per-step MSE of one (sampler, statistic) pair, averaged over chains."""
+class ExperimentResult:
+    """What an experiment produced, and what it resolved of its plan.
 
-    sampler: str
-    statistic: str
-    mse: np.ndarray
-    mean_distinct: np.ndarray
-
-
-@dataclass(frozen=True)
-class BackboneRanking:
-    """Aggregate visit counts of one sampler's chains, ranked for extraction.
-
-    ``ranked_nodes`` orders every node by descending visit count, ties broken
-    by ascending node id; counts sum to ``n_chains * max_steps``.
+    Dicts are keyed in plan order, samplers by :func:`sampler_labels`.
+    ``mse[label][kind]`` and ``mean_distinct[label]`` hold one chain mean per
+    step; ``visit_counts[label]`` counts each node's visits over the
+    sampler's chains. Arrays are read-only. Under a restriction, node ids are
+    those of the component, whose ids in the given graph are
+    ``component_nodes``.
     """
 
-    visit_counts: np.ndarray
-    ranked_nodes: np.ndarray
-    n_chains: int
-    max_steps: int
-
-
-@dataclass(frozen=True)
-class ExperimentResult:
-    """Everything an experiment produced."""
-
-    plan: ExperimentPlan
-    sampler_labels: tuple[str, ...]
-    curves: tuple[ConvergenceCurve, ...]
-    backbones: dict[str, BackboneRanking]
+    mse: dict[str, dict[str, np.ndarray]]
+    mean_distinct: dict[str, np.ndarray]
+    visit_counts: dict[str, np.ndarray]
     full_means: dict[str, float]
     start_nodes: tuple[int, ...]
     chain_seeds: tuple[int, ...]
-    node_count: int
     component_nodes: np.ndarray | None = None
 
 
@@ -195,8 +178,9 @@ def estimator_mean(values: np.ndarray, visits: np.ndarray, n: int) -> float:
     return float(zbar[-1])
 
 
-def extract_backbone(ranking: BackboneRanking, fraction: float) -> np.ndarray:
-    """Ids of the ``ceil(fraction * node_count)`` most-visited nodes.
+def extract_backbone(visit_counts: np.ndarray, fraction: float) -> np.ndarray:
+    """Ids of the ``ceil(fraction * len(visit_counts))`` most-visited nodes,
+    by descending visits, then ascending id.
 
     The product is exact on the shortest decimal that reads back as
     ``fraction``, so float noise cannot round it up: ``0.07`` of 100 nodes is
@@ -209,31 +193,29 @@ def extract_backbone(ranking: BackboneRanking, fraction: float) -> np.ndarray:
     fraction = float(fraction)
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    k = math.ceil(Fraction(repr(fraction)) * len(ranking.visit_counts))
-    return ranking.ranked_nodes[:k].copy()
+    counts = np.asarray(visit_counts)
+    k = math.ceil(Fraction(repr(fraction)) * len(counts))
+    return np.lexsort((np.arange(len(counts)), -counts))[:k]
 
 
 def sampler_labels(samplers) -> tuple[str, ...]:
     """Kind names, suffixed with an index when a kind repeats."""
     kinds = [cfg.kind for cfg in samplers]
-    labels = []
-    for i, kind in enumerate(kinds):
-        if kinds.count(kind) > 1:
-            labels.append(f"{kind}_{kinds[:i + 1].count(kind)}")
-        else:
-            labels.append(kind)
-    return tuple(labels)
+    return tuple(f"{kind}_{kinds[:i + 1].count(kind)}" if kinds.count(kind) > 1
+                 else kind for i, kind in enumerate(kinds))
 
 
 def run_experiment(g: WeightedGraph, plan: ExperimentPlan) -> ExperimentResult:
     """Run the full multi-chain convergence experiment described by ``plan``.
 
     Deterministic given (graph, plan): start nodes and chain seeds derive
-    from ``plan.master_seed`` only, and aggregation order is fixed.
+    from ``plan.master_seed`` only, and aggregation order is fixed. Curves
+    and visit counts are keyed by sampler label (:class:`ExperimentResult`).
 
     Raises:
-        ValueError: disconnected graph without ``use_largest_component``, or
-            invalid start configuration.
+        ValueError: disconnected graph without ``use_largest_component``,
+            invalid start configuration, or a weighted curvature outside the
+            float64 range, whose edge is named by ids of the graph as given.
     """
     component_nodes = None
     comps = connected_components(g)
@@ -282,41 +264,28 @@ def run_experiment(g: WeightedGraph, plan: ExperimentPlan) -> ExperimentResult:
         starts = tuple(int(s) for s in rng.permutation(eligible)[:n_chains])
     seeds = tuple(chain_seed(plan.master_seed, c) for c in range(n_chains))
 
-    visits = run_lockstep(g, [
-        replace(template, seed=seeds[c], start_node=starts[c], max_steps=n_steps)
-        for template in plan.samplers for c in range(n_chains)])
+    try:
+        visits = run_lockstep(g, [
+            replace(template, seed=seeds[c], start_node=starts[c], max_steps=n_steps)
+            for template in plan.samplers for c in range(n_chains)])
+    except _NonFiniteCurvature as exc:
+        if component_nodes is not None:
+            exc.nodes = tuple(component_nodes[list(exc.nodes)].tolist())
+        raise
 
-    labels = sampler_labels(plan.samplers)
-    curves = []
-    backbones = {}
-    for s_idx, label in enumerate(labels):
+    mse, mean_distinct, visit_counts = {}, {}, {}
+    for s_idx, label in enumerate(sampler_labels(plan.samplers)):
         sq_sum, distinct_sum, counts = _chain_sums(
             visits[s_idx * n_chains:(s_idx + 1) * n_chains], stat_values,
             full_means)
         # summing then dividing by n_chains equals np.mean over the chains
-        mean_distinct = distinct_sum / n_chains
-        mean_distinct.setflags(write=False)
-        for kind in plan.statistics:
-            mse = sq_sum[kind] / n_chains
-            mse.setflags(write=False)
-            curves.append(ConvergenceCurve(sampler=label, statistic=kind,
-                                           mse=mse, mean_distinct=mean_distinct))
-        ranked = np.lexsort((np.arange(V), -counts))
-        counts.setflags(write=False)
-        ranked.setflags(write=False)
-        backbones[label] = BackboneRanking(visit_counts=counts,
-                                           ranked_nodes=ranked,
-                                           n_chains=n_chains,
-                                           max_steps=n_steps)
+        mse[label] = {kind: sq_sum[kind] / n_chains for kind in plan.statistics}
+        mean_distinct[label] = distinct_sum / n_chains
+        visit_counts[label] = counts
+        for arr in (*mse[label].values(), mean_distinct[label], counts):
+            arr.setflags(write=False)
 
     return ExperimentResult(
-        plan=plan,
-        sampler_labels=labels,
-        curves=tuple(curves),
-        backbones=backbones,
-        full_means=full_means,
-        start_nodes=starts,
-        chain_seeds=seeds,
-        node_count=V,
-        component_nodes=component_nodes,
-    )
+        mse=mse, mean_distinct=mean_distinct, visit_counts=visit_counts,
+        full_means=full_means, start_nodes=starts, chain_seeds=seeds,
+        component_nodes=component_nodes)

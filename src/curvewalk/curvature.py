@@ -43,6 +43,21 @@ class CurvatureMap:
     node_values: np.ndarray
 
 
+class _NonFiniteCurvature(ValueError):
+    """A weighted edge curvature outside the float64 range. ``nodes`` are
+    the edge's ends; a caller that knows the graph's labels may set them to
+    the labels before the message is shown."""
+
+    def __init__(self, nodes, value):
+        super().__init__(nodes, value)
+        self.nodes, self.value = nodes, value
+
+    def __str__(self):
+        u, v = self.nodes
+        return (f"weighted curvature of edge ({u}, {v}) is {self.value!r}: a "
+                "product of edge weights leaves the float64 range")
+
+
 def _weighted_forman(g: WeightedGraph, edge_ids: np.ndarray) -> np.ndarray:
     """Weighted Forman curvature of the edges ``edge_ids``, in that order.
 
@@ -111,7 +126,8 @@ def compute_curvature_map(g: WeightedGraph, mode: str = "combinatorial") -> Curv
     Raises:
         ValueError: unknown mode, or a weighted value that is not finite
             (weights so far apart that a product ``w_ij * w_e`` underflows
-            to 0 or overflows); the message names the first such edge.
+            to 0 or overflows); the message names the first such edge by its
+            ends.
     """
     if mode not in CURVATURE_MODES:
         raise ValueError(f"unknown curvature mode {mode!r}")
@@ -127,11 +143,7 @@ def compute_curvature_map(g: WeightedGraph, mode: str = "combinatorial") -> Curv
         bad = np.flatnonzero(~np.isfinite(ev))
         if len(bad):
             e = int(bad[0])
-            u, v = g.edges[e].tolist()
-            raise ValueError(
-                f"weighted curvature of edge {e} (nodes {u}, {v}) is "
-                f"{float(ev[e])!r}: a product of edge weights leaves the "
-                "float64 range")
+            raise _NonFiniteCurvature(tuple(g.edges[e].tolist()), float(ev[e]))
     # bincount adds in input order: left to right along each CSR row; it
     # returns integers when there are no edges, hence the cast
     nv = np.bincount(g.adj_tails, weights=ev[g.adj_edge_ids],

@@ -61,6 +61,8 @@ DEFAULT_EPSILON_FLOOR = 1e-9
 _MASK64 = (1 << 64) - 1
 # steps of uniforms a chain draws at a time; bounds the draw buffers
 _TIME_CHUNK = 1 << 10
+# most nodes a dense transition matrix is built for (2000 nodes is 32 MB)
+_MATRIX_MAX_NODES = 2000
 
 
 def _integer(value, name: str) -> int:
@@ -508,8 +510,7 @@ def distinct_prefix_counts(visits: np.ndarray) -> np.ndarray:
 
 def build_transition_matrix(g: WeightedGraph, config: SamplerConfig,
                             curvmap: CurvatureMap | None = None,
-                            target: np.ndarray | None = None,
-                            size_guard: int = 2000) -> np.ndarray:
+                            target: np.ndarray | None = None) -> np.ndarray:
     """Exact dense kernel ``P`` of the configured sampler, a read-only
     row-stochastic float64 array read off the table the chains sample
     (:func:`_kernel_table`).
@@ -518,11 +519,12 @@ def build_transition_matrix(g: WeightedGraph, config: SamplerConfig,
     diagonal. MH rows move to neighbor ``y`` with probability
     ``min(1, h(y) / h(i)) / d(i)`` and carry the total rejection mass on the
     diagonal. Rows of isolated nodes (and of nodes outside the target
-    support) are absorbing so the matrix stays stochastic.
+    support) are absorbing so the matrix stays stochastic. Graphs of more
+    than 2000 nodes are refused.
     """
-    if g.node_count > size_guard:
+    if g.node_count > _MATRIX_MAX_NODES:
         raise ValueError(
-            f"transition matrix limited to {size_guard} nodes, "
+            f"transition matrix limited to {_MATRIX_MAX_NODES} nodes, "
             f"graph has {g.node_count}")
     table, target = _kernel_table(g, config, curvmap, target)
     V = g.node_count

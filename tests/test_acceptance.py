@@ -163,16 +163,17 @@ def test_criterion_6_estimator_sanity(acceptance):
     # full coverage: wherever every chain has seen all nodes, MSE must be 0.0
     plan = ExperimentPlan(samplers=(template,), statistics=("strength",),
                           n_chains=4, max_steps=800, master_seed=60)
-    curve = run_experiment(g, plan).curves[0]
-    covered = curve.mean_distinct == g.node_count
-    coverage_ok = bool(covered.any()) and bool(np.all(curve.mse[covered] == 0.0))
+    result = run_experiment(g, plan)
+    mse = result.mse["node_mh_uniform"]["strength"]
+    covered = result.mean_distinct["node_mh_uniform"] == g.node_count
+    coverage_ok = bool(covered.any()) and bool(np.all(mse[covered] == 0.0))
 
     # fixed start: MSE_1 = (Z(x0) - E[Z])^2, exact for a two-chain plan
     expected = (float(sv[0]) - ez) ** 2
     plan2 = ExperimentPlan(samplers=(template,), statistics=("strength",),
                            n_chains=2, max_steps=10, start_nodes=(0,),
                            master_seed=61)
-    mse1_two = float(run_experiment(g, plan2).curves[0].mse[0])
+    mse1_two = float(run_experiment(g, plan2).mse["node_mh_uniform"]["strength"][0])
     exact_ok = mse1_two == expected
 
     # with the default 50 chains the float mean of identical values may pick
@@ -180,7 +181,7 @@ def test_criterion_6_estimator_sanity(acceptance):
     plan50 = ExperimentPlan(samplers=(template,), statistics=("strength",),
                             n_chains=50, max_steps=10, start_nodes=(0,),
                             master_seed=62)
-    mse1_fifty = float(run_experiment(g, plan50).curves[0].mse[0])
+    mse1_fifty = float(run_experiment(g, plan50).mse["node_mh_uniform"]["strength"][0])
     near_ok = abs(mse1_fifty - expected) <= 16 * math.ulp(expected)
 
     ok = coverage_ok and exact_ok and near_ok
@@ -317,22 +318,22 @@ def test_criterion_8_qualitative_soft(acceptance):
         statistics=("strength", "weighted_clustering"),
         master_seed=0)
     result = run_experiment(g, plan)
-    curves = {(c.sampler, c.statistic): c for c in result.curves}
     half = 0.5 * g.node_count
+    eligible = ((result.mean_distinct["node_mh_curved"] <= half)
+                & (result.mean_distinct["node_mh_uniform"] <= half))
     report = []
     for stat in ("strength", "weighted_clustering"):
-        curved = curves[("node_mh_curved", stat)]
-        uniform = curves[("node_mh_uniform", stat)]
-        eligible = (curved.mean_distinct <= half) & (uniform.mean_distinct <= half)
+        curved = result.mse["node_mh_curved"][stat]
+        uniform = result.mse["node_mh_uniform"][stat]
         n_eligible = int(eligible.sum())
-        wins = int((curved.mse[eligible] < uniform.mse[eligible]).sum())
+        wins = int((curved[eligible] < uniform[eligible]).sum())
         frac = wins / n_eligible if n_eligible else float("nan")
         end = n_eligible - 1
         report.append(
             f"{stat}: curved wins {wins}/{n_eligible} ({frac:.0%}) of sample "
             f"sizes up to 50% coverage; MSE at the coverage endpoint "
-            f"{curved.mse[end]:.3g} (curved) vs {uniform.mse[end]:.3g} (uniform)")
+            f"{curved[end]:.3g} (curved) vs {uniform[end]:.3g} (uniform)")
     detail = "; ".join(report)
     acceptance("criterion 8 (soft qualitative reproduction)", True, detail)
     print(f"criterion 8 report: {detail}")
-    assert result.curves  # reporting criterion: the experiment must run
+    assert result.mse  # reporting criterion: the experiment must run

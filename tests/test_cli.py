@@ -244,6 +244,80 @@ def test_manifest_of_a_graph_without_edges(tmp_path):
             manifest["max_degree"]) == (0, 0, 0)
 
 
+def _plan_samplers(*kinds):
+    return [{"burn_in": 0, "curvature_mode": "combinatorial",
+             "epsilon_floor": 1e-09, "kind": kind} for kind in kinds]
+
+
+_LESMIS_MEANS = {"betweenness": 62.36363636363637,
+                 "closeness": 0.005122911191666006,
+                 "strength": 21.2987012987013,
+                 "weighted_clustering": 0.605709405792699}
+_ALL_STATS = ["betweenness", "closeness", "strength", "weighted_clustering"]
+_SEEDS_11 = [16294208416658607524, 10451216379200822474,
+             10905525725756348101, 2092789425003139046]
+
+# the full `config` block of two lesmis converge manifests: a repeated kind
+# (label suffixes, curve file order) and a run restricted to the largest
+# component, whose ids are shifted by a detached pair listed first
+GOLDEN_CONVERGE_CONFIGS = {
+    "repeated-kind": (
+        ["--seed", "11", "--chains", "4", "--steps", "60", "--samplers",
+         "edge_curved", "node_mh_uniform", "node_mh_uniform"],
+        {"backbone_sampler": "edge_curved",
+         "chain_seeds": _SEEDS_11,
+         "curve_files": [f"mse_{label}_{stat}.csv" for label in (
+             "edge_curved", "node_mh_uniform_1", "node_mh_uniform_2")
+             for stat in _ALL_STATS],
+         "full_graph_means": _LESMIS_MEANS,
+         "max_steps": 60,
+         "n_chains": 4,
+         "path_mode": "hop",
+         "restricted_to_component": False,
+         "sampler_labels": ["edge_curved", "node_mh_uniform_1",
+                            "node_mh_uniform_2"],
+         "samplers": _plan_samplers("edge_curved", "node_mh_uniform",
+                                    "node_mh_uniform"),
+         "start_nodes_resolved": ["CountessDeLo", "LtGillenormand",
+                                  "Claquesous", "Marius"],
+         "statistics": _ALL_STATS,
+         "use_largest_component": False}),
+    "largest-component": (
+        ["--seed", "11", "--chains", "3", "--largest-component"],
+        {"backbone_sampler": "node_mh_curved",
+         "chain_seeds": _SEEDS_11[:3],
+         "curve_files": [f"mse_{label}_{stat}.csv" for label in (
+             "node_mh_curved", "node_mh_uniform") for stat in _ALL_STATS],
+         "full_graph_means": _LESMIS_MEANS,
+         "max_steps": 1540,
+         "n_chains": 3,
+         "path_mode": "hop",
+         "restricted_to_component": True,
+         "sampler_labels": ["node_mh_curved", "node_mh_uniform"],
+         "samplers": _plan_samplers("node_mh_curved", "node_mh_uniform"),
+         "start_nodes_resolved": ["CountessDeLo", "LtGillenormand",
+                                  "Claquesous"],
+         "statistics": _ALL_STATS,
+         "use_largest_component": True}),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_CONVERGE_CONFIGS))
+def test_golden_converge_config(tmp_path, name):
+    argv, want = GOLDEN_CONVERGE_CONFIGS[name]
+    graph = LESMIS
+    if "--largest-component" in argv:
+        graph = tmp_path / "pair_lesmis.tsv"
+        graph.write_text("Zeta\tOmega\t1\n" + LESMIS.read_text(encoding="utf-8"),
+                         encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["converge", "--graph", str(graph), "--out", str(out),
+                 *argv]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"] == want
+    assert sorted(p.name for p in out.glob("mse_*.csv")) == want["curve_files"]
+
+
 class TestConverge:
     def converge(self, tmp_path, name, *extra):
         out = tmp_path / name
@@ -503,7 +577,19 @@ class TestUnderflowingWeights:
         assert main([argv[0], "--graph", str(tiny_triangle), "--out", str(out),
                      *argv[1:]]) == 1
         assert not out.exists()
-        assert "edge 0 (nodes 0, 1) is -inf" in capsys.readouterr().err
+        assert "edge (a, b) is -inf" in capsys.readouterr().err
+
+    def test_restricted_run_names_the_file_labels(self, tmp_path, capsys):
+        # dense ids 0 and 1 are x and y in the file, but 0 and 1 of the
+        # largest component {a, b, c} are a and b
+        f = tmp_path / "pair_tiny.txt"
+        f.write_text("x y 1\na b 1e-300\nb c 1e-300\na c 1\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["converge", "--graph", str(f), "--out", str(out),
+                     "--largest-component", "--curvature-mode", "weighted",
+                     "--chains", "2", "--steps", "10"]) == 1
+        assert not out.exists()
+        assert "edge (a, b) is -inf" in capsys.readouterr().err
 
     def test_combinatorial_mode_still_runs(self, tmp_path, tiny_triangle):
         assert main(["converge", "--graph", str(tiny_triangle), "--out",

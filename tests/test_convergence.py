@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import curvewalk.convergence
-from curvewalk import (BackboneRanking, ExperimentPlan, SamplerConfig,
-                       WeightedGraph, betweenness, estimator_mean,
-                       extract_backbone, induced_subgraph, run_chain,
-                       run_experiment, strength_vector)
+from curvewalk import (ExperimentPlan, SamplerConfig, WeightedGraph,
+                       betweenness, estimator_mean, extract_backbone,
+                       induced_subgraph, run_chain, run_experiment,
+                       strength_vector)
 from curvewalk.sampler import distinct_prefix_counts
 from curvewalk.convergence import _chain_sums, sampler_labels
 from conftest import path_graph, random_connected_graph, star_graph
@@ -137,35 +137,28 @@ class TestAggregationOracle:
 
 
 class TestExtractBackbone:
-    def make_ranking(self, counts):
-        counts = np.asarray(counts, dtype=np.int64)
-        ranked = np.lexsort((np.arange(len(counts)), -counts))
-        return BackboneRanking(visit_counts=counts, ranked_nodes=ranked,
-                               n_chains=1, max_steps=int(counts.sum()))
-
     def test_full_fraction_returns_everything(self):
-        r = self.make_ranking([3, 0, 5, 1])
+        r = np.array([3, 0, 5, 1])
         assert sorted(extract_backbone(r, 1.0).tolist()) == [0, 1, 2, 3]
 
     def test_quarter_of_77(self):
-        counts = np.arange(77)[::-1].copy()
-        r = self.make_ranking(counts)
+        r = np.arange(77)[::-1].copy()
         assert len(extract_backbone(r, 0.25)) == 20  # ceil(19.25)
 
     @pytest.mark.parametrize("fraction, n", [(0.07, 100), (0.14, 50),
                                              (0.28, 25)])
     def test_float_noise_does_not_round_up(self, fraction, n):
         assert fraction * n > 7  # the float product overshoots 7
-        r = self.make_ranking(np.arange(n)[::-1].copy())
+        r = np.arange(n)[::-1].copy()
         assert len(extract_backbone(r, fraction)) == 7
 
     def test_tie_breaks_to_lower_id(self):
-        r = self.make_ranking([4, 9, 9, 1])
+        r = np.array([4, 9, 9, 1])
         assert extract_backbone(r, 0.25).tolist() == [1]
         assert extract_backbone(r, 0.5).tolist() == [1, 2]
 
     def test_fraction_bounds(self):
-        r = self.make_ranking([1, 2])
+        r = np.array([1, 2])
         for bad in (0.0, -0.2, 1.5):
             with pytest.raises(ValueError):
                 extract_backbone(r, bad)
@@ -236,7 +229,7 @@ class TestRunExperiment:
             statistics=("betweenness",), n_chains=3, max_steps=25,
             master_seed=42)
         result = run_experiment(g, plan)
-        curve = result.curves[0]
+        mse = result.mse["node_mh_uniform"]["betweenness"]
         sv = betweenness(g)
         ez = float(np.mean(sv))
         traces = [
@@ -247,7 +240,7 @@ class TestRunExperiment:
         for n in (1, 2, 7, 25):
             expected = np.mean([(estimator_mean(sv, t, n) - ez) ** 2
                                 for t in traces])
-            assert curve.mse[n - 1] == expected
+            assert mse[n - 1] == expected
 
     def test_full_coverage_mse_exactly_zero(self):
         g = path_graph(3)
@@ -265,9 +258,9 @@ class TestRunExperiment:
         distinct = [distinct_prefix_counts(t) for t in traces]
         covered = int(max(np.argmax(d == 3) for d in distinct))
         assert all(d[covered] == 3 for d in distinct)
-        for curve in result.curves:
-            assert np.all(curve.mse[covered:] == 0.0)
-            assert np.any(curve.mse[:covered] > 0.0)
+        for mse in result.mse["node_mh_uniform"].values():
+            assert np.all(mse[covered:] == 0.0)
+            assert np.any(mse[:covered] > 0.0)
 
     def test_mse1_fixed_start_exact_for_two_chains(self):
         g = path_graph(5)
@@ -278,7 +271,7 @@ class TestRunExperiment:
             statistics=("strength",), n_chains=2, max_steps=10,
             start_nodes=(0,), master_seed=3)
         result = run_experiment(g, plan)
-        assert result.curves[0].mse[0] == (sv[0] - ez) ** 2
+        assert result.mse["node_mh_uniform"]["strength"][0] == (sv[0] - ez) ** 2
 
     def test_start_nodes_alone_fix_every_start(self, monkeypatch):
         rng = np.random.default_rng(8)
@@ -322,33 +315,31 @@ class TestRunExperiment:
                             lambda g, configs: np.stack(
                                 [run_chain(g, cfg) for cfg in configs]))
         c = run_experiment(g, plan)
-        for ca, cb, cc in zip(a.curves, b.curves, c.curves, strict=True):
-            assert np.array_equal(ca.mse, cb.mse)
-            assert np.array_equal(ca.mse, cc.mse)
-            assert np.array_equal(ca.mean_distinct, cc.mean_distinct)
-        for label in a.sampler_labels:
-            assert np.array_equal(a.backbones[label].visit_counts,
-                                  c.backbones[label].visit_counts)
-            assert np.array_equal(a.backbones[label].ranked_nodes,
-                                  c.backbones[label].ranked_nodes)
+        assert list(a.mse) == list(b.mse) == list(c.mse)
+        for label, curves in a.mse.items():
+            for kind, mse in curves.items():
+                assert np.array_equal(mse, b.mse[label][kind])
+                assert np.array_equal(mse, c.mse[label][kind])
+            assert np.array_equal(a.mean_distinct[label], c.mean_distinct[label])
+            assert np.array_equal(a.visit_counts[label], c.visit_counts[label])
 
     def test_mean_distinct_monotone(self):
         rng = np.random.default_rng(2)
         g = random_connected_graph(rng, 10)
         result = run_experiment(g, tiny_plan(max_steps=80))
-        for curve in result.curves:
-            assert np.all(np.diff(curve.mean_distinct) >= 0)
+        for mean_distinct in result.mean_distinct.values():
+            assert np.all(np.diff(mean_distinct) >= 0)
 
     def test_backbone_counts_and_permutation(self):
         rng = np.random.default_rng(3)
         g = random_connected_graph(rng, 9)
         plan = tiny_plan(n_chains=3, max_steps=40)
         result = run_experiment(g, plan)
-        for ranking in result.backbones.values():
-            assert int(ranking.visit_counts.sum()) == 3 * 40
-            assert sorted(ranking.ranked_nodes.tolist()) == list(range(9))
-            counts = ranking.visit_counts[ranking.ranked_nodes]
-            assert np.all(np.diff(counts) <= 0)
+        for counts in result.visit_counts.values():
+            assert int(counts.sum()) == 3 * 40
+            ranked = extract_backbone(counts, 1.0)
+            assert sorted(ranked.tolist()) == list(range(9))
+            assert np.all(np.diff(counts[ranked]) <= 0)
 
     def test_distinct_random_starts_are_distinct(self):
         rng = np.random.default_rng(4)
@@ -368,7 +359,7 @@ class TestRunExperiment:
             run_experiment(g, tiny_plan(max_steps=10))
         plan = tiny_plan(max_steps=10, use_largest_component=True)
         result = run_experiment(g, plan)
-        assert result.node_count == 3
+        assert len(result.visit_counts["node_mh_curved"]) == 3
         assert result.component_nodes.tolist() == [0, 1, 2]
 
     def test_fixed_starts_name_nodes_of_the_given_graph(self):
@@ -383,7 +374,7 @@ class TestRunExperiment:
             result = run_experiment(g, plan)
             assert result.start_nodes == (local, local)
             assert result.component_nodes[local] == start
-            assert result.curves[0].mse[0] == (sv[local] - ez) ** 2
+            assert result.mse["node_mh_uniform"]["strength"][0] == (sv[local] - ez) ** 2
         for start in (0, 1):
             plan = tiny_plan(max_steps=10, start_nodes=(start,),
                              use_largest_component=True)
@@ -394,11 +385,41 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="out of range"):
             run_experiment(g, plan)
 
+    def test_curvature_refusal_names_nodes_of_the_given_graph(self):
+        # {0-1} plus a triangle 2-3-4 whose edge 2-3 has a -inf curvature
+        g = WeightedGraph(5, [(0, 1), (2, 3), (3, 4), (2, 4)],
+                          [1.0, 1e-300, 1e-300, 1.0])
+        plan = tiny_plan(samplers=(mh_template("node_mh_curved",
+                                               curvature_mode="weighted"),),
+                         max_steps=10, use_largest_component=True)
+        with pytest.raises(ValueError, match=r"edge \(2, 3\) is -inf"):
+            run_experiment(g, plan)
+
+    def test_result_is_read_only_and_keyed_in_plan_order(self):
+        rng = np.random.default_rng(5)
+        g = random_connected_graph(rng, 8)
+        plan = tiny_plan(samplers=(mh_template("node_mh_uniform"),
+                                   mh_template("node_mh_curved"),
+                                   mh_template("node_mh_uniform")),
+                         statistics=("strength", "betweenness"), max_steps=15)
+        result = run_experiment(g, plan)
+        labels = ["node_mh_uniform_1", "node_mh_curved", "node_mh_uniform_2"]
+        for field in (result.mse, result.mean_distinct, result.visit_counts):
+            assert list(field) == labels
+        arrays = [result.mean_distinct[labels[0]], result.visit_counts[labels[0]]]
+        for curves in result.mse.values():
+            assert list(curves) == ["strength", "betweenness"]
+            arrays.extend(curves.values())
+        for arr in arrays:
+            assert not arr.flags.writeable
+        assert len(result.mean_distinct[labels[0]]) == 15
+        assert result.visit_counts[labels[0]].dtype == np.int64
+
     def test_default_steps_scale_with_graph(self):
         rng = np.random.default_rng(6)
         g = random_connected_graph(rng, 8)
         result = run_experiment(g, tiny_plan(max_steps=None))
-        assert len(result.curves[0].mse) == 20 * 8
+        assert len(result.mse["node_mh_curved"]["strength"]) == 20 * 8
 
     def test_paired_seeds_across_samplers(self):
         rng = np.random.default_rng(7)
@@ -407,5 +428,5 @@ class TestRunExperiment:
                                    mh_template("node_mh_uniform")),
                          n_chains=3, max_steps=20)
         result = run_experiment(g, plan)
-        a, b = (result.backbones[label] for label in result.sampler_labels)
-        assert np.array_equal(a.visit_counts, b.visit_counts)
+        a, b = result.visit_counts.values()
+        assert np.array_equal(a, b)
