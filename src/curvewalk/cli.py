@@ -16,7 +16,7 @@ import hashlib
 import json
 import math
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -96,19 +96,34 @@ def _cells(part) -> list[str]:
 
 
 def _write_csv(path, header, *columns):
-    """Write ``header``, then row ``i`` of every column in turn.
+    """Write ``header``, then row ``i`` of every column in turn."""
+    _write_csvs([path], header, [columns])
 
-    Columns are turned into text a chunk of rows at a time (see
-    :func:`_cells`), so the text of a whole column is never held at once.
-    A float column costs one ``repr`` per run of equal values, and an MSE
-    curve is mostly runs: it changes only when some chain finds a node.
+
+def _write_csvs(paths, header, tables):
+    """Write ``tables[f]``, a tuple of equally long columns, to ``paths[f]``
+    under the same ``header``, all files together, a chunk of rows at a time.
+
+    Columns are turned into text a chunk at a time (see :func:`_cells`), so
+    the text of a whole column is never held at once, and a column object
+    that several tables share is turned into text once per chunk. A float
+    column costs one ``repr`` per run of equal values, and an MSE curve is
+    mostly runs: it changes only when some chain finds a node.
     """
     chunk = 128
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(header)
-        for lo in range(0, len(columns[0]), chunk):
-            cells = [_cells(c[lo:lo + chunk]) for c in columns]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+    with ExitStack() as stack:
+        files = [stack.enter_context(open(path, "w", encoding="utf-8", newline=""))
+                 for path in paths]
+        for fh in files:
+            csv.writer(fh, lineterminator="\n").writerow(header)
+        for lo in range(0, len(tables[0][0]), chunk):
+            text = {}  # id of a column -> its cells in this chunk
+            for fh, columns in zip(files, tables):
+                for c in columns:
+                    if id(c) not in text:
+                        text[id(c)] = _cells(c[lo:lo + chunk])
+                rows = zip(*(text[id(c)] for c in columns))
+                fh.write("\n".join(map(",".join, rows)) + "\n")
 
 
 def _write_manifest(out_dir: Path, command: str, args, g, config: dict,
@@ -274,12 +289,13 @@ def cmd_converge(args) -> int:
     out = _prepare_out(args)
     files = []
     for sampler, curves in result.mse.items():
+        # a sampler's curves share their n and mean_distinct columns
         mean_distinct = result.mean_distinct[sampler]
-        for kind, mse in curves.items():
-            name = f"mse_{sampler}_{kind}.csv"
-            _write_csv(out / name, ["n", "mse", "mean_distinct"],
-                       range(1, len(mse) + 1), mse, mean_distinct)
-            files.append(name)
+        n = range(1, len(mean_distinct) + 1)
+        names = [f"mse_{sampler}_{kind}.csv" for kind in curves]
+        _write_csvs([out / name for name in names], ["n", "mse", "mean_distinct"],
+                    [(n, mse, mean_distinct) for mse in curves.values()])
+        files.extend(names)
 
     # backbone ranking of the first (primary) sampler in the plan
     first = next(iter(result.visit_counts))

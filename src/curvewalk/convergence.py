@@ -9,14 +9,17 @@ by sampler label. :func:`extract_backbone` ranks nodes by their visits.
 Chains of one experiment share start nodes and per-chain seeds across
 samplers (seed of chain ``c`` is ``master_seed XOR splitmix64(c)``), so a
 curved-versus-uniform comparison is paired. All chains of all samplers run
-in lockstep (:func:`curvewalk.sampler.run_lockstep`); aggregation streams
-over them in fixed chain order, so results equal those of running every
-chain alone with :func:`curvewalk.sampler.run_chain`.
+in lockstep, and the engine hands their visits over a block of steps at a
+time (:func:`curvewalk.sampler._lockstep_stream`). Each block is folded into
+per-sampler sums as it arrives and then dropped, so no chains x steps
+matrix of visits is ever held: memory is O(chains x V) besides the curves.
+The sums add the chains in row order, so results equal those of running
+every chain alone with :func:`curvewalk.sampler.run_chain` and aggregating
+the whole visit matrix.
 
-An estimate changes only when a chain discovers a node, so each chain's
-first-visit mask is found once for all statistics, a running mean is a
-cumsum over at most ``V`` discoveries, and its squared errors reach the
-per-step sum by one ``O(steps)`` gather per statistic.
+An estimate changes only when a chain discovers a node, so the fold works
+per discovery: a running mean advances once per discovered node, and the
+per-step sums are formed only at the steps where some chain discovers.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ import numpy as np
 from .curvature import _NonFiniteCurvature
 from .graph import WeightedGraph, connected_components, induced_subgraph
 from .netstats import STAT_KINDS, PATH_MODES, compute_statistics, mean_statistic
-from .sampler import (SamplerConfig, _integer, chain_seed, first_visit_mask,
-                      make_rng, run_lockstep)
+from .sampler import (SamplerConfig, _integer, _lockstep_stream, chain_seed,
+                      first_visit_mask, make_rng)
 
 logger = logging.getLogger(__name__)
 
@@ -120,7 +123,9 @@ class ExperimentResult:
     step; ``visit_counts[label]`` counts each node's visits over the
     sampler's chains. Arrays are read-only. Under a restriction, node ids are
     those of the component, whose ids in the given graph are
-    ``component_nodes``.
+    ``component_nodes``. The chains' visits themselves are not kept: the run
+    that made this result held O(chains x V) of aggregation state, never a
+    chains x steps matrix.
     """
 
     mse: dict[str, dict[str, np.ndarray]]
@@ -145,25 +150,140 @@ def _discovery_means(values: np.ndarray, discovered: np.ndarray,
     return zbar
 
 
-def _chain_sums(chains: np.ndarray, stat_values: dict, full_means: dict):
-    """Per-step sums over ``chains`` (one visit sequence per row, summed in
-    row order) of each statistic's squared estimator error and of the
-    distinct-node count, and the total visits of every node."""
-    V, n_steps = len(next(iter(stat_values.values()))), chains.shape[1]
-    counts = np.zeros(V, dtype=np.int64)
-    distinct_sum = np.zeros(n_steps, dtype=np.int64)
-    sq_sum = {kind: np.zeros(n_steps) for kind in stat_values}
-    for chain in chains:
-        first = first_visit_mask(chain)
-        distinct = np.cumsum(first, dtype=np.int64)
-        distinct_sum += distinct
-        counts += np.bincount(chain, minlength=V)
-        # one squared error per discovery, gathered onto the steps
-        discovered, at = chain[first], distinct - 1
-        for kind, values in stat_values.items():
-            zbar = _discovery_means(values, discovered, full_means[kind])
-            sq_sum[kind] += ((zbar - full_means[kind]) ** 2)[at]
-    return sq_sum, distinct_sum, counts
+# marks an entry of the first-visit scratch array that holds no position
+_NO_VISIT = np.iinfo(np.int64).max
+
+
+class _StepSums:
+    """Per-step sums over one sampler's chains, folded a block at a time.
+
+    :meth:`add` takes the chains' visits of consecutive steps, as
+    :func:`curvewalk.sampler._lockstep_stream` yields them, and fills the
+    sums of those steps: ``sq_sum[s]`` of statistic ``s``'s squared
+    estimator error and ``distinct_sum`` of the distinct-node count, each
+    added over the chains in row order, and ``counts`` of every node's
+    visits. Each sum equals that of the whole visit matrix, bit for bit.
+
+    An estimate changes only when a chain discovers a node, so a block is
+    folded per discovery: a running sum continues as the cumsum of
+    ``[carried sum, *discovered values]``, which adds in the order a cumsum
+    of the whole chain does, and per-step sums are formed only at the steps
+    where some chain discovers, then repeated over the steps between them.
+    The state carried between blocks is a chains x V ``seen`` mask and a few
+    numbers per chain, so memory is O(chains x V) besides the output.
+    """
+
+    def __init__(self, values, full_means, n_chains, n_steps, scratch):
+        S, V = values.shape
+        self.values, self.full_means = values, full_means  # (S, V), (S,)
+        # shared by the samplers of one fold; all _NO_VISIT between blocks
+        self.scratch = scratch
+        self.seen = np.zeros(n_chains * V, dtype=bool)  # row c: chain c's nodes
+        self.found = np.zeros(n_chains, dtype=np.int64)  # nodes seen per chain
+        # running sum of the discovered values; -0.0 + v is v, -0.0 included
+        self.run_sum = np.full((n_chains, S), -0.0)
+        self.err = np.zeros((n_chains, S))  # squared error of each estimate
+        self.step_err = np.zeros((S, 1))  # their sum over the chains
+        self.sq_sum = np.empty((S, n_steps))
+        self.distinct_sum = np.empty(n_steps, dtype=np.int64)
+        self.counts = np.zeros(V, dtype=np.int64)
+        self.k = 0  # the next step to fold
+
+    def add(self, k0, states):
+        """Fold visits ``k0 .. k0 + len(states) - 1``; ``states[i, c]`` is
+        visit ``k0 + i`` of chain ``c``."""
+        B, C = states.shape
+        S, V = self.values.shape
+        if k0 != self.k or C != len(self.found):
+            raise ValueError(f"expected steps from {self.k} of {len(self.found)} "
+                             f"chains, got steps from {k0} of {C}")
+        self.k = k0 + B
+        steps = slice(k0, k0 + B)
+        nodes = states.ravel()  # time-major; a copy if states is a column slice
+        self.counts += np.bincount(nodes, minlength=V)
+        key = (nodes.reshape(B, C) + np.arange(0, C * V, V)).ravel()
+        pos = np.flatnonzero(~self.seen.take(key))
+        if not pos.size:
+            self.sq_sum[:, steps] = self.step_err
+            self.distinct_sum[steps] = self.found.sum()
+            return
+        # the first of the unseen visits to each (chain, node)
+        key = key[pos]
+        np.minimum.at(self.scratch, key, pos)
+        first = self.scratch[key] == pos
+        self.scratch[key] = _NO_VISIT
+        pos, key = pos[first], key[first]
+        self.seen[key] = True
+        t, c = np.divmod(pos, C)
+        # event e is the e-th step with a discovery; rank[c, e] counts chain
+        # c's discoveries in the block up to it
+        head = np.empty(len(t), dtype=bool)
+        head[0] = True
+        np.not_equal(t[1:], t[:-1], out=head[1:])
+        at = t[head]
+        event = np.cumsum(head) - 1
+        n_ev = len(at)
+        rank = np.zeros((C, n_ev), dtype=np.int64)
+        flat = c * n_ev + event
+        rank.ravel()[flat] = 1
+        np.cumsum(rank, axis=1, out=rank)
+        # chain c's running sums and squared errors, entry 0 carried in;
+        # chain-major, so that the sums below read whole rows
+        width = int(rank[:, -1].max()) + 1
+        run = np.zeros((C, S, width))
+        run[:, :, 0] = self.run_sum
+        plane = np.arange(0, S * width, width)[:, None]
+        run.reshape(-1)[plane + (c * (S * width) + rank.ravel().take(flat))] = \
+            self.values.take(nodes.take(pos), axis=1)
+        np.cumsum(run, axis=2, out=run)
+        count = self.found[:, None] + np.arange(1, width)
+        zbar = run[:, :, 1:] / count[:, None, :]
+        # at full coverage the estimate is the full mean by definition; the
+        # exact value keeps that identity exact in floating point as well
+        zbar.transpose(0, 2, 1)[count == V] = self.full_means
+        err = np.empty((C, S, width))
+        err[:, :, 0] = self.err
+        err[:, :, 1:] = (zbar - self.full_means[:, None]) ** 2
+        # the sums at the events, adding chain after chain: the row order of
+        # the whole matrix's sums
+        sums = np.empty((S, n_ev + 1))
+        sums[:, :1] = self.step_err
+        total = sums[:, 1:]
+        err[0].take(rank[0], axis=1, out=total)
+        for chain in range(1, C):
+            total += err[chain].take(rank[chain], axis=1)
+        distinct = np.zeros(n_ev + 1, dtype=np.int64)
+        np.cumsum(np.bincount(event), out=distinct[1:])
+        lengths = np.diff(at, prepend=0, append=B)
+        self.sq_sum[:, steps] = np.repeat(sums, lengths, axis=1)
+        self.distinct_sum[steps] = np.repeat(distinct + self.found.sum(), lengths)
+        last, chains = rank[:, -1], np.arange(C)
+        self.run_sum = run[chains, :, last]
+        self.err = err[chains, :, last]
+        self.step_err = sums[:, -1:]
+        self.found += last
+
+
+def _fold(blocks, n_samplers, n_chains, n_steps, stat_values, full_means):
+    """One :class:`_StepSums` per sampler, folded from ``blocks``.
+
+    ``blocks`` yields ``(rows, k0, states)`` as
+    :func:`curvewalk.sampler._lockstep_stream` does, for ``n_samplers``
+    samplers of ``n_chains`` chains each, sampler-major: row ``r`` is chain
+    ``r % n_chains`` of sampler ``r // n_chains``.
+    """
+    values = np.stack(list(stat_values.values()))
+    means = np.array([full_means[kind] for kind in stat_values])
+    scratch = np.full(n_chains * values.shape[1], _NO_VISIT)
+    sums = [_StepSums(values, means, n_chains, n_steps, scratch)
+            for _ in range(n_samplers)]
+    for rows, k0, states in blocks:
+        # rows ascend, so each sampler's chains are a run of columns
+        owner = rows // n_chains
+        cuts = [0, *(np.flatnonzero(np.diff(owner)) + 1).tolist(), len(rows)]
+        for lo, hi in zip(cuts, cuts[1:]):
+            sums[int(owner[lo])].add(k0, states[:, lo:hi])
+    return sums
 
 
 def estimator_mean(values: np.ndarray, visits: np.ndarray, n: int) -> float:
@@ -264,25 +384,25 @@ def run_experiment(g: WeightedGraph, plan: ExperimentPlan) -> ExperimentResult:
         starts = tuple(int(s) for s in rng.permutation(eligible)[:n_chains])
     seeds = tuple(chain_seed(plan.master_seed, c) for c in range(n_chains))
 
+    labels = sampler_labels(plan.samplers)
     try:
-        visits = run_lockstep(g, [
+        sums = _fold(_lockstep_stream(g, [
             replace(template, seed=seeds[c], start_node=starts[c], max_steps=n_steps)
-            for template in plan.samplers for c in range(n_chains)])
+            for template in plan.samplers for c in range(n_chains)]),
+            len(labels), n_chains, n_steps, stat_values, full_means)
     except _NonFiniteCurvature as exc:
         if component_nodes is not None:
             exc.nodes = tuple(component_nodes[list(exc.nodes)].tolist())
         raise
 
     mse, mean_distinct, visit_counts = {}, {}, {}
-    for s_idx, label in enumerate(sampler_labels(plan.samplers)):
-        sq_sum, distinct_sum, counts = _chain_sums(
-            visits[s_idx * n_chains:(s_idx + 1) * n_chains], stat_values,
-            full_means)
+    for label, sampler in zip(labels, sums):
         # summing then dividing by n_chains equals np.mean over the chains
-        mse[label] = {kind: sq_sum[kind] / n_chains for kind in plan.statistics}
-        mean_distinct[label] = distinct_sum / n_chains
-        visit_counts[label] = counts
-        for arr in (*mse[label].values(), mean_distinct[label], counts):
+        mse[label] = {kind: sq / n_chains
+                      for kind, sq in zip(stat_values, sampler.sq_sum)}
+        mean_distinct[label] = sampler.distinct_sum / n_chains
+        visit_counts[label] = sampler.counts
+        for arr in (*mse[label].values(), mean_distinct[label], sampler.counts):
             arr.setflags(write=False)
 
     return ExperimentResult(

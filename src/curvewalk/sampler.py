@@ -26,9 +26,11 @@ experiment is seeded with ``master_seed XOR splitmix64(c)``.
 
 Two drivers share one table per kernel, built once per run (the chains are
 time-homogeneous): :func:`run_chain` runs one chain in a scalar loop, and
-:func:`run_lockstep`, which experiments use, advances many chains together
-as numpy vectors and reproduces :func:`run_chain` exactly. Both return a
-chain as its read-only int64 visits array. An MH step costs O(1). An edge
+the lockstep engine advances many chains together as numpy vectors and
+reproduces :func:`run_chain` exactly. The engine yields the chains' visits
+a block of steps at a time (:func:`_lockstep_stream`), which experiments
+fold as they come; :func:`run_lockstep` collects them. Both drivers return
+a chain as its read-only int64 visits array. An MH step costs O(1). An edge
 step inverts the row's cumulative move probabilities: the scalar loop
 bisects the whole row in O(log d); the lockstep engine first looks up a
 guide table (Chen & Asau 1974; Devroye 1986, section III.2.4) that splits
@@ -342,10 +344,36 @@ def run_lockstep(g: WeightedGraph, configs) -> np.ndarray:
     :func:`run_chain` consumes, so the result is bit-identical to running
     the chains one by one. All configs must share ``max_steps``.
 
+    This collects :func:`_lockstep_stream` into one matrix, which takes
+    ``len(configs) * max_steps`` int64s; a caller that folds the blocks as
+    they come, as :func:`curvewalk.convergence.run_experiment` does, holds
+    one block at a time instead.
+
     Returns:
         ``(len(configs), max_steps)`` int64 array of visited node ids.
     """
     configs = tuple(configs)
+    blocks = _lockstep_stream(g, configs)
+    visits = np.empty((len(configs), configs[0].max_steps), dtype=np.int64)
+    for rows, k0, states in blocks:
+        visits[rows, k0:k0 + len(states)] = states.T
+    visits.setflags(write=False)
+    return visits
+
+
+def _lockstep_stream(g: WeightedGraph, configs):
+    """Check ``configs`` and set up their chains at once; return an iterator
+    that runs them in lockstep, as :func:`run_lockstep` does, and yields
+    their visits a block at a time.
+
+    It yields ``(rows, k0, states)``: ``rows`` are indices into ``configs`` in
+    ascending order, ``k0`` is the recorded step at which the block starts,
+    and ``states`` is a ``(steps, len(rows))`` int64 array of node ids, time
+    along the first axis, so ``states[i, j]`` is visit ``k0 + i`` of chain
+    ``rows[j]``. Chains of one family and burn-in arrive together, and the
+    blocks of each chain arrive in time order, one after the other. Each
+    block spans at most ``_TIME_CHUNK`` steps.
+    """
     if g.node_count == 0:
         raise ValueError("cannot sample an empty graph")
     if not configs:
@@ -371,44 +399,43 @@ def run_lockstep(g: WeightedGraph, configs) -> np.ndarray:
         start = _resolve_start(g, cfg, rng, target)
         families[_is_mh(cfg.kind)][1].append((row, index, start, cfg.burn_in, rng))
 
-    visits = np.empty((len(configs), n), dtype=np.int64)
-    for is_mh, (tables, chains) in families.items():
-        if chains:
-            _lockstep_family(g, is_mh, tables, chains, visits)
-    visits.setflags(write=False)
-    return visits
+    return (block for is_mh, (tables, chains) in families.items() if chains
+            for block in _lockstep_family(g, is_mh, tables, chains, n))
 
 
-def _lockstep_family(g, is_mh, tables, chains, visits):
-    """Advance one family's chains together and record them into ``visits``.
+def _lockstep_family(g, is_mh, tables, chains, n):
+    """Advance one family's chains together and yield their recorded visits
+    as :func:`_lockstep_stream` does, ``n`` steps per chain.
 
     A chain's state is ``index * V + node`` (``index`` picks its kernel's
     table), so one gather serves every kernel. Chains whose burn-in is below
     the family's longest run a few extra steps at the end; those are drawn
-    from their own generators and not recorded.
+    from their own generators and not yielded.
     """
     V, H = g.node_count, len(g.adj_neighbors)
     rows, index, starts, burn, rngs = zip(*chains)
     rows, burn = np.array(rows), np.array(burn)
     node_off = np.array(index, dtype=np.int64) * V
     state = node_off + np.array(starts, dtype=np.int64)
-    n = visits.shape[1]
     stack = np.arange(len(tables), dtype=np.int64)[:, None]
     row_lo = (g.adj_indptr[:-1] + stack * H).ravel()  # per stacked state
     row_last = (g.adj_indptr[1:] - 1 + stack * H).ravel()
     nbr = (g.adj_neighbors + stack * V).ravel()  # per stacked half-edge
     table = np.concatenate(tables)
     groups = [(b, np.flatnonzero(burn == b)) for b in sorted(set(burn.tolist()))]
+    if len(groups) == 1:  # a slice of whole rows keeps the blocks C-contiguous
+        groups = [(groups[0][0], slice(None))]
 
-    def record(states, t0):
-        """Store ``states`` (one row per time index from ``t0``)."""
+    def recorded(states, t0):
+        """The recorded part of ``states`` (one row per time index from
+        ``t0``), per burn-in group."""
         for b, cols in groups:
             lo, hi = max(t0, b), min(t0 + len(states), b + n)
             if lo < hi:
-                visits[rows[cols], lo - b:hi - b] = \
-                    (states[lo - t0:hi - t0, cols] - node_off[cols]).T
+                yield (rows[cols], lo - b,
+                       states[lo - t0:hi - t0, cols] - node_off[cols])
 
-    record(state[None, :], 0)
+    yield from recorded(state[None, :], 0)
     width = len(rngs)
     draws = 2 if is_mh else 1
     if is_mh:
@@ -462,7 +489,7 @@ def _lockstep_family(g, is_mh, tables, chains, visits):
                 pos += below
                 state = nbr[pos]
                 out[i] = state
-        record(out, t + 1)
+        yield from recorded(out, t + 1)
         t += block
 
 

@@ -7,11 +7,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from curvewalk import WeightedGraph
+from curvewalk import WeightedGraph, run_chain
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 LESMIS = DATA_DIR / "lesmis.tsv"
 CELEGANS = DATA_DIR / "celegans.tsv"
+
+
+def run_chain_stream(g, configs):
+    """A stand-in for the lockstep stream that runs every chain alone through
+    the scalar single-chain driver and yields all of them as one block."""
+    visits = np.stack([run_chain(g, cfg) for cfg in configs])
+    yield np.arange(len(configs)), 0, visits.T
 
 
 def path_graph(n, weights=None) -> WeightedGraph:

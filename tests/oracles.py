@@ -15,7 +15,10 @@ map must reproduce its floats bit for bit.
 
 The estimator oracle is the step-indexed running mean that the harness's
 per-discovery aggregation replaced; the harness must reproduce its squared
-errors bit for bit.
+errors bit for bit. The chain-sums oracle is the whole-matrix aggregation
+that the harness's block-by-block fold replaced: it takes every chain's
+visits at once and sums per chain, in row order; the fold must reproduce
+its sums bit for bit.
 
 The step oracles apply one kernel move straight from its formula, one node
 row at a time, consuming the chain's uniforms in the documented order; the
@@ -38,6 +41,8 @@ from math import inf
 import numpy as np
 
 from curvewalk import DEFAULT_EPSILON_FLOOR
+from curvewalk.convergence import _discovery_means
+from curvewalk.sampler import first_visit_mask
 
 
 def connected_components_oracle(g) -> list[np.ndarray]:
@@ -347,3 +352,24 @@ def running_estimator_oracle(values: np.ndarray, visits: np.ndarray,
     zbar = np.cumsum(np.where(first, values[visits], 0.0)) / distinct
     zbar[distinct == len(values)] = full_mean
     return zbar
+
+
+def chain_sums_oracle(chains: np.ndarray, stat_values: dict, full_means: dict):
+    """Per-step sums over ``chains`` (one visit sequence per row, summed in
+    row order) of each statistic's squared estimator error and of the
+    distinct-node count, and the total visits of every node."""
+    V, n_steps = len(next(iter(stat_values.values()))), chains.shape[1]
+    counts = np.zeros(V, dtype=np.int64)
+    distinct_sum = np.zeros(n_steps, dtype=np.int64)
+    sq_sum = {kind: np.zeros(n_steps) for kind in stat_values}
+    for chain in chains:
+        first = first_visit_mask(chain)
+        distinct = np.cumsum(first, dtype=np.int64)
+        distinct_sum += distinct
+        counts += np.bincount(chain, minlength=V)
+        # one squared error per discovery, gathered onto the steps
+        discovered, at = chain[first], distinct - 1
+        for kind, values in stat_values.items():
+            zbar = _discovery_means(values, discovered, full_means[kind])
+            sq_sum[kind] += ((zbar - full_means[kind]) ** 2)[at]
+    return sq_sum, distinct_sum, counts

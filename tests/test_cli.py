@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 import curvewalk.convergence
-from curvewalk import compute_curvature_map, load_edge_list, run_chain
+from curvewalk import compute_curvature_map, load_edge_list
 from curvewalk.cli import _PLAN_SAMPLER_KEYS, _write_csv, main
-from conftest import LESMIS
+from conftest import LESMIS, run_chain_stream
 
 
 def read_csv(path):
@@ -344,9 +344,8 @@ class TestConverge:
         code, a = self.converge(tmp_path, "a", *samplers)
         assert code == 0
         # replay: every chain alone through the scalar single-chain driver
-        monkeypatch.setattr(curvewalk.convergence, "run_lockstep",
-                            lambda g, configs: np.stack(
-                                [run_chain(g, cfg) for cfg in configs]))
+        monkeypatch.setattr(curvewalk.convergence, "_lockstep_stream",
+                            run_chain_stream)
         code, b = self.converge(tmp_path, "b", *samplers)
         assert code == 0
         names = sorted(p.name for p in a.glob("*.csv"))

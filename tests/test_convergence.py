@@ -2,20 +2,24 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import curvewalk.convergence
+import curvewalk.sampler
 from curvewalk import (ExperimentPlan, SamplerConfig, WeightedGraph,
                        betweenness, estimator_mean, extract_backbone,
                        induced_subgraph, run_chain, run_experiment,
                        strength_vector)
-from curvewalk.sampler import distinct_prefix_counts
-from curvewalk.convergence import _chain_sums, sampler_labels
-from conftest import path_graph, random_connected_graph, star_graph
-from oracles import running_estimator_oracle
+from curvewalk.sampler import _TIME_CHUNK, distinct_prefix_counts
+from curvewalk.convergence import _fold, sampler_labels
+from conftest import (cycle_graph, path_graph, random_connected_graph,
+                      run_chain_stream, star_graph)
+from oracles import chain_sums_oracle, running_estimator_oracle
 
 
 def mh_template(kind="node_mh_uniform", **kwargs):
@@ -78,14 +82,14 @@ _STAT_VALUES = st.sampled_from([-1.5, -0.0, 0.0, 2.0, 1 / 3, 0.1, 1e-300,
 
 
 @st.composite
-def visit_arrays(draw):
+def visit_arrays(draw, max_chains=4):
     """``(chains, values)``: chains made of runs of one node, from 1 to 12
     steps each, over 1 to 6 nodes, so that some chains see every node and
     some never do; two statistics over those nodes."""
     V = draw(st.integers(1, 6))
     n_steps = draw(st.integers(1, 80))
     chains = []
-    for _ in range(draw(st.integers(1, 4))):
+    for _ in range(draw(st.integers(1, max_chains))):
         runs = draw(st.lists(st.tuples(st.integers(0, V - 1), st.integers(1, 12)),
                              min_size=1, max_size=20))
         nodes, lengths = zip(*runs)
@@ -96,31 +100,123 @@ def visit_arrays(draw):
     return np.array(chains, dtype=np.int64), values
 
 
+@st.composite
+def block_streams(draw):
+    """``(visits, values, n_samplers, blocks)``: the rows of ``visits`` are
+    ``n_samplers`` samplers' chains, sampler-major, and ``blocks`` cuts them
+    into a stream as the lockstep engine yields it. Samplers are put in
+    groups that share blocks, the way one family and burn-in do, so a
+    sampler's chains may be a column subset of a wider block, also of one
+    whose rows are not contiguous. Each group cuts the steps its own way,
+    often with a first block of one step, and the groups' blocks
+    interleave in any order that keeps each group's in time order."""
+    n_samplers = draw(st.integers(1, 3))
+    chains, values = draw(visit_arrays(max_chains=12))
+    # every sampler gets the drawn chains in a rotated order
+    visits = np.concatenate([np.roll(chains, s, axis=0) for s in range(n_samplers)])
+    n_chains, n_steps = chains.shape
+    group_of = draw(st.lists(st.integers(0, n_samplers - 1),
+                             min_size=n_samplers, max_size=n_samplers))
+    pending = []
+    for group in sorted(set(group_of)):
+        rows = np.concatenate([np.arange(s * n_chains, (s + 1) * n_chains)
+                               for s in range(n_samplers) if group_of[s] == group])
+        cuts = set(draw(st.lists(st.integers(1, n_steps), max_size=10)))
+        if draw(st.booleans()):
+            cuts.add(1)
+        bounds = [0, *sorted(cuts - {n_steps}), n_steps]
+        pending.append([(rows, lo, visits[rows, lo:hi].T)
+                        for lo, hi in zip(bounds, bounds[1:])])
+    blocks = []
+    while pending:
+        group = draw(st.sampled_from(pending))
+        blocks.append(group.pop(0))
+        if not group:
+            pending.remove(group)
+    return visits, values, n_samplers, blocks
+
+
+def folded(visits, values, n_samplers, blocks):
+    full_means = {kind: float(np.mean(v)) for kind, v in values.items()}
+    n_chains = len(visits) // n_samplers
+    return full_means, _fold(iter(blocks), n_samplers, n_chains, visits.shape[1],
+                             values, full_means)
+
+
 class TestAggregationOracle:
-    """Per-discovery aggregation against the step-indexed running mean."""
+    """The block-by-block fold against the whole-matrix sums and the
+    step-indexed running mean."""
 
     @settings(max_examples=300, deadline=None)
-    @given(visit_arrays())
+    @given(block_streams())
     def test_sums_equal_the_oracle_bit_for_bit(self, drawn):
-        chains, values = drawn
-        full_means = {kind: float(np.mean(v)) for kind, v in values.items()}
-        sq_sum, distinct_sum, counts = _chain_sums(chains, values, full_means)
-        want_sq = {kind: np.zeros(chains.shape[1]) for kind in values}
-        want_distinct = np.zeros(chains.shape[1], dtype=np.int64)
-        for chain in chains:
-            seen = set()
-            distinct = np.array([len(seen.add(v) or seen) for v in chain.tolist()])
-            want_distinct += distinct
-            for kind, v in values.items():
-                zbar = running_estimator_oracle(v, chain, distinct, full_means[kind])
-                want_sq[kind] += (zbar - full_means[kind]) ** 2
-        for kind in values:
-            assert sq_sum[kind].tobytes() == want_sq[kind].tobytes()
-        assert distinct_sum.tobytes() == want_distinct.tobytes()
-        n = len(chains)
-        assert (distinct_sum / n).tobytes() == (want_distinct / n).tobytes()
-        assert counts.tolist() == np.bincount(chains.ravel(),
-                                              minlength=len(counts)).tolist()
+        visits, values, n_samplers, blocks = drawn
+        full_means, sums = folded(visits, values, n_samplers, blocks)
+        n_chains = len(visits) // n_samplers
+        for s, got in enumerate(sums):
+            chains = visits[s * n_chains:(s + 1) * n_chains]
+            sq_sum, distinct_sum, counts = chain_sums_oracle(chains, values,
+                                                             full_means)
+            want_sq = {kind: np.zeros(chains.shape[1]) for kind in values}
+            want_distinct = np.zeros(chains.shape[1], dtype=np.int64)
+            for chain in chains:
+                seen = set()
+                distinct = np.array([len(seen.add(v) or seen)
+                                     for v in chain.tolist()])
+                want_distinct += distinct
+                for kind, v in values.items():
+                    zbar = running_estimator_oracle(v, chain, distinct,
+                                                    full_means[kind])
+                    want_sq[kind] += (zbar - full_means[kind]) ** 2
+            for i, kind in enumerate(values):
+                assert got.sq_sum[i].tobytes() == sq_sum[kind].tobytes()
+                assert got.sq_sum[i].tobytes() == want_sq[kind].tobytes()
+            assert got.distinct_sum.tobytes() == distinct_sum.tobytes()
+            assert got.distinct_sum.tobytes() == want_distinct.tobytes()
+            assert ((got.distinct_sum / n_chains).tobytes()
+                    == (want_distinct / n_chains).tobytes())
+            assert got.counts.tobytes() == counts.tobytes()
+            assert got.counts.tolist() == np.bincount(
+                chains.ravel(), minlength=len(counts)).tolist()
+
+    def test_one_step_blocks_add_the_chains_in_row_order(self):
+        # sixteen chains, each on its own node; a pairwise sum of their
+        # squared errors rounds differently from adding them row by row
+        values = {"first": np.array([3e8, 1.0, -3e8, 0.5, 7.0, -1.0, 2e8, 1e-3]
+                                    * 2)}
+        visits = np.arange(16, dtype=np.int64)[:, None].repeat(3, axis=1)
+        blocks = [(np.arange(16), k, visits[:, k:k + 1].T) for k in range(3)]
+        full_means, (got,) = folded(visits, values, 1, blocks)
+        errs = (values["first"] - full_means["first"]) ** 2
+        row_order = 0.0
+        for e in errs.tolist():
+            row_order += e
+        assert row_order != float(np.sum(errs))  # the case is a real one
+        assert got.sq_sum[0].tolist() == [row_order] * 3
+        sq_sum, _, _ = chain_sums_oracle(visits, values, full_means)
+        assert got.sq_sum[0].tobytes() == sq_sum["first"].tobytes()
+
+    def test_full_coverage_estimate_is_the_full_mean(self):
+        # visited in the order 2, 1, 0, the running mean at full coverage
+        # rounds away from the full mean, so only the substitution makes
+        # the error exactly 0
+        values = {"first": np.array([0.1, 0.2, 0.3])}
+        visits = np.array([[2, 2, 1, 0, 0, 1]], dtype=np.int64)
+        running = np.cumsum(values["first"][[2, 1, 0]])[-1] / 3
+        assert running != float(np.mean(values["first"]))  # the case is a real one
+        blocks = [(np.arange(1), 0, visits[:, :3].T),
+                  (np.arange(1), 3, visits[:, 3:].T)]
+        full_means, (got,) = folded(visits, values, 1, blocks)
+        assert got.sq_sum[0][3:].tolist() == [0.0] * 3
+        sq_sum, _, _ = chain_sums_oracle(visits, values, full_means)
+        assert got.sq_sum[0].tobytes() == sq_sum["first"].tobytes()
+
+    def test_blocks_out_of_order_are_refused(self):
+        visits = np.zeros((2, 4), dtype=np.int64)
+        values = {"first": np.array([1.0])}
+        blocks = [(np.arange(2), 2, visits[:, 2:].T)]
+        with pytest.raises(ValueError, match="expected steps from 0"):
+            folded(visits, values, 1, blocks)
 
     @settings(max_examples=200, deadline=None)
     @given(visit_arrays())
@@ -277,14 +373,14 @@ class TestRunExperiment:
         rng = np.random.default_rng(8)
         g = random_connected_graph(rng, 10)
         configs = []
-        lockstep = curvewalk.convergence.run_lockstep
+        stream = curvewalk.convergence._lockstep_stream
 
-        def recording_lockstep(g, cfgs):
+        def recording_stream(g, cfgs):
             configs.extend(cfgs)
-            return lockstep(g, cfgs)
+            return stream(g, cfgs)
 
-        monkeypatch.setattr(curvewalk.convergence, "run_lockstep",
-                            recording_lockstep)
+        monkeypatch.setattr(curvewalk.convergence, "_lockstep_stream",
+                            recording_stream)
         result = run_experiment(g, tiny_plan(n_chains=3, max_steps=10,
                                              start_nodes=(3,)))
         assert result.start_nodes == (3, 3, 3)
@@ -311,9 +407,8 @@ class TestRunExperiment:
         a = run_experiment(g, plan)
         b = run_experiment(g, plan)
         # replay: every chain alone through the scalar single-chain driver
-        monkeypatch.setattr(curvewalk.convergence, "run_lockstep",
-                            lambda g, configs: np.stack(
-                                [run_chain(g, cfg) for cfg in configs]))
+        monkeypatch.setattr(curvewalk.convergence, "_lockstep_stream",
+                            run_chain_stream)
         c = run_experiment(g, plan)
         assert list(a.mse) == list(b.mse) == list(c.mse)
         for label, curves in a.mse.items():
@@ -322,6 +417,51 @@ class TestRunExperiment:
                 assert np.array_equal(mse, c.mse[label][kind])
             assert np.array_equal(a.mean_distinct[label], c.mean_distinct[label])
             assert np.array_equal(a.visit_counts[label], c.visit_counts[label])
+
+    def test_mixed_burn_in_across_chunks_equals_run_chain_replay(self, monkeypatch):
+        # MH burn-ins 0 and 17 split their family's blocks into two groups
+        # whose chunks start at different steps; the run spans three chunks
+        # and ends mid-chunk
+        rng = np.random.default_rng(9)
+        g = random_connected_graph(rng, 12, extra=1.2, weighted=True)
+        samplers = (mh_template("node_mh_curved", curvature_mode="weighted"),
+                    SamplerConfig(kind="edge_uniform", seed=0, max_steps=1,
+                                  burn_in=5),
+                    mh_template("node_mh_uniform", burn_in=17))
+        n_steps = 2 * _TIME_CHUNK + 37
+        plan = tiny_plan(samplers=samplers, n_chains=3, max_steps=n_steps,
+                         master_seed=21, statistics=("strength", "closeness"))
+        a = run_experiment(g, plan)
+        monkeypatch.setattr(curvewalk.convergence, "_lockstep_stream",
+                            run_chain_stream)
+        b = run_experiment(g, plan)
+        assert list(a.mse) == list(b.mse)
+        for label, curves in a.mse.items():
+            for kind, mse in curves.items():
+                assert len(mse) == n_steps
+                assert mse.tobytes() == b.mse[label][kind].tobytes()
+            assert a.mean_distinct[label].tobytes() == b.mean_distinct[label].tobytes()
+            assert a.visit_counts[label].tobytes() == b.visit_counts[label].tobytes()
+
+    def test_memory_is_not_a_chains_by_steps_matrix(self, monkeypatch):
+        # 256 chains x 8192 steps would be a 16 MiB int64 matrix. The fold
+        # holds O(chains x chunk) of blocks and O(chains x V) of state; a
+        # 256-step chunk keeps the traced run short, since tracing slows
+        # every numpy allocation of the per-step and per-chain loops
+        monkeypatch.setattr(curvewalk.sampler, "_TIME_CHUNK", 256)
+        plan = tiny_plan(samplers=(SamplerConfig(kind="edge_uniform", seed=0,
+                                                 max_steps=1),),
+                         n_chains=256, max_steps=8192, start_nodes=(0,))
+        matrix_bytes = 256 * 8192 * 8
+        assert matrix_bytes >= 16 * 2**20
+        tracemalloc.start()
+        try:
+            result = run_experiment(cycle_graph(100), plan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.mean_distinct["edge_uniform"]) == 8192
+        assert peak < matrix_bytes / 2, peak
 
     def test_mean_distinct_monotone(self):
         rng = np.random.default_rng(2)
