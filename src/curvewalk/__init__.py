@@ -8,10 +8,9 @@ full-network values.
 """
 
 from .graph import (GraphFormatError, WeightedGraph, connected_components,
-                    induced_subgraph, largest_component, load_edge_list,
-                    write_edge_list)
+                    induced_subgraph, load_edge_list, write_edge_list)
 from .curvature import (CURVATURE_MODES, CurvatureMap, compute_curvature_map,
-                        edge_forman, edge_forman_combinatorial, node_forman)
+                        edge_forman)
 from .sampler import (DEFAULT_EPSILON_FLOOR, GENERATOR_NAME, SAMPLER_KINDS,
                       SamplerConfig, build_transition_matrix, chain_seed,
                       make_rng, make_target, run_chain, run_lockstep,
@@ -19,8 +18,8 @@ from .sampler import (DEFAULT_EPSILON_FLOOR, GENERATOR_NAME, SAMPLER_KINDS,
 from .netstats import (PATH_MODES, STAT_KINDS, betweenness, closeness,
                        compute_statistics, mean_statistic, strength_vector,
                        weighted_clustering)
-from .convergence import (ExperimentPlan, ExperimentResult, estimator_mean,
-                          extract_backbone, run_experiment)
+from .convergence import (ExperimentPlan, ExperimentResult, extract_backbone,
+                          run_experiment)
 
 __version__ = "0.1.0"
 
@@ -28,10 +27,9 @@ __all__ = [
     "__version__",
     # graph
     "GraphFormatError", "WeightedGraph", "connected_components",
-    "induced_subgraph", "largest_component", "load_edge_list", "write_edge_list",
+    "induced_subgraph", "load_edge_list", "write_edge_list",
     # curvature
     "CURVATURE_MODES", "CurvatureMap", "compute_curvature_map", "edge_forman",
-    "edge_forman_combinatorial", "node_forman",
     # sampler
     "DEFAULT_EPSILON_FLOOR", "GENERATOR_NAME", "SAMPLER_KINDS",
     "SamplerConfig", "build_transition_matrix", "chain_seed", "make_rng",
@@ -42,6 +40,5 @@ __all__ = [
     "compute_statistics", "mean_statistic", "strength_vector",
     "weighted_clustering",
     # convergence
-    "ExperimentPlan", "ExperimentResult", "estimator_mean", "extract_backbone",
-    "run_experiment",
+    "ExperimentPlan", "ExperimentResult", "extract_backbone", "run_experiment",
 ]

@@ -34,7 +34,7 @@ from .curvature import _NonFiniteCurvature
 from .graph import WeightedGraph, connected_components, induced_subgraph
 from .netstats import STAT_KINDS, PATH_MODES, compute_statistics, mean_statistic
 from .sampler import (SamplerConfig, _integer, _lockstep_stream, chain_seed,
-                      first_visit_mask, make_rng)
+                      make_rng)
 
 logger = logging.getLogger(__name__)
 
@@ -135,19 +135,6 @@ class ExperimentResult:
     start_nodes: tuple[int, ...]
     chain_seeds: tuple[int, ...]
     component_nodes: np.ndarray | None = None
-
-
-def _discovery_means(values: np.ndarray, discovered: np.ndarray,
-                     full_mean: float) -> np.ndarray:
-    """Running mean of ``values`` over ``discovered``, a chain's nodes in
-    order of first visit: entry ``k - 1`` is the estimate at every step at
-    which the chain has seen ``k`` nodes. At full coverage the estimate is
-    the full mean by definition; the exact ``full_mean`` is substituted to
-    keep that identity exact in floating point as well."""
-    zbar = np.cumsum(values[discovered]) / np.arange(1, len(discovered) + 1)
-    if len(discovered) == len(values):
-        zbar[-1] = full_mean
-    return zbar
 
 
 # marks an entry of the first-visit scratch array that holds no position
@@ -284,18 +271,6 @@ def _fold(blocks, n_samplers, n_chains, n_steps, stat_values, full_means):
         for lo, hi in zip(cuts, cuts[1:]):
             sums[int(owner[lo])].add(k0, states[:, lo:hi])
     return sums
-
-
-def estimator_mean(values: np.ndarray, visits: np.ndarray, n: int) -> float:
-    """Mean of a statistic's per-node ``values`` over the distinct nodes in
-    the first ``n`` of a chain's ``visits`` (revisits contribute once)."""
-    n = int(n)
-    if not 1 <= n <= len(visits):
-        raise ValueError(f"n must be in 1..{len(visits)}, got {n}")
-    visits = visits[:n]
-    zbar = _discovery_means(values, visits[first_visit_mask(visits)],
-                            mean_statistic(values))
-    return float(zbar[-1])
 
 
 def extract_backbone(visit_counts: np.ndarray, fraction: float) -> np.ndarray:

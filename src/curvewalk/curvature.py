@@ -102,19 +102,6 @@ def edge_forman(g: WeightedGraph, edge) -> float:
     return float(_weighted_forman(g, np.array([g.edge_id(*edge)]))[0])
 
 
-def edge_forman_combinatorial(g: WeightedGraph, edge) -> float:
-    """Combinatorial Forman curvature ``4 - d(i) - d(j)``; ignores all weights."""
-    i, j = edge
-    g.edge_id(i, j)  # existence check
-    return float(4 - g.degree(i) - g.degree(j))
-
-
-def node_forman(g: WeightedGraph, curvmap: CurvatureMap, i) -> float:
-    """Sum of the curvatures of ``i``'s incident edges (0 for isolated nodes)."""
-    i = g._check_node(i)
-    return float(curvmap.node_values[i])
-
-
 def compute_curvature_map(g: WeightedGraph, mode: str = "combinatorial") -> CurvatureMap:
     """Curvature of every edge and node of ``g``.
 

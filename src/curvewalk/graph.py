@@ -1,4 +1,4 @@
-"""Immutable weighted-graph model with edge-list ingestion and structural queries.
+"""Immutable weighted-graph model, edge-list reading and writing, and components.
 
 Nodes are dense integer ids ``0 .. node_count - 1``. Graphs are simple and
 undirected: each edge is stored once as a canonical ``(u, v)`` pair with
@@ -129,20 +129,6 @@ class WeightedGraph:
                 f"node id {i} out of range for graph with {self.node_count} nodes")
         return i
 
-    def neighbors(self, i) -> list[tuple[int, float]]:
-        """Neighbors of ``i`` with edge weights, ascending by neighbor id."""
-        i = self._check_node(i)
-        s, e = self.adj_indptr[i], self.adj_indptr[i + 1]
-        return list(zip(self.adj_neighbors[s:e].tolist(),
-                        self.adj_weights[s:e].tolist()))
-
-    def degree(self, i) -> int:
-        return int(self.degrees[self._check_node(i)])
-
-    def strength_of(self, i) -> float:
-        """Sum of the weights of edges incident to ``i``."""
-        return float(self.strengths[self._check_node(i)])
-
     def edge_id(self, i, j) -> int:
         """Index of edge ``{i, j}`` into ``edges``; raises ValueError if absent."""
         i = self._check_node(i)
@@ -152,16 +138,6 @@ class WeightedGraph:
         if pos >= e or self.adj_neighbors[pos] != j:
             raise ValueError(f"no edge between nodes {i} and {j}")
         return int(self.adj_edge_ids[pos])
-
-    def has_edge(self, i, j) -> bool:
-        try:
-            self.edge_id(i, j)
-        except ValueError:
-            return False
-        return True
-
-    def edge_weight(self, i, j) -> float:
-        return float(self.edge_weights[self.edge_id(i, j)])
 
 
 def load_edge_list(path, *, delimiter=None, weighted=True,
@@ -210,7 +186,9 @@ def load_edge_list(path, *, delimiter=None, weighted=True,
             labels.append(token)
         return nid
 
-    with path.open(encoding="utf-8") as fh:
+    # utf-8-sig drops a leading byte-order mark, which would else stick to
+    # the first line's first field
+    with path.open(encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith(_COMMENT_PREFIXES):
@@ -253,21 +231,33 @@ def load_edge_list(path, *, delimiter=None, weighted=True,
     return g, tuple(labels)
 
 
-def write_edge_list(g: WeightedGraph, path, labels=None, comments=()):
+def write_edge_list(g: WeightedGraph, path, labels=None):
     """Write the graph as ``u v w`` lines readable by :func:`load_edge_list`.
 
     Node ids are written when no labels are given. Weights use repr so a
     reload round-trips exactly. Isolated nodes cannot be represented in this
     format and are dropped on a round-trip.
+
+    Raises:
+        ValueError: a label that would not read back as the same field:
+            empty, holding whitespace, or, as a line's first field, starting
+            with ``%`` or ``#`` (the line would be a comment) or with a
+            byte-order mark.
     """
     if labels is None:
         labels = [str(k) for k in range(g.node_count)]
+    tails, heads = g.edges.T.tolist()
+    for ends, first in ((tails, True), (heads, False)):
+        for k in sorted(set(ends)):
+            label = str(labels[k])
+            # the loader drops a byte-order mark that starts the file
+            if label.split() != [label] or (
+                    first and label.startswith((*_COMMENT_PREFIXES, "\ufeff"))):
+                raise ValueError(f"label {label!r} of node {k} would not read "
+                                 "back from an edge list")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for line in comments:
-            fh.write(f"% {line}\n")
-        for eidx in range(g.edge_count):
-            u, v = g.edges[eidx]
-            fh.write(f"{labels[u]} {labels[v]} {float(g.edge_weights[eidx])!r}\n")
+        for u, v, w in zip(tails, heads, g.edge_weights.tolist()):
+            fh.write(f"{labels[u]} {labels[v]} {w!r}\n")
 
 
 def induced_subgraph(g: WeightedGraph, nodes) -> WeightedGraph:
@@ -335,7 +325,3 @@ def connected_components(g: WeightedGraph) -> list[np.ndarray]:
     order = np.argsort(root, kind="stable")
     return np.split(order, np.flatnonzero(np.diff(root[order])) + 1)
 
-
-def largest_component(g: WeightedGraph) -> np.ndarray:
-    """Node ids of the largest connected component (ties: earliest component)."""
-    return max(connected_components(g), key=len)

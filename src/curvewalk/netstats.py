@@ -40,11 +40,6 @@ STAT_KINDS = ("betweenness", "closeness", "strength", "weighted_clustering")
 PATH_MODES = ("hop", "weighted")
 
 
-def _check_path_mode(path_mode):
-    if path_mode not in PATH_MODES:
-        raise ValueError(f"unknown path mode {path_mode!r}")
-
-
 # Sources per sweep block: a block expands at most this many (source,
 # half-edge) pairs per round and holds this many (source, node) states.
 _BLOCK_PAIRS = 1 << 15
@@ -289,7 +284,6 @@ def _weighted_dag(g: WeightedGraph, roots, sigma, flip):
 def _path_statistics(g: WeightedGraph, path_mode: str) -> dict[str, np.ndarray]:
     """Betweenness and closeness from one source-batched Brandes sweep
     (:func:`_sweep`)."""
-    _check_path_mode(path_mode)
     V = g.node_count
     bc, totals = _sweep(g, path_mode)
     reached = totals > 0
@@ -312,7 +306,7 @@ def betweenness(g: WeightedGraph, path_mode: str = "hop") -> np.ndarray:
     Counts unordered pairs ``{i, j}`` with both endpoints distinct from the
     middle node; pairs without a connecting path contribute nothing.
     """
-    return _path_statistics(g, path_mode)["betweenness"]
+    return compute_statistics(g, ("betweenness",), path_mode)["betweenness"]
 
 
 def closeness(g: WeightedGraph, path_mode: str = "hop") -> np.ndarray:
@@ -320,7 +314,7 @@ def closeness(g: WeightedGraph, path_mode: str = "hop") -> np.ndarray:
 
     Nodes with no reachable peer (isolated nodes) get value 0.
     """
-    return _path_statistics(g, path_mode)["closeness"]
+    return compute_statistics(g, ("closeness",), path_mode)["closeness"]
 
 
 def strength_vector(g: WeightedGraph) -> np.ndarray:
@@ -362,27 +356,19 @@ def weighted_clustering(g: WeightedGraph) -> np.ndarray:
     return values
 
 
-def mean_statistic(values: np.ndarray, nodes="all") -> float:
-    """Arithmetic mean of a per-node statistic's ``values`` over a node set
-    (``"all"`` = every node; a repeated node counts once)."""
-    if isinstance(nodes, str):
-        if nodes != "all":
-            raise ValueError(f"nodes must be a node set or 'all', got {nodes!r}")
-        if len(values) == 0:
-            raise ValueError("mean of an empty node set")
-        return float(np.mean(values))
-    idx = sorted({int(n) for n in nodes})
-    if not idx:
+def mean_statistic(values: np.ndarray) -> float:
+    """Arithmetic mean of a per-node statistic's ``values`` over every node."""
+    if len(values) == 0:
         raise ValueError("mean of an empty node set")
-    if idx[0] < 0 or idx[-1] >= len(values):
-        raise ValueError("node id out of range")
-    return float(np.mean(values[np.array(idx, dtype=np.int64)]))
+    return float(np.mean(values))
 
 
 def compute_statistics(g: WeightedGraph, kinds=STAT_KINDS,
                        path_mode: str = "hop") -> dict[str, np.ndarray]:
     """Evaluate the requested statistics once on the full graph, each as a
     read-only float64 array of one value per node."""
+    if path_mode not in PATH_MODES:
+        raise ValueError(f"unknown path mode {path_mode!r}")
     out = {}
     paths = None
     for kind in kinds:

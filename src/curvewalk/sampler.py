@@ -519,20 +519,15 @@ def _guide_table(g, table, n_tables):
     return np.cumsum(counts, out=counts), m, wide
 
 
-def first_visit_mask(visits: np.ndarray) -> np.ndarray:
-    """True at each step of a visit sequence that reaches a new node."""
+def distinct_prefix_counts(visits: np.ndarray) -> np.ndarray:
+    """Number of unique nodes in each prefix of a visit sequence."""
     n = len(visits)
-    mask = np.zeros(n + 1, dtype=bool)
+    mask = np.zeros(n + 1, dtype=bool)  # True where a visit reaches a new node
     if n:
         first = np.full(int(visits.max()) + 1, n)  # n marks a node never visited
         np.minimum.at(first, visits, np.arange(n))
         mask[first] = True
-    return mask[:n]
-
-
-def distinct_prefix_counts(visits: np.ndarray) -> np.ndarray:
-    """Number of unique nodes in each prefix of a visit sequence."""
-    return np.cumsum(first_visit_mask(visits), dtype=np.int64)
+    return np.cumsum(mask[:n], dtype=np.int64)
 
 
 def build_transition_matrix(g: WeightedGraph, config: SamplerConfig,

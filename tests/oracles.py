@@ -17,7 +17,8 @@ The estimator oracle is the step-indexed running mean that the harness's
 per-discovery aggregation replaced; the harness must reproduce its squared
 errors bit for bit. The chain-sums oracle is the whole-matrix aggregation
 that the harness's block-by-block fold replaced: it takes every chain's
-visits at once and sums per chain, in row order; the fold must reproduce
+visits at once and sums per chain, in row order, each chain's estimates
+formed per discovered node (``_discovery_means``); the fold must reproduce
 its sums bit for bit.
 
 The step oracles apply one kernel move straight from its formula, one node
@@ -41,8 +42,7 @@ from math import inf
 import numpy as np
 
 from curvewalk import DEFAULT_EPSILON_FLOOR
-from curvewalk.convergence import _discovery_means
-from curvewalk.sampler import first_visit_mask
+from curvewalk.sampler import distinct_prefix_counts
 
 
 def connected_components_oracle(g) -> list[np.ndarray]:
@@ -269,7 +269,7 @@ def dfs_hop_bc_oracle(g):
 def edge_forman_oracle(g, edge) -> float:
     """Weighted Forman curvature of one edge, term by term in scalar Python."""
     i, j = edge
-    w_ij = g.edge_weight(i, j)
+    w_ij = g.edge_weights[g.edge_id(i, j)]
     total = 0.0
     for node, other in ((int(i), int(j)), (int(j), int(i))):
         term = g.node_weights[node] / w_ij
@@ -354,6 +354,19 @@ def running_estimator_oracle(values: np.ndarray, visits: np.ndarray,
     return zbar
 
 
+def _discovery_means(values: np.ndarray, discovered: np.ndarray,
+                     full_mean: float) -> np.ndarray:
+    """Running mean of ``values`` over ``discovered``, a chain's nodes in
+    order of first visit: entry ``k - 1`` is the estimate at every step at
+    which the chain has seen ``k`` nodes. At full coverage the estimate is
+    the full mean by definition; the exact ``full_mean`` is substituted to
+    keep that identity exact in floating point as well."""
+    zbar = np.cumsum(values[discovered]) / np.arange(1, len(discovered) + 1)
+    if len(discovered) == len(values):
+        zbar[-1] = full_mean
+    return zbar
+
+
 def chain_sums_oracle(chains: np.ndarray, stat_values: dict, full_means: dict):
     """Per-step sums over ``chains`` (one visit sequence per row, summed in
     row order) of each statistic's squared estimator error and of the
@@ -363,8 +376,8 @@ def chain_sums_oracle(chains: np.ndarray, stat_values: dict, full_means: dict):
     distinct_sum = np.zeros(n_steps, dtype=np.int64)
     sq_sum = {kind: np.zeros(n_steps) for kind in stat_values}
     for chain in chains:
-        first = first_visit_mask(chain)
-        distinct = np.cumsum(first, dtype=np.int64)
+        distinct = distinct_prefix_counts(chain)
+        first = np.diff(distinct, prepend=0) > 0
         distinct_sum += distinct
         counts += np.bincount(chain, minlength=V)
         # one squared error per discovery, gathered onto the steps

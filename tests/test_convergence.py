@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import curvewalk.convergence
 import curvewalk.sampler
 from curvewalk import (ExperimentPlan, SamplerConfig, WeightedGraph,
-                       betweenness, estimator_mean, extract_backbone,
+                       betweenness, extract_backbone,
                        induced_subgraph, run_chain, run_experiment,
                        strength_vector)
 from curvewalk.sampler import _TIME_CHUNK, distinct_prefix_counts
@@ -39,22 +39,28 @@ def tiny_plan(**kwargs):
 
 
 class TestEstimatorMean:
+    """The running mean over a chain's distinct nodes, seen through the
+    squared errors that the fold forms from it."""
+
+    @staticmethod
+    def errors(values, chain):
+        values = {"stat": np.asarray(values, dtype=np.float64)}
+        visits = np.array([chain], dtype=np.int64)
+        _, (sums,) = folded(visits, values, 1, [(np.arange(1), 0, visits.T)])
+        return sums.sq_sum[0]
+
     def test_first_step_is_start_value(self):
         g = path_graph(3)
         sv = betweenness(g)
         trace = run_chain(g, SamplerConfig(kind="edge_uniform", seed=0,
                                            max_steps=10, start_node=1))
-        assert estimator_mean(sv, trace, 1) == sv[1]
+        assert self.errors(sv, trace)[0] == (sv[1] - np.mean(sv)) ** 2
 
     def test_revisits_count_once(self):
-        g = WeightedGraph(2, [(0, 1)])
-        sv = strength_vector(g)
-        trace = run_chain(g, SamplerConfig(kind="edge_uniform", seed=0,
-                                           max_steps=8, start_node=0))
-        # alternating 0,1,0,1..: distinct set is {0} then {0,1} forever
-        assert estimator_mean(sv, trace, 1) == 1.0
-        for n in range(2, 9):
-            assert estimator_mean(sv, trace, n) == 1.0
+        # nodes 0 and 1 alternate and node 2 is never seen: the estimate
+        # stays (1 + 4) / 2, where counting every visit would move it
+        errors = self.errors([1.0, 4.0, 10.0], [0, 1, 0, 1, 0, 1, 0])
+        assert errors.tolist() == [16.0] + [6.25] * 6
 
     def test_pair_value_on_path(self):
         g = path_graph(3)
@@ -62,17 +68,7 @@ class TestEstimatorMean:
         trace = run_chain(g, SamplerConfig(kind="edge_uniform", seed=1,
                                            max_steps=2, start_node=0))
         assert trace.tolist() == [0, 1]
-        assert estimator_mean(sv, trace, 2) == pytest.approx(0.5)
-
-    def test_bounds(self):
-        g = path_graph(3)
-        sv = betweenness(g)
-        trace = run_chain(g, SamplerConfig(kind="edge_uniform", seed=0,
-                                           max_steps=5, start_node=0))
-        with pytest.raises(ValueError):
-            estimator_mean(sv, trace, 0)
-        with pytest.raises(ValueError):
-            estimator_mean(sv, trace, 6)
+        assert self.errors(sv, trace)[1] == (0.5 - np.mean(sv)) ** 2
 
 
 # negative values, signed zeros and repeats; sums of 1/3, 0.1, 1e-300 and
@@ -218,19 +214,6 @@ class TestAggregationOracle:
         with pytest.raises(ValueError, match="expected steps from 0"):
             folded(visits, values, 1, blocks)
 
-    @settings(max_examples=200, deadline=None)
-    @given(visit_arrays())
-    def test_estimator_mean_equals_the_oracle(self, drawn):
-        chains, values = drawn
-        chain, v = chains[0], values["first"]
-        seen = set()
-        distinct = np.array([len(seen.add(x) or seen) for x in chain.tolist()])
-        want = running_estimator_oracle(v, chain, distinct, float(np.mean(v)))
-        for n in range(1, len(chain) + 1):
-            # as floats: the oracle's running sum adds 0.0 at each revisit,
-            # which turns a sum of -0.0 terms into 0.0; -0.0 == 0.0
-            assert estimator_mean(v, chain, n) == want[n - 1]
-
 
 class TestExtractBackbone:
     def test_full_fraction_returns_everything(self):
@@ -317,7 +300,7 @@ class TestPlanValidation:
 class TestRunExperiment:
     def test_hand_recomputed_mse(self):
         # dual route: rebuild each chain with run_chain and recompute the MSE
-        # from estimator_mean step by step
+        # from the step-indexed estimator oracle
         rng = np.random.default_rng(0)
         g = random_connected_graph(rng, 7, extra=1.0)
         plan = ExperimentPlan(
@@ -333,9 +316,10 @@ class TestRunExperiment:
                                        max_steps=25, start_node=start))
             for seed, start in zip(result.chain_seeds, result.start_nodes)
         ]
+        zbars = [running_estimator_oracle(sv, t, distinct_prefix_counts(t), ez)
+                 for t in traces]
         for n in (1, 2, 7, 25):
-            expected = np.mean([(estimator_mean(sv, t, n) - ez) ** 2
-                                for t in traces])
+            expected = np.mean([(zbar[n - 1] - ez) ** 2 for zbar in zbars])
             assert mse[n - 1] == expected
 
     def test_full_coverage_mse_exactly_zero(self):
@@ -501,6 +485,13 @@ class TestRunExperiment:
         result = run_experiment(g, plan)
         assert len(result.visit_counts["node_mh_curved"]) == 3
         assert result.component_nodes.tolist() == [0, 1, 2]
+
+    def test_equal_components_restrict_to_the_earliest(self):
+        # {0, 5, 6} and {1, 2, 3} tie for largest; components are ordered by
+        # smallest member, and the earliest of the largest is kept
+        g = WeightedGraph(7, [(1, 2), (2, 3), (0, 5), (5, 6)])
+        plan = tiny_plan(max_steps=10, use_largest_component=True)
+        assert run_experiment(g, plan).component_nodes.tolist() == [0, 5, 6]
 
     def test_fixed_starts_name_nodes_of_the_given_graph(self):
         # {0-1} plus the path 2-3-4-5-6: the largest component is 2..6

@@ -8,29 +8,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvewalk import (WeightedGraph, compute_curvature_map, edge_forman,
-                       edge_forman_combinatorial, load_edge_list, node_forman)
+                       load_edge_list)
 from curvewalk.curvature import _weighted_forman
 from conftest import (LESMIS, cycle_graph, path_graph, random_connected_graph,
                       star_graph, two_hub_bridge)
 from oracles import edge_forman_oracle
 
 
+def combinatorial(g, edge):
+    """The combinatorial curvature map's entry for ``edge``."""
+    return compute_curvature_map(g, "combinatorial").edge_values[g.edge_id(*edge)]
+
+
 class TestWorkedExamples:
     def test_bridge_edges_minus_two(self):
         g = two_hub_bridge()
         for edge in ((0, 2), (1, 2)):  # degrees (4, 2)
-            assert edge_forman_combinatorial(g, edge) == -2.0
+            assert combinatorial(g, edge) == -2.0
             assert edge_forman(g, edge) == -2.0
 
     def test_leaf_edges_minus_one(self):
         g = two_hub_bridge()
         for edge in ((0, 3), (0, 4), (0, 5), (1, 6), (1, 7), (1, 8)):
-            assert edge_forman_combinatorial(g, edge) == -1.0
+            assert combinatorial(g, edge) == -1.0
             assert edge_forman(g, edge) == -1.0
 
     def test_flat_path_interior_zero(self):
         g = path_graph(4)
-        assert edge_forman_combinatorial(g, (1, 2)) == 0.0
+        assert combinatorial(g, (1, 2)) == 0.0
         assert edge_forman(g, (1, 2)) == 0.0
 
     def test_weighted_triangle_cancels(self):
@@ -42,19 +47,19 @@ class TestWorkedExamples:
     def test_hub_node_curvature(self):
         g = two_hub_bridge()
         cm = compute_curvature_map(g, "combinatorial")
-        assert node_forman(g, cm, 0) == -5.0  # three leaf edges and one bridge
+        assert cm.node_values[0] == -5.0  # three leaf edges and one bridge
 
     def test_star_node_curvature(self):
         g = star_graph(5)
         cm = compute_curvature_map(g, "combinatorial")
         assert np.all(cm.edge_values == -2.0)
-        assert node_forman(g, cm, 0) == -10.0
-        assert node_forman(g, cm, 1) == -2.0
+        assert cm.node_values[0] == -10.0
+        assert cm.node_values[1] == -2.0
 
     def test_isolated_node_zero(self):
         g = WeightedGraph(3, [(0, 1)])
         cm = compute_curvature_map(g, "combinatorial")
-        assert node_forman(g, cm, 2) == 0.0
+        assert cm.node_values[2] == 0.0
 
 
 class TestReduction:
@@ -106,7 +111,7 @@ class TestProperties:
             assert cm.edge_values[e] == edge_forman(g, (u, v))
         cmc = compute_curvature_map(g, "combinatorial")
         for e, (u, v) in enumerate(g.edges):
-            assert cmc.edge_values[e] == edge_forman_combinatorial(g, (u, v))
+            assert cmc.edge_values[e] == 4 - g.degrees[u] - g.degrees[v]
 
     def test_map_deterministic(self):
         rng = np.random.default_rng(11)
@@ -192,8 +197,6 @@ class TestErrors:
         g = path_graph(3)
         with pytest.raises(ValueError):
             edge_forman(g, (0, 2))
-        with pytest.raises(ValueError):
-            edge_forman_combinatorial(g, (0, 2))
 
     def test_underflowing_weights_name_the_edge(self):
         # 1e-300 * 1e-300 underflows to 0, so edge (0, 1) gets a term -1/0
@@ -205,12 +208,6 @@ class TestErrors:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             compute_curvature_map(path_graph(3), "ollivier")
-
-    def test_node_out_of_range(self):
-        g = path_graph(3)
-        cm = compute_curvature_map(g)
-        with pytest.raises(ValueError):
-            node_forman(g, cm, 7)
 
 
 def test_lesmis_combinatorial_recheck():

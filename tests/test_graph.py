@@ -2,16 +2,27 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvewalk import (GraphFormatError, WeightedGraph, connected_components,
-                       induced_subgraph, largest_component, load_edge_list,
-                       write_edge_list)
+                       induced_subgraph, load_edge_list, write_edge_list)
 from conftest import path_graph, star_graph, random_connected_graph
 from oracles import connected_components_oracle
+
+
+def weight(g, i, j):
+    return g.edge_weights[g.edge_id(i, j)]
+
+
+def neighbors(g, i):
+    """Node ``i``'s CSR row as ``(neighbor, weight)`` pairs."""
+    row = slice(g.adj_indptr[i], g.adj_indptr[i + 1])
+    return list(zip(g.adj_neighbors[row].tolist(), g.adj_weights[row].tolist()))
 
 
 def write_lines(tmp_path, name, lines):
@@ -25,7 +36,7 @@ class TestLoader:
         f = write_lines(tmp_path, "p.txt", ["0 1", "1 2"])
         g, labels = load_edge_list(f)
         assert g.node_count == 3
-        assert [g.degree(i) for i in range(3)] == [1, 2, 1]
+        assert g.degrees.tolist() == [1, 2, 1]
         assert np.all(g.edge_weights == 1.0)
         assert labels == ("0", "1", "2")
 
@@ -34,8 +45,8 @@ class TestLoader:
             "% sym positive", "# a comment", "", "a\tb\t2.5", "b\tc"])
         g, labels = load_edge_list(f)
         assert g.node_count == 3
-        assert g.edge_weight(labels.index("a"), labels.index("b")) == 2.5
-        assert g.edge_weight(labels.index("b"), labels.index("c")) == 1.0
+        assert weight(g, labels.index("a"), labels.index("b")) == 2.5
+        assert weight(g, labels.index("b"), labels.index("c")) == 1.0
 
     def test_labels_first_seen_order(self, tmp_path):
         f = write_lines(tmp_path, "l.txt", ["x y", "z x"])
@@ -56,7 +67,7 @@ class TestLoader:
     def test_unweighted_flag_ignores_column(self, tmp_path):
         f = write_lines(tmp_path, "w.txt", ["a b 9"])
         g, _ = load_edge_list(f, weighted=False)
-        assert g.edge_weight(0, 1) == 1.0
+        assert weight(g, 0, 1) == 1.0
 
     def test_default_node_weight(self, tmp_path):
         f = write_lines(tmp_path, "n.txt", ["a b"])
@@ -87,8 +98,8 @@ class TestLoader:
         f = write_lines(tmp_path, "padded.csv", ["a, b, 2", "b, c, 1"])
         g, labels = load_edge_list(f, delimiter=",")
         assert labels == ("a", "b", "c")
-        assert g.edge_weight(0, 1) == 2.0
-        assert g.edge_weight(1, 2) == 1.0
+        assert weight(g, 0, 1) == 2.0
+        assert weight(g, 1, 2) == 1.0
 
     @pytest.mark.parametrize("line", ["a,,1", "a, ,1", "a,b,"])
     def test_empty_delimited_field_refused(self, tmp_path, line):
@@ -106,7 +117,7 @@ class TestLoader:
         rng = np.random.default_rng(5)
         g = random_connected_graph(rng, 15, extra=1.0, weighted=True)
         out = tmp_path / "rt.txt"
-        write_edge_list(g, out, comments=["round trip"])
+        write_edge_list(g, out)
         g2, labels = load_edge_list(out)
         assert g2.node_count == g.node_count
         original = {(int(u), int(v)): float(w)
@@ -116,6 +127,45 @@ class TestLoader:
             a, b = int(labels[u]), int(labels[v])
             reloaded[(min(a, b), max(a, b))] = float(w)
         assert reloaded == original
+
+    @pytest.mark.parametrize("text", ["% sym unweighted\na b\nb c\n", "a b 1\n"],
+                             ids=["header", "edge"])
+    def test_byte_order_mark_is_dropped(self, tmp_path, text):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        g, labels = load_edge_list(plain)
+        g2, labels2 = load_edge_list(marked)
+        assert labels2 == labels
+        assert np.array_equal(g2.edges, g.edges)
+        assert np.array_equal(g2.edge_weights, g.edge_weights)
+
+    def test_round_trip_with_labels(self, tmp_path):
+        # a label may start with '#' where it is not a line's first field
+        f = write_lines(tmp_path, "in.csv", ["a,#x,1", "c,d,2.5"])
+        g, labels = load_edge_list(f, delimiter=",")
+        out = tmp_path / "out.txt"
+        write_edge_list(g, out, labels)
+        g2, labels2 = load_edge_list(out)
+        assert g2.edge_count == g.edge_count == 2
+        assert labels2 == labels
+        assert np.array_equal(g2.edge_weights, g.edge_weights)
+
+    @pytest.mark.parametrize("labels, bad", [
+        (("#x", "b", "c"), "#x"),
+        (("a", "%p", "c"), "%p"),
+        (("a b", "c", "d"), "a b"),
+        (("a", "b", "c\td"), "c\td"),
+        (("a", "", "c"), ""),
+        (("\ufeffa", "b", "c"), "\ufeffa"),
+    ], ids=["hash-first", "percent-first", "space", "tab", "empty", "bom-first"])
+    def test_write_refuses_a_label_that_would_not_read_back(
+            self, tmp_path, labels, bad):
+        # path 0-1-2: labels 0 and 1 start lines, 1 and 2 end them
+        out = tmp_path / "out.txt"
+        with pytest.raises(ValueError, match=re.escape(f"label {bad!r}")):
+            write_edge_list(path_graph(3), out, labels)
+        assert not out.exists()
 
 
 class TestConstruction:
@@ -150,37 +200,34 @@ class TestConstruction:
 class TestQueries:
     def test_neighbors_path(self):
         g = path_graph(3)
-        assert g.neighbors(1) == [(0, 1.0), (2, 1.0)]
+        assert neighbors(g, 1) == [(0, 1.0), (2, 1.0)]
 
     def test_neighbors_star_and_isolated(self):
         g = star_graph(4)
-        assert len(g.neighbors(0)) == 4
+        assert len(neighbors(g, 0)) == 4
         g2 = WeightedGraph(3, [(0, 1)])
-        assert g2.neighbors(2) == []
+        assert neighbors(g2, 2) == []
 
     def test_degree_strength(self):
         g = star_graph(4)
-        assert g.degree(0) == 4
-        assert g.strength_of(0) == 4.0
+        assert g.degrees[0] == 4
+        assert g.strengths[0] == 4.0
         g2 = WeightedGraph(3, [(0, 1), (0, 2)], [2.0, 0.5])
-        assert g2.strength_of(0) == 2.5
+        assert g2.strengths[0] == 2.5
         g3 = WeightedGraph(2, [])
-        assert g3.degree(0) == 0 and g3.strength_of(0) == 0.0
+        assert g3.degrees[0] == 0 and g3.strengths[0] == 0.0
 
     def test_out_of_range_queries(self):
         g = path_graph(3)
-        for fn in (g.neighbors, g.degree, g.strength_of):
-            with pytest.raises(ValueError):
-                fn(3)
-            with pytest.raises(ValueError):
-                fn(-1)
+        for i, j in ((3, 0), (0, 3), (-1, 0), (0, -1)):
+            with pytest.raises(ValueError, match="out of range"):
+                g.edge_id(i, j)
 
     def test_edge_lookup(self):
         g = WeightedGraph(3, [(0, 1)], [2.0])
         assert g.edge_id(0, 1) == g.edge_id(1, 0) == 0
-        assert g.edge_weight(1, 0) == 2.0
-        assert g.has_edge(0, 1) and not g.has_edge(0, 2)
-        with pytest.raises(ValueError):
+        assert weight(g, 1, 0) == 2.0
+        with pytest.raises(ValueError, match="no edge"):
             g.edge_id(0, 2)
 
 
@@ -189,7 +236,7 @@ class TestInducedSubgraph:
         g = WeightedGraph(3, [(0, 1), (1, 2), (0, 2)], [1.0, 2.0, 3.0])
         sub = induced_subgraph(g, {0, 1})
         assert sub.node_count == 2 and sub.edge_count == 1
-        assert sub.edge_weight(0, 1) == 1.0
+        assert weight(sub, 0, 1) == 1.0
 
     def test_full_set_identity(self):
         rng = np.random.default_rng(7)
@@ -226,8 +273,8 @@ class TestInvariants:
         rng = np.random.default_rng(100 + seed)
         g = random_connected_graph(rng, 15, weighted=True)
         for i in range(g.node_count):
-            for j, w in g.neighbors(i):
-                back = dict(g.neighbors(j))
+            for j, w in neighbors(g, i):
+                back = dict(neighbors(g, j))
                 assert back[i] == w
 
     @pytest.mark.parametrize("g", [
@@ -244,7 +291,7 @@ class TestInvariants:
         rng = np.random.default_rng(3)
         g = random_connected_graph(rng, 15)
         for i in range(g.node_count):
-            ids = [j for j, _ in g.neighbors(i)]
+            ids = [j for j, _ in neighbors(g, i)]
             assert ids == sorted(ids)
 
 
@@ -258,7 +305,6 @@ class TestComponents:
         g = WeightedGraph(5, [(0, 1), (2, 3)])
         comps = connected_components(g)
         assert [c.tolist() for c in comps] == [[0, 1], [2, 3], [4]]
-        assert largest_component(g).tolist() == [0, 1]
 
     @staticmethod
     def assert_equals_oracle(g):

@@ -280,7 +280,7 @@ class TestRunChain:
             if a == b:
                 assert kind.startswith("node_mh")  # self moves only on reject
             else:
-                assert g.has_edge(int(a), int(b))
+                g.edge_id(int(a), int(b))  # raises if there is no such edge
 
     def test_distinct_counts_monotone(self):
         rng = np.random.default_rng(2)
@@ -583,7 +583,7 @@ class TestTransitionMatrix:
         for i in range(g.node_count):
             for j in range(g.node_count):
                 if P[i, j] > 0 and i != j:
-                    assert g.has_edge(i, j)
+                    g.edge_id(i, j)  # raises if there is no such edge
             if not is_mh:
                 assert P[i, i] == 0.0
 
