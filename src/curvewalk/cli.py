@@ -6,6 +6,12 @@ version, the graph's checksum and counts, how the edge list was read, the
 fully resolved configuration, the master seed and the RNG generator name,
 which is enough to reproduce the run bit-identically. Exit codes: 0 success,
 1 I/O or data error, 2 usage error.
+
+Each ``cmd_*`` function only computes; :func:`_run` loads the graph, calls
+it, and only after it returns creates the output directory and writes its
+files, ``manifest.json`` last. So a command that exits non-zero has created
+no output directory and written no file, unless writing itself failed, and
+a directory that holds ``manifest.json`` is complete.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import hashlib
 import json
 import math
 import sys
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack
 from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -43,22 +49,6 @@ def _sha256_file(path) -> str:
         for chunk in iter(lambda: fh.read(65536), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def _load_graph(args):
-    return load_edge_list(args.graph, delimiter=args.delimiter,
-                          weighted=not args.unweighted,
-                          default_node_weight=args.node_weight)
-
-
-@contextmanager
-def _edge_labels(labels):
-    """Name the edge of a curvature refusal by its labels in the edge list."""
-    try:
-        yield
-    except _NonFiniteCurvature as exc:
-        exc.nodes = tuple(labels[i] for i in exc.nodes)
-        raise
 
 
 class _Lines(list):
@@ -95,11 +85,6 @@ def _cells(part) -> list[str]:
     return [line[:-2] for line in lines]
 
 
-def _write_csv(path, header, *columns):
-    """Write ``header``, then row ``i`` of every column in turn."""
-    _write_csvs([path], header, [columns])
-
-
 def _write_csvs(paths, header, tables):
     """Write ``tables[f]``, a tuple of equally long columns, to ``paths[f]``
     under the same ``header``, all files together, a chunk of rows at a time.
@@ -126,12 +111,42 @@ def _write_csvs(paths, header, tables):
                 fh.write("\n".join(map(",".join, rows)) + "\n")
 
 
-def _write_manifest(out_dir: Path, command: str, args, g, config: dict,
-                    master_seed=None, rng_generator=None):
-    """Write the reproducibility record of a run next to its outputs."""
-    manifest = {
+def _write_json(path, doc):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _run(args) -> int:
+    """Load the graph, compute the command's outputs, and only then write
+    them: every CSV, then every JSON document, then ``manifest.json``, the
+    reproducibility record of the run.
+
+    ``args.func(args, g, labels)`` is the command's compute step. It returns
+    ``(csvs, docs, config, master_seed)``: ``csvs`` lists ``(file names,
+    header, tables)``, the arguments of :func:`_write_csvs`; ``docs`` maps
+    a file name to a JSON document; ``config`` and ``master_seed`` (None for
+    a run without randomness) go into the manifest.
+    """
+    g, labels = load_edge_list(args.graph, delimiter=args.delimiter,
+                               weighted=not args.unweighted,
+                               default_node_weight=args.node_weight)
+    try:
+        csvs, docs, config, master_seed = args.func(args, g, labels)
+    except _NonFiniteCurvature as exc:
+        # name the refused edge by its labels in the edge list
+        exc.nodes = tuple(labels[i] for i in exc.nodes)
+        raise
+    except (UsageError, GraphFormatError):
+        raise
+    except ValueError:
+        # on a graph with no nodes, any data refusal has that one cause
+        if g.node_count:
+            raise
+        raise ValueError(f"{args.graph}: the graph has no nodes") from None
+    docs["manifest.json"] = {
         "tool_version": __version__,
-        "command": command,
+        "command": args.command,
         "graph_path": str(args.graph),
         "graph_sha256": _sha256_file(args.graph),
         "node_count": g.node_count,
@@ -139,36 +154,29 @@ def _write_manifest(out_dir: Path, command: str, args, g, config: dict,
         "max_degree": int(g.degrees.max()) if g.node_count else 0,
         "ingest": {"delimiter": args.delimiter, "unweighted": args.unweighted,
                    "node_weight": args.node_weight},
-        "rng_generator": rng_generator,
+        "rng_generator": GENERATOR_NAME if master_seed is not None else None,
         "master_seed": master_seed,
         "config": config,
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _prepare_out(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def cmd_curvature(args) -> int:
-    g, labels = _load_graph(args)
-    with _edge_labels(labels):
-        curvmap = compute_curvature_map(g, args.curvature_mode)
-    out = _prepare_out(args)
-    tails, heads = g.edges.T.tolist()
-    _write_csv(out / "edge_curvature.csv", ["edge_u", "edge_v", "forman"],
-               [labels[u] for u in tails], [labels[v] for v in heads],
-               curvmap.edge_values)
-    _write_csv(out / "node_curvature.csv", ["node", "forman"],
-               labels, curvmap.node_values)
-    _write_manifest(out, "curvature", args, g,
-                    {"curvature_mode": args.curvature_mode})
+    for names, header, tables in csvs:
+        _write_csvs([out / name for name in names], header, tables)
+    for name, doc in docs.items():
+        _write_json(out / name, doc)
     return 0
+
+
+def cmd_curvature(args, g, labels):
+    curvmap = compute_curvature_map(g, args.curvature_mode)
+    tails, heads = g.edges.T.tolist()
+    csvs = [(["edge_curvature.csv"], ["edge_u", "edge_v", "forman"],
+             [([labels[u] for u in tails], [labels[v] for v in heads],
+               curvmap.edge_values)]),
+            (["node_curvature.csv"], ["node", "forman"],
+             [(labels, curvmap.node_values)])]
+    return csvs, {}, {"curvature_mode": args.curvature_mode}, None
 
 
 def _resolve_start(args, g):
@@ -187,8 +195,7 @@ def _resolve_start(args, g):
     return start
 
 
-def cmd_sample(args) -> int:
-    g, labels = _load_graph(args)
+def cmd_sample(args, g, labels):
     start = _resolve_start(args, g)
     try:
         config = SamplerConfig(kind=args.kind, seed=args.seed,
@@ -198,25 +205,18 @@ def cmd_sample(args) -> int:
                                burn_in=args.burn_in)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    with _edge_labels(labels):
-        visits = run_chain(g, config)
-    out = _prepare_out(args)
-    _write_csv(out / "trace.csv", ["step", "node", "distinct_count"],
-               range(1, len(visits) + 1),
-               [labels[v] for v in visits.tolist()],
-               distinct_prefix_counts(visits))
-    _write_manifest(out, "sample", args, g,
-                    {"sampler": asdict(config), "start_node_resolved": int(visits[0])},
-                    master_seed=config.seed, rng_generator=GENERATOR_NAME)
-    return 0
+    visits = run_chain(g, config)
+    csvs = [(["trace.csv"], ["step", "node", "distinct_count"],
+             [(range(1, len(visits) + 1), [labels[v] for v in visits.tolist()],
+               distinct_prefix_counts(visits))])]
+    config_doc = {"sampler": asdict(config), "start_node_resolved": int(visits[0])}
+    return csvs, {}, config_doc, config.seed
 
 
-def cmd_stats(args) -> int:
-    g, labels = _load_graph(args)
+def cmd_stats(args, g, labels):
     stats = compute_statistics(g, STAT_KINDS, args.path_mode)
-    out = _prepare_out(args)
-    _write_csv(out / "stats.csv", ["node", "bc", "cc", "strength", "wcc"],
-               labels, *(stats[kind] for kind in STAT_KINDS))
+    csvs = [(["stats.csv"], ["node", "bc", "cc", "strength", "wcc"],
+             [(labels, *(stats[kind] for kind in STAT_KINDS))])]
     summary = {
         "path_mode": args.path_mode,
         "node_count": g.node_count,
@@ -224,11 +224,7 @@ def cmd_stats(args) -> int:
         "full_graph_means": {kind: mean_statistic(values)
                              for kind, values in stats.items()},
     }
-    with open(out / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _write_manifest(out, "stats", args, g, {"path_mode": args.path_mode})
-    return 0
+    return csvs, {"summary.json": summary}, {"path_mode": args.path_mode}, None
 
 
 _PLAN_SAMPLER_KEYS = frozenset({
@@ -272,38 +268,35 @@ def _plan(args) -> ExperimentPlan:
         **raw, "samplers": samplers})
 
 
-def cmd_converge(args) -> int:
-    g, labels = _load_graph(args)
+def cmd_converge(args, g, labels):
     try:
         plan = _plan(args)
     except (TypeError, ValueError) as exc:
         if args.plan:
             raise GraphFormatError(f"invalid plan file {args.plan}: {exc}") from exc
         raise UsageError(str(exc)) from None
-    with _edge_labels(labels):
-        result = run_experiment(g, plan)
+    result = run_experiment(g, plan)
 
     if result.component_nodes is not None:
         labels = tuple(labels[int(o)] for o in result.component_nodes)
 
-    out = _prepare_out(args)
-    files = []
+    csvs, files = [], []
     for sampler, curves in result.mse.items():
         # a sampler's curves share their n and mean_distinct columns
         mean_distinct = result.mean_distinct[sampler]
         n = range(1, len(mean_distinct) + 1)
         names = [f"mse_{sampler}_{kind}.csv" for kind in curves]
-        _write_csvs([out / name for name in names], ["n", "mse", "mean_distinct"],
-                    [(n, mse, mean_distinct) for mse in curves.values()])
+        csvs.append((names, ["n", "mse", "mean_distinct"],
+                     [(n, mse, mean_distinct) for mse in curves.values()]))
         files.extend(names)
 
     # backbone ranking of the first (primary) sampler in the plan
     first = next(iter(result.visit_counts))
     counts = result.visit_counts[first]
     ranked = extract_backbone(counts, 1.0)
-    _write_csv(out / "backbone.csv", ["node", "visits", "rank"],
-               [labels[node] for node in ranked.tolist()],
-               counts[ranked], range(1, len(ranked) + 1))
+    csvs.append((["backbone.csv"], ["node", "visits", "rank"],
+                 [([labels[node] for node in ranked.tolist()],
+                   counts[ranked], range(1, len(ranked) + 1))]))
 
     plan_dict = {
         "samplers": [{key: getattr(cfg, key) for key in _PLAN_SAMPLER_KEYS}
@@ -321,9 +314,7 @@ def cmd_converge(args) -> int:
         "curve_files": files,
         "full_graph_means": result.full_means,
     }
-    _write_manifest(out, "converge", args, g, plan_dict,
-                    master_seed=plan.master_seed, rng_generator=GENERATOR_NAME)
-    return 0
+    return csvs, {}, plan_dict, plan.master_seed
 
 
 def _finite_positive(text: str) -> float:
@@ -412,7 +403,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return _run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

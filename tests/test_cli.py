@@ -15,7 +15,7 @@ import pytest
 
 import curvewalk.convergence
 from curvewalk import compute_curvature_map, load_edge_list
-from curvewalk.cli import _PLAN_SAMPLER_KEYS, _write_csv, main
+from curvewalk.cli import _PLAN_SAMPLER_KEYS, _write_csvs, main
 from conftest import LESMIS, run_chain_stream
 
 
@@ -231,6 +231,40 @@ def test_manifest_keys_and_graph_counts(tmp_path, argv):
     assert (manifest["node_count"], manifest["edge_count"],
             manifest["max_degree"]) == (77, 254, 36)
     assert manifest["command"] == argv[0]
+    seeded = manifest["master_seed"] is not None
+    assert manifest["rng_generator"] == ("pcg64" if seeded else None)
+
+
+@pytest.mark.parametrize("command", ["curvature", "sample", "stats", "converge"])
+def test_edgeless_file_writes_complete_output_or_nothing(tmp_path, command, capsys):
+    f = tmp_path / "empty.txt"
+    f.write_text("% only a comment\n", encoding="utf-8")
+    out = tmp_path / "o"
+    rc = main([command, "--graph", str(f), "--out", str(out)])
+    err = capsys.readouterr().err
+    if command == "curvature":
+        assert rc == 0
+        assert (out / "manifest.json").is_file()
+        assert sorted(p.name for p in out.iterdir()) == [
+            "edge_curvature.csv", "manifest.json", "node_curvature.csv"]
+    else:
+        assert rc == 1
+        assert not out.exists()
+        assert err == f"error: {f}: the graph has no nodes\n"
+
+
+def test_edgeless_file_keeps_usage_and_plan_errors(tmp_path, capsys):
+    f = tmp_path / "empty.txt"
+    f.write_text("% only a comment\n", encoding="utf-8")
+    plan = tmp_path / "plan.json"
+    plan.write_text('{"bogus": 1}', encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["sample", "--graph", str(f), "--out", str(out), "--start", "0"]) == 2
+    assert "--start 0 out of range" in capsys.readouterr().err
+    assert main(["converge", "--graph", str(f), "--out", str(out),
+                 "--plan", str(plan)]) == 1
+    assert f"invalid plan file {plan}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_manifest_of_a_graph_without_edges(tmp_path):
@@ -617,7 +651,7 @@ class TestWriter:
         ints = np.arange(rows, dtype=np.int64) * 7 - 3
         columns = (labels, floats, range(1, rows + 1), ints, tuple(labels))
         header = ["node", "x", "n", "k", "again"]
-        _write_csv(tmp_path / "new.csv", header, *columns)
+        _write_csvs([tmp_path / "new.csv"], header, [columns])
         assert (tmp_path / "new.csv").read_bytes() == csv_reference(
             tmp_path / "ref.csv", header, *columns)
 
@@ -638,12 +672,12 @@ class TestWriter:
     def test_runs_equal_csv_writer(self, tmp_path, column):
         column = np.array(column, dtype=np.float64)
         columns = (range(1, len(column) + 1), column, column[::-1].copy())
-        _write_csv(tmp_path / "new.csv", ["n", "x", "y"], *columns)
+        _write_csvs([tmp_path / "new.csv"], ["n", "x", "y"], [columns])
         assert (tmp_path / "new.csv").read_bytes() == csv_reference(
             tmp_path / "ref.csv", ["n", "x", "y"], *columns)
 
     def test_no_rows_writes_the_header(self, tmp_path):
-        _write_csv(tmp_path / "new.csv", ["n", "mse"], range(1, 1), np.zeros(0))
+        _write_csvs([tmp_path / "new.csv"], ["n", "mse"], [(range(1, 1), np.zeros(0))])
         assert (tmp_path / "new.csv").read_bytes() == b"n,mse\n"
 
     def test_tab_delimited_labels_with_commas_and_quotes(self, tmp_path):
