@@ -11,7 +11,8 @@ Each ``cmd_*`` function only computes; :func:`_run` loads the graph, calls
 it, and only after it returns creates the output directory and writes its
 files, ``manifest.json`` last. So a command that exits non-zero has created
 no output directory and written no file, unless writing itself failed, and
-a directory that holds ``manifest.json`` is complete.
+a directory that holds ``manifest.json`` is complete. A run into a directory
+that already holds ``manifest.json`` is refused as a usage error.
 """
 
 from __future__ import annotations
@@ -127,7 +128,13 @@ def _run(args) -> int:
     header, tables)``, the arguments of :func:`_write_csvs`; ``docs`` maps
     a file name to a JSON document; ``config`` and ``master_seed`` (None for
     a run without randomness) go into the manifest.
+
+    An ``--out`` that already holds a ``manifest.json`` is refused before
+    anything is read, so a directory holds the files of one run only.
     """
+    if (Path(args.out) / "manifest.json").exists():
+        raise UsageError(f"--out {args.out} already holds a run's manifest.json; "
+                         "choose an empty or new directory")
     g, labels = load_edge_list(args.graph, delimiter=args.delimiter,
                                weighted=not args.unweighted,
                                default_node_weight=args.node_weight)

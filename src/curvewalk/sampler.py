@@ -30,8 +30,22 @@ the lockstep engine advances many chains together as numpy vectors and
 reproduces :func:`run_chain` exactly. The engine yields the chains' visits
 a block of steps at a time (:func:`_lockstep_stream`), which experiments
 fold as they come; :func:`run_lockstep` collects them. Both drivers return
-a chain as its read-only int64 visits array. An MH step costs O(1). An edge
-step inverts the row's cumulative move probabilities: the scalar loop
+a chain as its read-only int64 visits array.
+
+An MH step costs O(1) and one comparison. It proposes the neighbor at
+``int(u * d)`` of the current row and accepts when ``v <= t``, where ``t``
+is the half-edge's acceptance threshold: the largest double in [0, 1] with
+``fl(t * h(s)) <= h(y)`` for ``h = g / d`` (:func:`_acceptance_thresholds`).
+``fl(v * h(s))`` is monotone in ``v``, so ``v <= t`` is exactly the test
+``v * h(s) <= h(y)`` of the formula, for every uniform ``v``. The proposal
+index needs no clamp: for a double ``u <= 1 - 2**-53`` (the largest uniform
+PCG64 gives) and an integer ``1 <= d < 2**53``, ``fl(u * d) < d``. The
+exact product is at most ``d - d * 2**-53``. If ``d`` is a power of two,
+that value is the double just below ``d``; otherwise ``d * 2**-53`` is more
+than half the spacing of the doubles around ``d``, so the product rounds
+to a double below ``d``. Either way ``int(u * d) <= d - 1``.
+
+An edge step inverts the row's cumulative move probabilities: the scalar loop
 bisects the whole row in O(log d); the lockstep engine first looks up a
 guide table (Chen & Asau 1974; Devroye 1986, section III.2.4) that splits
 [0, 1) into ``m`` equal cells, ``m`` a power of two, and bisects only the
@@ -241,11 +255,15 @@ def _resolve_curvmap(g, config, curvmap):
 
 
 def _resolve_target(g, config, curvmap, target):
-    if target is not None:
-        return target
-    if config.kind == "node_mh_curved":
-        return make_target(g, curvmap, "curved", config.epsilon_floor)
-    return make_target(g, None, "uniform")
+    if target is None:
+        if config.kind == "node_mh_curved":
+            target = make_target(g, curvmap, "curved", config.epsilon_floor)
+        else:
+            target = make_target(g, None, "uniform")
+    # the acceptance thresholds are exact for finite h >= 0 only
+    if not (np.isfinite(target).all() and (target >= 0).all()):
+        raise ValueError("target density must be finite and >= 0")
+    return target
 
 
 def _resolve_start(g, config, rng, target):
@@ -267,19 +285,64 @@ def _is_mh(kind: str) -> bool:
     return kind.startswith("node_mh")
 
 
+def _mh_ratio(g, target):
+    """``h(i) = g(i) / d(i)`` per node, the quantity the MH acceptance test
+    compares (``h = g`` on isolated nodes)."""
+    return target / np.maximum(g.degrees, 1)
+
+
+def _acceptance_thresholds(hs, hy):
+    """Per pair of float64 arrays ``hs, hy`` (finite, ``>= 0``), the largest
+    double ``t`` in [0, 1] with ``fl(t * hs) <= hy``.
+
+    ``fl(v * hs)`` is monotone in ``v``, so for every double ``v`` in
+    [0, 1], ``v <= t`` holds exactly when ``v * hs <= hy`` does. ``t = 1``
+    where ``hs <= hy`` (``hs = 0`` included). Elsewhere the quotient
+    ``hy / hs`` is within a few ulps of ``t`` and is corrected with
+    ``np.nextafter``; a pair whose correction has not settled after a few
+    rounds (an underflowing quotient, say) is bisected on its int64 bit
+    patterns, which order non-negative doubles as their values.
+    """
+    t = np.ones(len(hs))
+    below = np.flatnonzero(hs > hy)
+    hs, hy = hs[below], hy[below]
+    q = hy / hs
+    for _ in range(4):
+        q = np.where(q * hs <= hy, q, np.nextafter(q, 0.0))
+        up = np.nextafter(q, 1.0)
+        q = np.where(up * hs <= hy, up, q)
+    unsettled = np.flatnonzero((q * hs > hy) | (np.nextafter(q, 1.0) * hs <= hy))
+    if unsettled.size:
+        # t * hs <= hy holds at 0.0 and fails at 1.0, since hs > hy >= 0
+        lo = np.zeros(unsettled.size, dtype=np.int64)
+        hi = np.full(unsettled.size, np.float64(1.0).view(np.int64))
+        while (hi - lo > 1).any():
+            mid = (lo + hi) // 2
+            ok = mid.view(np.float64) * hs[unsettled] <= hy[unsettled]
+            lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+        q[unsettled] = lo.view(np.float64)
+    t[below] = q
+    return t
+
+
 def _kernel_table(g, config, curvmap=None, target=None):
     """``(table, target)`` of a configured kernel, for both chain drivers
     and :func:`build_transition_matrix`.
 
     Edge kinds: the normalized cumulative move probabilities of every CSR
     row (:func:`_cumulative_rows`); a step moves to the neighbor at the count
-    of row entries ``<= u``. MH kinds: ``h(i) = g(i) / d(i)`` per node, the
-    quantity the acceptance test compares. ``target`` is None for edge kinds.
+    of row entries ``<= u``. MH kinds: per half-edge ``s -> y``, aligned with
+    ``adj_neighbors``, the acceptance threshold
+    ``_acceptance_thresholds(h(s), h(y))``; a step proposes the half-edge at
+    ``int(u * d(s))`` in the row and accepts when ``v`` is at most its
+    threshold, which is exactly the test ``v * h(s) <= h(y)``. ``target`` is
+    None for edge kinds.
     """
     curvmap = _resolve_curvmap(g, config, curvmap)
     if _is_mh(config.kind):
         target = _resolve_target(g, config, curvmap, target)
-        return target / np.maximum(g.degrees, 1), target
+        h = _mh_ratio(g, target)
+        return _acceptance_thresholds(h[g.adj_tails], h[g.adj_neighbors]), target
     abs_curv = np.abs(curvmap.edge_values) if config.kind == "edge_curved" else None
     return _cumulative_rows(g, _edge_weights(g, abs_curv, config.epsilon_floor)), None
 
@@ -315,13 +378,9 @@ def run_chain(g: WeightedGraph, config: SamplerConfig,
         if _is_mh(config.kind):
             us = iter(rng.random(2 * block).tolist())
             for u, v in zip(us, us):
-                d = deg[cur]
-                y_idx = int(u * d)
-                if y_idx == d:  # u * d can round up to d when u is within an ulp of 1
-                    y_idx = d - 1
-                y = nbrs[lo[cur] + y_idx]
-                if v * lookup[cur] <= lookup[y]:
-                    cur = y
+                pos = lo[cur] + int(u * deg[cur])
+                if v <= lookup[pos]:
+                    cur = nbrs[pos]
                 append(cur)
         else:
             for u in rng.random(block).tolist():
@@ -383,67 +442,88 @@ def _lockstep_stream(g: WeightedGraph, configs):
         raise ValueError("lockstep chains must share max_steps")
     curvmaps = {}
     kernels = {}  # (kind, curvature_mode, epsilon_floor) -> (index in family, target)
-    families = {False: ([], []), True: ([], [])}  # is_mh -> (tables, chains)
+    # is_mh -> (kernels, chains); a family builds its kernels' tables when
+    # it starts, so one family's tables are never held beside the other's
+    families = {False: ([], []), True: ([], [])}
     for row, cfg in enumerate(configs):
         key = (cfg.kind, cfg.curvature_mode, cfg.epsilon_floor)
         if key not in kernels:
             curvmap = _resolve_curvmap(g, cfg, curvmaps.get(cfg.curvature_mode))
             if curvmap is not None:
                 curvmaps[cfg.curvature_mode] = curvmap
-            table, target = _kernel_table(g, cfg, curvmap)
-            tables = families[_is_mh(cfg.kind)][0]
-            kernels[key] = (len(tables), target)
-            tables.append(table)
+            target = (_resolve_target(g, cfg, curvmap, None)
+                      if _is_mh(cfg.kind) else None)
+            family = families[_is_mh(cfg.kind)][0]
+            kernels[key] = (len(family), target)
+            family.append((cfg, curvmap, target))
         index, target = kernels[key]
         rng = make_rng(cfg.seed)
         start = _resolve_start(g, cfg, rng, target)
         families[_is_mh(cfg.kind)][1].append((row, index, start, cfg.burn_in, rng))
 
-    return (block for is_mh, (tables, chains) in families.items() if chains
-            for block in _lockstep_family(g, is_mh, tables, chains, n))
+    return (block for is_mh, (family, chains) in families.items() if chains
+            for block in _lockstep_family(g, is_mh, family, chains, n))
 
 
-def _lockstep_family(g, is_mh, tables, chains, n):
+def _lockstep_family(g, is_mh, kernels, chains, n):
     """Advance one family's chains together and yield their recorded visits
     as :func:`_lockstep_stream` does, ``n`` steps per chain.
 
+    ``kernels`` lists the family's ``(config, curvmap, target)``; their
+    tables (:func:`_kernel_table`) are built and stacked when the family
+    starts.
+
     A chain's state is ``index * V + node`` (``index`` picks its kernel's
-    table), so one gather serves every kernel. Chains whose burn-in is below
-    the family's longest run a few extra steps at the end; those are drawn
-    from their own generators and not yielded.
+    table), so one gather serves every kernel; the edge family keeps it
+    multiplied by its guide's row length, and each yielded block divides it
+    back. Chains whose burn-in is below the family's longest run a few
+    extra steps at the end; those are drawn from their own generators and
+    not yielded.
     """
     V, H = g.node_count, len(g.adj_neighbors)
     rows, index, starts, burn, rngs = zip(*chains)
     rows, burn = np.array(rows), np.array(burn)
     node_off = np.array(index, dtype=np.int64) * V
-    state = node_off + np.array(starts, dtype=np.int64)
-    stack = np.arange(len(tables), dtype=np.int64)[:, None]
-    row_lo = (g.adj_indptr[:-1] + stack * H).ravel()  # per stacked state
-    row_last = (g.adj_indptr[1:] - 1 + stack * H).ravel()
+    n_tables = len(kernels)
+    stack = np.arange(n_tables, dtype=np.int64)[:, None]
     nbr = (g.adj_neighbors + stack * V).ravel()  # per stacked half-edge
-    table = np.concatenate(tables)
+    # padded[j] is table[j - 1], the last entry of an edge row's halving step
+    # that ends at j
+    padded = np.concatenate([[0.0], *(_kernel_table(g, *kernel)[0]
+                                      for kernel in kernels)])
+    table = padded[1:]
+    width = len(rngs)
+    draws = 2 if is_mh else 1
+    if is_mh:
+        stride = 1
+        row_lo = (g.adj_indptr[:-1] + stack * H).ravel()  # per stacked state
+        deg = np.tile(g.degrees.astype(np.float64), n_tables)
+    else:
+        guide, m, wide = _guide_table(g, table, n_tables)
+        # states and neighbors count in guide rows of m + 1 entries, so a
+        # state plus a cell is its guide index; guide entry k = m of a state
+        # is its row's end
+        stride = m + 1
+        nbr *= stride
+        row_end = guide[m:]
+        at = np.empty(width, dtype=np.int64)
+        cand = np.empty(width, dtype=np.int64)
+    state = (node_off + np.array(starts, dtype=np.int64)) * stride
     groups = [(b, np.flatnonzero(burn == b)) for b in sorted(set(burn.tolist()))]
     if len(groups) == 1:  # a slice of whole rows keeps the blocks C-contiguous
         groups = [(groups[0][0], slice(None))]
 
     def recorded(states, t0):
         """The recorded part of ``states`` (one row per time index from
-        ``t0``), per burn-in group."""
+        ``t0``), per burn-in group, as node ids."""
         for b, cols in groups:
             lo, hi = max(t0, b), min(t0 + len(states), b + n)
             if lo < hi:
-                yield (rows[cols], lo - b,
-                       states[lo - t0:hi - t0, cols] - node_off[cols])
+                nodes = states[lo - t0:hi - t0, cols] // stride
+                nodes -= node_off[cols]
+                yield rows[cols], lo - b, nodes
 
     yield from recorded(state[None, :], 0)
-    width = len(rngs)
-    draws = 2 if is_mh else 1
-    if is_mh:
-        deg = np.tile(g.degrees.astype(np.float64), len(tables))
-    else:
-        guide, m, wide = _guide_table(g, table, len(tables))
-        at = np.empty(width, dtype=np.int64)
-        cand = np.empty(width, dtype=np.int64)
     below = np.empty(width, dtype=bool)
     u_all = np.empty((width, draws * _TIME_CHUNK))
     total = int(burn.max()) + n - 1
@@ -457,12 +537,9 @@ def _lockstep_family(g, is_mh, tables, chains, n):
             proposals = np.ascontiguousarray(u_all[:, 0:2 * block:2].T)
             accepts = np.ascontiguousarray(u_all[:, 1:2 * block:2].T)
             for i in range(block):
-                # int(u * d), clamped to d - 1 when u * d rounds up to d
                 pos = row_lo[state] + (proposals[i] * deg[state]).astype(np.int64)
-                np.minimum(pos, row_last[state], out=pos)
-                y = nbr[pos]
-                np.less_equal(accepts[i] * table[state], table[y], out=below)
-                np.copyto(state, y, where=below)
+                np.less_equal(accepts[i], table[pos], out=below)
+                np.copyto(state, nbr[pos], where=below)
                 out[i] = state
         else:
             us = np.ascontiguousarray(u_all[:, :block].T)
@@ -473,17 +550,17 @@ def _lockstep_family(g, is_mh, tables, chains, n):
             for i in range(block):
                 # bisect_right: the count of row entries <= u lies in u's
                 # guide cell; from its first position, take each halving
-                # step whose last entry is <= u. A probe past the row reads
-                # the row's last entry, 1.0 > u; the step of 1 never passes it
-                np.multiply(state, m + 1, out=at)
-                np.add(at, out[i], out=at)
+                # step whose last entry is <= u. A step that would pass the
+                # row's end stops there and reads the row's last entry,
+                # 1.0 > u; the step of 1 never passes it
+                np.add(state, out[i], out=at)
                 pos = guide[at]
                 if wide:
-                    last = row_last[state]
+                    end = row_end[state]
                 for step in wide:
-                    np.add(pos, step - 1, out=cand)
-                    np.minimum(cand, last, out=cand)
-                    np.less_equal(table[cand], us[i], out=below)
+                    np.add(pos, step, out=cand)
+                    np.minimum(cand, end, out=cand)
+                    np.less_equal(padded[cand], us[i], out=below)
                     np.add(pos, step, out=pos, where=below)
                 np.less_equal(table[pos], us[i], out=below)
                 pos += below
@@ -534,15 +611,16 @@ def build_transition_matrix(g: WeightedGraph, config: SamplerConfig,
                             curvmap: CurvatureMap | None = None,
                             target: np.ndarray | None = None) -> np.ndarray:
     """Exact dense kernel ``P`` of the configured sampler, a read-only
-    row-stochastic float64 array read off the table the chains sample
+    row-stochastic float64 array, built from the kernel the chains sample
     (:func:`_kernel_table`).
 
     Edge rows are the step widths of each cumulative row and have a zero
     diagonal. MH rows move to neighbor ``y`` with probability
-    ``min(1, h(y) / h(i)) / d(i)`` and carry the total rejection mass on the
-    diagonal. Rows of isolated nodes (and of nodes outside the target
-    support) are absorbing so the matrix stays stochastic. Graphs of more
-    than 2000 nodes are refused.
+    ``min(1, h(y) / h(i)) / d(i)``, with ``h = g / d`` from the chains'
+    target, and carry the total rejection mass on the diagonal. Rows of
+    isolated nodes (and of nodes outside the target support) are absorbing
+    so the matrix stays stochastic. Graphs of more than 2000 nodes are
+    refused.
     """
     if g.node_count > _MATRIX_MAX_NODES:
         raise ValueError(
@@ -558,7 +636,8 @@ def build_transition_matrix(g: WeightedGraph, config: SamplerConfig,
         moving &= target > 0
         half = moving[src]
         src, dst = src[half], dst[half]
-        accept = np.minimum(1.0, table[dst] / table[src])
+        h = _mh_ratio(g, target)
+        accept = np.minimum(1.0, h[dst] / h[src])
         P[src, dst] = accept / g.degrees[src]
         stay = np.flatnonzero(moving)
         P[stay, stay] = 1.0 - (np.bincount(src, weights=accept, minlength=V)[stay]

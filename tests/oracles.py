@@ -327,7 +327,9 @@ def mh_step(g, target_g, current, rng):
         raise ValueError(f"target density is zero at node {current}")
     lo = g.adj_indptr[current]
     y_idx = int(rng.random() * deg_c)
-    if y_idx == deg_c:  # u * d can round up to d when u is within an ulp of 1
+    # never taken for a uniform u < 1, since then fl(u * d) < d (the sampler
+    # module proves it); kept so that the oracle does not rest on that proof
+    if y_idx == deg_c:
         y_idx = deg_c - 1
     y = int(g.adj_neighbors[lo + y_idx])
     v = rng.random()

@@ -267,6 +267,22 @@ def test_edgeless_file_keeps_usage_and_plan_errors(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_out_holding_a_manifest_is_refused(tmp_path, capsys):
+    # a second run into one --out would leave the first run's curve files
+    # beside a manifest that does not name them
+    out = tmp_path / "o"
+    common = ["--graph", str(LESMIS), "--out", str(out), "--chains", "2",
+              "--steps", "5"]
+    assert main(["converge", *common, "--samplers", "edge_uniform", "edge_curved"]) == 0
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert len(first) == 10
+    capsys.readouterr()
+    assert main(["converge", *common, "--samplers", "node_mh_uniform"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --out {out} already holds") and "manifest.json" in err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+
+
 def test_manifest_of_a_graph_without_edges(tmp_path):
     f = tmp_path / "empty.txt"
     f.write_text("% no edges\n", encoding="utf-8")

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,7 +18,8 @@ from curvewalk import (SAMPLER_KINDS, CurvatureMap, SamplerConfig,
                        compute_curvature_map, load_edge_list, make_rng,
                        make_target, run_chain, run_lockstep, splitmix64,
                        stationary_distribution)
-from curvewalk.sampler import (_TIME_CHUNK, _guide_table, _kernel_table,
+from curvewalk.sampler import (_TIME_CHUNK, _acceptance_thresholds,
+                               _guide_table, _kernel_table,
                                distinct_prefix_counts)
 from conftest import (LESMIS, cycle_graph, path_graph, random_connected_graph,
                       star_graph)
@@ -239,6 +244,82 @@ class TestMHStep:
             mh_step(g, target, 0, make_rng(0))  # zero density
 
 
+def synthetic_graph(tmp_path, nodes):
+    """``generate_edge_list(0, nodes, 3)`` of the benchmark's workloads,
+    read back as the benchmark's program reads it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    f = tmp_path / f"synth-{nodes}.tsv"
+    f.write_bytes(workloads.generate_edge_list(0, nodes, 3))
+    return load_edge_list(f)[0]
+
+
+MAX_UNIFORM = 1 - 2**-53  # the largest double PCG64's random() returns
+
+# h values: normal doubles from 1e-300 to 1e300, subnormals and 0.0
+H_VALUES = st.one_of(
+    st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 10.0), st.integers(-300, 299)),
+    st.floats(1e-300, 1e300),
+    st.floats(0.0, 2.2250738585072014e-308, allow_subnormal=True))
+
+
+@st.composite
+def h_pairs(draw):
+    """``(h(s), h(y))``: independent, equal, or one ulp apart."""
+    hs = draw(H_VALUES)
+    hy = draw(st.one_of(H_VALUES, st.sampled_from([
+        hs, np.nextafter(hs, 0.0), np.nextafter(hs, np.inf)])))
+    return hs, float(hy)
+
+
+def assert_threshold_test_is_the_product_test(hs, hy, t, vs):
+    """For each pair and each ``v`` in [0, 1] of ``vs`` (one row per
+    candidate), ``v <= t`` decides as ``v * hs <= hy``."""
+    vs = np.asarray(vs, dtype=np.float64)
+    assert ((0.0 <= t) & (t <= 1.0)).all()
+    inside = (0.0 <= vs) & (vs <= 1.0)
+    same = (vs <= t) == (vs * hs <= hy)
+    bad = np.argwhere(inside & ~same)
+    assert not bad.size, [(hs[j], hy[j], t[j], vs[i, j]) for i, j in bad[:5]]
+
+
+class TestAcceptanceThresholds:
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=st.lists(h_pairs(), min_size=1, max_size=40),
+           random_v=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+    def test_threshold_decides_as_the_product(self, pairs, random_v):
+        hs, hy = (np.array(x, dtype=np.float64) for x in zip(*pairs))
+        t = _acceptance_thresholds(hs, hy)
+        vs = [t, np.nextafter(t, 1.0), np.nextafter(t, -1.0),
+              np.zeros_like(t), np.full_like(t, MAX_UNIFORM),
+              *(np.full_like(t, v) for v in random_v)]
+        assert_threshold_test_is_the_product_test(hs, hy, t, vs)
+
+    @pytest.mark.parametrize("graph, mode", [("lesmis", "combinatorial"),
+                                             ("synth-1000", "weighted")])
+    @pytest.mark.parametrize("kind", ["node_mh_curved", "node_mh_uniform"])
+    def test_every_half_edge_of_the_tables(self, tmp_path, graph, mode, kind):
+        g = (load_edge_list(LESMIS)[0] if graph == "lesmis"
+             else synthetic_graph(tmp_path, 1000))
+        cfg = SamplerConfig(kind=kind, seed=0, max_steps=1, curvature_mode=mode)
+        t, target = _kernel_table(g, cfg)
+        h = target / np.maximum(g.degrees, 1)
+        hs, hy = h[g.adj_tails], h[g.adj_neighbors]
+        assert_threshold_test_is_the_product_test(
+            hs, hy, t, [t, np.nextafter(t, 1.0), np.nextafter(t, -1.0),
+                        np.full_like(t, MAX_UNIFORM)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_target_outside_the_domain_refused(self, bad):
+        g = path_graph(3)
+        cfg = SamplerConfig(kind="node_mh_curved", seed=0, max_steps=5, start_node=0)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            run_chain(g, cfg, target=np.array([1.0, bad, 1.0]))
+
+
 class TestRunChain:
     def test_single_step_is_start(self):
         g = path_graph(3)
@@ -358,6 +439,12 @@ class TestRunChain:
                                        max_steps=5, start_node=2))
 
 
+def test_largest_uniform_never_proposes_past_the_row():
+    # the proof that lets both drivers index int(u * d) without a clamp
+    d = np.arange(1, 2**20 + 1)
+    assert ((MAX_UNIFORM * d.astype(np.float64)).astype(np.int64) < d).all()
+
+
 class TestKernelTable:
     @pytest.mark.parametrize("kind", ["edge_curved", "edge_uniform"])
     @pytest.mark.parametrize("mode", ["combinatorial", "weighted"])
@@ -402,6 +489,8 @@ class FixedUniforms:
         self.values, self.next = values, offset
 
     def random(self, size=None, out=None):
+        if size is None and out is None:
+            return float(self.random(1)[0])
         n = size if out is None else out.size
         picks = np.array([self.values[(self.next + j) % len(self.values)]
                           for j in range(n)])
@@ -520,6 +609,44 @@ class TestLockstep:
                                  start_node=seed % g.node_count, burn_in=seed % 3)
                    for seed in range(len(values))]
         assert_lockstep_equals_run_chain(g, configs)
+
+    @pytest.mark.parametrize("graph", ["hub", "random"])
+    @pytest.mark.parametrize("mode", ["combinatorial", "weighted"])
+    @pytest.mark.parametrize("kind", ["node_mh_curved", "node_mh_uniform"])
+    def test_mh_uniforms_at_the_boundaries(self, monkeypatch, graph, mode, kind):
+        # every other proposal uniform is the largest one, 1 - 2**-53, and
+        # each acceptance uniform equals the threshold of the half-edge it
+        # tests or lies one ulp above it: run_chain, run_lockstep and the
+        # formula's oracle must take the same steps
+        rng = np.random.default_rng(5)
+        g = (hub_graph(rng, 65, [1e-12, 1.0, 2.5], 195) if graph == "hub"
+             else random_connected_graph(rng, 30, extra=1.5, weighted=True))
+        cm = compute_curvature_map(g, mode)
+        cfgs = [SamplerConfig(kind=kind, seed=c, max_steps=200, start_node=s,
+                              curvature_mode=mode)
+                for c, s in enumerate([0, 1, 2, g.node_count - 1])]
+        thresholds, target = _kernel_table(g, cfgs[0], cm)
+        streams, expected = [], []
+        for cfg in cfgs:
+            uniforms, cur, visits = [], cfg.start_node, [cfg.start_node]
+            for k in range(cfg.max_steps - 1):
+                u = MAX_UNIFORM if k % 2 == 0 else float(rng.random())
+                t = thresholds[g.adj_indptr[cur] + int(u * g.degrees[cur])]
+                v = t if k % 4 < 2 else min(np.nextafter(t, 1.0), 1.0)
+                uniforms += [u, float(v)]
+                cur, _ = mh_step(g, target, cur, FixedUniforms([u, v], 0))
+                visits.append(cur)
+            streams.append(uniforms)
+            expected.append(visits)
+        accepted = sum(a != b for visits in expected
+                       for a, b in zip(visits, visits[1:]))
+        assert 0 < accepted < len(cfgs) * (cfgs[0].max_steps - 1)
+        monkeypatch.setattr(curvewalk.sampler, "make_rng",
+                            lambda seed: FixedUniforms(streams[seed], 0))
+        lockstep = run_lockstep(g, cfgs)
+        for c, cfg in enumerate(cfgs):
+            assert run_chain(g, cfg, cm).tolist() == expected[c]
+            assert lockstep[c].tolist() == expected[c]
 
     @pytest.mark.parametrize("floor", [0.0, 1e-9])
     @pytest.mark.parametrize("hub", [15, 16, 17, 31, 32, 33, 63, 64, 65])
