@@ -13,9 +13,11 @@ accumulation) and closeness together, and forms every float in the order a
 Dijkstra per source would. The two modes differ only in how they build the
 block's shortest-path DAG, and both walk the half-edges out of a set of states
 with ``graph._expand``. Hop mode runs a breadth-first search, one level at
-a time. Weighted mode relaxes distances until none improves, then places each
-node in the Dijkstra's pop order; ``u -> v`` is a shortest-path edge iff
-``dist[u] + w == dist[v]`` and ``u`` pops before ``v``. Two weighted paths
+a time. Weighted mode relaxes distances in buckets of nearly equal distance
+(delta-stepping) until none improves, then places each node in the
+Dijkstra's pop order; ``u -> v`` is a shortest-path edge iff
+``dist[u] + w == dist[v]`` and ``u`` pops before ``v``, and path counts flow
+down the out-edge lists of that DAG alone. Two weighted paths
 count as equally short only when their lengths are exactly equal floats, so
 ``0.1 + 0.2`` and ``0.3`` do not tie. Path counts are float64, so both modes
 equal the Dijkstra's exact-integer results bit for bit while every path count
@@ -214,24 +216,33 @@ def _hop_dag(g: WeightedGraph, roots, sigma):
     return dist, levels, edges
 
 
+def _bucket_width(g: WeightedGraph) -> float:
+    """Width of the distance bucket that one round of :func:`_weighted_dag`
+    expands: the mean half-edge length (0 on a graph without edges)."""
+    return float(g.adj_weights.mean()) if len(g.adj_weights) else 0.0
+
+
 def _weighted_dag(g: WeightedGraph, roots, sigma, flip):
     """Shortest-path DAG of a block on edge-weight lengths, filling the path
     counts ``sigma``; ``flip`` gives the CSR position of each half-edge's
     reverse.
 
-    Distances come from label-correcting relaxation: each round expands the
-    states whose distance improved and keeps the least ``dist[u] + w`` per
-    head. Float addition of a positive length is monotone, so this reaches
-    the Dijkstra's distances, the least left-to-right path sums. ``u -> v``
-    is a shortest-path edge iff ``dist[u] + w == dist[v]`` and ``u`` pops
-    before ``v`` (:func:`_pop_ranks`): a length below half an ulp of
-    ``dist[u]`` leaves the distance unchanged, so ``dist[u] < dist[v]`` would
-    drop it.
+    Distances come from bucketed label-correcting relaxation (delta-stepping;
+    Meyer & Sanders 2003). The states whose distance improved and that have
+    not been expanded since wait as ``pending``; each round expands those
+    within :func:`_bucket_width` of the least pending distance, the least
+    one always among them, and keeps the least ``dist[u] + w`` per head.
+    Float addition of a positive length is monotone, so relaxation in any
+    order reaches the Dijkstra's distances, the least left-to-right path
+    sums; the bucket only spares re-expansions. ``u -> v`` is a shortest-path
+    edge iff ``dist[u] + w == dist[v]`` and ``u`` pops before ``v``
+    (:func:`_pop_ranks`): a length below half an ulp of ``dist[u]`` leaves
+    the distance unchanged, so ``dist[u] < dist[v]`` would drop it.
 
     Path counts are summed level by level, a node's level being its longest
-    edge depth from the source. Returns the distances (``inf`` if unreached),
-    the levels and, per level, the edges out of it in descending pop rank of
-    the head.
+    edge depth from the source, walking the DAG's own out-edge lists. Returns
+    the distances (``inf`` if unreached), the levels and, per level, the
+    edges out of it in descending pop rank of the head.
     """
     V = g.node_count
     E2 = len(g.adj_neighbors)
@@ -240,39 +251,56 @@ def _weighted_dag(g: WeightedGraph, roots, sigma, flip):
     dist = np.full(B * V, np.inf)
     dist[roots] = 0.0
     slot = np.empty(B * V, dtype=np.int64)  # scratch for _distinct
-    frontier = roots
-    while len(frontier):
+    width = _bucket_width(g)
+    pending = roots
+    while len(pending):
+        here = dist[pending]
+        # <=, not <: with a width below an ulp, < would expand nothing
+        near = here <= here.min() + width
+        frontier = pending[near]
         tail, head, pos = _expand(g, frontier)
-        reach = dist[frontier][tail]
+        reach = here[near][tail]
         reach += lengths[pos]
         del tail, pos  # the largest temporaries of a block
         closer = reach < dist[head]
         head = head[closer]
         np.minimum.at(dist, head, reach[closer])
-        frontier = _distinct(head, slot)
+        if len(frontier) < len(pending):
+            head = np.concatenate((pending[~near], head))
+        pending = _distinct(head, slot)
 
     d2 = dist.reshape(B, V)
     reach = d2[:, tails]
     reach += lengths
-    dag = reach == d2[:, nbrs]
-    dag &= reach < np.inf  # inf + w == inf
+    tight = reach == d2[:, nbrs]
+    tight &= reach < np.inf  # inf + w == inf
     del reach
+    # the DAG's half-edges by (row, tail, CSR position): each tail state's
+    # out-edges are contiguous, in the order _expand lists them
+    row, pos = np.divmod(np.flatnonzero(tight), E2)
+    del tight
+    row *= V
+    out_tail = row + tails[pos]
+    out_head = row + nbrs[pos]
+    del row, pos
     rank = _pop_ranks(g, dist, B, flip)
-    r2 = rank.reshape(B, V)
-    dag &= r2[:, tails] < r2[:, nbrs]
-    dag = dag.ravel()
-    edge = np.flatnonzero(dag)
-    waiting = np.bincount(edge // E2 * V + nbrs[edge % E2], minlength=B * V)
-    del edge
+    down = rank[out_tail] < rank[out_head]
+    out_head = out_head[down]
+    out_deg = np.bincount(out_tail[down], minlength=B * V)
+    out_end = np.cumsum(out_deg)
+    del out_tail, down
+    waiting = np.bincount(out_head, minlength=B * V)
     # Kahn's levels: a node joins once its last predecessor has
     levels, edges = [roots], []
     while True:
         above = levels[-1]
-        tail, head, pos = _expand(g, above)
-        down = np.flatnonzero(dag[above[tail] // V * E2 + pos])
-        if not len(down):
+        deg = out_deg[above]
+        tail = np.repeat(np.arange(len(above)), deg)
+        if not len(tail):
             break
-        tail, head = tail[down], head[down]
+        at = np.arange(len(tail))
+        at += (out_end[above] - np.cumsum(deg))[tail]
+        head = out_head[at]
         np.add.at(sigma, head, sigma[above[tail]])
         np.subtract.at(waiting, head, 1)
         levels.append(_distinct(head[waiting[head] == 0], slot))

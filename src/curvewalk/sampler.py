@@ -526,6 +526,8 @@ def _lockstep_family(g, is_mh, kernels, chains, n):
     yield from recorded(state[None, :], 0)
     below = np.empty(width, dtype=bool)
     u_all = np.empty((width, draws * _TIME_CHUNK))
+    if is_mh:
+        u_t = np.empty((2 * _TIME_CHUNK, width))  # kept for every block
     total = int(burn.max()) + n - 1
     t = 0
     while t < total:
@@ -534,8 +536,9 @@ def _lockstep_family(g, is_mh, kernels, chains, n):
             rng.random(out=u_all[c, :draws * block])
         out = np.empty((block, width), dtype=np.int64)
         if is_mh:
-            proposals = np.ascontiguousarray(u_all[:, 0:2 * block:2].T)
-            accepts = np.ascontiguousarray(u_all[:, 1:2 * block:2].T)
+            # one transposed copy; each step reads two of its contiguous rows
+            np.copyto(u_t[:2 * block], u_all[:, :2 * block].T)
+            proposals, accepts = u_t[0:2 * block:2], u_t[1:2 * block:2]
             for i in range(block):
                 pos = row_lo[state] + (proposals[i] * deg[state]).astype(np.int64)
                 np.less_equal(accepts[i], table[pos], out=below)

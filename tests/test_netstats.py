@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -332,6 +334,8 @@ WEIGHT_FAMILIES = {
     "unit": lambda rng, m: np.ones(m),
     # lengths below half an ulp of the distances they are added to
     "sub_ulp": lambda rng, m: rng.choice([1.0, 2.0, 1e-17, 3e-16], m),
+    # twelve orders of magnitude, so distance buckets span many of them
+    "magnitudes": lambda rng, m: 10 ** rng.uniform(-6, 6, m),
 }
 
 
@@ -377,6 +381,26 @@ class TestWeightedSweep:
         bc = betweenness(g, "weighted")
         assert bc.tolist() == [0.0, 2.0, 2.0, 0.0]
         assert_mode_equals(g, "weighted", dijkstra_oracle(g))
+
+    @pytest.mark.parametrize("graph", [
+        lambda: load_edge_list(LESMIS)[0],  # integer lengths: many ties
+        lambda: random_connected_graph(np.random.default_rng(501), 40,
+                                       extra=2.0, weighted=True),
+    ], ids=["lesmis", "synth40"])
+    def test_bucket_narrower_than_an_ulp(self, graph, monkeypatch):
+        # 1.0 + 1e-300 == 1.0: the bucket holds only the least pending
+        # distance, which each round must still expand for the sweep to end.
+        # Each round then settles a state, so the half-edge walks number at
+        # most one per state plus one per tied group
+        g = graph()
+        oracle = dijkstra_oracle(g)
+        monkeypatch.setattr(netstats, "_bucket_width", lambda g: 1e-300)
+        walks = itertools.count(1)
+        def counted(g, keys, _inner=netstats._expand):
+            assert next(walks) <= 2 * g.node_count ** 2, "the sweep does not end"
+            return _inner(g, keys)
+        monkeypatch.setattr(netstats, "_expand", counted)
+        assert_mode_equals(g, "weighted", oracle)
 
     def test_path_counts_beyond_float_precision(self):
         g = triple_diamonds()
