@@ -12,10 +12,10 @@ which for unit node and edge weights reduces to the combinatorial form
 incident edges. Values are static for a static graph, so they are computed
 once into a :class:`CurvatureMap` and reused by the samplers.
 
-The weighted map is one vectorized pass over all ``sum(d(i)**2)`` terms (one
-``np.bincount`` per chunk of edges, each endpoint's row listed by
-``graph._expand``); it gives the floats of evaluating the formula term by
-term, left to right, for each edge alone.
+The weighted map is one vectorized pass over all ``sum(d(i)**2)`` terms: the
+pair walk ``graph._pair_walk`` lists each endpoint's other half-edges, and
+one ``np.bincount`` per chunk of it sums them. It gives the floats of
+evaluating the formula term by term, left to right, for each edge alone.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import WeightedGraph, _expand
+from .graph import WeightedGraph, _pair_walk
 
 CURVATURE_MODES = ("weighted", "combinatorial")
 
@@ -63,38 +63,23 @@ def _weighted_forman(g: WeightedGraph, edge_ids: np.ndarray) -> np.ndarray:
 
     Each (edge, endpoint) half gets one group: its leading term
     ``w(node)/w_ij`` followed by the negated terms
-    ``-(w(node)/sqrt(w_ij * w_e))`` of the node's other edges in CSR order.
-    ``np.bincount`` adds a group in input order starting from 0, and
-    ``0 + t == t`` and ``t + (-x) == t - x`` exactly, so each group sum is
-    the left-to-right running difference of the formula. Edges are taken a
-    chunk at a time because the terms number ``sum(d(i)**2)`` in all.
+    ``-(w(node)/sqrt(w_ij * w_e))`` of the node's other edges in CSR order,
+    which :func:`graph._pair_walk` lists. ``np.bincount`` adds a group in
+    input order starting from 0, and ``0 + t == t`` and ``t + (-x) == t - x``
+    exactly, so each group sum is the left-to-right running difference of
+    the formula. A chunk of the walk holds whole groups.
     """
-    out = np.empty(len(edge_ids), dtype=np.float64)
     ends = g.edges[edge_ids]
-    # pairs each edge contributes; chunk boundaries keep a chunk under the cap
-    cost = np.cumsum(g.degrees[ends].sum(axis=1))
-    cap = 1 << 18
-    lo = 0
-    while lo < len(edge_ids):
-        hi = max(int(np.searchsorted(cost, (cost[lo - 1] if lo else 0) + cap,
-                                     side="right")), lo + 1)
-        w_ij = g.edge_weights[edge_ids[lo:hi]]
-        nodes = ends[lo:hi].ravel()  # group 2k is edge k's tail, 2k + 1 its head
-        others = ends[lo:hi, ::-1].ravel()
-        w_half = np.repeat(w_ij, 2)
-        w_node = g.node_weights[nodes]
-        # each group's row: its half-edges' neighbors and CSR positions
-        group, nbr, pos = _expand(g, nodes)
-        keep = nbr != others[group]
-        group, pos = group[keep], pos[keep]
-        terms = np.concatenate((
-            w_node / w_half,
-            -(w_node[group] / np.sqrt(w_half[group] * g.adj_weights[pos]))))
-        t = np.bincount(np.concatenate((np.arange(len(nodes)), group)),
-                        weights=terms, minlength=len(nodes))
-        out[lo:hi] = w_ij * (t[0::2] + t[1::2])
-        lo = hi
-    return out
+    nodes = ends.ravel()  # group 2k is edge k's tail, 2k + 1 its head
+    w_ij = g.edge_weights[edge_ids]
+    w_half = np.repeat(w_ij, 2)
+    w_node = g.node_weights[nodes]
+    t = w_node / w_half  # the leading terms; each chunk adds its groups' rest
+    for lo, hi, group, pos in _pair_walk(g, nodes, ends[:, ::-1].ravel()):
+        terms = np.concatenate((t[lo:hi], -(w_node[lo:hi][group] / np.sqrt(
+            w_half[lo:hi][group] * g.adj_weights[pos]))))
+        t[lo:hi] = np.bincount(np.concatenate((np.arange(hi - lo), group)), terms)
+    return w_ij * (t[0::2] + t[1::2])
 
 
 def edge_forman(g: WeightedGraph, edge) -> float:
@@ -119,11 +104,8 @@ def compute_curvature_map(g: WeightedGraph, mode: str = "combinatorial") -> Curv
     if mode not in CURVATURE_MODES:
         raise ValueError(f"unknown curvature mode {mode!r}")
     if mode == "combinatorial":
-        if g.edge_count:
-            ev = (4 - g.degrees[g.edges[:, 0]]
-                  - g.degrees[g.edges[:, 1]]).astype(np.float64)
-        else:
-            ev = np.zeros(0, dtype=np.float64)
+        ev = (4 - g.degrees[g.edges[:, 0]]
+              - g.degrees[g.edges[:, 1]]).astype(np.float64)
     else:
         with np.errstate(all="ignore"):  # a non-finite value is refused below
             ev = _weighted_forman(g, np.arange(g.edge_count))

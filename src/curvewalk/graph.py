@@ -10,7 +10,8 @@ statistic computed on it.
 The graph is the one record of a network's facts, each half-edge's tail
 (``adj_tails``) included; :func:`load_edge_list` returns a file's labels
 beside it. Curvature and the path statistics share one half-edge walk,
-:func:`_expand`.
+:func:`_expand`; weighted curvature and clustering share one walk over the
+``sum(d(i)**2)`` pairs of half-edges at one node, :func:`_pair_walk`.
 """
 
 from __future__ import annotations
@@ -63,9 +64,8 @@ class WeightedGraph:
         node_count = int(node_count)
         if node_count < 0:
             raise GraphFormatError("node_count must be non-negative")
-        pair_list = [(int(u), int(v)) for u, v in edges]
-        m = len(pair_list)
-        pairs = np.array(pair_list, dtype=np.int64).reshape(m, 2)
+        m = len(edges)
+        pairs = np.asarray(edges, dtype=np.int64).reshape(m, 2)  # u v w rows fail
 
         if edge_weights is None:
             ew = np.ones(m, dtype=np.float64)
@@ -103,7 +103,7 @@ class WeightedGraph:
 
         self.node_count = node_count
         self.edge_count = m
-        self.edges = np.column_stack([lo, hi]) if m else pairs
+        self.edges = np.column_stack([lo, hi])
         self.edge_weights = ew
         self.node_weights = nw
         self.adj_indptr = indptr
@@ -271,15 +271,10 @@ def induced_subgraph(g: WeightedGraph, nodes) -> WeightedGraph:
         raise ValueError("node id out of range")
     new_id = np.full(g.node_count, -1, dtype=np.int64)
     new_id[keep] = np.arange(len(keep), dtype=np.int64)
-    if g.edge_count:
-        mapped = new_id[g.edges]
-        mask = (mapped >= 0).all(axis=1)
-        sub_edges = mapped[mask]
-        sub_weights = g.edge_weights[mask]
-    else:
-        sub_edges = []
-        sub_weights = None
-    return WeightedGraph(len(keep), sub_edges, sub_weights, g.node_weights[keep])
+    mapped = new_id[g.edges]
+    inside = (mapped >= 0).all(axis=1)
+    return WeightedGraph(len(keep), mapped[inside], g.edge_weights[inside],
+                         g.node_weights[keep])
 
 
 def _expand(g: WeightedGraph, keys):
@@ -298,6 +293,29 @@ def _expand(g: WeightedGraph, keys):
     head = (keys - nodes)[tail]
     head += g.adj_neighbors[pos]
     return tail, head, pos
+
+
+_PAIR_CAP = 1 << 18  # half-edges per chunk of _pair_walk, unless one row is longer
+
+
+def _pair_walk(g: WeightedGraph, nodes, skip):
+    """Every half-edge out of each of ``nodes`` but the one to ``skip``, in
+    node order and, per node, in CSR order, as ``(lo, hi, which, pos)`` per
+    chunk: the chunk holds the rows of ``nodes[lo:hi]`` whole, ``which``
+    indexes ``nodes[lo:hi]`` and ``pos`` is the half-edge's CSR position. A
+    chunk holds at most ``_PAIR_CAP`` half-edges before the skip, or one row.
+    """
+    cost = np.concatenate(([0], np.cumsum(g.degrees[nodes])))  # of nodes[:k]
+    lo = 0
+    while lo < len(nodes):
+        hi = max(int(np.searchsorted(cost, cost[lo] + _PAIR_CAP, "right")) - 1, lo + 1)
+        which, nbr, pos = _expand(g, nodes[lo:hi])
+        # a boolean mask: nearly every pair is kept, and it gathers fastest
+        keep = nbr != skip[lo:hi][which]
+        which, pos = which[keep], pos[keep]
+        del nbr, keep  # the caller's temporaries reuse their memory
+        yield lo, hi, which, pos
+        lo = hi
 
 
 def connected_components(g: WeightedGraph) -> list[np.ndarray]:

@@ -4,7 +4,11 @@ Four statistics are provided: betweenness centrality (shortest-path counting
 over unordered pairs, endpoints excluded, no normalization), closeness
 centrality (reciprocal sum of shortest-path distances), strength (weighted
 degree) and the Barrat weighted clustering coefficient, each a read-only
-float64 array of one value per node.
+float64 array of one value per node. Weighted clustering lists each node's
+ordered neighbor pairs ``(i, a, b)`` with the pair walk that weighted
+curvature uses, ``graph._pair_walk``. A node's numerator adds ``w_a + w_b``
+from 0.0 in ``(i, a, b)`` CSR order, the order of the per-node loop it
+replaced, and equals that loop bit for bit.
 
 Shortest paths default to hop counts (``path_mode="hop"``) even on weighted
 graphs; ``path_mode="weighted"`` treats edge weights as lengths. One Brandes
@@ -34,7 +38,7 @@ import logging
 
 import numpy as np
 
-from .graph import WeightedGraph, _expand
+from .graph import WeightedGraph, _expand, _pair_walk
 
 logger = logging.getLogger(__name__)
 
@@ -357,29 +361,22 @@ def weighted_clustering(g: WeightedGraph) -> np.ndarray:
     For node ``i``, sums ``W_ij + W_ih`` over ordered neighbor pairs
     ``(j, h)`` that close a triangle with ``i``, divided by
     ``2 s(i) (d(i) - 1)``. Nodes with degree <= 1 get 0 by convention.
+    ``(j, h)`` closes one when ``j * V + h`` is among the half-edges' keys
+    ``tail * V + neighbor``, which ascend in CSR order.
     """
     V = g.node_count
-    values = np.zeros(V, dtype=np.float64)
-    nbr_sets = [set(g.adj_neighbors[g.adj_indptr[i]:g.adj_indptr[i + 1]].tolist())
-                for i in range(V)]
-    for i in range(V):
-        d = int(g.degrees[i])
-        if d <= 1:
-            continue
-        lo, hi = g.adj_indptr[i], g.adj_indptr[i + 1]
-        nbrs = g.adj_neighbors[lo:hi].tolist()
-        w_inc = g.adj_weights[lo:hi].tolist()
-        num = 0.0
-        for a in range(d):
-            j = nbrs[a]
-            set_j = nbr_sets[j]
-            for b in range(d):
-                if a == b:
-                    continue
-                if nbrs[b] in set_j:
-                    num += w_inc[a] + w_inc[b]
-        if num:
-            values[i] = num / (2.0 * g.strengths[i] * (d - 1))
+    keys = g.adj_tails * V + g.adj_neighbors
+    num = np.zeros(V, dtype=np.float64)
+    for lo, _, a, b in _pair_walk(g, g.adj_tails, g.adj_neighbors):
+        a += lo  # the walk's nodes are the half-edges themselves
+        pair = g.adj_neighbors[a] * V + g.adj_neighbors[b]
+        closes = keys.take(np.searchsorted(keys, pair), mode="clip") == pair
+        a, b = a[closes], b[closes]
+        # a chunk may end inside a row, so its sums start from the ones so far
+        num = np.bincount(np.concatenate((np.arange(V), g.adj_tails[a])),
+                          np.concatenate((num, g.adj_weights[a] + g.adj_weights[b])))
+    values = np.divide(num, 2.0 * g.strengths * (g.degrees - 1),
+                       out=np.zeros(V), where=num != 0)
     values.setflags(write=False)
     return values
 

@@ -327,7 +327,7 @@ def _acceptance_thresholds(hs, hy):
 
 def _kernel_table(g, config, curvmap=None, target=None):
     """``(table, target)`` of a configured kernel, for both chain drivers
-    and :func:`build_transition_matrix`.
+    and, for the edge kinds, :func:`build_transition_matrix`.
 
     Edge kinds: the normalized cumulative move probabilities of every CSR
     row (:func:`_cumulative_rows`); a step moves to the neighbor at the count
@@ -526,18 +526,17 @@ def _lockstep_family(g, is_mh, kernels, chains, n):
     yield from recorded(state[None, :], 0)
     below = np.empty(width, dtype=bool)
     u_all = np.empty((width, draws * _TIME_CHUNK))
-    if is_mh:
-        u_t = np.empty((2 * _TIME_CHUNK, width))  # kept for every block
+    u_t = np.empty((draws * _TIME_CHUNK, width))  # kept for every block
     total = int(burn.max()) + n - 1
     t = 0
     while t < total:
         block = min(_TIME_CHUNK, total - t)
         for c, rng in enumerate(rngs):
             rng.random(out=u_all[c, :draws * block])
+        # one transposed copy; each step reads its draws as contiguous rows
+        np.copyto(u_t[:draws * block], u_all[:, :draws * block].T)
         out = np.empty((block, width), dtype=np.int64)
         if is_mh:
-            # one transposed copy; each step reads two of its contiguous rows
-            np.copyto(u_t[:2 * block], u_all[:, :2 * block].T)
             proposals, accepts = u_t[0:2 * block:2], u_t[1:2 * block:2]
             for i in range(block):
                 pos = row_lo[state] + (proposals[i] * deg[state]).astype(np.int64)
@@ -545,7 +544,7 @@ def _lockstep_family(g, is_mh, kernels, chains, n):
                 np.copyto(state, nbr[pos], where=below)
                 out[i] = state
         else:
-            us = np.ascontiguousarray(u_all[:, :block].T)
+            us = u_t[:block]
             # out[i] holds the guide cells k = floor(u * m) of step i until
             # the step overwrites it with the states; exact, since m is a
             # power of two
@@ -614,11 +613,12 @@ def build_transition_matrix(g: WeightedGraph, config: SamplerConfig,
                             curvmap: CurvatureMap | None = None,
                             target: np.ndarray | None = None) -> np.ndarray:
     """Exact dense kernel ``P`` of the configured sampler, a read-only
-    row-stochastic float64 array, built from the kernel the chains sample
-    (:func:`_kernel_table`).
+    row-stochastic float64 array.
 
-    Edge rows are the step widths of each cumulative row and have a zero
-    diagonal. MH rows move to neighbor ``y`` with probability
+    Edge rows are the step widths of the cumulative rows the chains bisect
+    (:func:`_kernel_table`) and have a zero diagonal. MH rows come from the
+    formula, not from the chains' acceptance thresholds, so a threshold bug
+    cannot cancel itself: they move to neighbor ``y`` with probability
     ``min(1, h(y) / h(i)) / d(i)``, with ``h = g / d`` from the chains'
     target, and carry the total rejection mass on the diagonal. Rows of
     isolated nodes (and of nodes outside the target support) are absorbing
@@ -629,13 +629,14 @@ def build_transition_matrix(g: WeightedGraph, config: SamplerConfig,
         raise ValueError(
             f"transition matrix limited to {_MATRIX_MAX_NODES} nodes, "
             f"graph has {g.node_count}")
-    table, target = _kernel_table(g, config, curvmap, target)
     V = g.node_count
     src = g.adj_tails
     dst = g.adj_neighbors
     P = np.zeros((V, V), dtype=np.float64)
     moving = g.degrees > 0
     if _is_mh(config.kind):
+        target = _resolve_target(g, config, _resolve_curvmap(g, config, curvmap),
+                                 target)
         moving &= target > 0
         half = moving[src]
         src, dst = src[half], dst[half]
@@ -647,6 +648,7 @@ def build_transition_matrix(g: WeightedGraph, config: SamplerConfig,
                                / g.degrees[stay])
     else:
         # the width of each step of the cumulative row the chains bisect
+        table = _kernel_table(g, config, curvmap)[0]
         steps = np.diff(table, prepend=0.0)
         firsts = g.adj_indptr[:-1][moving]
         steps[firsts] = table[firsts]

@@ -11,7 +11,9 @@ reproduce its floats bit for bit.
 
 The curvature oracle evaluates the weighted Forman formula one edge at a
 time in scalar Python, the loop the vectorized curvature map replaced; the
-map must reproduce its floats bit for bit.
+map must reproduce its floats bit for bit. The clustering oracle is the
+per-node loop over ordered neighbor pairs that the pair walk in
+``weighted_clustering`` replaced; it too must be reproduced bit for bit.
 
 The estimator oracle is the step-indexed running mean that the harness's
 per-discovery aggregation replaced; the harness must reproduce its squared
@@ -281,6 +283,35 @@ def edge_forman_oracle(g, edge) -> float:
             term -= w_node / math.sqrt(w_ij * g.adj_weights[pos])
         total += term
     return float(w_ij * total)
+
+
+def weighted_clustering_oracle(g) -> np.ndarray:
+    """Barrat weighted clustering, one node and one ordered neighbor pair at
+    a time in scalar Python, with one neighbor set per node."""
+    V = g.node_count
+    values = np.zeros(V, dtype=np.float64)
+    nbr_sets = [set(g.adj_neighbors[g.adj_indptr[i]:g.adj_indptr[i + 1]].tolist())
+                for i in range(V)]
+    for i in range(V):
+        d = int(g.degrees[i])
+        if d <= 1:
+            continue
+        lo, hi = g.adj_indptr[i], g.adj_indptr[i + 1]
+        nbrs = g.adj_neighbors[lo:hi].tolist()
+        w_inc = g.adj_weights[lo:hi].tolist()
+        num = 0.0
+        for a in range(d):
+            j = nbrs[a]
+            set_j = nbr_sets[j]
+            for b in range(d):
+                if a == b:
+                    continue
+                if nbrs[b] in set_j:
+                    num += w_inc[a] + w_inc[b]
+        if num:
+            values[i] = num / (2.0 * g.strengths[i] * (d - 1))
+    values.setflags(write=False)
+    return values
 
 
 def edge_row_cdf(g, curvmap, i, epsilon_floor=DEFAULT_EPSILON_FLOOR):

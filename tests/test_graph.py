@@ -189,6 +189,22 @@ class TestConstruction:
         with pytest.raises(GraphFormatError):
             WeightedGraph(2, [(0, 2)])
 
+    def test_rejects_rows_that_are_not_pairs(self):
+        # a u v w edge list is not reshaped into pairs
+        for edges in ([(0, 1, 2.0)], np.zeros((2, 3)), [0, 1], [0, 1, 1, 2]):
+            with pytest.raises(ValueError):
+                WeightedGraph(3, edges)
+
+    def test_array_and_list_edges_agree(self):
+        g = random_connected_graph(np.random.default_rng(3), 20, weighted=True)
+        edges = np.array(g.edges[:, ::-1])
+        from_array = WeightedGraph(20, edges, g.edge_weights)
+        from_list = WeightedGraph(20, edges.tolist(), g.edge_weights.tolist())
+        for name in WeightedGraph.__slots__:
+            assert np.array_equal(getattr(from_array, name), getattr(from_list, name))
+        assert np.array_equal(from_array.edges, g.edges)
+        assert edges.flags.writeable  # the caller's array is not frozen
+
     def test_arrays_frozen(self):
         g = path_graph(3)
         for arr in (g.edges, g.edge_weights, g.node_weights, g.degrees,
@@ -249,6 +265,8 @@ class TestInducedSubgraph:
         g = path_graph(3)
         sub = induced_subgraph(g, {0, 2})
         assert sub.node_count == 2 and sub.edge_count == 0
+        sub = induced_subgraph(WeightedGraph(3, []), {0, 1})
+        assert sub.node_count == 2 and sub.edges.shape == (0, 2)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):

@@ -10,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvewalk import (WeightedGraph, betweenness, closeness,
-                       compute_statistics, load_edge_list, mean_statistic,
-                       netstats, strength_vector, weighted_clustering)
+                       compute_curvature_map, compute_statistics, graph,
+                       load_edge_list, mean_statistic, netstats,
+                       strength_vector, weighted_clustering)
 from conftest import (LESMIS, complete_graph, path_graph,
                       random_connected_graph, random_graph, star_graph)
-from oracles import (dfs_hop_bc_oracle, dijkstra_bc_cc_oracle, hop_bc_cc_oracle,
-                     weighted_bc_cc_oracle)
+from oracles import (dfs_hop_bc_oracle, dijkstra_bc_cc_oracle,
+                     edge_forman_oracle, hop_bc_cc_oracle,
+                     weighted_bc_cc_oracle, weighted_clustering_oracle)
 
 
 class TestWorkedValues:
@@ -146,6 +148,79 @@ class TestProperties:
             g = random_connected_graph(rng, 14, extra=2.5, weighted=True)
             vals = weighted_clustering(g)
             assert np.all(vals >= 0) and np.all(vals <= 1 + 1e-12)
+
+
+def assert_clustering_equals_oracle(g):
+    # as int64 bit patterns: equal floats, and the zero of a node without a
+    # triangle is the loop's +0.0
+    assert np.array_equal(weighted_clustering(g).view(np.int64),
+                          weighted_clustering_oracle(g).view(np.int64))
+
+
+# a sub-ulp weight is lost in a sum with 1.0, so term order shows
+_CLUSTERING_WEIGHTS = st.one_of(
+    st.sampled_from([1.0, 0.1, 3.0, 1e-17, 1.0 + 2**-52, 1e-300, 7e5]),
+    st.floats(1e-3, 1e3))
+
+
+def hub_graph(rng, n=120):
+    """A star on node 0 plus a path through the leaves, float weights."""
+    edges = [(0, i) for i in range(1, n)] + [(i, i + 1) for i in range(1, n - 1)]
+    return WeightedGraph(n, edges, rng.uniform(0.5, 3.0, len(edges)),
+                         rng.uniform(0.5, 2.0, n))
+
+
+class TestClusteringOracle:
+    """The pair-walk clustering equals the per-node loop bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(0, 30), clique=st.integers(0, 8), hub=st.booleans(),
+           pairs=st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)),
+                          max_size=40),
+           data=st.data())
+    def test_random_graphs(self, n, clique, hub, pairs, data):
+        # node ids at or above n stay out; the clique sits on the first
+        # nodes, the hub on the last node joins every third other node, and
+        # nodes no pair names stay isolated or keep degree 1
+        edges = {(min(u, v), max(u, v)) for u, v in pairs if u != v and max(u, v) < n}
+        edges |= set(itertools.combinations(range(min(clique, n)), 2))
+        if hub and n:
+            edges |= {(j, n - 1) for j in range(0, n - 1, 3)}
+        edges = sorted(edges)
+        weights = data.draw(st.lists(_CLUSTERING_WEIGHTS, min_size=len(edges),
+                                     max_size=len(edges)))
+        assert_clustering_equals_oracle(WeightedGraph(n, edges, weights))
+
+    @pytest.mark.parametrize("make", [
+        lambda: load_edge_list(LESMIS)[0],
+        lambda: hub_graph(np.random.default_rng(3)),
+        lambda: complete_graph(9),
+        lambda: random_connected_graph(np.random.default_rng(4), 300,
+                                       extra=3.0, weighted=True),
+    ], ids=["lesmis", "hub", "clique", "synth300"])
+    def test_named_graphs(self, make):
+        assert_clustering_equals_oracle(make())
+
+    @pytest.mark.parametrize("cap", [1, 97])
+    @pytest.mark.parametrize("make", [
+        lambda: load_edge_list(LESMIS)[0],
+        lambda: hub_graph(np.random.default_rng(5)),
+    ], ids=["lesmis", "hub"])
+    def test_chunk_ends_inside_a_row(self, make, cap, monkeypatch):
+        # a narrow cap ends chunks between two half-edges of one node, where
+        # clustering carries a node's sum into the next chunk, and between
+        # the two ends of one edge in the curvature walk
+        g = make()
+        monkeypatch.setattr(graph, "_PAIR_CAP", cap)
+        his = [hi for _, hi, _, _ in graph._pair_walk(g, g.adj_tails, g.adj_neighbors)]
+        assert any(g.adj_tails[hi - 1] == g.adj_tails[hi] for hi in his[:-1])
+        ends = g.edges.ravel()
+        his = [hi for _, hi, _, _ in graph._pair_walk(g, ends, g.edges[:, ::-1].ravel())]
+        assert any(hi % 2 for hi in his)
+        assert_clustering_equals_oracle(g)
+        expected = np.array([edge_forman_oracle(g, e) for e in g.edges.tolist()])
+        assert np.array_equal(compute_curvature_map(g, "weighted").edge_values,
+                              expected)
 
 
 class TestMeanStatistic:
