@@ -96,7 +96,10 @@ def _write_csvs(paths, header, tables):
     column costs one ``repr`` per run of equal values, and an MSE curve is
     mostly runs: it changes only when some chain finds a node.
     """
-    chunk = 128
+    # 2048 rows wrote fastest at V=10000 and within 5% of the fastest at
+    # V=1000; a chunk's text stays under 1 MB, below the engine's and the
+    # fold's working set
+    chunk = 2048
     with ExitStack() as stack:
         files = [stack.enter_context(open(path, "w", encoding="utf-8", newline=""))
                  for path in paths]

@@ -186,9 +186,9 @@ class _StepSums:
                              f"chains, got steps from {k0} of {C}")
         self.k = k0 + B
         steps = slice(k0, k0 + B)
-        nodes = states.ravel()  # time-major; a copy if states is a column slice
-        self.counts += np.bincount(nodes, minlength=V)
-        key = (nodes.reshape(B, C) + np.arange(0, C * V, V)).ravel()
+        # time-major; ravel copies if states is a column slice
+        self.counts += np.bincount(states.ravel(), minlength=V)
+        key = (states + np.arange(0, C * V, V)).ravel()
         pos = np.flatnonzero(~self.seen.take(key))
         if not pos.size:
             self.sq_sum[:, steps] = self.step_err
@@ -200,8 +200,12 @@ class _StepSums:
         first = self.scratch[key] == pos
         self.scratch[key] = _NO_VISIT
         pos, key = pos[first], key[first]
+        del first
         self.seen[key] = True
         t, c = np.divmod(pos, C)
+        del pos
+        nodes = key - c * V  # the discovered nodes
+        del key
         # event e is the e-th step with a discovery; rank[c, e] counts chain
         # c's discoveries in the block up to it
         head = np.empty(len(t), dtype=bool)
@@ -209,28 +213,36 @@ class _StepSums:
         np.not_equal(t[1:], t[:-1], out=head[1:])
         at = t[head]
         event = np.cumsum(head) - 1
+        del t, head
         n_ev = len(at)
         rank = np.zeros((C, n_ev), dtype=np.int64)
         flat = c * n_ev + event
         rank.ravel()[flat] = 1
         np.cumsum(rank, axis=1, out=rank)
+        last, chains = rank[:, -1], np.arange(C)
         # chain c's running sums and squared errors, entry 0 carried in;
         # chain-major, so that the sums below read whole rows
-        width = int(rank[:, -1].max()) + 1
+        width = int(last.max()) + 1
         run = np.zeros((C, S, width))
         run[:, :, 0] = self.run_sum
         plane = np.arange(0, S * width, width)[:, None]
         run.reshape(-1)[plane + (c * (S * width) + rank.ravel().take(flat))] = \
-            self.values.take(nodes.take(pos), axis=1)
+            self.values.take(nodes, axis=1)
+        del c, flat, nodes
         np.cumsum(run, axis=2, out=run)
+        err = np.empty((C, S, width))
+        err[:, :, 0] = self.err
+        zbar = err[:, :, 1:]  # each estimate, then its squared error
         count = self.found[:, None] + np.arange(1, width)
-        zbar = run[:, :, 1:] / count[:, None, :]
+        np.divide(run[:, :, 1:], count[:, None, :], out=zbar)
+        self.run_sum = run[chains, :, last]
+        del run
         # at full coverage the estimate is the full mean by definition; the
         # exact value keeps that identity exact in floating point as well
         zbar.transpose(0, 2, 1)[count == V] = self.full_means
-        err = np.empty((C, S, width))
-        err[:, :, 0] = self.err
-        err[:, :, 1:] = (zbar - self.full_means[:, None]) ** 2
+        del count
+        zbar -= self.full_means[:, None]
+        np.square(zbar, out=zbar)
         # the sums at the events, adding chain after chain: the row order of
         # the whole matrix's sums
         sums = np.empty((S, n_ev + 1))
@@ -244,8 +256,6 @@ class _StepSums:
         lengths = np.diff(at, prepend=0, append=B)
         self.sq_sum[:, steps] = np.repeat(sums, lengths, axis=1)
         self.distinct_sum[steps] = np.repeat(distinct + self.found.sum(), lengths)
-        last, chains = rank[:, -1], np.arange(C)
-        self.run_sum = run[chains, :, last]
         self.err = err[chains, :, last]
         self.step_err = sums[:, -1:]
         self.found += last

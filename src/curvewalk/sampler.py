@@ -32,6 +32,15 @@ a block of steps at a time (:func:`_lockstep_stream`), which experiments
 fold as they come; :func:`run_lockstep` collects them. Both drivers return
 a chain as its read-only int64 visits array.
 
+The engine's working set is a few buffers as wide as a family's chains. A
+family keeps one time-major buffer of uniforms, ``draws x _TIME_CHUNK`` rows
+by its chains, so each step reads its draws as contiguous rows. For each
+block, chains draw ``_STAGE_CHAINS`` at a time into one small staging
+array, which is copied, transposed, into the group's columns of that
+buffer; a group's copy stays in cache, and no chains-major copy of the
+whole block's draws is held. Each block of visits is a fresh array,
+converted to node ids in place when the family's chains share one burn-in.
+
 An MH step costs O(1) and one comparison. It proposes the neighbor at
 ``int(u * d)`` of the current row and accepts when ``v <= t``, where ``t``
 is the half-edge's acceptance threshold: the largest double in [0, 1] with
@@ -75,8 +84,14 @@ GENERATOR_NAME = "pcg64"
 DEFAULT_EPSILON_FLOOR = 1e-9
 
 _MASK64 = (1 << 64) - 1
-# steps of uniforms a chain draws at a time; bounds the draw buffers
+# steps of uniforms a chain draws at a time, and the most steps of a block
+# the lockstep engine yields; a family's uniforms buffer holds draws x
+# _TIME_CHUNK rows of its chains, filled _STAGE_CHAINS chains at a time
 _TIME_CHUNK = 1 << 10
+# chains that draw into a lockstep family's staging array before it is
+# copied, transposed, into the uniforms buffer: a group's copy stays in
+# cache, where a copy of the whole family's draws did not
+_STAGE_CHAINS = 32
 # most nodes a dense transition matrix is built for (2000 nodes is 32 MB)
 _MATRIX_MAX_NODES = 2000
 
@@ -267,8 +282,8 @@ def _resolve_target(g, config, curvmap, target):
 
 
 def _resolve_start(g, config, rng, target):
-    eligible = np.flatnonzero(g.degrees > 0)
     if config.start_node == "random":
+        eligible = np.flatnonzero(g.degrees > 0)
         if eligible.size == 0:
             raise ValueError("graph has no non-isolated node to start from")
         start = int(eligible[int(rng.integers(0, eligible.size))])
@@ -515,29 +530,39 @@ def _lockstep_family(g, is_mh, kernels, chains, n):
 
     def recorded(states, t0):
         """The recorded part of ``states`` (one row per time index from
-        ``t0``), per burn-in group, as node ids."""
+        ``t0``, an array the caller gives up), per burn-in group, as node
+        ids: converted in place where a group's columns are a slice, so one
+        burn-in group yields views of ``states``, and in a copy where a
+        mixed group gathers its columns."""
         for b, cols in groups:
             lo, hi = max(t0, b), min(t0 + len(states), b + n)
             if lo < hi:
-                nodes = states[lo - t0:hi - t0, cols] // stride
+                nodes = states[lo - t0:hi - t0, cols]
+                if stride > 1:
+                    nodes //= stride
                 nodes -= node_off[cols]
                 yield rows[cols], lo - b, nodes
 
-    yield from recorded(state[None, :], 0)
+    # the start row is the live state, so it is converted in a copy
+    yield from recorded(state[None, :].copy(), 0)
     below = np.empty(width, dtype=bool)
-    u_all = np.empty((width, draws * _TIME_CHUNK))
+    stage = np.empty((min(_STAGE_CHAINS, width), draws * _TIME_CHUNK))
     u_t = np.empty((draws * _TIME_CHUNK, width))  # kept for every block
     total = int(burn.max()) + n - 1
     t = 0
     while t < total:
         block = min(_TIME_CHUNK, total - t)
-        for c, rng in enumerate(rngs):
-            rng.random(out=u_all[c, :draws * block])
-        # one transposed copy; each step reads its draws as contiguous rows
-        np.copyto(u_t[:draws * block], u_all[:, :draws * block].T)
+        drawn = draws * block  # rows of u_t this block fills
+        # a group of chains at a time, through the staging rows; each step
+        # then reads its draws as contiguous rows
+        for c0 in range(0, width, len(stage)):
+            group = rngs[c0:c0 + len(stage)]
+            for j, rng in enumerate(group):
+                rng.random(out=stage[j, :drawn])
+            np.copyto(u_t[:drawn, c0:c0 + len(group)], stage[:len(group), :drawn].T)
         out = np.empty((block, width), dtype=np.int64)
         if is_mh:
-            proposals, accepts = u_t[0:2 * block:2], u_t[1:2 * block:2]
+            proposals, accepts = u_t[0:drawn:2], u_t[1:drawn:2]
             for i in range(block):
                 pos = row_lo[state] + (proposals[i] * deg[state]).astype(np.int64)
                 np.less_equal(accepts[i], table[pos], out=below)

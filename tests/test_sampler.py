@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import importlib.util
 import sys
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,7 @@ from curvewalk import (SAMPLER_KINDS, CurvatureMap, SamplerConfig,
                        make_target, run_chain, run_lockstep, splitmix64,
                        stationary_distribution)
 from curvewalk.sampler import (_TIME_CHUNK, _acceptance_thresholds,
-                               _guide_table, _kernel_table,
+                               _guide_table, _kernel_table, _lockstep_stream,
                                distinct_prefix_counts)
 from conftest import (LESMIS, cycle_graph, path_graph, random_connected_graph,
                       star_graph)
@@ -588,6 +590,46 @@ class TestLockstep:
                        [("edge_curved", 0), ("edge_curved", 5), ("node_mh_curved", 17),
                         ("edge_uniform", 40), ("node_mh_uniform", 0)])]
         assert_lockstep_equals_run_chain(g, configs)
+
+    @pytest.mark.parametrize("stage", [1, 3, 100])
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_staging_groups_and_short_blocks(self, monkeypatch, stage, chunk):
+        # a family's draws pass through staging groups of 1 chain, of 3 (the
+        # last group short) and of more chains than it holds, in blocks of 1
+        # and 7 steps. One burn-in per family yields its visits converted in
+        # place; mixed burn-ins gather their columns into copies
+        monkeypatch.setattr(curvewalk.sampler, "_STAGE_CHAINS", stage)
+        monkeypatch.setattr(curvewalk.sampler, "_TIME_CHUNK", chunk)
+        g = random_connected_graph(np.random.default_rng(29), 20, extra=1.5,
+                                   weighted=True)
+        shared = lockstep_configs(g, 40, 9, "weighted", chains=4)
+        mixed = [replace(cfg, burn_in=(5 * c) % 12)
+                 for c, cfg in enumerate(shared)]
+        for configs in (shared, mixed):
+            assert_lockstep_equals_run_chain(g, configs)
+
+    def test_mh_family_holds_one_uniforms_buffer_and_two_blocks(self):
+        # 400 chains over 3 blocks: the kept time-major buffer (two blocks of
+        # float64, proposal and accept), the block being stepped and the one
+        # the consumer still holds, and a little for the staging rows. A
+        # second uniforms buffer or a second copy of each visits block
+        # would pass the bound
+        width = 400
+        configs = [SamplerConfig(kind="node_mh_uniform", seed=c,
+                                 max_steps=3 * _TIME_CHUNK, start_node=c % 100)
+                   for c in range(width)]
+        stream = _lockstep_stream(cycle_graph(100), configs)
+        steps = 0
+        tracemalloc.start()
+        try:
+            for rows, k0, states in stream:
+                steps += len(states)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert steps == 3 * _TIME_CHUNK
+        block = _TIME_CHUNK * width * 8
+        assert peak < 5 * block, peak / block
 
     @pytest.mark.parametrize("g, ties", [
         # rows of degree 2 and 4 hold multiples of 1/4, which are guide cell
