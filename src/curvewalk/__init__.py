@@ -9,12 +9,11 @@ full-network values.
 
 from .graph import (GraphFormatError, WeightedGraph, connected_components,
                     induced_subgraph, load_edge_list, write_edge_list)
-from .curvature import (CURVATURE_MODES, CurvatureMap, compute_curvature_map,
-                        edge_forman)
+from .curvature import CURVATURE_MODES, CurvatureMap, compute_curvature_map
 from .sampler import (DEFAULT_EPSILON_FLOOR, GENERATOR_NAME, SAMPLER_KINDS,
                       SamplerConfig, build_transition_matrix, chain_seed,
-                      make_rng, make_target, run_chain, run_lockstep,
-                      splitmix64, stationary_distribution)
+                      make_rng, make_target, run_chain, splitmix64,
+                      stationary_distribution)
 from .netstats import (PATH_MODES, STAT_KINDS, betweenness, closeness,
                        compute_statistics, mean_statistic, strength_vector,
                        weighted_clustering)
@@ -29,12 +28,11 @@ __all__ = [
     "GraphFormatError", "WeightedGraph", "connected_components",
     "induced_subgraph", "load_edge_list", "write_edge_list",
     # curvature
-    "CURVATURE_MODES", "CurvatureMap", "compute_curvature_map", "edge_forman",
+    "CURVATURE_MODES", "CurvatureMap", "compute_curvature_map",
     # sampler
     "DEFAULT_EPSILON_FLOOR", "GENERATOR_NAME", "SAMPLER_KINDS",
     "SamplerConfig", "build_transition_matrix", "chain_seed", "make_rng",
-    "make_target", "run_chain", "run_lockstep", "splitmix64",
-    "stationary_distribution",
+    "make_target", "run_chain", "splitmix64", "stationary_distribution",
     # netstats
     "PATH_MODES", "STAT_KINDS", "betweenness", "closeness",
     "compute_statistics", "mean_statistic", "strength_vector",

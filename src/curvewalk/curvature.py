@@ -58,8 +58,8 @@ class _NonFiniteCurvature(ValueError):
                 "product of edge weights leaves the float64 range")
 
 
-def _weighted_forman(g: WeightedGraph, edge_ids: np.ndarray) -> np.ndarray:
-    """Weighted Forman curvature of the edges ``edge_ids``, in that order.
+def _weighted_forman(g: WeightedGraph) -> np.ndarray:
+    """Weighted Forman curvature of every edge, in edge id order.
 
     Each (edge, endpoint) half gets one group: its leading term
     ``w(node)/w_ij`` followed by the negated terms
@@ -69,22 +69,16 @@ def _weighted_forman(g: WeightedGraph, edge_ids: np.ndarray) -> np.ndarray:
     exactly, so each group sum is the left-to-right running difference of
     the formula. A chunk of the walk holds whole groups.
     """
-    ends = g.edges[edge_ids]
-    nodes = ends.ravel()  # group 2k is edge k's tail, 2k + 1 its head
-    w_ij = g.edge_weights[edge_ids]
+    nodes = g.edges.ravel()  # group 2k is edge k's tail, 2k + 1 its head
+    w_ij = g.edge_weights
     w_half = np.repeat(w_ij, 2)
     w_node = g.node_weights[nodes]
     t = w_node / w_half  # the leading terms; each chunk adds its groups' rest
-    for lo, hi, group, pos in _pair_walk(g, nodes, ends[:, ::-1].ravel()):
+    for lo, hi, group, pos in _pair_walk(g, nodes, g.edges[:, ::-1].ravel()):
         terms = np.concatenate((t[lo:hi], -(w_node[lo:hi][group] / np.sqrt(
             w_half[lo:hi][group] * g.adj_weights[pos]))))
         t[lo:hi] = np.bincount(np.concatenate((np.arange(hi - lo), group)), terms)
     return w_ij * (t[0::2] + t[1::2])
-
-
-def edge_forman(g: WeightedGraph, edge) -> float:
-    """Weighted Forman curvature of one edge; symmetric in the endpoints."""
-    return float(_weighted_forman(g, np.array([g.edge_id(*edge)]))[0])
 
 
 def compute_curvature_map(g: WeightedGraph, mode: str = "combinatorial") -> CurvatureMap:
@@ -108,7 +102,7 @@ def compute_curvature_map(g: WeightedGraph, mode: str = "combinatorial") -> Curv
               - g.degrees[g.edges[:, 1]]).astype(np.float64)
     else:
         with np.errstate(all="ignore"):  # a non-finite value is refused below
-            ev = _weighted_forman(g, np.arange(g.edge_count))
+            ev = _weighted_forman(g)
         bad = np.flatnonzero(~np.isfinite(ev))
         if len(bad):
             e = int(bad[0])

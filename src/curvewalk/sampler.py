@@ -25,12 +25,12 @@ draws exactly that prefix of its stream. Chain ``c`` of a multi-chain
 experiment is seeded with ``master_seed XOR splitmix64(c)``.
 
 Two drivers share one table per kernel, built once per run (the chains are
-time-homogeneous): :func:`run_chain` runs one chain in a scalar loop, and
-the lockstep engine advances many chains together as numpy vectors and
-reproduces :func:`run_chain` exactly. The engine yields the chains' visits
-a block of steps at a time (:func:`_lockstep_stream`), which experiments
-fold as they come; :func:`run_lockstep` collects them. Both drivers return
-a chain as its read-only int64 visits array.
+time-homogeneous): :func:`run_chain` runs one chain in a scalar loop and
+returns its read-only int64 visits array, and the lockstep engine
+(:func:`_lockstep_stream`) advances many chains together as numpy vectors
+and reproduces :func:`run_chain` exactly. The engine yields the chains'
+visits a block of steps at a time, which experiments fold as they come;
+no chains x steps matrix is ever held.
 
 The engine's working set is a few buffers as wide as a family's chains. A
 family keeps one time-major buffer of uniforms, ``draws x _TIME_CHUNK`` rows
@@ -370,7 +370,8 @@ def run_chain(g: WeightedGraph, config: SamplerConfig,
 
     ``curvmap`` and ``target`` are optional precomputed inputs (they are
     derived from the config when omitted). This is the single-chain driver;
-    :func:`run_lockstep` runs many chains at once and reproduces it exactly.
+    :func:`_lockstep_stream` runs many chains at once and reproduces it
+    exactly.
     """
     if g.node_count == 0:
         raise ValueError("cannot sample an empty graph")
@@ -407,46 +408,26 @@ def run_chain(g: WeightedGraph, config: SamplerConfig,
     return visits
 
 
-def run_lockstep(g: WeightedGraph, configs) -> np.ndarray:
-    """Run many chains in lockstep; row ``c`` equals ``run_chain(g, configs[c])``.
-
-    Chains of the edge kinds advance together as one numpy vector, one
-    vectorized step per time index, and so do chains of the MH kinds. Each
-    kernel table is built once and stacked with the others of its family;
-    a chain finds its own by an offset. Every chain keeps its own generator
-    and draws from it, ``_TIME_CHUNK`` steps at a time, the stream prefix
-    :func:`run_chain` consumes, so the result is bit-identical to running
-    the chains one by one. All configs must share ``max_steps``.
-
-    This collects :func:`_lockstep_stream` into one matrix, which takes
-    ``len(configs) * max_steps`` int64s; a caller that folds the blocks as
-    they come, as :func:`curvewalk.convergence.run_experiment` does, holds
-    one block at a time instead.
-
-    Returns:
-        ``(len(configs), max_steps)`` int64 array of visited node ids.
-    """
-    configs = tuple(configs)
-    blocks = _lockstep_stream(g, configs)
-    visits = np.empty((len(configs), configs[0].max_steps), dtype=np.int64)
-    for rows, k0, states in blocks:
-        visits[rows, k0:k0 + len(states)] = states.T
-    visits.setflags(write=False)
-    return visits
-
-
 def _lockstep_stream(g: WeightedGraph, configs):
     """Check ``configs`` and set up their chains at once; return an iterator
-    that runs them in lockstep, as :func:`run_lockstep` does, and yields
-    their visits a block at a time.
+    that runs them in lockstep and yields their visits a block at a time.
+    All configs must share ``max_steps``.
+
+    Chains of the edge kinds advance together as one numpy vector, one
+    vectorized step per time index, and so do chains of the MH kinds
+    (:func:`_lockstep_family`). Every chain keeps its own generator and
+    draws from it, ``_TIME_CHUNK`` steps at a time, the stream prefix
+    :func:`run_chain` consumes, so chain ``c``'s visits are bit-identical
+    to ``run_chain(g, configs[c])``.
 
     It yields ``(rows, k0, states)``: ``rows`` are indices into ``configs`` in
     ascending order, ``k0`` is the recorded step at which the block starts,
     and ``states`` is a ``(steps, len(rows))`` int64 array of node ids, time
     along the first axis, so ``states[i, j]`` is visit ``k0 + i`` of chain
-    ``rows[j]``. Chains of one family and burn-in arrive together, and the
-    blocks of each chain arrive in time order, one after the other. Each
-    block spans at most ``_TIME_CHUNK`` steps.
+    ``rows[j]``. Chains of one family and burn-in arrive together. The
+    blocks of each chain arrive in time order, one after the other, and
+    hold each of its ``max_steps`` visits once. Each block spans at most
+    ``_TIME_CHUNK`` steps.
     """
     if g.node_count == 0:
         raise ValueError("cannot sample an empty graph")

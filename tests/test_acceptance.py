@@ -14,8 +14,7 @@ import pytest
 
 from curvewalk import (ExperimentPlan, SamplerConfig, betweenness,
                        build_transition_matrix, compute_curvature_map,
-                       edge_forman, load_edge_list,
-                       make_target, run_chain, run_experiment,
+                       load_edge_list, make_target, run_chain, run_experiment,
                        stationary_distribution, strength_vector,
                        weighted_clustering)
 from curvewalk.cli import main as cli_main
@@ -38,19 +37,18 @@ def test_criterion_1_curvature_exactness(acceptance):
         if len(weighted):
             worst = max(worst, float(np.abs(weighted - comb).max()))
 
-    def combinatorial(g, edge):
-        return compute_curvature_map(g, "combinatorial").edge_values[g.edge_id(*edge)]
+    def entry(g, mode, edge):
+        return compute_curvature_map(g, mode).edge_values[g.edge_id(*edge)]
 
     hub = two_hub_bridge()
-    examples_ok = all(
-        combinatorial(hub, e) == -2.0 and edge_forman(hub, e) == -2.0
-        for e in ((0, 2), (1, 2)))
+    modes = ("combinatorial", "weighted")
+    examples_ok = all(entry(hub, mode, e) == -2.0
+                      for mode in modes for e in ((0, 2), (1, 2)))
     examples_ok &= all(
-        combinatorial(hub, e) == -1.0 and edge_forman(hub, e) == -1.0
+        entry(hub, mode, e) == -1.0 for mode in modes
         for e in ((0, 3), (0, 4), (0, 5), (1, 6), (1, 7), (1, 8)))
     flat = path_graph(4)
-    examples_ok &= (edge_forman(flat, (1, 2)) == 0.0
-                    and combinatorial(flat, (1, 2)) == 0.0)
+    examples_ok &= all(entry(flat, mode, (1, 2)) == 0.0 for mode in modes)
 
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-12 and examples_ok and elapsed < 5.0

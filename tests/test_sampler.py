@@ -18,7 +18,7 @@ import curvewalk.sampler
 from curvewalk import (SAMPLER_KINDS, CurvatureMap, SamplerConfig,
                        WeightedGraph, build_transition_matrix, chain_seed,
                        compute_curvature_map, load_edge_list, make_rng,
-                       make_target, run_chain, run_lockstep, splitmix64,
+                       make_target, run_chain, splitmix64,
                        stationary_distribution)
 from curvewalk.sampler import (_TIME_CHUNK, _acceptance_thresholds,
                                _guide_table, _kernel_table, _lockstep_stream,
@@ -82,6 +82,20 @@ class TestMakeTarget:
         cm = compute_curvature_map(g, "combinatorial")
         target = make_target(g, cm, "curved", 1e-9)
         assert np.allclose(target, 2.0)
+
+    def test_floor_is_a_max_of_abs_curvature(self):
+        # g(i) = max(|F(i)|, eps) / d(i) from the formula, with each node's F
+        # summed over its edges' 4 - d(u) - d(v). At eps = 3 the hub has
+        # |F| = 10 > eps and each leaf 0 < |F| = 2 < eps
+        g = star_graph(5)
+        eps, d = 3.0, g.degrees
+        F = np.zeros(g.node_count)
+        for u, v in g.edges.tolist():
+            F[[u, v]] += 4 - d[u] - d[v]
+        expected = np.maximum(np.abs(F), eps) / d
+        assert expected.tolist() == [2.0, 3.0, 3.0, 3.0, 3.0, 3.0]
+        cm = compute_curvature_map(g, "combinatorial")
+        assert np.array_equal(make_target(g, cm, "curved", eps), expected)
 
     def test_uniform_kind(self):
         g = WeightedGraph(4, [(0, 1), (1, 2)])
@@ -478,10 +492,24 @@ def lockstep_configs(g, steps, burn_in, mode="combinatorial", chains=3):
 
 
 def assert_lockstep_equals_run_chain(g, configs):
-    visits = run_lockstep(g, configs)
-    assert visits.shape == (len(configs), configs[0].max_steps)
-    for row, cfg in zip(visits, configs):
-        assert np.array_equal(row, run_chain(g, cfg)), cfg
+    """Consume the lockstep stream block by block: each block equals the
+    ``run_chain`` visits it covers, and the stream keeps its contract. Rows
+    ascend, each chain's blocks arrive in time order, every visit arrives
+    exactly once, and no block is longer than ``_TIME_CHUNK``."""
+    expected = [run_chain(g, cfg) for cfg in configs]
+    received = np.zeros(len(configs), dtype=np.int64)  # visits so far per chain
+    for rows, k0, states in _lockstep_stream(g, configs):
+        assert np.all(np.diff(rows) > 0), rows
+        assert states.dtype == np.int64 and states.shape[1] == len(rows)
+        assert len(states) <= curvewalk.sampler._TIME_CHUNK
+        # each chain's block starts where its last one ended: none repeats,
+        # skips or arrives early
+        assert np.all(received[rows] == k0), (rows, k0, received[rows])
+        for j, row in enumerate(rows.tolist()):
+            assert np.array_equal(states[:, j],
+                                  expected[row][k0:k0 + len(states)]), configs[row]
+        received[rows] += len(states)
+    assert np.all(received == configs[0].max_steps), received
 
 
 class FixedUniforms:
@@ -658,8 +686,8 @@ class TestLockstep:
     def test_mh_uniforms_at_the_boundaries(self, monkeypatch, graph, mode, kind):
         # every other proposal uniform is the largest one, 1 - 2**-53, and
         # each acceptance uniform equals the threshold of the half-edge it
-        # tests or lies one ulp above it: run_chain, run_lockstep and the
-        # formula's oracle must take the same steps
+        # tests or lies one ulp above it: run_chain, the lockstep engine and
+        # the formula's oracle must take the same steps
         rng = np.random.default_rng(5)
         g = (hub_graph(rng, 65, [1e-12, 1.0, 2.5], 195) if graph == "hub"
              else random_connected_graph(rng, 30, extra=1.5, weighted=True))
@@ -685,10 +713,9 @@ class TestLockstep:
         assert 0 < accepted < len(cfgs) * (cfgs[0].max_steps - 1)
         monkeypatch.setattr(curvewalk.sampler, "make_rng",
                             lambda seed: FixedUniforms(streams[seed], 0))
-        lockstep = run_lockstep(g, cfgs)
         for c, cfg in enumerate(cfgs):
             assert run_chain(g, cfg, cm).tolist() == expected[c]
-            assert lockstep[c].tolist() == expected[c]
+        assert_lockstep_equals_run_chain(g, cfgs)
 
     @pytest.mark.parametrize("floor", [0.0, 1e-9])
     @pytest.mark.parametrize("hub", [15, 16, 17, 31, 32, 33, 63, 64, 65])
@@ -728,12 +755,12 @@ class TestLockstep:
     def test_rejects_mixed_lengths_and_bad_starts(self):
         g = path_graph(4)
         with pytest.raises(ValueError):
-            run_lockstep(g, [SamplerConfig(kind="edge_uniform", seed=0, max_steps=5),
-                             SamplerConfig(kind="edge_uniform", seed=0, max_steps=6)])
+            _lockstep_stream(g, [SamplerConfig(kind="edge_uniform", seed=0, max_steps=5),
+                                 SamplerConfig(kind="edge_uniform", seed=0, max_steps=6)])
         g = WeightedGraph(3, [(0, 1)])
         with pytest.raises(ValueError):
-            run_lockstep(g, [SamplerConfig(kind="node_mh_uniform", seed=0,
-                                           max_steps=5, start_node=2)])
+            _lockstep_stream(g, [SamplerConfig(kind="node_mh_uniform", seed=0,
+                                               max_steps=5, start_node=2)])
 
 
 class TestTransitionMatrix:
