@@ -1,0 +1,161 @@
+#!/usr/bin/env python
+"""Mutation check: every listed mutant of the library must fail its tests.
+
+Each entry of ``MUTANTS`` is ``(file, old line, new line, tests)``: the old
+line must occur exactly once in the file, and ``tests`` are the pytest
+targets (files or node ids) that must fail once it is replaced. The tree's
+``src``, ``tests``, ``data``, ``perfbench`` and ``pyproject.toml`` are
+copied to a temporary directory; the targets are first run unmutated and
+must pass. Then each mutant in turn is applied to the copy, its targets run
+with ``-x``, and the original file is restored. ``EQUIVALENT`` lists mutants that no test
+can kill, each with its reason; they are checked to apply but not run.
+
+The script exits 1 if a mutant survives, if the unmutated targets fail, or
+if an entry's old line is not found once (the list has gone stale). Run it
+from anywhere::
+
+    python scripts/mutants.py
+
+A change that rewrites a hot path adds mutants for its own lines. The idea
+is mutation analysis (DeMillo, Lipton & Sayward, "Hints on test data
+selection", IEEE Computer 1978).
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SAMPLER = "src/curvewalk/sampler.py"
+NETSTATS = "src/curvewalk/netstats.py"
+CONVERGENCE = "src/curvewalk/convergence.py"
+LOCKSTEP = "tests/test_sampler.py::TestLockstep"
+
+MUTANTS = [
+    # the lockstep MH accept and the edge step's last comparison
+    (SAMPLER, "                np.less_equal(accepts[i], table[pos], out=below)",
+     "                np.less(accepts[i], table[pos], out=below)", [LOCKSTEP]),
+    (SAMPLER, "                np.less_equal(table[pos], us[i], out=below)",
+     "                np.less(table[pos], us[i], out=below)", [LOCKSTEP]),
+    # the edge kernel: its uniform-row fallback and its floor
+    (SAMPLER, "    curved = (row_max > epsilon_floor)[g.adj_tails]",
+     "    curved = (row_max >= epsilon_floor)[g.adj_tails]",
+     ["tests/test_sampler.py::TestEdgeKernel"]),
+    (SAMPLER, "    weights[curved] = (np.maximum(f[curved], epsilon_floor)",
+     "    weights[curved] = ((f[curved] + epsilon_floor)",
+     ["tests/test_sampler.py::TestEdgeKernel"]),
+    # the MH curved target's floor
+    (SAMPLER, "        dens = np.maximum(np.abs(curvmap.node_values), epsilon_floor)",
+     "        dens = np.abs(curvmap.node_values) + epsilon_floor",
+     ["tests/test_sampler.py::TestMakeTarget"]),
+    # the lockstep stream: one family per step rule and burn-in, and the
+    # recorded rows of each block
+    (SAMPLER, "        indices, chains = families.setdefault((_is_mh(cfg.kind), cfg.burn_in), ({}, []))",
+     "        indices, chains = families.setdefault((_is_mh(cfg.kind), 0), ({}, []))",
+     [LOCKSTEP]),
+    (SAMPLER, "        if t0 + len(states) > burn:",
+     "        if t0 + len(states) >= burn:", [LOCKSTEP]),
+    (SAMPLER, "            nodes = states[max(burn - t0, 0):]",
+     "            nodes = states[max(burn - t0 - 1, 0):]", [LOCKSTEP]),
+    (SAMPLER, "            yield rows, max(t0 - burn, 0), nodes",
+     "            yield rows, max(t0 - burn + 1, 0), nodes", [LOCKSTEP]),
+    (SAMPLER, "    total = burn + n - 1",
+     "    total = burn + n", [LOCKSTEP]),
+    # the fold's full-coverage substitution
+    (CONVERGENCE, "        zbar.transpose(0, 2, 1)[count == V] = self.full_means",
+     "        pass", ["tests/test_convergence.py"]),
+    # the backbone's id tie-break
+    (CONVERGENCE, "    return np.lexsort((np.arange(len(counts)), -counts))[:k]",
+     "    return np.lexsort((-np.arange(len(counts)), -counts))[:k]",
+     ["tests/test_convergence.py"]),
+    # the hop DAG lists each level backward; closeness skips zero totals
+    (NETSTATS, "        below = levels[d][::-1]",
+     "        below = levels[d]", ["tests/test_netstats.py"]),
+    (NETSTATS, "    reached = totals > 0",
+     "    reached = totals >= 0", ["tests/test_netstats.py"]),
+]
+
+EQUIVALENT = [
+    (NETSTATS, "    return float(g.adj_weights.mean()) if len(g.adj_weights) else 0.0",
+     "    return 4 * float(g.adj_weights.mean()) if len(g.adj_weights) else 0.0",
+     "the sweep relaxes until no distance improves, so its outputs do not "
+     "depend on the bucket width"),
+    (SAMPLER, "    for _ in range(4):",
+     "    for _ in range(0):",
+     "with no nextafter rounds the bisection fallback settles every pair to "
+     "the same thresholds"),
+]
+
+
+def python(tree: Path, *argv, **kwargs) -> subprocess.CompletedProcess:
+    """Run Python in ``tree`` with its ``src`` first on the path; no bytecode
+    is written, so a mutant of the same size is never read from a stale
+    cache."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run([sys.executable, *argv], cwd=tree, env=env, **kwargs)
+
+
+def pytest(tree: Path, targets) -> bool:
+    """Whether ``targets`` pass in ``tree``."""
+    run = python(tree, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                 *targets, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return run.returncode == 0
+
+
+def main() -> int:
+    failures = []
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp)
+        for name in ("src", "tests", "data", "perfbench"):
+            shutil.copytree(ROOT / name, tree / name,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy2(ROOT / "pyproject.toml", tree)
+        # an installed copy of the package must not shadow the mutated one
+        imported = python(tree, "-c", "import curvewalk; print(curvewalk.__file__)",
+                          capture_output=True, text=True, check=True).stdout.strip()
+        if not Path(imported).is_relative_to(tree):
+            print(f"curvewalk imports from {imported}, not from the copy")
+            return 1
+        for path, old, _new, *_ in MUTANTS + EQUIVALENT:
+            count = (tree / path).read_text().split("\n").count(old)
+            if count != 1:
+                failures.append(f"{path}: {old.strip()!r} found {count} times")
+        if failures:
+            print("\n".join(failures))
+            return 1
+        targets = sorted({t for *_, tests in MUTANTS for t in tests})
+        t0 = time.perf_counter()
+        if not pytest(tree, targets):
+            print(f"the unmutated tree fails {targets}")
+            return 1
+        print(f"unmutated targets pass ({time.perf_counter() - t0:.1f} s)")
+        for path, old, new, tests in MUTANTS:
+            source = (tree / path).read_text()
+            lines = source.split("\n")
+            lines[lines.index(old)] = new
+            (tree / path).write_text("\n".join(lines))
+            t0 = time.perf_counter()
+            try:
+                killed = not pytest(tree, tests)
+            finally:
+                (tree / path).write_text(source)
+            verdict = "killed" if killed else "SURVIVED"
+            print(f"{verdict} ({time.perf_counter() - t0:.1f} s): {path}: "
+                  f"{old.strip()} -> {new.strip()}")
+            if not killed:
+                failures.append(new)
+    for path, old, new, reason in EQUIVALENT:
+        print(f"equivalent, not run: {path}: {old.strip()} -> {new.strip()}; {reason}")
+    print(f"{len(MUTANTS) - len(failures)}/{len(MUTANTS)} mutants killed")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

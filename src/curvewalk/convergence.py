@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .curvature import _NonFiniteCurvature
+from .curvature import _NodeError
 from .graph import WeightedGraph, connected_components, induced_subgraph
 from .netstats import STAT_KINDS, PATH_MODES, compute_statistics, mean_statistic
 from .sampler import (SamplerConfig, _integer, _lockstep_stream, chain_seed,
@@ -75,10 +75,14 @@ class ExperimentPlan:
 
     def __post_init__(self):
         starts = () if self.start_nodes is None else self.start_nodes
-        for name, value in (("statistics", self.statistics), ("start_nodes", starts)):
+        for name, value in (("samplers", self.samplers), ("statistics", self.statistics),
+                            ("start_nodes", starts)):
             if isinstance(value, str) or not hasattr(value, "__iter__"):
                 raise ValueError(f"{name} must be a list, got {value!r}")
         object.__setattr__(self, "samplers", tuple(self.samplers))
+        if not all(isinstance(cfg, SamplerConfig) for cfg in self.samplers):
+            raise ValueError("samplers must list SamplerConfig entries, got "
+                             f"{self.samplers!r}")
         object.__setattr__(self, "statistics", tuple(self.statistics))
         if not self.samplers:
             raise ValueError("plan needs at least one sampler")
@@ -319,8 +323,8 @@ def run_experiment(g: WeightedGraph, plan: ExperimentPlan) -> ExperimentResult:
 
     Raises:
         ValueError: disconnected graph without ``use_largest_component``,
-            invalid start configuration, or a weighted curvature outside the
-            float64 range, whose edge is named by ids of the graph as given.
+            an invalid start, or a weighted curvature outside the float64
+            range; a refused node or edge is named by ids of the graph as given.
     """
     component_nodes = None
     comps = connected_components(g)
@@ -375,7 +379,7 @@ def run_experiment(g: WeightedGraph, plan: ExperimentPlan) -> ExperimentResult:
             replace(template, seed=seeds[c], start_node=starts[c], max_steps=n_steps)
             for template in plan.samplers for c in range(n_chains)]),
             len(labels), n_chains, n_steps, stat_values, full_means)
-    except _NonFiniteCurvature as exc:
+    except _NodeError as exc:  # a refused start node or edge
         if component_nodes is not None:
             exc.nodes = tuple(component_nodes[list(exc.nodes)].tolist())
         raise

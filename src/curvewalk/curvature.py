@@ -43,19 +43,21 @@ class CurvatureMap:
     node_values: np.ndarray
 
 
-class _NonFiniteCurvature(ValueError):
-    """A weighted edge curvature outside the float64 range. ``nodes`` are
-    the edge's ends; a caller that knows the graph's labels may set them to
-    the labels before the message is shown."""
+class _NodeError(ValueError):
+    """A refusal whose message names ``nodes`` by id. A caller that knows
+    other names for them (their ids in a larger graph, or labels) may set
+    ``nodes`` to those before the message is shown."""
 
-    def __init__(self, nodes, value):
-        super().__init__(nodes, value)
-        self.nodes, self.value = nodes, value
+    def __init__(self, message, *nodes):
+        self.message, self.nodes = message, nodes
 
     def __str__(self):
-        u, v = self.nodes
-        return (f"weighted curvature of edge ({u}, {v}) is {self.value!r}: a "
-                "product of edge weights leaves the float64 range")
+        return self.message.format(*self.nodes)
+
+
+class _NonFiniteCurvature(_NodeError):
+    """A weighted edge curvature outside the float64 range, which the CLI
+    names by the labels of the edge's ends."""
 
 
 def _weighted_forman(g: WeightedGraph) -> np.ndarray:
@@ -106,7 +108,9 @@ def compute_curvature_map(g: WeightedGraph, mode: str = "combinatorial") -> Curv
         bad = np.flatnonzero(~np.isfinite(ev))
         if len(bad):
             e = int(bad[0])
-            raise _NonFiniteCurvature(tuple(g.edges[e].tolist()), float(ev[e]))
+            raise _NonFiniteCurvature(
+                f"weighted curvature of edge ({{}}, {{}}) is {float(ev[e])!r}: a product "
+                "of edge weights leaves the float64 range", *g.edges[e].tolist())
     # bincount adds in input order: left to right along each CSR row; it
     # returns integers when there are no edges, hence the cast
     nv = np.bincount(g.adj_tails, weights=ev[g.adj_edge_ids],

@@ -28,9 +28,10 @@ Two drivers share one table per kernel, built once per run (the chains are
 time-homogeneous): :func:`run_chain` runs one chain in a scalar loop and
 returns its read-only int64 visits array, and the lockstep engine
 (:func:`_lockstep_stream`) advances many chains together as numpy vectors
-and reproduces :func:`run_chain` exactly. The engine yields the chains'
-visits a block of steps at a time, which experiments fold as they come;
-no chains x steps matrix is ever held.
+and reproduces :func:`run_chain` exactly. The engine runs one family per
+step rule and burn-in, so every chain of a family takes the same number of
+steps. It yields the chains' visits a block of steps at a time, which
+experiments fold as they come; no chains x steps matrix is ever held.
 
 The engine's working set is a few buffers as wide as a family's chains. A
 family keeps one time-major buffer of uniforms, ``draws x _TIME_CHUNK`` rows
@@ -38,8 +39,8 @@ by its chains, so each step reads its draws as contiguous rows. For each
 block, chains draw ``_STAGE_CHAINS`` at a time into one small staging
 array, which is copied, transposed, into the group's columns of that
 buffer; a group's copy stays in cache, and no chains-major copy of the
-whole block's draws is held. Each block of visits is a fresh array,
-converted to node ids in place when the family's chains share one burn-in.
+whole block's draws is held. Each block of visits is a fresh array whose
+recorded rows are converted to node ids in place.
 
 An MH step costs O(1) and one comparison. It proposes the neighbor at
 ``int(u * d)`` of the current row and accepts when ``v <= t``, where ``t``
@@ -75,7 +76,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import CURVATURE_MODES, CurvatureMap, compute_curvature_map
+from .curvature import CURVATURE_MODES, CurvatureMap, _NodeError, compute_curvature_map
 from .graph import WeightedGraph
 
 SAMPLER_KINDS = ("edge_curved", "edge_uniform", "node_mh_curved", "node_mh_uniform")
@@ -290,9 +291,9 @@ def _resolve_start(g, config, rng, target):
     else:
         start = g._check_node(config.start_node)
         if g.degrees[start] == 0:
-            raise ValueError(f"start node {start} is isolated")
+            raise _NodeError("start node {} is isolated", start)
     if target is not None and not target[start] > 0:
-        raise ValueError(f"target density is zero at start node {start}")
+        raise _NodeError("target density is zero at start node {}", start)
     return start
 
 
@@ -413,21 +414,22 @@ def _lockstep_stream(g: WeightedGraph, configs):
     that runs them in lockstep and yields their visits a block at a time.
     All configs must share ``max_steps``.
 
-    Chains of the edge kinds advance together as one numpy vector, one
-    vectorized step per time index, and so do chains of the MH kinds
-    (:func:`_lockstep_family`). Every chain keeps its own generator and
-    draws from it, ``_TIME_CHUNK`` steps at a time, the stream prefix
-    :func:`run_chain` consumes, so chain ``c``'s visits are bit-identical
-    to ``run_chain(g, configs[c])``.
+    Chains of one step rule (the edge kinds, or the MH kinds) and one
+    burn-in form a family and advance together as one numpy vector, one
+    vectorized step per time index (:func:`_lockstep_family`); families run
+    one after the other, edge families first, by ascending burn-in. Every
+    chain keeps its own generator and draws from it, ``_TIME_CHUNK`` steps
+    at a time, exactly the stream prefix :func:`run_chain` consumes, so
+    chain ``c``'s visits are bit-identical to ``run_chain(g, configs[c])``.
 
     It yields ``(rows, k0, states)``: ``rows`` are indices into ``configs`` in
     ascending order, ``k0`` is the recorded step at which the block starts,
     and ``states`` is a ``(steps, len(rows))`` int64 array of node ids, time
     along the first axis, so ``states[i, j]`` is visit ``k0 + i`` of chain
-    ``rows[j]``. Chains of one family and burn-in arrive together. The
-    blocks of each chain arrive in time order, one after the other, and
-    hold each of its ``max_steps`` visits once. Each block spans at most
-    ``_TIME_CHUNK`` steps.
+    ``rows[j]``. Chains of one family arrive together. The blocks of each
+    chain arrive in time order, one after the other, and hold each of its
+    ``max_steps`` visits once. Each block spans at least one step and at
+    most ``_TIME_CHUNK``.
     """
     if g.node_count == 0:
         raise ValueError("cannot sample an empty graph")
@@ -437,48 +439,45 @@ def _lockstep_stream(g: WeightedGraph, configs):
     if any(cfg.max_steps != n for cfg in configs):
         raise ValueError("lockstep chains must share max_steps")
     curvmaps = {}
-    kernels = {}  # (kind, curvature_mode, epsilon_floor) -> (index in family, target)
-    # is_mh -> (kernels, chains); a family builds its kernels' tables when
-    # it starts, so one family's tables are never held beside the other's
-    families = {False: ([], []), True: ([], [])}
+    kernels = {}  # (kind, curvature_mode, epsilon_floor) -> (config, curvmap, target)
+    # (is_mh, burn_in) -> (index of each of its kernels, chains); a family builds
+    # its kernels' tables when it starts, so no two families' tables are held
+    families = {}
     for row, cfg in enumerate(configs):
         key = (cfg.kind, cfg.curvature_mode, cfg.epsilon_floor)
         if key not in kernels:
-            curvmap = _resolve_curvmap(g, cfg, curvmaps.get(cfg.curvature_mode))
-            if curvmap is not None:
-                curvmaps[cfg.curvature_mode] = curvmap
+            curvmap = curvmaps[cfg.curvature_mode] = _resolve_curvmap(
+                g, cfg, curvmaps.get(cfg.curvature_mode))
             target = (_resolve_target(g, cfg, curvmap, None)
                       if _is_mh(cfg.kind) else None)
-            family = families[_is_mh(cfg.kind)][0]
-            kernels[key] = (len(family), target)
-            family.append((cfg, curvmap, target))
-        index, target = kernels[key]
+            kernels[key] = (cfg, curvmap, target)
+        indices, chains = families.setdefault((_is_mh(cfg.kind), cfg.burn_in), ({}, []))
+        index = indices.setdefault(key, len(indices))
         rng = make_rng(cfg.seed)
-        start = _resolve_start(g, cfg, rng, target)
-        families[_is_mh(cfg.kind)][1].append((row, index, start, cfg.burn_in, rng))
+        chains.append((row, index, _resolve_start(g, cfg, rng, kernels[key][2]), rng))
 
-    return (block for is_mh, (family, chains) in families.items() if chains
-            for block in _lockstep_family(g, is_mh, family, chains, n))
+    return (block for (is_mh, burn), (indices, chains) in sorted(families.items())
+            for block in _lockstep_family(g, is_mh, burn, [kernels[k] for k in indices],
+                                          chains, n))
 
 
-def _lockstep_family(g, is_mh, kernels, chains, n):
-    """Advance one family's chains together and yield their recorded visits
-    as :func:`_lockstep_stream` does, ``n`` steps per chain.
+def _lockstep_family(g, is_mh, burn, kernels, chains, n):
+    """Advance one family's chains together, each ``burn + n - 1`` steps,
+    and yield their recorded visits as :func:`_lockstep_stream` does, ``n``
+    per chain.
 
     ``kernels`` lists the family's ``(config, curvmap, target)``; their
     tables (:func:`_kernel_table`) are built and stacked when the family
-    starts.
+    starts. ``chains`` lists ``(row, kernel index, start, generator)``.
 
     A chain's state is ``index * V + node`` (``index`` picks its kernel's
-    table), so one gather serves every kernel; the edge family keeps it
+    table), so one gather serves every kernel; an edge family keeps it
     multiplied by its guide's row length, and each yielded block divides it
-    back. Chains whose burn-in is below the family's longest run a few
-    extra steps at the end; those are drawn from their own generators and
-    not yielded.
+    back in place.
     """
     V, H = g.node_count, len(g.adj_neighbors)
-    rows, index, starts, burn, rngs = zip(*chains)
-    rows, burn = np.array(rows), np.array(burn)
+    rows, index, starts, rngs = zip(*chains)
+    rows = np.array(rows)
     node_off = np.array(index, dtype=np.int64) * V
     n_tables = len(kernels)
     stack = np.arange(n_tables, dtype=np.int64)[:, None]
@@ -505,31 +504,23 @@ def _lockstep_family(g, is_mh, kernels, chains, n):
         at = np.empty(width, dtype=np.int64)
         cand = np.empty(width, dtype=np.int64)
     state = (node_off + np.array(starts, dtype=np.int64)) * stride
-    groups = [(b, np.flatnonzero(burn == b)) for b in sorted(set(burn.tolist()))]
-    if len(groups) == 1:  # a slice of whole rows keeps the blocks C-contiguous
-        groups = [(groups[0][0], slice(None))]
 
     def recorded(states, t0):
-        """The recorded part of ``states`` (one row per time index from
-        ``t0``, an array the caller gives up), per burn-in group, as node
-        ids: converted in place where a group's columns are a slice, so one
-        burn-in group yields views of ``states``, and in a copy where a
-        mixed group gathers its columns."""
-        for b, cols in groups:
-            lo, hi = max(t0, b), min(t0 + len(states), b + n)
-            if lo < hi:
-                nodes = states[lo - t0:hi - t0, cols]
-                if stride > 1:
-                    nodes //= stride
-                nodes -= node_off[cols]
-                yield rows[cols], lo - b, nodes
+        """The recorded rows of ``states`` (one per time index from ``t0``,
+        an array the caller gives up) as node ids, converted in place."""
+        if t0 + len(states) > burn:
+            nodes = states[max(burn - t0, 0):]
+            if stride > 1:
+                nodes //= stride
+            nodes -= node_off
+            yield rows, max(t0 - burn, 0), nodes
 
     # the start row is the live state, so it is converted in a copy
     yield from recorded(state[None, :].copy(), 0)
     below = np.empty(width, dtype=bool)
     stage = np.empty((min(_STAGE_CHAINS, width), draws * _TIME_CHUNK))
     u_t = np.empty((draws * _TIME_CHUNK, width))  # kept for every block
-    total = int(burn.max()) + n - 1
+    total = burn + n - 1
     t = 0
     while t < total:
         block = min(_TIME_CHUNK, total - t)

@@ -528,6 +528,22 @@ class TestConverge:
         assert "__init__" not in err
         assert not out.exists()
 
+    def test_restricted_start_refusal_names_the_given_id_exit_1(self, tmp_path, capsys):
+        # x (id 3) has combinatorial curvature 1 - 1 = 0, so with no floor its
+        # target density is 0; it is id 1 of the largest component, and id 1
+        # of the file is b, in the other component
+        f = tmp_path / "two.txt"
+        f.write_text("a b\ny x\nx z\nz w1\nz w2\n", encoding="utf-8")
+        plan = write_plan(tmp_path, {
+            "samplers": [{"kind": "node_mh_curved", "epsilon_floor": 0.0}],
+            "start_nodes": [3], "statistics": ["strength"], "n_chains": 2,
+            "max_steps": 10})
+        out = tmp_path / "x"
+        assert main(["converge", "--graph", str(f), "--out", str(out),
+                     "--largest-component", "--plan", plan]) == 1
+        assert "target density is zero at start node 3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_plan_exit_1(self, tmp_path):
         plan = tmp_path / "plan.json"
         plan.write_text("{not json", encoding="utf-8")

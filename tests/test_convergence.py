@@ -269,6 +269,9 @@ class TestPlanValidation:
         {"statistics": ("strength", "closeness", "strength")},
         {"start_nodes": 3},
         {"statistics": 3},
+        {"samplers": "edge_uniform"},
+        {"samplers": 3},
+        {"samplers": ({"kind": "edge_uniform"},)},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -281,6 +284,9 @@ class TestPlanValidation:
         ({"use_largest_component": "no"}, "use_largest_component"),
         ({"start_nodes": 3}, "start_nodes"),
         ({"statistics": 3}, "statistics"),
+        ({"samplers": "edge_uniform"}, "samplers"),
+        ({"samplers": 3}, "samplers"),
+        ({"samplers": ({"kind": "edge_uniform"},)}, "samplers"),
     ])
     def test_wrong_type_names_the_field(self, kwargs, name):
         with pytest.raises(ValueError, match=name):
@@ -524,6 +530,17 @@ class TestRunExperiment:
                                                curvature_mode="weighted"),),
                          max_steps=10, use_largest_component=True)
         with pytest.raises(ValueError, match=r"edge \(2, 3\) is -inf"):
+            run_experiment(g, plan)
+
+    def test_start_refusal_names_nodes_of_the_given_graph(self):
+        # {0-1} plus a tree 2-3-4 with leaves 5 and 6 at 4: node 3 has
+        # combinatorial curvature 1 - 1 = 0, so with no floor its target
+        # density is 0. It is node 1 of the component; node 1 of the graph
+        # is in {0-1}
+        g = WeightedGraph(7, [(0, 1), (2, 3), (3, 4), (4, 5), (4, 6)])
+        plan = tiny_plan(samplers=(mh_template("node_mh_curved", epsilon_floor=0.0),),
+                         max_steps=10, start_nodes=(3,), use_largest_component=True)
+        with pytest.raises(ValueError, match="target density is zero at start node 3$"):
             run_experiment(g, plan)
 
     def test_result_is_read_only_and_keyed_in_plan_order(self):

@@ -495,13 +495,13 @@ def assert_lockstep_equals_run_chain(g, configs):
     """Consume the lockstep stream block by block: each block equals the
     ``run_chain`` visits it covers, and the stream keeps its contract. Rows
     ascend, each chain's blocks arrive in time order, every visit arrives
-    exactly once, and no block is longer than ``_TIME_CHUNK``."""
+    exactly once, and every block spans from 1 to ``_TIME_CHUNK`` steps."""
     expected = [run_chain(g, cfg) for cfg in configs]
     received = np.zeros(len(configs), dtype=np.int64)  # visits so far per chain
     for rows, k0, states in _lockstep_stream(g, configs):
         assert np.all(np.diff(rows) > 0), rows
         assert states.dtype == np.int64 and states.shape[1] == len(rows)
-        assert len(states) <= curvewalk.sampler._TIME_CHUNK
+        assert 0 < len(states) <= curvewalk.sampler._TIME_CHUNK
         # each chain's block starts where its last one ended: none repeats,
         # skips or arrives early
         assert np.all(received[rows] == k0), (rows, k0, received[rows])
@@ -624,8 +624,8 @@ class TestLockstep:
     def test_staging_groups_and_short_blocks(self, monkeypatch, stage, chunk):
         # a family's draws pass through staging groups of 1 chain, of 3 (the
         # last group short) and of more chains than it holds, in blocks of 1
-        # and 7 steps. One burn-in per family yields its visits converted in
-        # place; mixed burn-ins gather their columns into copies
+        # and 7 steps, with one burn-in for every chain and with burn-ins
+        # that make a family each
         monkeypatch.setattr(curvewalk.sampler, "_STAGE_CHAINS", stage)
         monkeypatch.setattr(curvewalk.sampler, "_TIME_CHUNK", chunk)
         g = random_connected_graph(np.random.default_rng(29), 20, extra=1.5,
@@ -635,6 +635,36 @@ class TestLockstep:
                  for c, cfg in enumerate(shared)]
         for configs in (shared, mixed):
             assert_lockstep_equals_run_chain(g, configs)
+
+    def test_each_chain_draws_exactly_its_prefix(self, monkeypatch):
+        # burn-ins 0, 5 and 1100 (past one 1024-step block) make three
+        # families per step rule, each with a random and a fixed start; every
+        # generator must end where the reproducibility contract puts it
+        made = {}
+
+        def recording_rng(seed):
+            made[seed] = make_rng(seed)
+            return made[seed]
+
+        monkeypatch.setattr(curvewalk.sampler, "make_rng", recording_rng)
+        g, _ = load_edge_list(LESMIS)
+        n = 300
+        configs = [SamplerConfig(kind=kind, seed=10 * k + b, max_steps=n,
+                                 start_node="random" if k % 2 else 3 * k, burn_in=burn)
+                   for k, kind in enumerate(SAMPLER_KINDS)
+                   for b, burn in enumerate((0, 5, 1100))]
+        for _ in _lockstep_stream(g, configs):
+            pass
+        over = []
+        for cfg in configs:
+            want = make_rng(cfg.seed)
+            if cfg.start_node == "random":
+                want.integers(0, np.count_nonzero(g.degrees))
+            draws = 2 if cfg.kind.startswith("node_mh") else 1
+            want.random(draws * (cfg.burn_in + n - 1))
+            if made[cfg.seed].bit_generator.state != want.bit_generator.state:
+                over.append((cfg.kind, cfg.burn_in))
+        assert not over, f"{len(over)} of {len(configs)} chains left their prefix: {over}"
 
     def test_mh_family_holds_one_uniforms_buffer_and_two_blocks(self):
         # 400 chains over 3 blocks: the kept time-major buffer (two blocks of
