@@ -67,6 +67,25 @@ MUTANTS = [
      "            yield rows, max(t0 - burn + 1, 0), nodes", [LOCKSTEP]),
     (SAMPLER, "    total = burn + n - 1",
      "    total = burn + n", [LOCKSTEP]),
+    # the edge family's cell-major guide: the halving step's last entry, the
+    # rows' last entries, the cells scaled to guide rows, the row starts
+    (SAMPLER, "                    np.add(pos, step - 1, out=cand)",
+     "                    np.add(pos, step, out=cand)", [LOCKSTEP]),
+    (SAMPLER, "        row_last = guide[m] - 1",
+     "        row_last = guide[m]", [LOCKSTEP]),
+    (SAMPLER, "            out *= S",
+     "            pass", [LOCKSTEP]),
+    (SAMPLER, "    guide += row_lo",
+     "    pass", [LOCKSTEP]),
+    # the fold's event bookkeeping: the first discovery step, each chain's
+    # discovery count per event, the steps each event's sums are repeated over
+    (CONVERGENCE, "        head[0] = True",
+     "        head[0] = False", ["tests/test_convergence.py"]),
+    (CONVERGENCE, "        np.cumsum(rank, axis=1, out=rank)",
+     "        np.cumsum(rank, axis=0, out=rank)", ["tests/test_convergence.py"]),
+    (CONVERGENCE, "        lengths = np.diff(at, prepend=0, append=B)",
+     "        lengths = np.diff(at, prepend=1, append=B + 1)",
+     ["tests/test_convergence.py"]),
     # the fold's full-coverage substitution
     (CONVERGENCE, "        zbar.transpose(0, 2, 1)[count == V] = self.full_means",
      "        pass", ["tests/test_convergence.py"]),
@@ -79,6 +98,10 @@ MUTANTS = [
      "        below = levels[d]", ["tests/test_netstats.py"]),
     (NETSTATS, "    reached = totals > 0",
      "    reached = totals >= 0", ["tests/test_netstats.py"]),
+    # the weighted pop ranks' tie-break: by node id within a predecessor
+    (NETSTATS, "            resorted = keys[np.lexsort((keys, first, keys // V))]",
+     "            resorted = keys[np.lexsort((-keys, first, keys // V))]",
+     ["tests/test_netstats.py"]),
 ]
 
 EQUIVALENT = [

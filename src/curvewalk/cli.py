@@ -200,8 +200,6 @@ def _resolve_start(args, g):
     if not 0 <= start < g.node_count:
         raise UsageError(f"--start {start} out of range for a graph "
                          f"with {g.node_count} nodes")
-    if g.degrees[start] == 0:
-        raise UsageError(f"--start {start} is an isolated node")
     return start
 
 

@@ -8,9 +8,10 @@ by sampler label. :func:`extract_backbone` ranks nodes by their visits.
 
 Chains of one experiment share start nodes and per-chain seeds across
 samplers (seed of chain ``c`` is ``master_seed XOR splitmix64(c)``), so a
-curved-versus-uniform comparison is paired. All chains of all samplers run
-in lockstep, and the engine hands their visits over a block of steps at a
-time (:func:`curvewalk.sampler._lockstep_stream`). Each block is folded into
+curved-versus-uniform comparison is paired. The chains of one step rule and
+burn-in run in lockstep as one family, the families one after another, and
+the engine hands their visits over a block of steps at a time
+(:func:`curvewalk.sampler._lockstep_stream`). Each block is folded into
 per-sampler sums as it arrives and then dropped, so no chains x steps
 matrix of visits is ever held: memory is O(chains x V) besides the curves.
 The sums add the chains in row order, so results equal those of running

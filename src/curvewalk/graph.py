@@ -88,15 +88,17 @@ class WeightedGraph:
 
         lo = pairs.min(axis=1)
         hi = pairs.max(axis=1)
-        keys = np.sort(lo * node_count + hi)
+        src = np.concatenate([lo, hi])
+        dst = np.concatenate([hi, lo])
+        # the CSR order, by (tail, neighbor); a repeated edge repeats a key
+        keys = src * node_count + dst
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
         if (keys[1:] == keys[:-1]).any():
             raise GraphFormatError("duplicate undirected edge")
 
-        src = np.concatenate([lo, hi])
-        dst = np.concatenate([hi, lo])
         w2 = np.concatenate([ew, ew])
         eid2 = np.tile(np.arange(m, dtype=np.int64), 2)
-        order = np.lexsort((dst, src))
 
         indptr = np.zeros(node_count + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=node_count), out=indptr[1:])

@@ -64,21 +64,22 @@ def _distinct(keys, slot):
     return keys[slot[keys] == at]
 
 
-def _pop_ranks(g: WeightedGraph, dist, B, flip):
+def _pop_ranks(g: WeightedGraph, dist, B):
     """Each state's place in its row's Dijkstra pop order, as ``row * V +
     position``.
 
-    ``dist`` holds the distances of a block of ``B`` rows and ``flip`` the
-    CSR position of each half-edge's reverse. A Dijkstra pops by
-    ``(distance, push order)``. A node is pushed when its first-popped
+    ``dist`` holds the distances of a block of ``B`` rows. A Dijkstra pops
+    by ``(distance, push order)``. A node is pushed when its first-popped
     predecessor scans it, so its push order is ``(rank of that predecessor,
-    CSR position of the half-edge)``. A node whose distance no other node of
-    its row shares is placed by distance alone. Groups of nodes at one
-    distance are sorted by push order, the ``k``-th such group of every row
-    in turn ``k``, so each group finds its predecessors placed. A length
-    below half an ulp gives a node a predecessor at its own distance; then
-    the turns repeat until no rank changes. Each repeat places at least one
-    more node of every unsettled group as the Dijkstra does.
+    node id)``: the predecessor's CSR row lists its neighbors by ascending
+    id. Nodes with no predecessor placed yet come last, by id. A node whose
+    distance no other node of its row shares is placed by distance alone.
+    Groups of nodes at one distance are sorted by push order, the ``k``-th
+    such group of every row in turn ``k``, so each group finds its
+    predecessors placed. A length below half an ulp gives a node a
+    predecessor at its own distance; then the turns repeat until no rank
+    changes. Each repeat places at least one more node of every unsettled
+    group as the Dijkstra does.
     """
     V = g.node_count
     order = np.argsort(dist.reshape(B, V), axis=1, kind="stable")
@@ -107,16 +108,13 @@ def _pop_ranks(g: WeightedGraph, dist, B, flip):
             here = dist[keys][tail]
             pred = ((dist[head] + g.adj_weights[pos] == here)
                     & (rank[head] < rank[keys][tail]))
-            tail, head, pos = tail[pred], head[pred], pos[pred]
+            tail, head = tail[pred], head[pred]
             sub_ulp = sub_ulp or bool(np.any(dist[head] == here[pred]))
             first = np.full(len(keys), B * V)  # no predecessor: last
             np.minimum.at(first, tail, rank[head])
-            scan = rank[head] == first[tail]
-            push = np.zeros(len(keys), dtype=np.int64)
-            push[tail[scan]] = flip[pos[scan]]
             # one group per row: rows keep their rank ranges
             placed = np.sort(rank[keys])
-            resorted = keys[np.lexsort((push, first, keys // V))]
+            resorted = keys[np.lexsort((keys, first, keys // V))]
             changed = changed or not np.array_equal(rank[resorted], placed)
             rank[resorted] = placed
         if not (sub_ulp and changed):
@@ -131,20 +129,17 @@ def _sweep(g: WeightedGraph, path_mode: str):
     :func:`_weighted_dag`) fills the path counts ``sigma`` and returns the
     distances, the DAG's levels and, per level ``d``, its edges out of
     ``levels[d]``: each tail's index in the level and each head's flat state,
-    in descending pop rank of the head. The dependencies then flow back one
-    level at a time, from the deepest parents up, each parent taking its
-    children's shares in that order, as the Dijkstra's reverse sweep adds
-    them.
+    in descending pop rank of the head. A weighted row pops by (distance,
+    rank of the first-popped predecessor, node id). The dependencies then
+    flow back one level at a time, from the deepest parents up, each parent
+    taking its children's shares in that order, as the Dijkstra's reverse
+    sweep adds them.
 
     Returns the per-node sum of the sources' dependencies, added in source
     order, and each source's distance sum, added in node-id order, both as
     float64 arrays.
     """
     V = g.node_count
-    if path_mode == "weighted":
-        # the CSR is sorted by (tail, neighbor), so sorting the half-edges by
-        # (neighbor, tail) lists each one's reverse in CSR order
-        flip = np.lexsort((g.adj_tails, g.adj_neighbors))
     block = _block_size(g)
     bc = np.zeros(V, dtype=np.float64)
     totals = np.zeros(V, dtype=np.float64)
@@ -157,7 +152,7 @@ def _sweep(g: WeightedGraph, path_mode: str):
         if path_mode == "hop":
             dist, levels, edges = _hop_dag(g, roots, sigma)
         else:
-            dist, levels, edges = _weighted_dag(g, roots, sigma, flip)
+            dist, levels, edges = _weighted_dag(g, roots, sigma)
         delta = np.zeros(B * V, dtype=np.float64)
         # up to the sources' children: a source's own dependency is unused
         for d in range(len(edges) - 1, 0, -1):
@@ -226,10 +221,9 @@ def _bucket_width(g: WeightedGraph) -> float:
     return float(g.adj_weights.mean()) if len(g.adj_weights) else 0.0
 
 
-def _weighted_dag(g: WeightedGraph, roots, sigma, flip):
+def _weighted_dag(g: WeightedGraph, roots, sigma):
     """Shortest-path DAG of a block on edge-weight lengths, filling the path
-    counts ``sigma``; ``flip`` gives the CSR position of each half-edge's
-    reverse.
+    counts ``sigma``.
 
     Distances come from bucketed label-correcting relaxation (delta-stepping;
     Meyer & Sanders 2003). The states whose distance improved and that have
@@ -239,7 +233,8 @@ def _weighted_dag(g: WeightedGraph, roots, sigma, flip):
     Float addition of a positive length is monotone, so relaxation in any
     order reaches the Dijkstra's distances, the least left-to-right path
     sums; the bucket only spares re-expansions. ``u -> v`` is a shortest-path
-    edge iff ``dist[u] + w == dist[v]`` and ``u`` pops before ``v``
+    edge iff ``dist[u] + w == dist[v]`` and ``u`` pops before ``v``, popping
+    by (distance, rank of the first-popped predecessor, node id)
     (:func:`_pop_ranks`): a length below half an ulp of ``dist[u]`` leaves
     the distance unchanged, so ``dist[u] < dist[v]`` would drop it.
 
@@ -287,7 +282,7 @@ def _weighted_dag(g: WeightedGraph, roots, sigma, flip):
     out_tail = row + tails[pos]
     out_head = row + nbrs[pos]
     del row, pos
-    rank = _pop_ranks(g, dist, B, flip)
+    rank = _pop_ranks(g, dist, B)
     down = rank[out_tail] < rank[out_head]
     out_head = out_head[down]
     out_deg = np.bincount(out_tail[down], minlength=B * V)

@@ -412,7 +412,8 @@ def run_chain(g: WeightedGraph, config: SamplerConfig,
 def _lockstep_stream(g: WeightedGraph, configs):
     """Check ``configs`` and set up their chains at once; return an iterator
     that runs them in lockstep and yields their visits a block at a time.
-    All configs must share ``max_steps``.
+    ``configs`` must be non-empty and share ``max_steps``, and ``g`` must
+    have a node.
 
     Chains of one step rule (the edge kinds, or the MH kinds) and one
     burn-in form a family and advance together as one numpy vector, one
@@ -431,10 +432,6 @@ def _lockstep_stream(g: WeightedGraph, configs):
     ``max_steps`` visits once. Each block spans at least one step and at
     most ``_TIME_CHUNK``.
     """
-    if g.node_count == 0:
-        raise ValueError("cannot sample an empty graph")
-    if not configs:
-        raise ValueError("lockstep needs at least one chain")
     n = configs[0].max_steps
     if any(cfg.max_steps != n for cfg in configs):
         raise ValueError("lockstep chains must share max_steps")
@@ -470,10 +467,11 @@ def _lockstep_family(g, is_mh, burn, kernels, chains, n):
     tables (:func:`_kernel_table`) are built and stacked when the family
     starts. ``chains`` lists ``(row, kernel index, start, generator)``.
 
-    A chain's state is ``index * V + node`` (``index`` picks its kernel's
-    table), so one gather serves every kernel; an edge family keeps it
-    multiplied by its guide's row length, and each yielded block divides it
-    back in place.
+    A chain's state is the stacked node ``index * V + node`` (``index``
+    picks its kernel's table), so one gather serves every kernel. An MH step
+    reads its row start from ``row_lo``; an edge step reads the cell-major
+    guide, where state ``s`` in cell ``k`` is entry ``k * S + s`` of ``S``
+    stacked states.
     """
     V, H = g.node_count, len(g.adj_neighbors)
     rows, index, starts, rngs = zip(*chains)
@@ -482,36 +480,26 @@ def _lockstep_family(g, is_mh, burn, kernels, chains, n):
     n_tables = len(kernels)
     stack = np.arange(n_tables, dtype=np.int64)[:, None]
     nbr = (g.adj_neighbors + stack * V).ravel()  # per stacked half-edge
-    # padded[j] is table[j - 1], the last entry of an edge row's halving step
-    # that ends at j
-    padded = np.concatenate([[0.0], *(_kernel_table(g, *kernel)[0]
-                                      for kernel in kernels)])
-    table = padded[1:]
+    row_lo = (g.adj_indptr[:-1] + stack * H).ravel()  # per stacked state
+    table = np.concatenate([_kernel_table(g, *kernel)[0] for kernel in kernels])
     width = len(rngs)
     draws = 2 if is_mh else 1
     if is_mh:
-        stride = 1
-        row_lo = (g.adj_indptr[:-1] + stack * H).ravel()  # per stacked state
         deg = np.tile(g.degrees.astype(np.float64), n_tables)
     else:
-        guide, m, wide = _guide_table(g, table, n_tables)
-        # states and neighbors count in guide rows of m + 1 entries, so a
-        # state plus a cell is its guide index; guide entry k = m of a state
-        # is its row's end
-        stride = m + 1
-        nbr *= stride
-        row_end = guide[m:]
+        guide, m, wide = _guide_table(g, table, row_lo)
+        S = len(row_lo)
+        row_last = guide[m] - 1
+        guide = guide.ravel()
         at = np.empty(width, dtype=np.int64)
         cand = np.empty(width, dtype=np.int64)
-    state = (node_off + np.array(starts, dtype=np.int64)) * stride
+    state = node_off + np.array(starts, dtype=np.int64)
 
     def recorded(states, t0):
         """The recorded rows of ``states`` (one per time index from ``t0``,
         an array the caller gives up) as node ids, converted in place."""
         if t0 + len(states) > burn:
             nodes = states[max(burn - t0, 0):]
-            if stride > 1:
-                nodes //= stride
             nodes -= node_off
             yield rows, max(t0 - burn, 0), nodes
 
@@ -542,24 +530,26 @@ def _lockstep_family(g, is_mh, burn, kernels, chains, n):
                 out[i] = state
         else:
             us = u_t[:block]
-            # out[i] holds the guide cells k = floor(u * m) of step i until
-            # the step overwrites it with the states; exact, since m is a
-            # power of two
+            # out[i] holds the guide cells k = floor(u * m) of step i, times
+            # S, until the step overwrites it with the states; exact, since
+            # m is a power of two
             np.multiply(us, m, out=out, casting="unsafe")
+            out *= S
             for i in range(block):
                 # bisect_right: the count of row entries <= u lies in u's
                 # guide cell; from its first position, take each halving
-                # step whose last entry is <= u. A step that would pass the
-                # row's end stops there and reads the row's last entry,
-                # 1.0 > u; the step of 1 never passes it
+                # step whose last entry, table[pos + step - 1], is <= u. A
+                # step that would pass the row's end reads the row's last
+                # entry instead, 1.0 > u, and is not taken; the step of 1
+                # never passes it
                 np.add(state, out[i], out=at)
                 pos = guide[at]
                 if wide:
-                    end = row_end[state]
+                    last = row_last[state]
                 for step in wide:
-                    np.add(pos, step, out=cand)
-                    np.minimum(cand, end, out=cand)
-                    np.less_equal(padded[cand], us[i], out=below)
+                    np.add(pos, step - 1, out=cand)
+                    np.minimum(cand, last, out=cand)
+                    np.less_equal(table[cand], us[i], out=below)
                     np.add(pos, step, out=pos, where=below)
                 np.less_equal(table[pos], us[i], out=below)
                 pos += below
@@ -569,30 +559,35 @@ def _lockstep_family(g, is_mh, burn, kernels, chains, n):
         t += block
 
 
-def _guide_table(g, table, n_tables):
+def _guide_table(g, table, row_lo):
     """Guide table of the stacked cumulative rows (Chen & Asau 1974).
 
-    Returns ``(guide, m, wide)``. ``m`` is a power of two: at least two cells
-    per entry of the longest row, but at most 16 guide entries per stacked
-    half-edge. ``guide[s * (m + 1) + k]`` is the stacked position of state
-    ``s``'s row start plus the count of its entries ``<= k / m``, so entry
-    ``k = m`` is the row's end. ``x <= k / m`` holds exactly when
-    ``ceil(x * m) <= k``, and ``x * m`` is exact, so one ``bincount`` of the
-    ceilings and one ``cumsum`` build the table. A uniform ``u`` in cell
-    ``k = floor(u * m)`` has ``k / m <= u < (k + 1) / m``, so the count of
-    row entries ``<= u`` lies between guide entries ``k`` and ``k + 1``.
-    ``wide`` are the descending halving steps above 1 that, with a last step
-    of 1, bisect the fullest cell.
+    ``table`` stacks one cumulative row table per kernel and ``row_lo`` is
+    each of its ``S`` stacked states' row start in it. Returns
+    ``(guide, m, wide)``. ``m`` is a power of two: at least two cells per
+    entry of the longest row, but at most 16 guide entries per stacked
+    half-edge. ``guide`` is cell-major, of shape ``(m + 1, S)``:
+    ``guide[k, s]`` is state ``s``'s row start plus the count of its entries
+    ``<= k / m``, so ``guide[m]`` holds the rows' ends. ``x <= k / m`` holds
+    exactly when ``ceil(x * m) <= k``, and ``x * m`` is exact, so one
+    ``bincount`` of the ceilings and one ``cumsum`` down the cells build the
+    table. A uniform ``u`` in cell ``k = floor(u * m)`` has
+    ``k / m <= u < (k + 1) / m``, so the count of row entries ``<= u`` lies
+    between guide entries ``k`` and ``k + 1``. ``wide`` are the descending
+    halving steps above 1 that, with a last step of 1, bisect the fullest
+    cell.
     """
-    V, H = g.node_count, len(g.adj_neighbors)
+    V, S = g.node_count, len(row_lo)
     m = 1 << min(int(2 * g.degrees.max() - 1).bit_length(),
-                 max(16 * H // V, 1).bit_length() - 1)
-    owner = (g.adj_tails + np.arange(n_tables)[:, None] * V).ravel()
-    counts = np.bincount(owner * (m + 1) + np.ceil(table * m).astype(np.int64),
-                         minlength=n_tables * V * (m + 1))
-    fullest = int(counts.reshape(-1, m + 1)[:, 1:].max())
+                 max(16 * len(g.adj_neighbors) // V, 1).bit_length() - 1)
+    owner = (g.adj_tails + np.arange(S // V)[:, None] * V).ravel()
+    counts = np.bincount(np.ceil(table * m).astype(np.int64) * S + owner,
+                         minlength=(m + 1) * S).reshape(m + 1, S)
+    fullest = int(counts[1:].max())
     wide = [1 << j for j in reversed(range(1, fullest.bit_length()))]
-    return np.cumsum(counts, out=counts), m, wide
+    guide = np.cumsum(counts, axis=0, out=counts)
+    guide += row_lo
+    return guide, m, wide
 
 
 def distinct_prefix_counts(visits: np.ndarray) -> np.ndarray:

@@ -154,7 +154,7 @@ class TestStats:
         assert ingest["set"] == {"delimiter": None, "unweighted": True,
                                  "node_weight": 3.0}
 
-    @pytest.mark.parametrize("weight", ["inf", "0"])
+    @pytest.mark.parametrize("weight", ["inf", "0", "abc"])
     def test_bad_node_weight_exit_2(self, tmp_path, triangle_file, weight):
         out = tmp_path / "st"
         assert main(["stats", "--graph", str(triangle_file), "--out", str(out),
@@ -585,6 +585,19 @@ class TestConverge:
         assert main(["converge", "--graph", str(LESMIS), "--out", str(out),
                      "--plan", plan]) == 1
         assert f"{key} must be a list, got 3" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("plan, what", [
+        ({"samplers": ["edge_uniform"]}, "sampler"),
+        ([1, 2], "plan"),
+    ])
+    def test_plan_entry_not_an_object_exit_1(self, tmp_path, capsys, plan, what):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan), encoding="utf-8")
+        out = tmp_path / "x"
+        assert main(["converge", "--graph", str(LESMIS), "--out", str(out),
+                     "--plan", str(path)]) == 1
+        assert f"a {what} must be a JSON object" in capsys.readouterr().err
         assert not out.exists()
 
     def test_plan_string_for_samplers_exit_1(self, tmp_path, capsys):

@@ -189,6 +189,10 @@ class TestConstruction:
         with pytest.raises(GraphFormatError):
             WeightedGraph(2, [(0, 2)])
 
+    def test_rejects_negative_node_count(self):
+        with pytest.raises(GraphFormatError, match="node_count must be non-negative"):
+            WeightedGraph(-1, [])
+
     def test_rejects_rows_that_are_not_pairs(self):
         # a u v w edge list is not reshaped into pairs
         for edges in ([(0, 1, 2.0)], np.zeros((2, 3)), [0, 1], [0, 1, 1, 2]):

@@ -136,6 +136,11 @@ class TestMakeTarget:
         with pytest.raises(ValueError):
             make_target(path_graph(3), None, "curved")
 
+    def test_unknown_kind_rejected(self):
+        g = path_graph(3)
+        with pytest.raises(ValueError, match="unknown target kind 'bogus'"):
+            make_target(g, compute_curvature_map(g, "combinatorial"), kind="bogus")
+
     def test_isolated_excluded(self):
         g = WeightedGraph(3, [(0, 1)])
         cm = compute_curvature_map(g, "combinatorial")
@@ -454,6 +459,12 @@ class TestRunChain:
             run_chain(g, SamplerConfig(kind="edge_uniform", seed=0,
                                        max_steps=5, start_node=2))
 
+    def test_random_start_without_edges_rejected(self):
+        with pytest.raises(ValueError, match="graph has no non-isolated node "
+                                             "to start from"):
+            run_chain(WeightedGraph(3, []),
+                      SamplerConfig(kind="edge_uniform", seed=0, max_steps=5))
+
 
 def test_largest_uniform_never_proposes_past_the_row():
     # the proof that lets both drivers index int(u * d) without a clamp
@@ -568,17 +579,18 @@ class TestGuideTable:
                                                  epsilon_floor=0.0), cm)[0]
                   for kind in ("edge_curved", "edge_uniform")]
         table = np.concatenate(tables)
-        guide, m, wide = _guide_table(g, table, len(tables))
-        assert m & (m - 1) == 0
-        guide = guide.reshape(-1, m + 1)
         V, H = g.node_count, len(g.adj_neighbors)
+        row_lo = np.concatenate([g.adj_indptr[:-1] + k * H for k in range(len(tables))])
+        guide, m, wide = _guide_table(g, table, row_lo)
+        assert m & (m - 1) == 0
+        assert guide.shape == (m + 1, len(tables) * V)
         fullest = 0
         for s in range(len(tables) * V):
             lo = g.adj_indptr[s % V] + (s // V) * H
             row = table[lo:lo + g.degrees[s % V]]
             expected = lo + np.searchsorted(row, np.arange(m + 1) / m, side="right")
-            assert guide[s].tolist() == expected.tolist()
-            fullest = max(fullest, int(np.diff(guide[s]).max(initial=0)))
+            assert guide[:, s].tolist() == expected.tolist()
+            fullest = max(fullest, int(np.diff(guide[:, s]).max(initial=0)))
         # the halving steps, with a last step of 1, reach across the fullest cell
         assert wide == [1 << j for j in reversed(range(1, fullest.bit_length()))]
 
@@ -870,6 +882,15 @@ class TestTransitionMatrix:
         P = np.array([[0.5, 0.5], [0.25, 0.75]])
         pi = stationary_distribution(P)
         assert np.allclose(pi, [1 / 3, 2 / 3], atol=1e-12)
+
+    @pytest.mark.parametrize("P, error", [
+        (np.eye(2), np.linalg.LinAlgError),  # two absorbing states: reducible
+        (np.full((2, 3), 1 / 3), ValueError),
+        (np.empty((0, 0)), ValueError),
+    ])
+    def test_stationary_rejects(self, P, error):
+        with pytest.raises(error):
+            stationary_distribution(P)
 
 
 def test_empirical_visit_law_small():
