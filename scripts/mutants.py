@@ -36,6 +36,7 @@ SAMPLER = "src/curvewalk/sampler.py"
 NETSTATS = "src/curvewalk/netstats.py"
 CONVERGENCE = "src/curvewalk/convergence.py"
 LOCKSTEP = "tests/test_sampler.py::TestLockstep"
+FOLD = "tests/test_convergence.py::TestAggregationOracle"
 
 MUTANTS = [
     # the lockstep MH accept and the edge step's last comparison
@@ -89,6 +90,26 @@ MUTANTS = [
     # the fold's full-coverage substitution
     (CONVERGENCE, "        zbar.transpose(0, 2, 1)[count == V] = self.full_means",
      "        pass", ["tests/test_convergence.py"]),
+    # the fold's slices of chains: their bounds, the state each chain carries
+    # in and out, the order in which the slices add into the sums, and the
+    # budget that bounds a discovery-heavy block's memory
+    (CONVERGENCE, "                inside = np.flatnonzero((c >= g0) & (c < g1))",
+     "                inside = np.flatnonzero((c >= g0) & (c <= g1))",
+     [f"{FOLD}::test_slices_of_chains_carry_each_chains_state"]),
+    (CONVERGENCE, "        run[:, :, 0] = self.run_sum[g0:g1]",
+     "        run[:, :, 0] = self.run_sum[:g1 - g0]",
+     [f"{FOLD}::test_slices_of_chains_carry_each_chains_state"]),
+    (CONVERGENCE, "        err[:, :, 0] = self.err[g0:g1]",
+     "        err[:, :, 0] = self.err[:g1 - g0]",
+     [f"{FOLD}::test_slices_of_chains_carry_each_chains_state"]),
+    (CONVERGENCE, "        count = self.found[g0:g1, None] + np.arange(1, width)",
+     "        count = self.found[:g1 - g0, None] + np.arange(1, width)",
+     [f"{FOLD}::test_slices_of_chains_carry_each_chains_state"]),
+    (CONVERGENCE, "        for g0 in range(0, C, G):",
+     "        for g0 in reversed(range(0, C, G)):",
+     [f"{FOLD}::test_one_step_blocks_add_the_chains_in_row_order"]),
+    (CONVERGENCE, "        G = max(1, min(C, _SLICE_CELLS // (n_ev + 2 * S * (int(last.max()) + 1))))",
+     "        G = C", [f"{FOLD}::test_discovery_heavy_block_is_folded_in_slices"]),
     # the backbone's id tie-break
     (CONVERGENCE, "    return np.lexsort((np.arange(len(counts)), -counts))[:k]",
      "    return np.lexsort((-np.arange(len(counts)), -counts))[:k]",

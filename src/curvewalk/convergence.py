@@ -20,7 +20,10 @@ the whole visit matrix.
 
 An estimate changes only when a chain discovers a node, so the fold works
 per discovery: a running mean advances once per discovered node, and the
-per-step sums are formed only at the steps where some chain discovers.
+per-step sums are formed only at the steps where some chain discovers. A
+block's padded per-discovery arrays are built for a slice of chains at a
+time, sized to ``_SLICE_CELLS``, so a discovery-heavy block's transient is
+bounded by that budget while the sums still add the chains in row order.
 """
 
 from __future__ import annotations
@@ -144,6 +147,9 @@ class ExperimentResult:
 
 # marks an entry of the first-visit scratch array that holds no position
 _NO_VISIT = np.iinfo(np.int64).max
+# padded cells (8 bytes each) per slice of chains that _StepSums.add builds
+# at once: 512 KiB of event ranks, running sums and squared errors
+_SLICE_CELLS = 1 << 16
 
 
 class _StepSums:
@@ -163,6 +169,14 @@ class _StepSums:
     where some chain discovers, then repeated over the steps between them.
     The state carried between blocks is a chains x V ``seen`` mask and a few
     numbers per chain, so memory is O(chains x V) besides the output.
+
+    Each chain's padded arrays in a block, its event ranks, running sums and
+    squared errors, take ``n_events + 2 * S * width`` cells. :meth:`add`
+    builds them for as many chains at a time as fit in ``_SLICE_CELLS``
+    cells, at least one, and every chain when all fit, so a discovery-heavy
+    block's transient is bounded by the budget. The slices follow the
+    chains' order and each adds its chains into the sums one after another,
+    so the sums still add the chains in row order.
     """
 
     def __init__(self, values, full_means, n_chains, n_steps, scratch):
@@ -211,8 +225,7 @@ class _StepSums:
         del pos
         nodes = key - c * V  # the discovered nodes
         del key
-        # event e is the e-th step with a discovery; rank[c, e] counts chain
-        # c's discoveries in the block up to it
+        # event e is the e-th step with a discovery
         head = np.empty(len(t), dtype=bool)
         head[0] = True
         np.not_equal(t[1:], t[:-1], out=head[1:])
@@ -220,27 +233,59 @@ class _StepSums:
         event = np.cumsum(head) - 1
         del t, head
         n_ev = len(at)
-        rank = np.zeros((C, n_ev), dtype=np.int64)
+        last = np.bincount(c, minlength=C)  # each chain's discoveries
+        distinct = np.zeros(n_ev + 1, dtype=np.int64)
+        np.cumsum(np.bincount(event), out=distinct[1:])
+        lengths = np.diff(at, prepend=0, append=B)
+        self.distinct_sum[steps] = np.repeat(distinct + self.found.sum(), lengths)
+        # the sums at the events, adding chain after chain: the row order of
+        # the whole matrix's sums. 0.0 + e is e, as every error e is a square
+        sums = np.zeros((S, n_ev + 1))
+        sums[:, :1] = self.step_err
+        # slices of G chains, each chain taking n_ev + 2 * S * width cells;
+        # a mask over chain ids picks a slice's discoveries
+        G = max(1, min(C, _SLICE_CELLS // (n_ev + 2 * S * (int(last.max()) + 1))))
+        for g0 in range(0, C, G):
+            g1 = min(g0 + G, C)
+            if G == C:
+                self._add_slice(0, C, c, event, nodes, sums[:, 1:])
+            else:
+                inside = np.flatnonzero((c >= g0) & (c < g1))
+                self._add_slice(g0, g1, c.take(inside) - g0, event.take(inside),
+                                nodes.take(inside), sums[:, 1:])
+        self.sq_sum[:, steps] = np.repeat(sums, lengths, axis=1)
+        self.step_err = sums[:, -1:]
+        self.found += last
+
+    def _add_slice(self, g0, g1, c, event, nodes, total):
+        """Advance chains ``g0 .. g1 - 1`` over their block's discoveries of
+        ``nodes``, by chain ``g0 + c`` at event ``event``, and add their
+        squared errors at every event into ``total``, chain after chain."""
+        S, V = self.values.shape
+        n_ev = total.shape[1]
+        # rank[c, e] counts chain g0 + c's discoveries up to event e
+        rank = np.zeros((g1 - g0, n_ev), dtype=np.int64)
         flat = c * n_ev + event
+        del event
         rank.ravel()[flat] = 1
         np.cumsum(rank, axis=1, out=rank)
-        last, chains = rank[:, -1], np.arange(C)
-        # chain c's running sums and squared errors, entry 0 carried in;
+        last, chains = rank[:, -1], np.arange(g1 - g0)
+        # each chain's running sums and squared errors, entry 0 carried in;
         # chain-major, so that the sums below read whole rows
         width = int(last.max()) + 1
-        run = np.zeros((C, S, width))
-        run[:, :, 0] = self.run_sum
+        run = np.zeros((g1 - g0, S, width))
+        run[:, :, 0] = self.run_sum[g0:g1]
         plane = np.arange(0, S * width, width)[:, None]
         run.reshape(-1)[plane + (c * (S * width) + rank.ravel().take(flat))] = \
             self.values.take(nodes, axis=1)
         del c, flat, nodes
         np.cumsum(run, axis=2, out=run)
-        err = np.empty((C, S, width))
-        err[:, :, 0] = self.err
+        err = np.empty((g1 - g0, S, width))
+        err[:, :, 0] = self.err[g0:g1]
         zbar = err[:, :, 1:]  # each estimate, then its squared error
-        count = self.found[:, None] + np.arange(1, width)
+        count = self.found[g0:g1, None] + np.arange(1, width)
         np.divide(run[:, :, 1:], count[:, None, :], out=zbar)
-        self.run_sum = run[chains, :, last]
+        self.run_sum[g0:g1] = run[chains, :, last]
         del run
         # at full coverage the estimate is the full mean by definition; the
         # exact value keeps that identity exact in floating point as well
@@ -248,22 +293,9 @@ class _StepSums:
         del count
         zbar -= self.full_means[:, None]
         np.square(zbar, out=zbar)
-        # the sums at the events, adding chain after chain: the row order of
-        # the whole matrix's sums
-        sums = np.empty((S, n_ev + 1))
-        sums[:, :1] = self.step_err
-        total = sums[:, 1:]
-        err[0].take(rank[0], axis=1, out=total)
-        for chain in range(1, C):
+        for chain in chains.tolist():
             total += err[chain].take(rank[chain], axis=1)
-        distinct = np.zeros(n_ev + 1, dtype=np.int64)
-        np.cumsum(np.bincount(event), out=distinct[1:])
-        lengths = np.diff(at, prepend=0, append=B)
-        self.sq_sum[:, steps] = np.repeat(sums, lengths, axis=1)
-        self.distinct_sum[steps] = np.repeat(distinct + self.found.sum(), lengths)
-        self.err = err[chains, :, last]
-        self.step_err = sums[:, -1:]
-        self.found += last
+        self.err[g0:g1] = err[chains, :, last]
 
 
 def _fold(blocks, n_samplers, n_chains, n_steps, stat_values, full_means):

@@ -9,20 +9,18 @@ statistic computed on it.
 
 The graph is the one record of a network's facts, each half-edge's tail
 (``adj_tails``) included; :func:`load_edge_list` returns a file's labels
-beside it. Curvature and the path statistics share one half-edge walk,
-:func:`_expand`; weighted curvature and clustering share one walk over the
-``sum(d(i)**2)`` pairs of half-edges at one node, :func:`_pair_walk`.
+beside it. :func:`_half_edges` lists the half-edges out of a set of nodes;
+the path statistics walk them from flat states with :func:`_expand`, and
+weighted curvature and clustering share one walk over the ``sum(d(i)**2)``
+pairs of half-edges at one node, :func:`_pair_walk`.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from pathlib import Path
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 _COMMENT_PREFIXES = ("%", "#")
 
@@ -279,6 +277,17 @@ def induced_subgraph(g: WeightedGraph, nodes) -> WeightedGraph:
                          g.node_weights[keep])
 
 
+def _half_edges(g: WeightedGraph, nodes):
+    """Every half-edge out of ``nodes``, in order and, per node, in CSR
+    order: the index into ``nodes`` of each half-edge's tail, and the
+    half-edge's CSR position."""
+    deg = g.degrees[nodes]
+    tail = np.repeat(np.arange(len(nodes)), deg)
+    pos = np.arange(len(tail))
+    pos += (g.adj_indptr[nodes] - (np.cumsum(deg) - deg))[tail]
+    return tail, pos
+
+
 def _expand(g: WeightedGraph, keys):
     """Every half-edge out of the flat states ``keys`` (``row * V + node``),
     in key order and, per key, in CSR order.
@@ -286,12 +295,8 @@ def _expand(g: WeightedGraph, keys):
     Returns the index into ``keys`` of each half-edge's tail, the flat state
     of its head in the same row, and the half-edge's CSR position.
     """
-    V = g.node_count
-    nodes = keys % V
-    deg = g.degrees[nodes]
-    tail = np.repeat(np.arange(len(keys)), deg)
-    pos = np.arange(len(tail))
-    pos += (g.adj_indptr[nodes] - (np.cumsum(deg) - deg))[tail]
+    nodes = keys % g.node_count
+    tail, pos = _half_edges(g, nodes)
     head = (keys - nodes)[tail]
     head += g.adj_neighbors[pos]
     return tail, head, pos
@@ -311,11 +316,11 @@ def _pair_walk(g: WeightedGraph, nodes, skip):
     lo = 0
     while lo < len(nodes):
         hi = max(int(np.searchsorted(cost, cost[lo] + _PAIR_CAP, "right")) - 1, lo + 1)
-        which, nbr, pos = _expand(g, nodes[lo:hi])
+        which, pos = _half_edges(g, nodes[lo:hi])
         # a boolean mask: nearly every pair is kept, and it gathers fastest
-        keep = nbr != skip[lo:hi][which]
+        keep = g.adj_neighbors[pos] != skip[lo:hi][which]
         which, pos = which[keep], pos[keep]
-        del nbr, keep  # the caller's temporaries reuse their memory
+        del keep  # the caller's temporaries reuse their memory
         yield lo, hi, which, pos
         lo = hi
 

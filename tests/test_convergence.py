@@ -146,6 +146,20 @@ class TestAggregationOracle:
     @settings(max_examples=300, deadline=None)
     @given(block_streams())
     def test_sums_equal_the_oracle_bit_for_bit(self, drawn):
+        self.assert_sums_equal_the_oracle(drawn)
+
+    @pytest.mark.parametrize("cells", [1, 60])
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=block_streams())
+    def test_sums_in_slices_of_chains_equal_the_oracle(self, cells, drawn):
+        # one chain per slice, or a few, so that slices end anywhere in the
+        # chains, discover nothing or reach full coverage
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(curvewalk.convergence, "_SLICE_CELLS", cells)
+            self.assert_sums_equal_the_oracle(drawn)
+
+    @staticmethod
+    def assert_sums_equal_the_oracle(drawn):
         visits, values, n_samplers, blocks = drawn
         full_means, sums = folded(visits, values, n_samplers, blocks)
         n_chains = len(visits) // n_samplers
@@ -175,22 +189,81 @@ class TestAggregationOracle:
             assert got.counts.tolist() == np.bincount(
                 chains.ravel(), minlength=len(counts)).tolist()
 
-    def test_one_step_blocks_add_the_chains_in_row_order(self):
+    def test_one_step_blocks_add_the_chains_in_row_order(self, monkeypatch):
         # sixteen chains, each on its own node; a pairwise sum of their
-        # squared errors rounds differently from adding them row by row
+        # squared errors rounds differently from adding them row by row, and
+        # so does adding them in reverse, slice by slice
         values = {"first": np.array([3e8, 1.0, -3e8, 0.5, 7.0, -1.0, 2e8, 1e-3]
                                     * 2)}
         visits = np.arange(16, dtype=np.int64)[:, None].repeat(3, axis=1)
         blocks = [(np.arange(16), k, visits[:, k:k + 1].T) for k in range(3)]
-        full_means, (got,) = folded(visits, values, 1, blocks)
-        errs = (values["first"] - full_means["first"]) ** 2
+        errs = (values["first"] - np.mean(values["first"])) ** 2
         row_order = 0.0
         for e in errs.tolist():
             row_order += e
         assert row_order != float(np.sum(errs))  # the case is a real one
-        assert got.sq_sum[0].tolist() == [row_order] * 3
-        sq_sum, _, _ = chain_sums_oracle(visits, values, full_means)
-        assert got.sq_sum[0].tobytes() == sq_sum["first"].tobytes()
+        assert row_order != sum(errs[::-1].tolist())
+        # each chain's first block takes 5 cells: slices of 16, 1 and 7 chains
+        for cells in (curvewalk.convergence._SLICE_CELLS, 1, 35):
+            monkeypatch.setattr(curvewalk.convergence, "_SLICE_CELLS", cells)
+            full_means, (got,) = folded(visits, values, 1, blocks)
+            assert got.sq_sum[0].tolist() == [row_order] * 3
+            sq_sum, _, _ = chain_sums_oracle(visits, values, full_means)
+            assert got.sq_sum[0].tobytes() == sq_sum["first"].tobytes()
+
+    def test_slices_of_chains_carry_each_chains_state(self, monkeypatch):
+        # five chains on three nodes, cut into slices of 2, 2 and 1 chains:
+        # in the second block chains 2 and 3 discover nothing, and chain 4,
+        # alone in the last slice, reaches full coverage (visited in the
+        # order 2, 1, 0, where only the substitution makes its error 0)
+        # with a count, running sum and error unlike those of chain 0
+        values = {"first": np.array([0.1, 0.2, 0.3]),
+                  "second": np.array([-1.5, 1 / 3, 1e16])}
+        visits = np.array([[0, 1, 1, 1, 1, 1, 1],
+                           [2, 2, 2, 0, 0, 0, 0],
+                           [1, 1, 1, 1, 1, 1, 1],
+                           [0, 0, 0, 0, 0, 0, 0],
+                           [2, 2, 1, 0, 0, 0, 0]], dtype=np.int64)
+        blocks = [(np.arange(5), 0, visits[:, :2].T), (np.arange(5), 2, visits[:, 2:].T)]
+        slices = []
+        add_slice = curvewalk.convergence._StepSums._add_slice
+
+        def recording(self, g0, g1, c, event, nodes, total):
+            slices.append((g0, g1, len(c)))
+            return add_slice(self, g0, g1, c, event, nodes, total)
+
+        monkeypatch.setattr(curvewalk.convergence._StepSums, "_add_slice", recording)
+        # each block has 2 events and at most 2 discoveries per chain, so a
+        # chain takes 2 + 2 * 2 * 3 = 14 cells
+        monkeypatch.setattr(curvewalk.convergence, "_SLICE_CELLS", 28)
+        full_means, (got,) = folded(visits, values, 1, blocks)
+        assert slices == [(0, 2, 3), (2, 4, 2), (4, 5, 1),
+                          (0, 2, 1), (2, 4, 0), (4, 5, 2)]
+        sq_sum, distinct_sum, _ = chain_sums_oracle(visits, values, full_means)
+        for i, kind in enumerate(values):
+            assert got.sq_sum[i].tobytes() == sq_sum[kind].tobytes()
+        assert got.distinct_sum.tobytes() == distinct_sum.tobytes()
+
+    def test_discovery_heavy_block_is_folded_in_slices(self):
+        # 400 chains of 1024 uniform draws over 1000 nodes discover about 640
+        # nodes each; built for every chain at once, the padded arrays of
+        # this block took the fold's traced peak to 24.9 MiB, and slices of
+        # chains keep it near 10.6 MiB
+        C, V, B = 400, 1000, 1024
+        rng = np.random.default_rng(0)
+        values = {"first": rng.random(V), "second": rng.random(V)}
+        full_means = {kind: float(np.mean(v)) for kind, v in values.items()}
+        states = rng.integers(0, V, (B, C))
+        (sums,) = _fold(iter([]), 1, C, B, values, full_means)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            sums.add(0, states)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sums.found.min() > 500
+        assert peak - start < 16 * 2**20, peak - start
 
     def test_full_coverage_estimate_is_the_full_mean(self):
         # visited in the order 2, 1, 0, the running mean at full coverage
@@ -452,6 +525,27 @@ class TestRunExperiment:
             tracemalloc.stop()
         assert len(result.mean_distinct["edge_uniform"]) == 8192
         assert peak < matrix_bytes / 2, peak
+
+    # one chain per slice, or slices of 4, 4 and 1 of the 9 chains
+    @pytest.mark.parametrize("cells", [1, 1200])
+    def test_slice_budget_leaves_every_result_unchanged(self, cells, monkeypatch):
+        rng = np.random.default_rng(4)
+        g = random_connected_graph(rng, 30, extra=1.5, weighted=True)
+        samplers = tuple(SamplerConfig(kind=kind, seed=0, max_steps=1,
+                                       curvature_mode="weighted")
+                         for kind in ("edge_curved", "node_mh_curved",
+                                      "edge_uniform", "node_mh_uniform"))
+        plan = tiny_plan(samplers=samplers, n_chains=9, max_steps=300,
+                         master_seed=13,
+                         statistics=("strength", "closeness", "weighted_clustering"))
+        a = run_experiment(g, plan)
+        monkeypatch.setattr(curvewalk.convergence, "_SLICE_CELLS", cells)
+        b = run_experiment(g, plan)
+        for label, curves in a.mse.items():
+            for kind, mse in curves.items():
+                assert mse.tobytes() == b.mse[label][kind].tobytes()
+            assert a.mean_distinct[label].tobytes() == b.mean_distinct[label].tobytes()
+            assert a.visit_counts[label].tobytes() == b.visit_counts[label].tobytes()
 
     def test_mean_distinct_monotone(self):
         rng = np.random.default_rng(2)
