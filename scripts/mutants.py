@@ -93,8 +93,8 @@ MUTANTS = [
     # the fold's slices of chains: their bounds, the state each chain carries
     # in and out, the order in which the slices add into the sums, and the
     # budget that bounds a discovery-heavy block's memory
-    (CONVERGENCE, "                inside = np.flatnonzero((c >= g0) & (c < g1))",
-     "                inside = np.flatnonzero((c >= g0) & (c <= g1))",
+    (CONVERGENCE, "            inside = order[lo:hi]",
+     "            inside = order[lo:hi + 1]",
      [f"{FOLD}::test_slices_of_chains_carry_each_chains_state"]),
     (CONVERGENCE, "        run[:, :, 0] = self.run_sum[g0:g1]",
      "        run[:, :, 0] = self.run_sum[:g1 - g0]",
@@ -105,8 +105,8 @@ MUTANTS = [
     (CONVERGENCE, "        count = self.found[g0:g1, None] + np.arange(1, width)",
      "        count = self.found[:g1 - g0, None] + np.arange(1, width)",
      [f"{FOLD}::test_slices_of_chains_carry_each_chains_state"]),
-    (CONVERGENCE, "        for g0 in range(0, C, G):",
-     "        for g0 in reversed(range(0, C, G)):",
+    (CONVERGENCE, "        for g0, lo, hi in zip(range(0, C, G), [0, *ends], ends):",
+     "        for g0, lo, hi in reversed([*zip(range(0, C, G), [0, *ends], ends)]):",
      [f"{FOLD}::test_one_step_blocks_add_the_chains_in_row_order"]),
     (CONVERGENCE, "        G = max(1, min(C, _SLICE_CELLS // (n_ev + 2 * S * (int(last.max()) + 1))))",
      "        G = C", [f"{FOLD}::test_discovery_heavy_block_is_folded_in_slices"]),
