@@ -78,37 +78,36 @@ MUTANTS = [
      "            pass", [LOCKSTEP]),
     (SAMPLER, "    guide += row_lo",
      "    pass", [LOCKSTEP]),
-    # the fold's event bookkeeping: the first discovery step, each chain's
-    # discovery count per event, the steps each event's sums are repeated over
-    (CONVERGENCE, "        head[0] = True",
-     "        head[0] = False", ["tests/test_convergence.py"]),
+    # the fold's discovery ranks: one per discovery, counted along the steps
+    (CONVERGENCE, "        rank[c, t] = 1",
+     "        rank[c, t] = 2", [FOLD]),
     (CONVERGENCE, "        np.cumsum(rank, axis=1, out=rank)",
      "        np.cumsum(rank, axis=0, out=rank)", ["tests/test_convergence.py"]),
-    (CONVERGENCE, "        lengths = np.diff(at, prepend=0, append=B)",
-     "        lengths = np.diff(at, prepend=1, append=B + 1)",
-     ["tests/test_convergence.py"]),
+    # the distinct-node count carried in from earlier blocks
+    (CONVERGENCE, "        distinct = np.full(B, self.found.sum())",
+     "        distinct = np.full(B, 0)", [FOLD]),
     # the fold's full-coverage substitution
     (CONVERGENCE, "        zbar.transpose(0, 2, 1)[count == V] = self.full_means",
      "        pass", ["tests/test_convergence.py"]),
-    # the fold's slices of chains: their bounds, the state each chain carries
-    # in and out, the order in which the slices add into the sums, and the
+    # the fold's slices of chains: the state each chain carries in, the
+    # order in which slices and their chains add into the sums, and the
     # budget that bounds a discovery-heavy block's memory
-    (CONVERGENCE, "            inside = order[lo:hi]",
-     "            inside = order[lo:hi + 1]",
+    (CONVERGENCE, "        err[:, :, 0] = self.run_sum[g0:g0 + G]",
+     "        err[:, :, 0] = self.run_sum[:G]",
      [f"{FOLD}::test_slices_of_chains_carry_each_chains_state"]),
-    (CONVERGENCE, "        run[:, :, 0] = self.run_sum[g0:g1]",
-     "        run[:, :, 0] = self.run_sum[:g1 - g0]",
+    (CONVERGENCE, "        err[:, :, 0] = self.err[g0:g0 + G]",
+     "        err[:, :, 0] = self.err[:G]",
      [f"{FOLD}::test_slices_of_chains_carry_each_chains_state"]),
-    (CONVERGENCE, "        err[:, :, 0] = self.err[g0:g1]",
-     "        err[:, :, 0] = self.err[:g1 - g0]",
+    (CONVERGENCE, "        count = self.found[g0:g0 + G, None] + np.arange(1, width)",
+     "        count = self.found[:G, None] + np.arange(1, width)",
      [f"{FOLD}::test_slices_of_chains_carry_each_chains_state"]),
-    (CONVERGENCE, "        count = self.found[g0:g1, None] + np.arange(1, width)",
-     "        count = self.found[:g1 - g0, None] + np.arange(1, width)",
-     [f"{FOLD}::test_slices_of_chains_carry_each_chains_state"]),
-    (CONVERGENCE, "        for g0, lo, hi in zip(range(0, C, G), [0, *ends], ends):",
-     "        for g0, lo, hi in reversed([*zip(range(0, C, G), [0, *ends], ends)]):",
+    (CONVERGENCE, "        for g0 in range(0, C, G):",
+     "        for g0 in reversed(range(0, C, G)):",
      [f"{FOLD}::test_one_step_blocks_add_the_chains_in_row_order"]),
-    (CONVERGENCE, "        G = max(1, min(C, _SLICE_CELLS // (n_ev + 2 * S * (int(last.max()) + 1))))",
+    (CONVERGENCE, "        for chain in chains.tolist():",
+     "        for chain in reversed(chains.tolist()):",
+     [f"{FOLD}::test_one_step_blocks_add_the_chains_in_row_order"]),
+    (CONVERGENCE, "        G = max(1, _SLICE_CELLS // B)",
      "        G = C", [f"{FOLD}::test_discovery_heavy_block_is_folded_in_slices"]),
     # the backbone's id tie-break
     (CONVERGENCE, "    return np.lexsort((np.arange(len(counts)), -counts))[:k]",

@@ -19,11 +19,11 @@ every chain alone with :func:`curvewalk.sampler.run_chain` and aggregating
 the whole visit matrix.
 
 An estimate changes only when a chain discovers a node, so the fold works
-per discovery: a running mean advances once per discovered node, and the
-per-step sums are formed only at the steps where some chain discovers. A
-block's padded per-discovery arrays are built for a slice of chains at a
-time, sized to ``_SLICE_CELLS``, so a discovery-heavy block's transient is
-bounded by that budget while the sums still add the chains in row order.
+per discovery: a running mean advances once per discovered node, and each
+chain's errors are read onto every step of the block by its discovery
+count. A block is folded a slice of chains at a time, each slice on its own
+and sized to ``_SLICE_CELLS`` visits, so a discovery-heavy block's transient
+is bounded by that budget while the sums still add the chains in row order.
 """
 
 from __future__ import annotations
@@ -147,9 +147,10 @@ class ExperimentResult:
 
 # marks an entry of the first-visit scratch array that holds no position
 _NO_VISIT = np.iinfo(np.int64).max
-# padded cells (8 bytes each) per slice of chains that _StepSums.add builds
-# at once: 512 KiB of event ranks, running sums and squared errors
-_SLICE_CELLS = 1 << 16
+# visits per slice of chains that _StepSums.add folds at once, 32 chains of
+# a 1024-step block: 256 KiB of discovery ranks, at most S times as many
+# padded running sums, each reused in place as the squared errors
+_SLICE_CELLS = 1 << 15
 
 
 class _StepSums:
@@ -165,31 +166,29 @@ class _StepSums:
     An estimate changes only when a chain discovers a node, so a block is
     folded per discovery: a running sum continues as the cumsum of
     ``[carried sum, *discovered values]``, which adds in the order a cumsum
-    of the whole chain does, and per-step sums are formed only at the steps
-    where some chain discovers, then repeated over the steps between them.
-    The state carried between blocks is a chains x V ``seen`` mask and a few
-    numbers per chain, so memory is O(chains x V) besides the output.
+    of the whole chain does, and each chain's squared errors are read onto
+    the block's steps by its discovery count at each step. The state carried
+    between blocks is a chains x V ``seen`` mask and a few numbers per
+    chain, so memory is O(chains x V) besides the output.
 
-    Each chain's padded arrays in a block, its event ranks, running sums and
-    squared errors, take ``n_events + 2 * S * width`` cells. :meth:`add`
-    builds them for as many chains at a time as fit in ``_SLICE_CELLS``
-    cells, at least one, and every chain when all fit, so a discovery-heavy
-    block's transient is bounded by the budget. The slices follow the
-    chains' order and each adds its chains into the sums one after another,
-    so the sums still add the chains in row order.
+    :meth:`add` folds a block's chains in contiguous slices of
+    ``_SLICE_CELLS // steps`` chains, at least one, each slice completely
+    before the next, so a discovery-heavy block's transient is bounded by
+    the budget whatever the number of chains. The slices follow the chains'
+    order and each adds its chains into the sums one after another, so the
+    sums still add the chains in row order.
     """
 
     def __init__(self, values, full_means, n_chains, n_steps, scratch):
         S, V = values.shape
         self.values, self.full_means = values, full_means  # (S, V), (S,)
-        # shared by the samplers of one fold; all _NO_VISIT between blocks
+        # shared by the samplers of one fold; all _NO_VISIT between slices
         self.scratch = scratch
         self.seen = np.zeros(n_chains * V, dtype=bool)  # row c: chain c's nodes
         self.found = np.zeros(n_chains, dtype=np.int64)  # nodes seen per chain
         # running sum of the discovered values; -0.0 + v is v, -0.0 included
         self.run_sum = np.full((n_chains, S), -0.0)
         self.err = np.zeros((n_chains, S))  # squared error of each estimate
-        self.step_err = np.zeros((S, 1))  # their sum over the chains
         self.sq_sum = np.empty((S, n_steps))
         self.distinct_sum = np.empty(n_steps, dtype=np.int64)
         self.counts = np.zeros(V, dtype=np.int64)
@@ -199,20 +198,31 @@ class _StepSums:
         """Fold visits ``k0 .. k0 + len(states) - 1``; ``states[i, c]`` is
         visit ``k0 + i`` of chain ``c``."""
         B, C = states.shape
-        S, V = self.values.shape
         if k0 != self.k or C != len(self.found):
             raise ValueError(f"expected steps from {self.k} of {len(self.found)} "
                              f"chains, got steps from {k0} of {C}")
         self.k = k0 + B
-        steps = slice(k0, k0 + B)
-        # time-major; ravel copies if states is a column slice
+        # the sums at every step, adding chain after chain: the row order of
+        # the whole matrix's sums. 0.0 + e is e, as every error e is a square
+        sums = np.zeros((len(self.values), B))
+        distinct = np.full(B, self.found.sum())
+        G = max(1, _SLICE_CELLS // B)
+        for g0 in range(0, C, G):
+            self._add_slice(g0, states[:, g0:g0 + G], sums, distinct)
+        self.sq_sum[:, k0:k0 + B] = sums
+        self.distinct_sum[k0:k0 + B] = distinct
+
+    def _add_slice(self, g0, states, sums, distinct):
+        """Fold chains ``g0 .. g0 + G - 1``, whose visits are the ``G``
+        columns of ``states``: add their squared errors at every step into
+        ``sums``, chain after chain, and their distinct-node counts into
+        ``distinct``."""
+        B, G = states.shape
+        S, V = self.values.shape
         self.counts += np.bincount(states.ravel(), minlength=V)
-        key = (states + np.arange(0, C * V, V)).ravel()
+        # time-major keys of (chain, node) in the seen mask
+        key = (states + np.arange(g0 * V, (g0 + G) * V, V)).ravel()
         pos = np.flatnonzero(~self.seen.take(key))
-        if not pos.size:
-            self.sq_sum[:, steps] = self.step_err
-            self.distinct_sum[steps] = self.found.sum()
-            return
         # the first of the unseen visits to each (chain, node)
         key = key[pos]
         np.minimum.at(self.scratch, key, pos)
@@ -221,82 +231,39 @@ class _StepSums:
         pos, key = pos[first], key[first]
         del first
         self.seen[key] = True
-        t, c = np.divmod(pos, C)
+        t, c = np.divmod(pos, G)
         del pos
-        nodes = key - c * V  # the discovered nodes
+        nodes = key - (g0 + c) * V  # the discovered nodes
         del key
-        # event e is the e-th step with a discovery
-        head = np.empty(len(t), dtype=bool)
-        head[0] = True
-        np.not_equal(t[1:], t[:-1], out=head[1:])
-        at = t[head]
-        event = np.cumsum(head) - 1
-        del t, head
-        n_ev = len(at)
-        last = np.bincount(c, minlength=C)  # each chain's discoveries
-        distinct = np.zeros(n_ev + 1, dtype=np.int64)
-        np.cumsum(np.bincount(event), out=distinct[1:])
-        lengths = np.diff(at, prepend=0, append=B)
-        self.distinct_sum[steps] = np.repeat(distinct + self.found.sum(), lengths)
-        # the sums at the events, adding chain after chain: the row order of
-        # the whole matrix's sums. 0.0 + e is e, as every error e is a square
-        sums = np.zeros((S, n_ev + 1))
-        sums[:, :1] = self.step_err
-        # slices of G chains, each chain taking n_ev + 2 * S * width cells.
-        # One stable sort by slice number lists each slice's discoveries; up
-        # to 65536 slices the numbers fit in 16 bits, where numpy's stable
-        # sort is a radix sort, linear in the discoveries
-        G = max(1, min(C, _SLICE_CELLS // (n_ev + 2 * S * (int(last.max()) + 1))))
-        order = np.argsort((c // G).astype(np.min_scalar_type((C - 1) // G)),
-                           kind="stable")
-        ends = np.cumsum(np.add.reduceat(last, np.arange(0, C, G))).tolist()
-        for g0, lo, hi in zip(range(0, C, G), [0, *ends], ends):
-            inside = order[lo:hi]
-            self._add_slice(g0, min(g0 + G, C), c.take(inside) - g0,
-                            event.take(inside), nodes.take(inside), sums[:, 1:])
-        self.sq_sum[:, steps] = np.repeat(sums, lengths, axis=1)
-        self.step_err = sums[:, -1:]
-        self.found += last
-
-    def _add_slice(self, g0, g1, c, event, nodes, total):
-        """Advance chains ``g0 .. g1 - 1`` over their block's discoveries of
-        ``nodes``, by chain ``g0 + c`` at event ``event``, and add their
-        squared errors at every event into ``total``, chain after chain."""
-        S, V = self.values.shape
-        n_ev = total.shape[1]
-        # rank[c, e] counts chain g0 + c's discoveries up to event e
-        rank = np.zeros((g1 - g0, n_ev), dtype=np.int64)
-        flat = c * n_ev + event
-        del event
-        rank.ravel()[flat] = 1
+        # rank[c, t] counts chain g0 + c's discoveries up to step t
+        rank = np.zeros((G, B), dtype=np.int64)
+        rank[c, t] = 1
         np.cumsum(rank, axis=1, out=rank)
-        last, chains = rank[:, -1], np.arange(g1 - g0)
-        # each chain's running sums and squared errors, entry 0 carried in;
-        # chain-major, so that the sums below read whole rows
+        last, chains = rank[:, -1], np.arange(G)
+        # each chain's running sums, entry 0 carried in, then in place its
+        # squared errors; chain-major, so that the sums below read whole rows
         width = int(last.max()) + 1
-        run = np.zeros((g1 - g0, S, width))
-        run[:, :, 0] = self.run_sum[g0:g1]
-        plane = np.arange(0, S * width, width)[:, None]
-        run.reshape(-1)[plane + (c * (S * width) + rank.ravel().take(flat))] = \
-            self.values.take(nodes, axis=1)
-        del c, flat, nodes
-        np.cumsum(run, axis=2, out=run)
-        err = np.empty((g1 - g0, S, width))
-        err[:, :, 0] = self.err[g0:g1]
+        err = np.zeros((G, S, width))
+        err[:, :, 0] = self.run_sum[g0:g0 + G]
+        err[c, :, rank[c, t]] = self.values.take(nodes, axis=1).T
+        del c, t, nodes
+        np.cumsum(err, axis=2, out=err)
+        self.run_sum[g0:g0 + G] = err[chains, :, last]
         zbar = err[:, :, 1:]  # each estimate, then its squared error
-        count = self.found[g0:g1, None] + np.arange(1, width)
-        np.divide(run[:, :, 1:], count[:, None, :], out=zbar)
-        self.run_sum[g0:g1] = run[chains, :, last]
-        del run
+        count = self.found[g0:g0 + G, None] + np.arange(1, width)
+        np.divide(zbar, count[:, None, :], out=zbar)
         # at full coverage the estimate is the full mean by definition; the
         # exact value keeps that identity exact in floating point as well
         zbar.transpose(0, 2, 1)[count == V] = self.full_means
         del count
         zbar -= self.full_means[:, None]
         np.square(zbar, out=zbar)
+        err[:, :, 0] = self.err[g0:g0 + G]
         for chain in chains.tolist():
-            total += err[chain].take(rank[chain], axis=1)
-        self.err[g0:g1] = err[chains, :, last]
+            sums += err[chain].take(rank[chain], axis=1)
+        distinct += rank.sum(axis=0)
+        self.err[g0:g0 + G] = err[chains, :, last]
+        self.found[g0:g0 + G] += last
 
 
 def _fold(blocks, n_samplers, n_chains, n_steps, stat_values, full_means):
@@ -309,6 +276,8 @@ def _fold(blocks, n_samplers, n_chains, n_steps, stat_values, full_means):
     """
     values = np.stack(list(stat_values.values()))
     means = np.array([full_means[kind] for kind in stat_values])
+    # one first-visit scratch, indexed like ``seen``, for every slice of every
+    # sampler: each slice marks only its own chains' rows and resets them
     scratch = np.full(n_chains * values.shape[1], _NO_VISIT)
     sums = [_StepSums(values, means, n_chains, n_steps, scratch)
             for _ in range(n_samplers)]

@@ -18,7 +18,7 @@ from curvewalk import (ExperimentPlan, SamplerConfig, WeightedGraph,
 from curvewalk.sampler import _TIME_CHUNK, distinct_prefix_counts
 from curvewalk.convergence import _fold, sampler_labels
 from conftest import (cycle_graph, path_graph, random_connected_graph,
-                      run_chain_stream, star_graph)
+                      run_chain_stream)
 from oracles import chain_sums_oracle, running_estimator_oracle
 
 
@@ -203,8 +203,9 @@ class TestAggregationOracle:
             row_order += e
         assert row_order != float(np.sum(errs))  # the case is a real one
         assert row_order != sum(errs[::-1].tolist())
-        # each chain's first block takes 5 cells: slices of 16, 1 and 7 chains
-        for cells in (curvewalk.convergence._SLICE_CELLS, 1, 35):
+        # one-step blocks take cells // 1 chains a slice: one slice of all
+        # 16 chains, slices of one chain, and slices of 7, 7 and 2 chains
+        for cells in (curvewalk.convergence._SLICE_CELLS, 1, 7):
             monkeypatch.setattr(curvewalk.convergence, "_SLICE_CELLS", cells)
             full_means, (got,) = folded(visits, values, 1, blocks)
             assert got.sq_sum[0].tolist() == [row_order] * 3
@@ -223,19 +224,19 @@ class TestAggregationOracle:
                            [2, 2, 2, 0, 0, 0, 0],
                            [1, 1, 1, 1, 1, 1, 1],
                            [0, 0, 0, 0, 0, 0, 0],
-                           [2, 2, 1, 0, 0, 0, 0]], dtype=np.int64)
-        blocks = [(np.arange(5), 0, visits[:, :2].T), (np.arange(5), 2, visits[:, 2:].T)]
+                           [2, 2, 2, 1, 0, 0, 0]], dtype=np.int64)
+        blocks = [(np.arange(5), 0, visits[:, :3].T), (np.arange(5), 3, visits[:, 3:].T)]
         slices = []
         add_slice = curvewalk.convergence._StepSums._add_slice
 
-        def recording(self, g0, g1, c, event, nodes, total):
-            slices.append((g0, g1, len(c)))
-            return add_slice(self, g0, g1, c, event, nodes, total)
+        def recording(self, g0, states, sums, distinct):
+            found = int(self.found.sum())
+            add_slice(self, g0, states, sums, distinct)
+            slices.append((g0, g0 + states.shape[1], int(self.found.sum()) - found))
 
         monkeypatch.setattr(curvewalk.convergence._StepSums, "_add_slice", recording)
-        # each block has 2 events and at most 2 discoveries per chain, so a
-        # chain takes 2 + 2 * 2 * 3 = 14 cells
-        monkeypatch.setattr(curvewalk.convergence, "_SLICE_CELLS", 28)
+        # blocks of 3 and 4 steps both take 8 // steps = 2 chains a slice
+        monkeypatch.setattr(curvewalk.convergence, "_SLICE_CELLS", 8)
         full_means, (got,) = folded(visits, values, 1, blocks)
         assert slices == [(0, 2, 3), (2, 4, 2), (4, 5, 1),
                           (0, 2, 1), (2, 4, 0), (4, 5, 2)]
@@ -246,24 +247,31 @@ class TestAggregationOracle:
 
     def test_discovery_heavy_block_is_folded_in_slices(self):
         # 400 chains of 1024 uniform draws over 1000 nodes discover about 640
-        # nodes each; built for every chain at once, the padded arrays of
-        # this block took the fold's traced peak to 24.9 MiB, and slices of
-        # chains keep it near 10.6 MiB
-        C, V, B = 400, 1000, 1024
+        # nodes each. Folded for every chain at once, this block took the
+        # fold's traced peak to 24.9 MiB, and a scan of the whole block
+        # before its slices to 10.6 MiB; slices folded each on its own keep
+        # it near 1.9 MiB, as at 50 chains
+        V, B = 1000, 1024
         rng = np.random.default_rng(0)
         values = {"first": rng.random(V), "second": rng.random(V)}
         full_means = {kind: float(np.mean(v)) for kind, v in values.items()}
-        states = rng.integers(0, V, (B, C))
-        (sums,) = _fold(iter([]), 1, C, B, values, full_means)
-        tracemalloc.start()
-        try:
-            start, _ = tracemalloc.get_traced_memory()
-            sums.add(0, states)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert sums.found.min() > 500
-        assert peak - start < 16 * 2**20, peak - start
+
+        def traced_peak(C):
+            states = rng.integers(0, V, (B, C))
+            (sums,) = _fold(iter([]), 1, C, B, values, full_means)
+            tracemalloc.start()
+            try:
+                start, _ = tracemalloc.get_traced_memory()
+                sums.add(0, states)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert sums.found.min() > 500
+            return peak - start
+
+        narrow, wide = traced_peak(50), traced_peak(400)
+        assert wide < 4 * 2**20, wide
+        assert wide < 1.5 * narrow, (wide, narrow)
 
     def test_full_coverage_estimate_is_the_full_mean(self):
         # visited in the order 2, 1, 0, the running mean at full coverage
@@ -526,7 +534,8 @@ class TestRunExperiment:
         assert len(result.mean_distinct["edge_uniform"]) == 8192
         assert peak < matrix_bytes / 2, peak
 
-    # one chain per slice, or slices of 4, 4 and 1 of the 9 chains
+    # the start row, then a 299-step block: one chain per slice, or one
+    # slice of the 9 chains, then slices of 1200 // 299 = 4, 4 and 1
     @pytest.mark.parametrize("cells", [1, 1200])
     def test_slice_budget_leaves_every_result_unchanged(self, cells, monkeypatch):
         rng = np.random.default_rng(4)
