@@ -40,10 +40,10 @@ FOLD = "tests/test_convergence.py::TestAggregationOracle"
 
 MUTANTS = [
     # the lockstep MH accept and the edge step's last comparison
-    (SAMPLER, "                np.less_equal(accepts[i], table[pos], out=below)",
-     "                np.less(accepts[i], table[pos], out=below)", [LOCKSTEP]),
-    (SAMPLER, "                np.less_equal(table[pos], us[i], out=below)",
-     "                np.less(table[pos], us[i], out=below)", [LOCKSTEP]),
+    (SAMPLER, "                    np.less_equal(v, table[pos], out=below)",
+     "                    np.less(v, table[pos], out=below)", [LOCKSTEP]),
+    (SAMPLER, "                    np.less_equal(table[pos], u, out=below)",
+     "                    np.less(table[pos], u, out=below)", [LOCKSTEP]),
     # the edge kernel: its uniform-row fallback and its floor
     (SAMPLER, "    curved = (row_max > epsilon_floor)[g.adj_tails]",
      "    curved = (row_max >= epsilon_floor)[g.adj_tails]",
@@ -57,9 +57,22 @@ MUTANTS = [
      ["tests/test_sampler.py::TestMakeTarget"]),
     # the lockstep stream: one family per step rule and burn-in, and the
     # recorded rows of each block
-    (SAMPLER, "        indices, chains = families.setdefault((_is_mh(cfg.kind), cfg.burn_in), ({}, []))",
-     "        indices, chains = families.setdefault((_is_mh(cfg.kind), 0), ({}, []))",
+    (SAMPLER, "        families.setdefault((_is_mh(cfg.kind), cfg.burn_in), []).append(",
+     "        families.setdefault((_is_mh(cfg.kind), 0), []).append(", [LOCKSTEP]),
+    # the paired layout: row k * C + c runs template k from chain index c,
+    # each template's chains are offset into its own table, and each step's
+    # draws reach every template of the family
+    (SAMPLER, "    rows = (np.array(ks)[:, None] * C + np.arange(C)).ravel()",
+     "    rows = (np.array(ks)[:, None] + np.arange(C) * K).ravel()", [LOCKSTEP]),
+    (SAMPLER, "    node_off = np.repeat(stack * V, C)  # per chain, in row order",
+     "    node_off = np.tile(stack.ravel() * V, C)  # per chain, in row order",
      [LOCKSTEP]),
+    (SAMPLER, "            np.copyto(near[:draws * (w1 - w0)], u_t[draws * w0:draws * w1, None])",
+     "            np.copyto(near[:draws * (w1 - w0), :1], u_t[draws * w0:draws * w1, None])",
+     [LOCKSTEP]),
+    # the windows of steps whose draws are copied at once cover the block
+    (SAMPLER, "            w1 = min(w0 + _WINDOW, block)",
+     "            w1 = min(w0 + _WINDOW - 1, block)", [LOCKSTEP]),
     (SAMPLER, "        if t0 + len(states) > burn:",
      "        if t0 + len(states) >= burn:", [LOCKSTEP]),
     (SAMPLER, "            nodes = states[max(burn - t0, 0):]",
@@ -70,12 +83,12 @@ MUTANTS = [
      "    total = burn + n", [LOCKSTEP]),
     # the edge family's cell-major guide: the halving step's last entry, the
     # rows' last entries, the cells scaled to guide rows, the row starts
-    (SAMPLER, "                    np.add(pos, step - 1, out=cand)",
-     "                    np.add(pos, step, out=cand)", [LOCKSTEP]),
+    (SAMPLER, "                        np.add(pos, step - 1, out=cand)",
+     "                        np.add(pos, step, out=cand)", [LOCKSTEP]),
     (SAMPLER, "        row_last = guide[m] - 1",
      "        row_last = guide[m]", [LOCKSTEP]),
-    (SAMPLER, "            out *= S",
-     "            pass", [LOCKSTEP]),
+    (SAMPLER, "                out[w0:w1] *= S",
+     "                pass", [LOCKSTEP]),
     (SAMPLER, "    guide += row_lo",
      "    pass", [LOCKSTEP]),
     # the fold's discovery ranks: one per discovery, counted along the steps

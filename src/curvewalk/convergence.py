@@ -9,14 +9,14 @@ by sampler label. :func:`extract_backbone` ranks nodes by their visits.
 Chains of one experiment share start nodes and per-chain seeds across
 samplers (seed of chain ``c`` is ``master_seed XOR splitmix64(c)``), so a
 curved-versus-uniform comparison is paired. The chains of one step rule and
-burn-in run in lockstep as one family, the families one after another, and
-the engine hands their visits over a block of steps at a time
-(:func:`curvewalk.sampler._lockstep_stream`). Each block is folded into
-per-sampler sums as it arrives and then dropped, so no chains x steps
-matrix of visits is ever held: memory is O(chains x V) besides the curves.
-The sums add the chains in row order, so results equal those of running
-every chain alone with :func:`curvewalk.sampler.run_chain` and aggregating
-the whole visit matrix.
+burn-in run in lockstep as one family, on one generator per chain index,
+the families one after another, and the engine hands their visits over a
+block of steps at a time (:func:`curvewalk.sampler._lockstep_stream`). Each
+block is folded into per-sampler sums as it arrives and then dropped, so no
+chains x steps matrix of visits is ever held: memory is O(chains x V)
+besides the curves. The sums add the chains in row order, so results equal
+those of running every chain alone with :func:`curvewalk.sampler.run_chain`
+and aggregating the whole visit matrix.
 
 An estimate changes only when a chain discovers a node, so the fold works
 per discovery: a running mean advances once per discovered node, and each
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,8 +51,8 @@ class ExperimentPlan:
     """Specification of one convergence experiment.
 
     Args:
-        samplers: Sampler templates; per-chain ``seed``, ``start_node`` and
-            ``max_steps`` are filled in by the harness.
+        samplers: Sampler templates; chain ``c`` of each runs from chain
+            ``c``'s seed and start for ``max_steps``, not the template's own.
         statistics: Statistic kinds to track (subset of
             :data:`curvewalk.netstats.STAT_KINDS`).
         n_chains: Chains per sampler (>= 2).
@@ -378,10 +378,8 @@ def run_experiment(g: WeightedGraph, plan: ExperimentPlan) -> ExperimentResult:
 
     labels = sampler_labels(plan.samplers)
     try:
-        sums = _fold(_lockstep_stream(g, [
-            replace(template, seed=seeds[c], start_node=starts[c], max_steps=n_steps)
-            for template in plan.samplers for c in range(n_chains)]),
-            len(labels), n_chains, n_steps, stat_values, full_means)
+        sums = _fold(_lockstep_stream(g, plan.samplers, seeds, starts, n_steps),
+                     len(labels), n_chains, n_steps, stat_values, full_means)
     except _NodeError as exc:  # a refused start node or edge
         if component_nodes is not None:
             exc.nodes = tuple(component_nodes[list(exc.nodes)].tolist())

@@ -22,25 +22,26 @@ stream in a fixed order: one draw to pick a random start node when
 requested, then one uniform per transition for edge kinds or two per
 transition (proposal, then accept) for MH kinds, burn-in included. A chain
 draws exactly that prefix of its stream. Chain ``c`` of a multi-chain
-experiment is seeded with ``master_seed XOR splitmix64(c)``.
+experiment is seeded with ``master_seed XOR splitmix64(c)`` and given the
+experiment's start ``c``, whatever its sampler, so samplers are paired.
 
 Two drivers share one table per kernel, built once per run (the chains are
 time-homogeneous): :func:`run_chain` runs one chain in a scalar loop and
 returns its read-only int64 visits array, and the lockstep engine
-(:func:`_lockstep_stream`) advances many chains together as numpy vectors
-and reproduces :func:`run_chain` exactly. The engine runs one family per
-step rule and burn-in, so every chain of a family takes the same number of
-steps. It yields the chains' visits a block of steps at a time, which
-experiments fold as they come; no chains x steps matrix is ever held.
+(:func:`_lockstep_stream`) runs every template from every chain index's
+seed and start, one family per step rule and burn-in, as numpy vectors,
+and reproduces :func:`run_chain` exactly. It yields the visits a block of
+steps at a time, which experiments fold as they come; no chains x steps
+matrix is ever held.
 
 The engine's working set is a few buffers as wide as a family's chains. A
-family keeps one time-major buffer of uniforms, ``draws x _TIME_CHUNK`` rows
-by its chains, so each step reads its draws as contiguous rows. For each
-block, chains draw ``_STAGE_CHAINS`` at a time into one small staging
-array, which is copied, transposed, into the group's columns of that
-buffer; a group's copy stays in cache, and no chains-major copy of the
-whole block's draws is held. Each block of visits is a fresh array whose
-recorded rows are converted to node ids in place.
+family of ``K`` templates and ``C`` chain indices keeps ``K x C`` states,
+``C`` generators and a time-major buffer of ``draws x _TIME_CHUNK`` rows
+of ``C`` uniforms, copied to every template ``_WINDOW`` steps at a time.
+The generators fill it ``_STAGE_CHAINS`` at a time through a small staging
+array, copied, transposed, into the group's columns, where a group's copy
+stays in cache. Each block of visits is a fresh array whose recorded rows
+become node ids in place.
 
 An MH step costs O(1) and one comparison. It proposes the neighbor at
 ``int(u * d)`` of the current row and accepts when ``v <= t``, where ``t``
@@ -87,9 +88,12 @@ DEFAULT_EPSILON_FLOOR = 1e-9
 _MASK64 = (1 << 64) - 1
 # steps of uniforms a chain draws at a time, and the most steps of a block
 # the lockstep engine yields; a family's uniforms buffer holds draws x
-# _TIME_CHUNK rows of its chains, filled _STAGE_CHAINS chains at a time
+# _TIME_CHUNK rows of its chain indices, filled _STAGE_CHAINS at a time
 _TIME_CHUNK = 1 << 10
-# chains that draw into a lockstep family's staging array before it is
+# steps whose draws a lockstep family copies to all its templates at once,
+# which costs less than a copy per step or a broadcast in each call
+_WINDOW = 64
+# generators that draw into a lockstep family's staging array before it is
 # copied, transposed, into the uniforms buffer: a group's copy stays in
 # cache, where a copy of the whole family's draws did not
 _STAGE_CHAINS = 32
@@ -282,16 +286,12 @@ def _resolve_target(g, config, curvmap, target):
     return target
 
 
-def _resolve_start(g, config, rng, target):
-    if config.start_node == "random":
-        eligible = np.flatnonzero(g.degrees > 0)
-        if eligible.size == 0:
-            raise ValueError("graph has no non-isolated node to start from")
-        start = int(eligible[int(rng.integers(0, eligible.size))])
-    else:
-        start = g._check_node(config.start_node)
-        if g.degrees[start] == 0:
-            raise _NodeError("start node {} is isolated", start)
+def _check_start(g, start, target):
+    """``start`` as a node id; refused when it is out of range, isolated, or
+    outside the support of ``target`` (None for the edge kinds)."""
+    start = g._check_node(start)
+    if g.degrees[start] == 0:
+        raise _NodeError("start node {} is isolated", start)
     if target is not None and not target[start] > 0:
         raise _NodeError("target density is zero at start node {}", start)
     return start
@@ -378,7 +378,13 @@ def run_chain(g: WeightedGraph, config: SamplerConfig,
         raise ValueError("cannot sample an empty graph")
     table, target = _kernel_table(g, config, curvmap, target)
     rng = make_rng(config.seed)
-    start = _resolve_start(g, config, rng, target)
+    start = config.start_node
+    if start == "random":
+        eligible = np.flatnonzero(g.degrees > 0)
+        if eligible.size == 0:
+            raise ValueError("graph has no non-isolated node to start from")
+        start = int(eligible[int(rng.integers(0, eligible.size))])
+    start = _check_start(g, start, target)
     # plain lists index fastest in a Python loop; CSR row i is lo[i]:hi[i]
     nbrs, lookup = g.adj_neighbors.tolist(), table.tolist()
     lo, hi = g.adj_indptr[:-1].tolist(), g.adj_indptr[1:].tolist()
@@ -409,91 +415,84 @@ def run_chain(g: WeightedGraph, config: SamplerConfig,
     return visits
 
 
-def _lockstep_stream(g: WeightedGraph, configs):
-    """Check ``configs`` and set up their chains at once; return an iterator
-    that runs them in lockstep and yields their visits a block at a time.
-    ``configs`` must be non-empty and share ``max_steps``, and ``g`` must
-    have a node.
+def _lockstep_stream(g: WeightedGraph, templates, seeds, starts, n):
+    """Check every template's kernel against every start; return an iterator
+    that runs the chains in lockstep and yields their visits a block at a
+    time. ``templates`` and the ``C`` seeds and starts must be non-empty,
+    and ``g`` must have a node.
 
-    Chains of one step rule (the edge kinds, or the MH kinds) and one
-    burn-in form a family and advance together as one numpy vector, one
-    vectorized step per time index (:func:`_lockstep_family`); families run
-    one after the other, edge families first, by ascending burn-in. Every
-    chain keeps its own generator and draws from it, ``_TIME_CHUNK`` steps
-    at a time, exactly the stream prefix :func:`run_chain` consumes, so
-    chain ``c``'s visits are bit-identical to ``run_chain(g, configs[c])``.
+    Every template runs every chain index: chain ``c`` of ``templates[k]``,
+    row ``k * C + c``, equals :func:`run_chain` of the template with
+    ``seeds[c]``, ``starts[c]`` and ``n`` for its seed, start and
+    ``max_steps``, bit for bit. Templates of one step rule (the edge kinds,
+    or the MH kinds) and one burn-in form a family, whose chains advance
+    together, one vectorized step per time index (:func:`_lockstep_family`);
+    families run one after the other, edge families first, by ascending
+    burn-in. A family makes one generator per chain index, which draws,
+    ``_TIME_CHUNK`` steps at a time, exactly the stream prefix
+    :func:`run_chain` consumes, for every template of the family.
 
-    It yields ``(rows, k0, states)``: ``rows`` are indices into ``configs`` in
-    ascending order, ``k0`` is the recorded step at which the block starts,
-    and ``states`` is a ``(steps, len(rows))`` int64 array of node ids, time
+    It yields ``(rows, k0, states)``: ``rows`` are chain rows in ascending
+    order, ``k0`` is the recorded step at which the block starts, and
+    ``states`` is a ``(steps, len(rows))`` int64 array of node ids, time
     along the first axis, so ``states[i, j]`` is visit ``k0 + i`` of chain
     ``rows[j]``. Chains of one family arrive together. The blocks of each
     chain arrive in time order, one after the other, and hold each of its
-    ``max_steps`` visits once. Each block spans at least one step and at
-    most ``_TIME_CHUNK``.
+    ``n`` visits once. Each block spans at least one step and at most
+    ``_TIME_CHUNK``.
     """
-    n = configs[0].max_steps
-    if any(cfg.max_steps != n for cfg in configs):
-        raise ValueError("lockstep chains must share max_steps")
     curvmaps = {}
-    kernels = {}  # (kind, curvature_mode, epsilon_floor) -> (config, curvmap, target)
-    # (is_mh, burn_in) -> (index of each of its kernels, chains); a family builds
-    # its kernels' tables when it starts, so no two families' tables are held
+    # (is_mh, burn_in) -> (template, kernel) of each member; a family builds
+    # their tables when it starts, so no two families' tables are held
     families = {}
-    for row, cfg in enumerate(configs):
-        key = (cfg.kind, cfg.curvature_mode, cfg.epsilon_floor)
-        if key not in kernels:
-            curvmap = curvmaps[cfg.curvature_mode] = _resolve_curvmap(
-                g, cfg, curvmaps.get(cfg.curvature_mode))
-            target = (_resolve_target(g, cfg, curvmap, None)
-                      if _is_mh(cfg.kind) else None)
-            kernels[key] = (cfg, curvmap, target)
-        indices, chains = families.setdefault((_is_mh(cfg.kind), cfg.burn_in), ({}, []))
-        index = indices.setdefault(key, len(indices))
-        rng = make_rng(cfg.seed)
-        chains.append((row, index, _resolve_start(g, cfg, rng, kernels[key][2]), rng))
-
-    return (block for (is_mh, burn), (indices, chains) in sorted(families.items())
-            for block in _lockstep_family(g, is_mh, burn, [kernels[k] for k in indices],
-                                          chains, n))
+    for k, cfg in enumerate(templates):
+        curvmap = curvmaps[cfg.curvature_mode] = _resolve_curvmap(
+            g, cfg, curvmaps.get(cfg.curvature_mode))
+        target = _resolve_target(g, cfg, curvmap, None) if _is_mh(cfg.kind) else None
+        for start in starts:
+            _check_start(g, start, target)
+        families.setdefault((_is_mh(cfg.kind), cfg.burn_in), []).append(
+            (k, (cfg, curvmap, target)))
+    return (block for (is_mh, burn), members in sorted(families.items())
+            for block in _lockstep_family(g, is_mh, burn, members, seeds, starts, n))
 
 
-def _lockstep_family(g, is_mh, burn, kernels, chains, n):
+def _lockstep_family(g, is_mh, burn, members, seeds, starts, n):
     """Advance one family's chains together, each ``burn + n - 1`` steps,
     and yield their recorded visits as :func:`_lockstep_stream` does, ``n``
     per chain.
 
-    ``kernels`` lists the family's ``(config, curvmap, target)``; their
-    tables (:func:`_kernel_table`) are built and stacked when the family
-    starts. ``chains`` lists ``(row, kernel index, start, generator)``.
-
-    A chain's state is the stacked node ``index * V + node`` (``index``
-    picks its kernel's table), so one gather serves every kernel. An MH step
-    reads its row start from ``row_lo``; an edge step reads the cell-major
-    guide, where state ``s`` in cell ``k`` is entry ``k * S + s`` of ``S``
-    stacked states.
+    ``members`` lists ``(template, (config, curvmap, target))`` of the
+    family's ``K`` templates, whose tables (:func:`_kernel_table`) are built
+    and stacked when the family starts. The state holds the ``K * C``
+    chains in row order, chain ``c`` of the ``k``-th template at the stacked
+    node ``k * V + node``, so one gather serves every table. The family
+    makes one generator per seed; a step's draws are one row of ``C``
+    uniforms, which ``_WINDOW`` steps at a time are copied to all ``K``
+    templates. An MH step reads its row start from ``row_lo``; an edge step
+    reads the cell-major guide, where state ``s`` in cell ``k`` is entry
+    ``k * S + s`` of ``S`` stacked states.
     """
     V, H = g.node_count, len(g.adj_neighbors)
-    rows, index, starts, rngs = zip(*chains)
-    rows = np.array(rows)
-    node_off = np.array(index, dtype=np.int64) * V
-    n_tables = len(kernels)
-    stack = np.arange(n_tables, dtype=np.int64)[:, None]
+    ks, kernels = zip(*members)
+    K, C = len(ks), len(seeds)
+    rows = (np.array(ks)[:, None] * C + np.arange(C)).ravel()
+    stack = np.arange(K)[:, None]
+    node_off = np.repeat(stack * V, C)  # per chain, in row order
     nbr = (g.adj_neighbors + stack * V).ravel()  # per stacked half-edge
     row_lo = (g.adj_indptr[:-1] + stack * H).ravel()  # per stacked state
     table = np.concatenate([_kernel_table(g, *kernel)[0] for kernel in kernels])
-    width = len(rngs)
+    rngs = [make_rng(seed) for seed in seeds]
     draws = 2 if is_mh else 1
     if is_mh:
-        deg = np.tile(g.degrees.astype(np.float64), n_tables)
+        deg = np.tile(g.degrees.astype(np.float64), K)
     else:
         guide, m, wide = _guide_table(g, table, row_lo)
         S = len(row_lo)
         row_last = guide[m] - 1
         guide = guide.ravel()
-        at = np.empty(width, dtype=np.int64)
-        cand = np.empty(width, dtype=np.int64)
-    state = node_off + np.array(starts, dtype=np.int64)
+        at, cand = np.empty((2, K * C), dtype=np.int64)
+    state = node_off + np.tile(np.array(starts, dtype=np.int64), K)
 
     def recorded(states, t0):
         """The recorded rows of ``states`` (one per time index from ``t0``,
@@ -505,56 +504,58 @@ def _lockstep_family(g, is_mh, burn, kernels, chains, n):
 
     # the start row is the live state, so it is converted in a copy
     yield from recorded(state[None, :].copy(), 0)
-    below = np.empty(width, dtype=bool)
-    stage = np.empty((min(_STAGE_CHAINS, width), draws * _TIME_CHUNK))
-    u_t = np.empty((draws * _TIME_CHUNK, width))  # kept for every block
+    below = np.empty(K * C, dtype=bool)
+    stage = np.empty((min(_STAGE_CHAINS, C), draws * _TIME_CHUNK))
+    u_t = np.empty((draws * _TIME_CHUNK, C))  # kept for every block
+    near = np.empty((draws * _WINDOW, K, C))  # a window's draws, per template
+    flat = near.reshape(len(near), K * C)  # in row order
     total = burn + n - 1
     t = 0
     while t < total:
         block = min(_TIME_CHUNK, total - t)
         drawn = draws * block  # rows of u_t this block fills
-        # a group of chains at a time, through the staging rows; each step
-        # then reads its draws as contiguous rows
-        for c0 in range(0, width, len(stage)):
+        # a group of chain indices at a time, through the staging rows
+        for c0 in range(0, C, len(stage)):
             group = rngs[c0:c0 + len(stage)]
             for j, rng in enumerate(group):
                 rng.random(out=stage[j, :drawn])
             np.copyto(u_t[:drawn, c0:c0 + len(group)], stage[:len(group), :drawn].T)
-        out = np.empty((block, width), dtype=np.int64)
-        if is_mh:
-            proposals, accepts = u_t[0:drawn:2], u_t[1:drawn:2]
-            for i in range(block):
-                pos = row_lo[state] + (proposals[i] * deg[state]).astype(np.int64)
-                np.less_equal(accepts[i], table[pos], out=below)
-                np.copyto(state, nbr[pos], where=below)
-                out[i] = state
-        else:
-            us = u_t[:block]
-            # out[i] holds the guide cells k = floor(u * m) of step i, times
-            # S, until the step overwrites it with the states; exact, since
-            # m is a power of two
-            np.multiply(us, m, out=out, casting="unsafe")
-            out *= S
-            for i in range(block):
-                # bisect_right: the count of row entries <= u lies in u's
-                # guide cell; from its first position, take each halving
-                # step whose last entry, table[pos + step - 1], is <= u. A
-                # step that would pass the row's end reads the row's last
-                # entry instead, 1.0 > u, and is not taken; the step of 1
-                # never passes it
-                np.add(state, out[i], out=at)
-                pos = guide[at]
-                if wide:
-                    last = row_last[state]
-                for step in wide:
-                    np.add(pos, step - 1, out=cand)
-                    np.minimum(cand, last, out=cand)
-                    np.less_equal(table[cand], us[i], out=below)
-                    np.add(pos, step, out=pos, where=below)
-                np.less_equal(table[pos], us[i], out=below)
-                pos += below
-                state = nbr[pos]
-                out[i] = state
+        out = np.empty((block, K * C), dtype=np.int64)
+        for w0 in range(0, block, _WINDOW):
+            w1 = min(w0 + _WINDOW, block)
+            np.copyto(near[:draws * (w1 - w0)], u_t[draws * w0:draws * w1, None])
+            if is_mh:
+                for i, u, v in zip(range(w0, w1), flat[0::2], flat[1::2]):
+                    pos = row_lo[state] + (u * deg[state]).astype(np.int64)
+                    np.less_equal(v, table[pos], out=below)
+                    np.copyto(state, nbr[pos], where=below)
+                    out[i] = state
+            else:
+                # out[i] holds the guide cells k = floor(u * m) of step i,
+                # times S, until the step overwrites it with the states;
+                # exact, since m is a power of two
+                np.multiply(flat[:w1 - w0], m, out=out[w0:w1], casting="unsafe")
+                out[w0:w1] *= S
+                for i, u in zip(range(w0, w1), flat):
+                    # bisect_right: the count of row entries <= u lies in u's
+                    # guide cell; from its first position, take each halving
+                    # step whose last entry, table[pos + step - 1], is <= u.
+                    # A step that would pass the row's end reads the row's
+                    # last entry instead, 1.0 > u, and is not taken; the step
+                    # of 1 never passes it
+                    np.add(state, out[i], out=at)
+                    pos = guide[at]
+                    if wide:
+                        last = row_last[state]
+                    for step in wide:
+                        np.add(pos, step - 1, out=cand)
+                        np.minimum(cand, last, out=cand)
+                        np.less_equal(table[cand], u, out=below)
+                        np.add(pos, step, out=pos, where=below)
+                    np.less_equal(table[pos], u, out=below)
+                    pos += below
+                    state = nbr[pos]
+                    out[i] = state
         yield from recorded(out, t + 1)
         t += block
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,9 +15,17 @@ LESMIS = DATA_DIR / "lesmis.tsv"
 CELEGANS = DATA_DIR / "celegans.tsv"
 
 
-def run_chain_stream(g, configs):
+def chain_configs(templates, seeds, starts, n):
+    """The config of each chain the lockstep stream runs, in row order: every
+    template with every chain index's seed and start, and ``n`` visits."""
+    return [replace(template, seed=seed, start_node=start, max_steps=n)
+            for template in templates for seed, start in zip(seeds, starts)]
+
+
+def run_chain_stream(g, templates, seeds, starts, n):
     """A stand-in for the lockstep stream that runs every chain alone through
     the scalar single-chain driver and yields all of them as one block."""
+    configs = chain_configs(templates, seeds, starts, n)
     visits = np.stack([run_chain(g, cfg) for cfg in configs])
     yield np.arange(len(configs)), 0, visits.T
 

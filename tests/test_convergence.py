@@ -443,19 +443,19 @@ class TestRunExperiment:
     def test_start_nodes_alone_fix_every_start(self, monkeypatch):
         rng = np.random.default_rng(8)
         g = random_connected_graph(rng, 10)
-        configs = []
+        calls = []
         stream = curvewalk.convergence._lockstep_stream
 
-        def recording_stream(g, cfgs):
-            configs.extend(cfgs)
-            return stream(g, cfgs)
+        def recording_stream(g, templates, seeds, starts, n):
+            calls.append((len(templates), tuple(starts)))
+            return stream(g, templates, seeds, starts, n)
 
         monkeypatch.setattr(curvewalk.convergence, "_lockstep_stream",
                             recording_stream)
         result = run_experiment(g, tiny_plan(n_chains=3, max_steps=10,
                                              start_nodes=(3,)))
         assert result.start_nodes == (3, 3, 3)
-        assert [cfg.start_node for cfg in configs] == [3] * 6
+        assert calls == [(2, (3, 3, 3))]
 
     @pytest.mark.parametrize("kind", ["edge_curved", "edge_uniform",
                                       "node_mh_uniform"])

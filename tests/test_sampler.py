@@ -23,8 +23,8 @@ from curvewalk import (SAMPLER_KINDS, CurvatureMap, SamplerConfig,
 from curvewalk.sampler import (_TIME_CHUNK, _acceptance_thresholds,
                                _guide_table, _kernel_table, _lockstep_stream,
                                distinct_prefix_counts)
-from conftest import (LESMIS, cycle_graph, path_graph, random_connected_graph,
-                      star_graph)
+from conftest import (LESMIS, chain_configs, cycle_graph, path_graph,
+                      random_connected_graph, star_graph)
 from oracles import edge_curved_step, edge_row_cdf, mh_step
 
 
@@ -493,23 +493,24 @@ class TestKernelTable:
 
 
 def lockstep_configs(g, steps, burn_in, mode="combinatorial", chains=3):
-    """``chains`` chains of every kind with distinct seeds and starts; the
-    first chain of each kind draws a random start."""
+    """The lockstep stream's arguments for one template of every kind and
+    ``chains`` chain indices with distinct seeds and starts."""
     live = np.flatnonzero(g.degrees > 0)
-    return [SamplerConfig(kind=kind, seed=1000 * k + c, max_steps=steps,
-                          start_node=int(live[(7 * c + k) % len(live)]) if c else "random",
-                          burn_in=burn_in, curvature_mode=mode)
-            for k, kind in enumerate(SAMPLER_KINDS) for c in range(chains)]
+    templates = [SamplerConfig(kind=kind, seed=0, max_steps=1, burn_in=burn_in,
+                               curvature_mode=mode) for kind in SAMPLER_KINDS]
+    starts = [int(live[(7 * c + 1) % len(live)]) for c in range(chains)]
+    return templates, [1000 + c for c in range(chains)], starts, steps
 
 
-def assert_lockstep_equals_run_chain(g, configs):
+def assert_lockstep_equals_run_chain(g, templates, seeds, starts, n):
     """Consume the lockstep stream block by block: each block equals the
     ``run_chain`` visits it covers, and the stream keeps its contract. Rows
     ascend, each chain's blocks arrive in time order, every visit arrives
     exactly once, and every block spans from 1 to ``_TIME_CHUNK`` steps."""
+    configs = chain_configs(templates, seeds, starts, n)
     expected = [run_chain(g, cfg) for cfg in configs]
     received = np.zeros(len(configs), dtype=np.int64)  # visits so far per chain
-    for rows, k0, states in _lockstep_stream(g, configs):
+    for rows, k0, states in _lockstep_stream(g, templates, seeds, starts, n):
         assert np.all(np.diff(rows) > 0), rows
         assert states.dtype == np.int64 and states.shape[1] == len(rows)
         assert 0 < len(states) <= curvewalk.sampler._TIME_CHUNK
@@ -520,7 +521,7 @@ def assert_lockstep_equals_run_chain(g, configs):
             assert np.array_equal(states[:, j],
                                   expected[row][k0:k0 + len(states)]), configs[row]
         received[rows] += len(states)
-    assert np.all(received == configs[0].max_steps), received
+    assert np.all(received == n), received
 
 
 class FixedUniforms:
@@ -558,14 +559,13 @@ def hub_graph(rng, hub, weights, extra):
 
 
 def edge_lockstep_configs(g, steps, floor, burn_ins=(0, 3, 17)):
-    """Both edge kinds under weighted curvature, one chain per burn-in, from
-    the hub, a leaf and a random start."""
-    starts = [0, 1, "random"]
-    return [SamplerConfig(kind=kind, seed=31 * c + k, max_steps=steps,
-                          start_node=starts[c % 3], curvature_mode="weighted",
-                          epsilon_floor=floor, burn_in=b)
-            for k, kind in enumerate(("edge_curved", "edge_uniform"))
-            for c, b in enumerate(burn_ins)]
+    """The lockstep stream's arguments for both edge kinds under weighted
+    curvature, one template of each per burn-in, and three chain indices
+    that start at the hub, a leaf and the last node."""
+    templates = [SamplerConfig(kind=kind, seed=0, max_steps=1, curvature_mode="weighted",
+                               epsilon_floor=floor, burn_in=b)
+                 for kind in ("edge_curved", "edge_uniform") for b in burn_ins]
+    return templates, [0, 31, 62], [0, 1, g.node_count - 1], steps
 
 
 class TestGuideTable:
@@ -600,18 +600,18 @@ class TestLockstep:
     @pytest.mark.parametrize("mode", ["combinatorial", "weighted"])
     def test_lesmis(self, burn_in, mode):
         g, _ = load_edge_list(LESMIS)
-        assert_lockstep_equals_run_chain(g, lockstep_configs(g, 300, burn_in, mode))
+        assert_lockstep_equals_run_chain(g, *lockstep_configs(g, 300, burn_in, mode))
 
     @pytest.mark.parametrize("burn_in", [0, 17])
     def test_cycle_every_row_flat(self, burn_in):
         # every combinatorial F is 0, so each edge row takes the uniform fallback
         g = cycle_graph(9)
-        assert_lockstep_equals_run_chain(g, lockstep_configs(g, 120, burn_in))
+        assert_lockstep_equals_run_chain(g, *lockstep_configs(g, 120, burn_in))
 
     @pytest.mark.parametrize("burn_in", [0, 17])
     def test_star_degree_one_leaves(self, burn_in):
         g = star_graph(6)
-        assert_lockstep_equals_run_chain(g, lockstep_configs(g, 120, burn_in))
+        assert_lockstep_equals_run_chain(g, *lockstep_configs(g, 120, burn_in))
 
     @pytest.mark.parametrize("burn_in", [0, 17])
     def test_spans_chunks_not_a_multiple(self, burn_in):
@@ -619,64 +619,64 @@ class TestLockstep:
         g = random_connected_graph(rng, 30, extra=1.5, weighted=True)
         steps = 2 * _TIME_CHUNK + 37
         assert_lockstep_equals_run_chain(
-            g, lockstep_configs(g, steps, burn_in, "weighted", chains=2))
+            g, *lockstep_configs(g, steps, burn_in, "weighted", chains=2))
 
     def test_mixed_burn_in(self):
         rng = np.random.default_rng(23)
         g = random_connected_graph(rng, 15, extra=1.0)
-        configs = [SamplerConfig(kind=kind, seed=s, max_steps=50, start_node=s % 15,
-                                 burn_in=b)
-                   for s, (kind, b) in enumerate(
-                       [("edge_curved", 0), ("edge_curved", 5), ("node_mh_curved", 17),
-                        ("edge_uniform", 40), ("node_mh_uniform", 0)])]
-        assert_lockstep_equals_run_chain(g, configs)
+        templates = [SamplerConfig(kind=kind, seed=0, max_steps=1, burn_in=b)
+                     for kind, b in [("edge_curved", 0), ("edge_curved", 5),
+                                     ("node_mh_curved", 17), ("edge_uniform", 40),
+                                     ("node_mh_uniform", 0)]]
+        assert_lockstep_equals_run_chain(g, templates, [0, 1, 2], [0, 7, 14], 50)
 
     @pytest.mark.parametrize("stage", [1, 3, 100])
     @pytest.mark.parametrize("chunk", [1, 7])
     def test_staging_groups_and_short_blocks(self, monkeypatch, stage, chunk):
-        # a family's draws pass through staging groups of 1 chain, of 3 (the
-        # last group short) and of more chains than it holds, in blocks of 1
-        # and 7 steps, with one burn-in for every chain and with burn-ins
-        # that make a family each
+        # a family's draws pass through staging groups of 1 chain index, of
+        # 3 (the last group short) and of more chain indices than it holds,
+        # in blocks of 1 and 7 steps, with one burn-in for every template
+        # and with two, which make two families per step rule
         monkeypatch.setattr(curvewalk.sampler, "_STAGE_CHAINS", stage)
         monkeypatch.setattr(curvewalk.sampler, "_TIME_CHUNK", chunk)
         g = random_connected_graph(np.random.default_rng(29), 20, extra=1.5,
                                    weighted=True)
-        shared = lockstep_configs(g, 40, 9, "weighted", chains=4)
-        mixed = [replace(cfg, burn_in=(5 * c) % 12)
-                 for c, cfg in enumerate(shared)]
-        for configs in (shared, mixed):
-            assert_lockstep_equals_run_chain(g, configs)
+        templates, *chains = lockstep_configs(g, 40, 9, "weighted", chains=4)
+        mixed = [replace(cfg, burn_in=b) for b in (0, 5) for cfg in templates]
+        for configs in (templates, mixed):
+            assert_lockstep_equals_run_chain(g, configs, *chains)
 
     def test_each_chain_draws_exactly_its_prefix(self, monkeypatch):
         # burn-ins 0, 5 and 1100 (past one 1024-step block) make three
-        # families per step rule, each with a random and a fixed start; every
-        # generator must end where the reproducibility contract puts it
-        made = {}
+        # families per step rule, of two templates each. Each family makes
+        # one generator per chain index, not one per chain, and each must
+        # end where the reproducibility contract puts it, with no start draw
+        made = {}  # seed -> its generators, in the order the families made them
 
         def recording_rng(seed):
-            made[seed] = make_rng(seed)
-            return made[seed]
+            made.setdefault(seed, []).append(make_rng(seed))
+            return made[seed][-1]
 
         monkeypatch.setattr(curvewalk.sampler, "make_rng", recording_rng)
         g, _ = load_edge_list(LESMIS)
-        n = 300
-        configs = [SamplerConfig(kind=kind, seed=10 * k + b, max_steps=n,
-                                 start_node="random" if k % 2 else 3 * k, burn_in=burn)
-                   for k, kind in enumerate(SAMPLER_KINDS)
-                   for b, burn in enumerate((0, 5, 1100))]
-        for _ in _lockstep_stream(g, configs):
+        n, burn_ins, seeds = 300, (0, 5, 1100), [7, 8, 9]
+        templates = [SamplerConfig(kind=kind, seed=0, max_steps=1, burn_in=burn)
+                     for kind in SAMPLER_KINDS for burn in burn_ins]
+        for _ in _lockstep_stream(g, templates, seeds, [0, 3, 11], n):
             pass
+        # the families run edge first, by ascending burn-in
+        families = [(draws, burn) for draws in (1, 2) for burn in burn_ins]
+        assert {seed: len(rngs) for seed, rngs in made.items()} == {
+            seed: len(families) for seed in seeds}
         over = []
-        for cfg in configs:
-            want = make_rng(cfg.seed)
-            if cfg.start_node == "random":
-                want.integers(0, np.count_nonzero(g.degrees))
-            draws = 2 if cfg.kind.startswith("node_mh") else 1
-            want.random(draws * (cfg.burn_in + n - 1))
-            if made[cfg.seed].bit_generator.state != want.bit_generator.state:
-                over.append((cfg.kind, cfg.burn_in))
-        assert not over, f"{len(over)} of {len(configs)} chains left their prefix: {over}"
+        for seed in seeds:
+            for rng, (draws, burn) in zip(made[seed], families):
+                want = make_rng(seed)
+                want.random(draws * (burn + n - 1))
+                if rng.bit_generator.state != want.bit_generator.state:
+                    over.append((seed, draws, burn))
+        assert not over, f"{len(over)} of {len(made) * len(families)} generators " \
+            f"left their prefix: {over}"
 
     def test_mh_family_holds_one_uniforms_buffer_and_two_blocks(self):
         # 400 chains over 3 blocks: the kept time-major buffer (two blocks of
@@ -685,10 +685,9 @@ class TestLockstep:
         # second uniforms buffer or a second copy of each visits block
         # would pass the bound
         width = 400
-        configs = [SamplerConfig(kind="node_mh_uniform", seed=c,
-                                 max_steps=3 * _TIME_CHUNK, start_node=c % 100)
-                   for c in range(width)]
-        stream = _lockstep_stream(cycle_graph(100), configs)
+        stream = _lockstep_stream(
+            cycle_graph(100), [SamplerConfig(kind="node_mh_uniform", seed=0, max_steps=1)],
+            list(range(width)), [c % 100 for c in range(width)], 3 * _TIME_CHUNK)
         steps = 0
         tracemalloc.start()
         try:
@@ -700,6 +699,30 @@ class TestLockstep:
         assert steps == 3 * _TIME_CHUNK
         block = _TIME_CHUNK * width * 8
         assert peak < 5 * block, peak / block
+
+    def test_paired_mh_family_holds_one_column_of_uniforms_per_chain_index(self):
+        # 2 templates x 200 chain indices over 3 blocks: one buffer of 200
+        # columns of proposal and accept uniforms (one block of the 400
+        # chains' float64), the block being stepped, the one the consumer
+        # still holds, and a little for the staging rows. A column of
+        # uniforms per chain, as for unpaired chains, would pass the bound
+        width = 200
+        templates = [SamplerConfig(kind=kind, seed=0, max_steps=1)
+                     for kind in ("node_mh_uniform", "node_mh_curved")]
+        stream = _lockstep_stream(cycle_graph(100), templates, list(range(width)),
+                                  [c % 100 for c in range(width)], 3 * _TIME_CHUNK)
+        steps = 0
+        tracemalloc.start()
+        try:
+            for rows, k0, states in stream:
+                assert states.shape[1] == 2 * width
+                steps += len(states)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert steps == 3 * _TIME_CHUNK
+        block = _TIME_CHUNK * 2 * width * 8
+        assert peak < 3.75 * block, peak / block
 
     @pytest.mark.parametrize("g, ties", [
         # rows of degree 2 and 4 hold multiples of 1/4, which are guide cell
@@ -717,10 +740,11 @@ class TestLockstep:
         values = ties + [np.nextafter(u, -1.0) for u in ties[1:]] + [1 - 2**-53]
         monkeypatch.setattr(curvewalk.sampler, "make_rng",
                             lambda seed: FixedUniforms(values, seed))
-        configs = [SamplerConfig(kind="edge_uniform", seed=seed, max_steps=60,
-                                 start_node=seed % g.node_count, burn_in=seed % 3)
-                   for seed in range(len(values))]
-        assert_lockstep_equals_run_chain(g, configs)
+        templates = [SamplerConfig(kind="edge_uniform", seed=0, max_steps=1, burn_in=b)
+                     for b in range(3)]
+        seeds = list(range(len(values)))
+        assert_lockstep_equals_run_chain(
+            g, templates, seeds, [seed % g.node_count for seed in seeds], 60)
 
     @pytest.mark.parametrize("graph", ["hub", "random"])
     @pytest.mark.parametrize("mode", ["combinatorial", "weighted"])
@@ -757,7 +781,8 @@ class TestLockstep:
                             lambda seed: FixedUniforms(streams[seed], 0))
         for c, cfg in enumerate(cfgs):
             assert run_chain(g, cfg, cm).tolist() == expected[c]
-        assert_lockstep_equals_run_chain(g, cfgs)
+        assert_lockstep_equals_run_chain(g, cfgs[:1], [cfg.seed for cfg in cfgs],
+                                         [cfg.start_node for cfg in cfgs], 200)
 
     @pytest.mark.parametrize("floor", [0.0, 1e-9])
     @pytest.mark.parametrize("hub", [15, 16, 17, 31, 32, 33, 63, 64, 65])
@@ -768,7 +793,7 @@ class TestLockstep:
         # set the guide's size unless the mean degree caps it
         g = hub_graph(np.random.default_rng(hub), hub, [1e-12, 1.0, 2.5],
                       int(extra * hub))
-        assert_lockstep_equals_run_chain(g, edge_lockstep_configs(g, 150, floor))
+        assert_lockstep_equals_run_chain(g, *edge_lockstep_configs(g, 150, floor))
 
     @settings(max_examples=30, deadline=None)
     @given(hub=st.integers(2, 70), extra=st.integers(0, 200),
@@ -780,7 +805,7 @@ class TestLockstep:
                                burn_ins):
         g = hub_graph(np.random.default_rng(graph_seed), hub, weights, extra)
         assert_lockstep_equals_run_chain(
-            g, edge_lockstep_configs(g, 60, floor, burn_ins))
+            g, *edge_lockstep_configs(g, 60, floor, burn_ins))
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(2, 14), extra=st.floats(0.0, 2.5),
@@ -792,17 +817,24 @@ class TestLockstep:
         g = random_connected_graph(np.random.default_rng(graph_seed), n,
                                    extra=extra, weighted=weighted)
         assert_lockstep_equals_run_chain(
-            g, lockstep_configs(g, 40, burn_in, mode, chains=2))
+            g, *lockstep_configs(g, 40, burn_in, mode, chains=2))
 
-    def test_rejects_mixed_lengths_and_bad_starts(self):
-        g = path_graph(4)
-        with pytest.raises(ValueError):
-            _lockstep_stream(g, [SamplerConfig(kind="edge_uniform", seed=0, max_steps=5),
-                                 SamplerConfig(kind="edge_uniform", seed=0, max_steps=6)])
+    def test_rejects_bad_starts(self):
+        # every template's kernel is checked against every chain index's
+        # start: node 2 of the 5-node path has curvature 0, so only the
+        # curved MH template, with no floor, refuses it
+        uniform = SamplerConfig(kind="edge_uniform", seed=0, max_steps=1)
+        curved = SamplerConfig(kind="node_mh_curved", seed=0, max_steps=1,
+                               epsilon_floor=0.0)
+        g = path_graph(5)
+        assert _lockstep_stream(g, [uniform], [0, 1], [0, 2], 5) is not None
+        with pytest.raises(ValueError, match="target density is zero at start node 2"):
+            _lockstep_stream(g, [uniform, curved], [0, 1], [0, 2], 5)
         g = WeightedGraph(3, [(0, 1)])
-        with pytest.raises(ValueError):
-            _lockstep_stream(g, [SamplerConfig(kind="node_mh_uniform", seed=0,
-                                               max_steps=5, start_node=2)])
+        with pytest.raises(ValueError, match="start node 2 is isolated"):
+            _lockstep_stream(g, [uniform], [0, 1], [0, 2], 5)
+        with pytest.raises(ValueError, match="out of range"):
+            _lockstep_stream(g, [uniform], [0], [3], 5)
 
 
 class TestTransitionMatrix:
