@@ -37,6 +37,7 @@ NETSTATS = "src/curvewalk/netstats.py"
 CONVERGENCE = "src/curvewalk/convergence.py"
 LOCKSTEP = "tests/test_sampler.py::TestLockstep"
 FOLD = "tests/test_convergence.py::TestAggregationOracle"
+EDGE_ROWS = ["tests/test_sampler.py::TestEdgeKernel", "tests/test_sampler.py::TestKernelTable"]
 
 MUTANTS = [
     # the lockstep MH accept and the edge step's last comparison
@@ -44,13 +45,16 @@ MUTANTS = [
      "                    np.less(v, table[pos], out=below)", [LOCKSTEP]),
     (SAMPLER, "                    np.less_equal(table[pos], u, out=below)",
      "                    np.less(table[pos], u, out=below)", [LOCKSTEP]),
-    # the edge kernel: its uniform-row fallback and its floor
-    (SAMPLER, "    curved = (row_max > epsilon_floor)[g.adj_tails]",
-     "    curved = (row_max >= epsilon_floor)[g.adj_tails]",
-     ["tests/test_sampler.py::TestEdgeKernel"]),
-    (SAMPLER, "    weights[curved] = (np.maximum(f[curved], epsilon_floor)",
-     "    weights[curved] = ((f[curved] + epsilon_floor)",
-     ["tests/test_sampler.py::TestEdgeKernel"]),
+    # the edge kernel's rows: the uniform-row fallback, the floor, the
+    # degree classes and each row's total
+    (SAMPLER, "            curved = f.max(axis=1) > epsilon_floor",
+     "            curved = f.max(axis=1) >= epsilon_floor", EDGE_ROWS),
+    (SAMPLER, "            w[curved] = (np.maximum(f[curved], epsilon_floor)",
+     "            w[curved] = ((f[curved] + epsilon_floor)", EDGE_ROWS),
+    (SAMPLER, "    for d in np.flatnonzero(np.bincount(g.degrees)[1:]) + 1:",
+     "    for d in np.flatnonzero(np.bincount(g.degrees)[1:-1]) + 1:", EDGE_ROWS),
+    (SAMPLER, "        w /= w[:, -1:]",
+     "        w /= w[:, :1]", EDGE_ROWS),
     # the MH curved target's floor
     (SAMPLER, "        dens = np.maximum(np.abs(curvmap.node_values), epsilon_floor)",
      "        dens = np.abs(curvmap.node_values) + epsilon_floor",
@@ -146,6 +150,10 @@ EQUIVALENT = [
      "    for _ in range(0):",
      "with no nextafter rounds the bisection fallback settles every pair to "
      "the same thresholds"),
+    (SAMPLER, "        w[:, -1] = 1.0",
+     "        pass",
+     "a row's total divided by itself is exactly 1.0, since the total is a "
+     "finite double > 0"),
 ]
 
 

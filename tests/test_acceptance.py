@@ -22,7 +22,7 @@ from curvewalk.netstats import closeness
 from conftest import (CELEGANS, LESMIS, complete_graph, path_graph,
                       random_connected_graph, random_graph, star_graph,
                       two_hub_bridge)
-from oracles import hop_bc_cc_oracle, weighted_bc_cc_oracle
+from oracles import edge_row_cdf, hop_bc_cc_oracle, weighted_bc_cc_oracle
 
 
 def test_criterion_1_curvature_exactness(acceptance):
@@ -84,22 +84,48 @@ def test_criterion_2_mh_stationarity(acceptance):
     assert elapsed < 30.0
 
 
+def edge_kernel_oracle(g, curvmap):
+    """Dense edge kernel built row by row from :func:`edge_row_cdf`
+    (``curvmap = None`` for the uniform kernel); every node has a neighbor."""
+    P = np.zeros((g.node_count, g.node_count))
+    for i in range(g.node_count):
+        lo, hi = g.adj_indptr[i], g.adj_indptr[i + 1]
+        P[i, g.adj_neighbors[lo:hi]] = np.diff(edge_row_cdf(g, curvmap, i), prepend=0.0)
+    return P
+
+
 def test_criterion_3_empirical_chain_law(acceptance):
     t0 = time.perf_counter()
     rng = np.random.default_rng(2024)
     g = random_connected_graph(rng, 30, extra=1.5)
-    cfg = SamplerConfig(kind="node_mh_curved", seed=424242, max_steps=1_000_000,
-                        start_node=0)
-    trace = run_chain(g, cfg)
-    freq = np.bincount(trace, minlength=30) / cfg.max_steps
-    pi = stationary_distribution(build_transition_matrix(g, cfg))
-    tv = 0.5 * float(np.abs(freq - pi).sum())
-    elapsed = time.perf_counter() - t0
-    ok = tv < 0.02 and elapsed < 10.0
+    degree_law = g.degrees / g.degrees.sum()  # d(i) / 2E
+    tv, elapsed = {}, {}
+    for kind in ("node_mh_curved", "edge_curved", "edge_uniform"):
+        cfg = SamplerConfig(kind=kind, seed=424242, max_steps=1_000_000,
+                            start_node=0)
+        trace = run_chain(g, cfg)
+        freq = np.bincount(trace, minlength=30) / cfg.max_steps
+        if kind == "node_mh_curved":
+            pi = stationary_distribution(build_transition_matrix(g, cfg))
+        else:
+            # the law of the oracle's rows, not of the chains' table
+            curvmap = compute_curvature_map(g) if kind == "edge_curved" else None
+            pi = stationary_distribution(edge_kernel_oracle(g, curvmap))
+        if kind == "edge_uniform":
+            degree_gap = float(np.abs(pi - degree_law).max())
+        tv[kind] = 0.5 * float(np.abs(freq - pi).sum())
+        elapsed[kind] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+    ok = (all(v < 0.02 for v in tv.values()) and all(v < 10.0 for v in elapsed.values())
+          and degree_gap <= 1e-12)
     acceptance("criterion 3 (empirical chain law)", ok,
-               f"TV distance {tv:.4f} after 1e6 steps, {elapsed:.2f}s")
-    assert tv < 0.02
-    assert elapsed < 10.0
+               "; ".join(f"{kind}: TV distance {tv[kind]:.4f} after 1e6 steps, "
+                         f"{elapsed[kind]:.2f}s" for kind in tv)
+               + f"; edge_uniform law vs d(i)/2E {degree_gap:.1e}")
+    assert degree_gap <= 1e-12
+    for kind in tv:
+        assert tv[kind] < 0.02, kind
+        assert elapsed[kind] < 10.0, kind
 
 
 def test_criterion_4_stat_oracles(acceptance):

@@ -3,10 +3,11 @@
 A fixed seed gives byte-identical CSVs only while numpy keeps a few
 behaviours that no other test names: the PCG64 stream and how it fills a
 row in place, the order in which ``np.bincount``, ``np.add.at`` and
-``np.cumsum`` add, the truncation of a float-to-int64 cast, and the order
-of ties in a stable argsort. Each is pinned here on a tiny input where
-another order or rounding gives another result, so a numpy upgrade that
-changes one fails here by name, not as a golden-hash mismatch.
+``np.cumsum`` add, ``np.minimum.at`` applying every repeated index, the
+truncation of a float-to-int64 cast, the order of ties in a stable argsort,
+and the key order and ties of ``np.lexsort``. Each is pinned here on a tiny
+input where another order or rounding gives another result, so a numpy
+upgrade that changes one fails here by name, not as a golden-hash mismatch.
 """
 
 from __future__ import annotations
@@ -94,3 +95,24 @@ def test_stable_argsort_keeps_ties_in_input_order():
     keys = -(np.arange(100) * 7 % 5)
     want = sorted(range(len(keys)), key=lambda i: keys[i])  # Python's sort is stable
     assert np.argsort(keys, kind="stable").tolist() == want
+
+
+def test_minimum_at_applies_every_repeated_index():
+    # the fold's first-visit scan and distinct_prefix_counts take each
+    # node's first position over repeated indices; a buffered assignment
+    # keeps only the last write to a repeated index
+    index, values = np.array([0, 0, 1, 1, 0]), np.array([3, 5, 7, 2, 4])
+    unbuffered, buffered = np.full(2, 10), np.full(2, 10)
+    np.minimum.at(unbuffered, index, values)
+    buffered[index] = np.minimum(buffered[index], values)
+    assert unbuffered.tolist() == [3, 2]
+    assert buffered.tolist() == [4, 2]
+
+
+def test_lexsort_sorts_by_its_last_key_first_and_keeps_full_ties_in_input_order():
+    # extract_backbone and the weighted sweep's pop ranks break ties this way
+    first = np.arange(100) * 3 % 2
+    last = -(np.arange(100) * 7 % 5)
+    want = sorted(range(100), key=lambda i: (last[i], first[i]))  # Python's sort is stable
+    assert np.lexsort((first, last)).tolist() == want
+    assert want != sorted(range(100), key=lambda i: (first[i], last[i]))

@@ -478,8 +478,15 @@ class TestKernelTable:
     @pytest.mark.parametrize("floor", [0.0, 1e-9, 0.6])
     def test_edge_rows_equal_oracle(self, kind, mode, floor):
         rng = np.random.default_rng(41)
+        # the hub graph's node 0 is alone in its degree class, its 1e-12
+        # weights crowd the curvatures, and under weighted curvature floors
+        # 1e-9 and 0.6 make 5 and 19 of its rows fall back beside rows that
+        # stay curved; the last graph's node 0 is isolated, ahead of rows of
+        # three degrees
         graphs = [random_connected_graph(rng, 25, extra=2.0, weighted=True),
-                  cycle_graph(7), star_graph(5), WeightedGraph(4, [(0, 1), (1, 2)])]
+                  cycle_graph(7), star_graph(5), WeightedGraph(4, [(0, 1), (1, 2)]),
+                  hub_graph(np.random.default_rng(64), 64, [1e-12, 1.0, 2.5], 20),
+                  WeightedGraph(5, [(1, 2), (1, 3), (2, 3), (3, 4)])]
         for g in graphs:
             cfg = SamplerConfig(kind=kind, seed=0, max_steps=1,
                                 curvature_mode=mode, epsilon_floor=floor)
@@ -489,7 +496,9 @@ class TestKernelTable:
                 lo, hi = g.adj_indptr[i], g.adj_indptr[i + 1]
                 expected = edge_row_cdf(g, cm if kind == "edge_curved" else None,
                                         i, floor)
-                assert table[lo:hi].tolist() == expected.tolist()
+                # as int64 bit patterns, so the check is exact
+                assert table[lo:hi].view(np.int64).tolist() == \
+                    expected.view(np.int64).tolist()
 
 
 def lockstep_configs(g, steps, burn_in, mode="combinatorial", chains=3):
