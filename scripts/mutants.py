@@ -63,26 +63,25 @@ MUTANTS = [
     # recorded rows of each block
     (SAMPLER, "        families.setdefault((_is_mh(cfg.kind), cfg.burn_in), []).append(",
      "        families.setdefault((_is_mh(cfg.kind), 0), []).append(", [LOCKSTEP]),
-    # the paired layout: row k * C + c runs template k from chain index c,
-    # each template's chains are offset into its own table, and each step's
-    # draws reach every template of the family
-    (SAMPLER, "    rows = (np.array(ks)[:, None] * C + np.arange(C)).ravel()",
-     "    rows = (np.array(ks)[:, None] + np.arange(C) * K).ravel()", [LOCKSTEP]),
-    (SAMPLER, "    node_off = np.repeat(stack * V, C)  # per chain, in row order",
-     "    node_off = np.tile(stack.ravel() * V, C)  # per chain, in row order",
-     [LOCKSTEP]),
-    (SAMPLER, "            np.copyto(near[:draws * (w1 - w0)], u_t[draws * w0:draws * w1, None])",
-     "            np.copyto(near[:draws * (w1 - w0), :1], u_t[draws * w0:draws * w1, None])",
+    # the paired layout: each template's chains are offset into its own
+    # table by its place in the family, not its plan index, and each step's
+    # draws reach every chain index of every template of the family
+    (SAMPLER, "                nodes -= j * V",
+     "                nodes -= k * V", [LOCKSTEP]),
+    (SAMPLER, "            for c0 in range(0, C, _COPY_CHAINS):",
+     "            for c0 in range(0, C, _COPY_CHAINS + 1):", [LOCKSTEP]),
+    (SAMPLER, "                np.copyto(near[:d1 - d0, :, c0:c1], uniforms[c0:c1, d0:d1].T[:, None])",
+     "                np.copyto(near[:d1 - d0, :1, c0:c1], uniforms[c0:c1, d0:d1].T[:, None])",
      [LOCKSTEP]),
     # the windows of steps whose draws are copied at once cover the block
     (SAMPLER, "            w1 = min(w0 + _WINDOW, block)",
      "            w1 = min(w0 + _WINDOW - 1, block)", [LOCKSTEP]),
     (SAMPLER, "        if t0 + len(states) > burn:",
      "        if t0 + len(states) >= burn:", [LOCKSTEP]),
-    (SAMPLER, "            nodes = states[max(burn - t0, 0):]",
-     "            nodes = states[max(burn - t0 - 1, 0):]", [LOCKSTEP]),
-    (SAMPLER, "            yield rows, max(t0 - burn, 0), nodes",
-     "            yield rows, max(t0 - burn + 1, 0), nodes", [LOCKSTEP]),
+    (SAMPLER, "            states = states[max(burn - t0, 0):]",
+     "            states = states[max(burn - t0 - 1, 0):]", [LOCKSTEP]),
+    (SAMPLER, "                yield k, max(t0 - burn, 0), nodes",
+     "                yield k, max(t0 - burn + 1, 0), nodes", [LOCKSTEP]),
     (SAMPLER, "    total = burn + n - 1",
      "    total = burn + n", [LOCKSTEP]),
     # the edge family's cell-major guide: the halving step's last entry, the

@@ -269,10 +269,9 @@ class _StepSums:
 def _fold(blocks, n_samplers, n_chains, n_steps, stat_values, full_means):
     """One :class:`_StepSums` per sampler, folded from ``blocks``.
 
-    ``blocks`` yields ``(rows, k0, states)`` as
+    ``blocks`` yields ``(k, k0, states)`` as
     :func:`curvewalk.sampler._lockstep_stream` does, for ``n_samplers``
-    samplers of ``n_chains`` chains each, sampler-major: row ``r`` is chain
-    ``r % n_chains`` of sampler ``r // n_chains``.
+    samplers of ``n_chains`` chains each.
     """
     values = np.stack(list(stat_values.values()))
     means = np.array([full_means[kind] for kind in stat_values])
@@ -281,12 +280,8 @@ def _fold(blocks, n_samplers, n_chains, n_steps, stat_values, full_means):
     scratch = np.full(n_chains * values.shape[1], _NO_VISIT)
     sums = [_StepSums(values, means, n_chains, n_steps, scratch)
             for _ in range(n_samplers)]
-    for rows, k0, states in blocks:
-        # rows ascend, so each sampler's chains are a run of columns
-        owner = rows // n_chains
-        cuts = [0, *(np.flatnonzero(np.diff(owner)) + 1).tolist(), len(rows)]
-        for lo, hi in zip(cuts, cuts[1:]):
-            sums[int(owner[lo])].add(k0, states[:, lo:hi])
+    for k, k0, states in blocks:
+        sums[k].add(k0, states)
     return sums
 
 

@@ -36,12 +36,12 @@ matrix is ever held.
 
 The engine's working set is a few buffers as wide as a family's chains. A
 family of ``K`` templates and ``C`` chain indices keeps ``K x C`` states,
-``C`` generators and a time-major buffer of ``draws x _TIME_CHUNK`` rows
-of ``C`` uniforms, copied to every template ``_WINDOW`` steps at a time.
-The generators fill it ``_STAGE_CHAINS`` at a time through a small staging
-array, copied, transposed, into the group's columns, where a group's copy
-stays in cache. Each block of visits is a fresh array whose recorded rows
-become node ids in place.
+``C`` generators and a chain-major buffer in which each generator draws
+``_TIME_CHUNK`` steps of uniforms into its own row. Each draw is copied
+once, ``_WINDOW`` steps at a time, transposed and broadcast to every
+template, ``_COPY_CHAINS`` chain indices at a time so that each group's
+copy stays in cache. Each block of visits is a fresh array whose recorded
+rows become node ids in place, one template's columns at a time.
 
 An MH step costs O(1) and one comparison. It proposes the neighbor at
 ``int(u * d)`` of the current row and accepts when ``v <= t``, where ``t``
@@ -88,15 +88,15 @@ DEFAULT_EPSILON_FLOOR = 1e-9
 _MASK64 = (1 << 64) - 1
 # steps of uniforms a chain draws at a time, and the most steps of a block
 # the lockstep engine yields; a family's uniforms buffer holds draws x
-# _TIME_CHUNK rows of its chain indices, filled _STAGE_CHAINS at a time
+# _TIME_CHUNK uniforms of each of its chain indices
 _TIME_CHUNK = 1 << 10
 # steps whose draws a lockstep family copies to all its templates at once,
 # which costs less than a copy per step or a broadcast in each call
 _WINDOW = 64
-# generators that draw into a lockstep family's staging array before it is
-# copied, transposed, into the uniforms buffer: a group's copy stays in
-# cache, where a copy of the whole family's draws did not
-_STAGE_CHAINS = 32
+# chain indices whose window of draws a lockstep family copies, transposed,
+# at once: a group's copy stays in cache, where a copy of every chain
+# index's window did not
+_COPY_CHAINS = 32
 # most nodes a dense transition matrix is built for (2000 nodes is 32 MB)
 _MATRIX_MAX_NODES = 2000
 
@@ -403,8 +403,8 @@ def _lockstep_stream(g: WeightedGraph, templates, seeds, starts, n):
     time. ``templates`` and the ``C`` seeds and starts must be non-empty,
     and ``g`` must have a node.
 
-    Every template runs every chain index: chain ``c`` of ``templates[k]``,
-    row ``k * C + c``, equals :func:`run_chain` of the template with
+    Every template runs every chain index: chain ``c`` of ``templates[k]``
+    equals :func:`run_chain` of the template with
     ``seeds[c]``, ``starts[c]`` and ``n`` for its seed, start and
     ``max_steps``, bit for bit. Templates of one step rule (the edge kinds,
     or the MH kinds) and one burn-in form a family, whose chains advance
@@ -414,14 +414,13 @@ def _lockstep_stream(g: WeightedGraph, templates, seeds, starts, n):
     ``_TIME_CHUNK`` steps at a time, exactly the stream prefix
     :func:`run_chain` consumes, for every template of the family.
 
-    It yields ``(rows, k0, states)``: ``rows`` are chain rows in ascending
-    order, ``k0`` is the recorded step at which the block starts, and
-    ``states`` is a ``(steps, len(rows))`` int64 array of node ids, time
-    along the first axis, so ``states[i, j]`` is visit ``k0 + i`` of chain
-    ``rows[j]``. Chains of one family arrive together. The blocks of each
-    chain arrive in time order, one after the other, and hold each of its
-    ``n`` visits once. Each block spans at least one step and at most
-    ``_TIME_CHUNK``.
+    It yields ``(k, k0, states)``: ``k0`` is the recorded step at which the
+    block starts, and ``states`` is a ``(steps, C)`` int64 array of node
+    ids, time along the first axis, so ``states[i, c]`` is visit ``k0 + i``
+    of chain ``c`` of ``templates[k]``. The templates of one family arrive
+    together. The blocks of each template arrive in time order, one after
+    the other, and hold each of its chains' ``n`` visits once. Each block
+    spans at least one step and at most ``_TIME_CHUNK``.
     """
     curvmaps = {}
     # (is_mh, burn_in) -> (template, kernel) of each member; a family builds
@@ -446,21 +445,19 @@ def _lockstep_family(g, is_mh, burn, members, seeds, starts, n):
 
     ``members`` lists ``(template, (config, curvmap, target))`` of the
     family's ``K`` templates, whose tables (:func:`_kernel_table`) are built
-    and stacked when the family starts. The state holds the ``K * C``
-    chains in row order, chain ``c`` of the ``k``-th template at the stacked
-    node ``k * V + node``, so one gather serves every table. The family
-    makes one generator per seed; a step's draws are one row of ``C``
-    uniforms, which ``_WINDOW`` steps at a time are copied to all ``K``
-    templates. An MH step reads its row start from ``row_lo``; an edge step
-    reads the cell-major guide, where state ``s`` in cell ``k`` is entry
-    ``k * S + s`` of ``S`` stacked states.
+    and stacked when the family starts. The state holds ``C`` chains of
+    each template in turn, those of the ``j``-th template at the stacked
+    nodes ``j * V + node``, so one gather serves every table. The family
+    makes one generator per seed, which draws a block's uniforms into its
+    own row of ``uniforms``; ``_WINDOW`` steps at a time, they are copied
+    to all ``K`` templates. An MH step reads its row start from ``row_lo``;
+    an edge step reads the cell-major guide, where state ``s`` in cell ``k``
+    is entry ``k * S + s`` of ``S`` stacked states.
     """
     V, H = g.node_count, len(g.adj_neighbors)
     ks, kernels = zip(*members)
     K, C = len(ks), len(seeds)
-    rows = (np.array(ks)[:, None] * C + np.arange(C)).ravel()
     stack = np.arange(K)[:, None]
-    node_off = np.repeat(stack * V, C)  # per chain, in row order
     nbr = (g.adj_neighbors + stack * V).ravel()  # per stacked half-edge
     row_lo = (g.adj_indptr[:-1] + stack * H).ravel()  # per stacked state
     table = np.concatenate([_kernel_table(g, *kernel)[0] for kernel in kernels])
@@ -474,38 +471,38 @@ def _lockstep_family(g, is_mh, burn, members, seeds, starts, n):
         row_last = guide[m] - 1
         guide = guide.ravel()
         at, cand = np.empty((2, K * C), dtype=np.int64)
-    state = node_off + np.tile(np.array(starts, dtype=np.int64), K)
+    state = (np.array(starts, dtype=np.int64) + stack * V).ravel()
 
     def recorded(states, t0):
         """The recorded rows of ``states`` (one per time index from ``t0``,
-        an array the caller gives up) as node ids, converted in place."""
+        an array the caller gives up), each template's columns as node ids,
+        converted in place."""
         if t0 + len(states) > burn:
-            nodes = states[max(burn - t0, 0):]
-            nodes -= node_off
-            yield rows, max(t0 - burn, 0), nodes
+            states = states[max(burn - t0, 0):]
+            for j, k in enumerate(ks):
+                nodes = states[:, j * C:(j + 1) * C]
+                nodes -= j * V
+                yield k, max(t0 - burn, 0), nodes
 
     # the start row is the live state, so it is converted in a copy
     yield from recorded(state[None, :].copy(), 0)
     below = np.empty(K * C, dtype=bool)
-    stage = np.empty((min(_STAGE_CHAINS, C), draws * _TIME_CHUNK))
-    u_t = np.empty((draws * _TIME_CHUNK, C))  # kept for every block
+    uniforms = np.empty((C, draws * _TIME_CHUNK))  # kept for every block
     near = np.empty((draws * _WINDOW, K, C))  # a window's draws, per template
-    flat = near.reshape(len(near), K * C)  # in row order
+    flat = near.reshape(len(near), K * C)  # in state order
     total = burn + n - 1
     t = 0
     while t < total:
         block = min(_TIME_CHUNK, total - t)
-        drawn = draws * block  # rows of u_t this block fills
-        # a group of chain indices at a time, through the staging rows
-        for c0 in range(0, C, len(stage)):
-            group = rngs[c0:c0 + len(stage)]
-            for j, rng in enumerate(group):
-                rng.random(out=stage[j, :drawn])
-            np.copyto(u_t[:drawn, c0:c0 + len(group)], stage[:len(group), :drawn].T)
+        for rng, row in zip(rngs, uniforms):
+            rng.random(out=row[:draws * block])
         out = np.empty((block, K * C), dtype=np.int64)
         for w0 in range(0, block, _WINDOW):
             w1 = min(w0 + _WINDOW, block)
-            np.copyto(near[:draws * (w1 - w0)], u_t[draws * w0:draws * w1, None])
+            d0, d1 = draws * w0, draws * w1
+            for c0 in range(0, C, _COPY_CHAINS):
+                c1 = c0 + _COPY_CHAINS
+                np.copyto(near[:d1 - d0, :, c0:c1], uniforms[c0:c1, d0:d1].T[:, None])
             if is_mh:
                 for i, u, v in zip(range(w0, w1), flat[0::2], flat[1::2]):
                     pos = row_lo[state] + (u * deg[state]).astype(np.int64)

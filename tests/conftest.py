@@ -15,19 +15,20 @@ LESMIS = DATA_DIR / "lesmis.tsv"
 CELEGANS = DATA_DIR / "celegans.tsv"
 
 
-def chain_configs(templates, seeds, starts, n):
-    """The config of each chain the lockstep stream runs, in row order: every
+def chain_configs(template, seeds, starts, n):
+    """The config of each chain of ``template`` the lockstep stream runs: the
     template with every chain index's seed and start, and ``n`` visits."""
     return [replace(template, seed=seed, start_node=start, max_steps=n)
-            for template in templates for seed, start in zip(seeds, starts)]
+            for seed, start in zip(seeds, starts)]
 
 
 def run_chain_stream(g, templates, seeds, starts, n):
     """A stand-in for the lockstep stream that runs every chain alone through
-    the scalar single-chain driver and yields all of them as one block."""
-    configs = chain_configs(templates, seeds, starts, n)
-    visits = np.stack([run_chain(g, cfg) for cfg in configs])
-    yield np.arange(len(configs)), 0, visits.T
+    the scalar single-chain driver and yields each template's chains as one
+    block."""
+    for k, template in enumerate(templates):
+        configs = chain_configs(template, seeds, starts, n)
+        yield k, 0, np.stack([run_chain(g, cfg) for cfg in configs], axis=1)
 
 
 def path_graph(n, weights=None) -> WeightedGraph:

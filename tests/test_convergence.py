@@ -46,7 +46,7 @@ class TestEstimatorMean:
     def errors(values, chain):
         values = {"stat": np.asarray(values, dtype=np.float64)}
         visits = np.array([chain], dtype=np.int64)
-        _, (sums,) = folded(visits, values, 1, [(np.arange(1), 0, visits.T)])
+        _, (sums,) = folded(visits, values, 1, [(0, 0, visits.T)])
         return sums.sq_sum[0]
 
     def test_first_step_is_start_value(self):
@@ -101,10 +101,10 @@ def block_streams(draw):
     """``(visits, values, n_samplers, blocks)``: the rows of ``visits`` are
     ``n_samplers`` samplers' chains, sampler-major, and ``blocks`` cuts them
     into a stream as the lockstep engine yields it. Samplers are put in
-    groups that share blocks, the way one family and burn-in do, so a
-    sampler's chains may be a column subset of a wider block, also of one
-    whose rows are not contiguous. Each group cuts the steps its own way,
-    often with a first block of one step, and the groups' blocks
+    groups that share cuts, the way one family and burn-in do: each cut is
+    one wider array of the group's chains, and its samplers' blocks, one
+    after another, are column views of it. Each group cuts the steps its own
+    way, often with a first block of one step, and the groups' blocks
     interleave in any order that keeps each group's in time order."""
     n_samplers = draw(st.integers(1, 3))
     chains, values = draw(visit_arrays(max_chains=12))
@@ -115,14 +115,19 @@ def block_streams(draw):
                              min_size=n_samplers, max_size=n_samplers))
     pending = []
     for group in sorted(set(group_of)):
+        members = [s for s in range(n_samplers) if group_of[s] == group]
         rows = np.concatenate([np.arange(s * n_chains, (s + 1) * n_chains)
-                               for s in range(n_samplers) if group_of[s] == group])
+                               for s in members])
         cuts = set(draw(st.lists(st.integers(1, n_steps), max_size=10)))
         if draw(st.booleans()):
             cuts.add(1)
         bounds = [0, *sorted(cuts - {n_steps}), n_steps]
-        pending.append([(rows, lo, visits[rows, lo:hi].T)
-                        for lo, hi in zip(bounds, bounds[1:])])
+        cut_blocks = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            wide = visits[rows, lo:hi].T
+            cut_blocks += [(s, lo, wide[:, j * n_chains:(j + 1) * n_chains])
+                           for j, s in enumerate(members)]
+        pending.append(cut_blocks)
     blocks = []
     while pending:
         group = draw(st.sampled_from(pending))
@@ -196,7 +201,7 @@ class TestAggregationOracle:
         values = {"first": np.array([3e8, 1.0, -3e8, 0.5, 7.0, -1.0, 2e8, 1e-3]
                                     * 2)}
         visits = np.arange(16, dtype=np.int64)[:, None].repeat(3, axis=1)
-        blocks = [(np.arange(16), k, visits[:, k:k + 1].T) for k in range(3)]
+        blocks = [(0, k, visits[:, k:k + 1].T) for k in range(3)]
         errs = (values["first"] - np.mean(values["first"])) ** 2
         row_order = 0.0
         for e in errs.tolist():
@@ -225,7 +230,7 @@ class TestAggregationOracle:
                            [1, 1, 1, 1, 1, 1, 1],
                            [0, 0, 0, 0, 0, 0, 0],
                            [2, 2, 2, 1, 0, 0, 0]], dtype=np.int64)
-        blocks = [(np.arange(5), 0, visits[:, :3].T), (np.arange(5), 3, visits[:, 3:].T)]
+        blocks = [(0, 0, visits[:, :3].T), (0, 3, visits[:, 3:].T)]
         slices = []
         add_slice = curvewalk.convergence._StepSums._add_slice
 
@@ -281,8 +286,7 @@ class TestAggregationOracle:
         visits = np.array([[2, 2, 1, 0, 0, 1]], dtype=np.int64)
         running = np.cumsum(values["first"][[2, 1, 0]])[-1] / 3
         assert running != float(np.mean(values["first"]))  # the case is a real one
-        blocks = [(np.arange(1), 0, visits[:, :3].T),
-                  (np.arange(1), 3, visits[:, 3:].T)]
+        blocks = [(0, 0, visits[:, :3].T), (0, 3, visits[:, 3:].T)]
         full_means, (got,) = folded(visits, values, 1, blocks)
         assert got.sq_sum[0][3:].tolist() == [0.0] * 3
         sq_sum, _, _ = chain_sums_oracle(visits, values, full_means)
@@ -291,7 +295,7 @@ class TestAggregationOracle:
     def test_blocks_out_of_order_are_refused(self):
         visits = np.zeros((2, 4), dtype=np.int64)
         values = {"first": np.array([1.0])}
-        blocks = [(np.arange(2), 2, visits[:, 2:].T)]
+        blocks = [(0, 2, visits[:, 2:].T)]
         with pytest.raises(ValueError, match="expected steps from 0"):
             folded(visits, values, 1, blocks)
 

@@ -39,13 +39,13 @@ class TestPCG64:
 
     @pytest.mark.parametrize("k", [1, 5, 2048])
     def test_random_into_a_row_prefix_equals_random_of_that_size(self, k):
-        # the lockstep engine fills a prefix of a staging row in place;
-        # run_chain draws an array of the same size
+        # the lockstep engine fills a prefix of a generator's row of its
+        # uniforms buffer in place; run_chain draws an array of the same size
         filled, drawn = make_rng(7), make_rng(7)
-        stage = np.full((2, 4096), -1.0)
-        filled.random(out=stage[1, :k])
-        assert stage[1, :k].tobytes() == drawn.random(k).tobytes()
-        assert (stage[1, k:] == -1.0).all() and (stage[0] == -1.0).all()
+        uniforms = np.full((2, 4096), -1.0)
+        filled.random(out=uniforms[1, :k])
+        assert uniforms[1, :k].tobytes() == drawn.random(k).tobytes()
+        assert (uniforms[1, k:] == -1.0).all() and (uniforms[0] == -1.0).all()
         assert filled.bit_generator.state == drawn.bit_generator.state
 
     def test_draws_in_blocks_continue_one_stream(self):

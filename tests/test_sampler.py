@@ -513,24 +513,24 @@ def lockstep_configs(g, steps, burn_in, mode="combinatorial", chains=3):
 
 def assert_lockstep_equals_run_chain(g, templates, seeds, starts, n):
     """Consume the lockstep stream block by block: each block equals the
-    ``run_chain`` visits it covers, and the stream keeps its contract. Rows
-    ascend, each chain's blocks arrive in time order, every visit arrives
+    ``run_chain`` visits it covers, and the stream keeps its contract. Each
+    block holds int64 node ids of its template's chains in ``C`` columns,
+    each template's blocks arrive in time order, every visit arrives
     exactly once, and every block spans from 1 to ``_TIME_CHUNK`` steps."""
-    configs = chain_configs(templates, seeds, starts, n)
-    expected = [run_chain(g, cfg) for cfg in configs]
-    received = np.zeros(len(configs), dtype=np.int64)  # visits so far per chain
-    for rows, k0, states in _lockstep_stream(g, templates, seeds, starts, n):
-        assert np.all(np.diff(rows) > 0), rows
-        assert states.dtype == np.int64 and states.shape[1] == len(rows)
+    configs = [chain_configs(template, seeds, starts, n) for template in templates]
+    expected = [[run_chain(g, cfg) for cfg in chains] for chains in configs]
+    received = [0] * len(templates)  # visits so far of each template's chains
+    for k, k0, states in _lockstep_stream(g, templates, seeds, starts, n):
+        assert k in range(len(templates)), k
+        assert states.dtype == np.int64 and states.shape == (len(states), len(seeds))
         assert 0 < len(states) <= curvewalk.sampler._TIME_CHUNK
-        # each chain's block starts where its last one ended: none repeats,
-        # skips or arrives early
-        assert np.all(received[rows] == k0), (rows, k0, received[rows])
-        for j, row in enumerate(rows.tolist()):
-            assert np.array_equal(states[:, j],
-                                  expected[row][k0:k0 + len(states)]), configs[row]
-        received[rows] += len(states)
-    assert np.all(received == n), received
+        # each template's block starts where its last one ended: none
+        # repeats, skips or arrives early
+        assert received[k] == k0, (k, k0, received[k])
+        for c, want in enumerate(expected[k]):
+            assert np.array_equal(states[:, c], want[k0:k0 + len(states)]), configs[k][c]
+        received[k] += len(states)
+    assert received == [n] * len(templates), received
 
 
 class FixedUniforms:
@@ -639,14 +639,24 @@ class TestLockstep:
                                      ("node_mh_uniform", 0)]]
         assert_lockstep_equals_run_chain(g, templates, [0, 1, 2], [0, 7, 14], 50)
 
-    @pytest.mark.parametrize("stage", [1, 3, 100])
+    def test_families_apart_in_the_plan(self):
+        # the edge templates are plan entries 0 and 2 and the MH ones 1 and
+        # 3: each block must name its template's plan index, and its node
+        # ids must be offset by the template's place in its family
+        g, _ = load_edge_list(LESMIS)
+        templates, *chains = lockstep_configs(g, 300, 17)
+        kinds = ("edge_curved", "node_mh_curved", "edge_uniform", "node_mh_uniform")
+        assert_lockstep_equals_run_chain(
+            g, [replace(templates[0], kind=kind) for kind in kinds], *chains)
+
+    @pytest.mark.parametrize("group", [1, 3, 100])
     @pytest.mark.parametrize("chunk", [1, 7])
-    def test_staging_groups_and_short_blocks(self, monkeypatch, stage, chunk):
-        # a family's draws pass through staging groups of 1 chain index, of
-        # 3 (the last group short) and of more chain indices than it holds,
-        # in blocks of 1 and 7 steps, with one burn-in for every template
-        # and with two, which make two families per step rule
-        monkeypatch.setattr(curvewalk.sampler, "_STAGE_CHAINS", stage)
+    def test_staging_groups_and_short_blocks(self, monkeypatch, group, chunk):
+        # a family's draws are copied in groups of 1 chain index, of 3 (the
+        # last group short) and of more chain indices than it holds, in
+        # blocks of 1 and 7 steps, with one burn-in for every template and
+        # with two, which make two families per step rule
+        monkeypatch.setattr(curvewalk.sampler, "_COPY_CHAINS", group)
         monkeypatch.setattr(curvewalk.sampler, "_TIME_CHUNK", chunk)
         g = random_connected_graph(np.random.default_rng(29), 20, extra=1.5,
                                    weighted=True)
@@ -688,9 +698,9 @@ class TestLockstep:
             f"left their prefix: {over}"
 
     def test_mh_family_holds_one_uniforms_buffer_and_two_blocks(self):
-        # 400 chains over 3 blocks: the kept time-major buffer (two blocks of
-        # float64, proposal and accept), the block being stepped and the one
-        # the consumer still holds, and a little for the staging rows. A
+        # 400 chains over 3 blocks: the kept chain-major buffer (two blocks
+        # of float64, proposal and accept), the block being stepped and the
+        # one the consumer still holds, and a little for the window. A
         # second uniforms buffer or a second copy of each visits block
         # would pass the bound
         width = 400
@@ -700,7 +710,7 @@ class TestLockstep:
         steps = 0
         tracemalloc.start()
         try:
-            for rows, k0, states in stream:
+            for k, k0, states in stream:
                 steps += len(states)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -711,25 +721,25 @@ class TestLockstep:
 
     def test_paired_mh_family_holds_one_column_of_uniforms_per_chain_index(self):
         # 2 templates x 200 chain indices over 3 blocks: one buffer of 200
-        # columns of proposal and accept uniforms (one block of the 400
+        # rows of proposal and accept uniforms (one block of the 400
         # chains' float64), the block being stepped, the one the consumer
-        # still holds, and a little for the staging rows. A column of
-        # uniforms per chain, as for unpaired chains, would pass the bound
+        # still holds, and a little for the window. A row of uniforms per
+        # chain, as for unpaired chains, would pass the bound
         width = 200
         templates = [SamplerConfig(kind=kind, seed=0, max_steps=1)
                      for kind in ("node_mh_uniform", "node_mh_curved")]
         stream = _lockstep_stream(cycle_graph(100), templates, list(range(width)),
                                   [c % 100 for c in range(width)], 3 * _TIME_CHUNK)
-        steps = 0
+        steps = [0, 0]
         tracemalloc.start()
         try:
-            for rows, k0, states in stream:
-                assert states.shape[1] == 2 * width
-                steps += len(states)
+            for k, k0, states in stream:
+                assert states.shape[1] == width
+                steps[k] += len(states)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert steps == 3 * _TIME_CHUNK
+        assert steps == [3 * _TIME_CHUNK] * 2
         block = _TIME_CHUNK * 2 * width * 8
         assert peak < 3.75 * block, peak / block
 
