@@ -36,15 +36,33 @@ SAMPLER = "src/curvewalk/sampler.py"
 NETSTATS = "src/curvewalk/netstats.py"
 CONVERGENCE = "src/curvewalk/convergence.py"
 LOCKSTEP = "tests/test_sampler.py::TestLockstep"
+GUIDE = "tests/test_sampler.py::TestGuideTable"
 FOLD = "tests/test_convergence.py::TestAggregationOracle"
 EDGE_ROWS = ["tests/test_sampler.py::TestEdgeKernel", "tests/test_sampler.py::TestKernelTable"]
 
 MUTANTS = [
-    # the lockstep MH accept and the edge step's last comparison
-    (SAMPLER, "                    np.less_equal(v, table[pos], out=below)",
-     "                    np.less(v, table[pos], out=below)", [LOCKSTEP]),
-    (SAMPLER, "                    np.less_equal(table[pos], u, out=below)",
-     "                    np.less(table[pos], u, out=below)", [LOCKSTEP]),
+    # the cell step: the cell index, the comparisons with the thresholds,
+    # and the halving steps' clamp to the row's last entry
+    (SAMPLER, "                cell += (u * width[state]).astype(np.int64)",
+     "                cell += (u * width[state]).astype(np.int64) + 1", [LOCKSTEP]),
+    (SAMPLER, "                np.greater(x, thresh[pos], out=below)",
+     "                np.greater_equal(x, thresh[pos], out=below)", [LOCKSTEP]),
+    (SAMPLER, "                    np.greater(x, thresh[cand], out=below)",
+     "                    np.greater_equal(x, thresh[cand], out=below)", [LOCKSTEP]),
+    (SAMPLER, "                    np.minimum(cand, last, out=cand)",
+     "                    pass", [LOCKSTEP]),
+    # the cell table: each rule's width, the edge thresholds just below
+    # their entries, the refinement rounds and the count of entries
+    # strictly inside a cell
+    (SAMPLER, "    widths = [g.degrees if is_mh else _edge_cells(g, table) for is_mh, table in tables]",
+     "    widths = [g.degrees for is_mh, table in tables]", [LOCKSTEP]),
+    (SAMPLER, "            np.nextafter(table, -np.inf, out=thresh[slot0:slot0 + H])",
+     "            np.nextafter(table, np.inf, out=thresh[slot0:slot0 + H])", [LOCKSTEP]),
+    (SAMPLER, "    for _ in range(3):",
+     "    for _ in range(2):", [GUIDE]),
+    (SAMPLER, "            inside = np.bincount(at[scaled > floor] + floor[scaled > floor].astype(np.int64))",
+     "            inside = np.bincount(at[scaled >= floor] + floor[scaled >= floor].astype(np.int64))",
+     [GUIDE]),
     # the edge kernel's rows: the uniform-row fallback, the floor, the
     # degree classes and each row's total
     (SAMPLER, "            curved = f.max(axis=1) > epsilon_floor",
@@ -59,20 +77,30 @@ MUTANTS = [
     (SAMPLER, "        dens = np.maximum(np.abs(curvmap.node_values), epsilon_floor)",
      "        dens = np.abs(curvmap.node_values) + epsilon_floor",
      ["tests/test_sampler.py::TestMakeTarget"]),
-    # the lockstep stream: one family per step rule and burn-in, and the
-    # recorded rows of each block
-    (SAMPLER, "        families.setdefault((_is_mh(cfg.kind), cfg.burn_in), []).append(",
-     "        families.setdefault((_is_mh(cfg.kind), 0), []).append(", [LOCKSTEP]),
+    # the lockstep stream: one family per burn-in, each rule's templates one
+    # run of the state, and the recorded rows of each block
+    (SAMPLER, "        families.setdefault(cfg.burn_in, []).append((k, (cfg, curvmap, target)))",
+     "        families.setdefault(0, []).append((k, (cfg, curvmap, target)))", [LOCKSTEP]),
+    (SAMPLER, "    members = sorted(members, key=lambda member: _is_mh(member[1][0].kind))",
+     "    members = list(members)", [LOCKSTEP]),
     # the paired layout: each template's chains are offset into its own
     # table by its place in the family, not its plan index, and each step's
-    # draws reach every chain index of every template of the family
+    # draws reach every chain index of every template of its rule, an edge
+    # step's one draw as both its u and its x
     (SAMPLER, "                nodes -= j * V",
      "                nodes -= k * V", [LOCKSTEP]),
-    (SAMPLER, "            for c0 in range(0, C, _COPY_CHAINS):",
-     "            for c0 in range(0, C, _COPY_CHAINS + 1):", [LOCKSTEP]),
-    (SAMPLER, "                np.copyto(near[:d1 - d0, :, c0:c1], uniforms[c0:c1, d0:d1].T[:, None])",
-     "                np.copyto(near[:d1 - d0, :1, c0:c1], uniforms[c0:c1, d0:d1].T[:, None])",
-     [LOCKSTEP]),
+    (SAMPLER, "                for c0 in range(0, C, _COPY_CHAINS):",
+     "                for c0 in range(0, C, _COPY_CHAINS + 1):", [LOCKSTEP]),
+    (SAMPLER, "                    np.copyto(near[:w1 - w0, :, j0:j1, c0:c1],",
+     "                    np.copyto(near[:w1 - w0, :, j0:j0 + 1, c0:c1],", [LOCKSTEP]),
+    (SAMPLER, "                    np.copyto(near[:w1 - w0, :, j0:j1, c0:c1],",
+     "                    np.copyto(near[:w1 - w0, :draws, j0:j1, c0:c1],", [LOCKSTEP]),
+    # each generator draws again where its last draw ends, and no further
+    # than the block
+    (SAMPLER, "            if d0 == 0:",
+     "            if w0 == 0:", [LOCKSTEP]),
+    (SAMPLER, "                        rng.random(out=row[:draws * min(_DRAW_STEPS, block - w0)])",
+     "                        rng.random(out=row[:draws * min(_DRAW_STEPS, block)])", [LOCKSTEP]),
     # the windows of steps whose draws are copied at once cover the block
     (SAMPLER, "            w1 = min(w0 + _WINDOW, block)",
      "            w1 = min(w0 + _WINDOW - 1, block)", [LOCKSTEP]),
@@ -84,16 +112,9 @@ MUTANTS = [
      "                yield k, max(t0 - burn + 1, 0), nodes", [LOCKSTEP]),
     (SAMPLER, "    total = burn + n - 1",
      "    total = burn + n", [LOCKSTEP]),
-    # the edge family's cell-major guide: the halving step's last entry, the
-    # rows' last entries, the cells scaled to guide rows, the row starts
-    (SAMPLER, "                        np.add(pos, step - 1, out=cand)",
-     "                        np.add(pos, step, out=cand)", [LOCKSTEP]),
-    (SAMPLER, "        row_last = guide[m] - 1",
-     "        row_last = guide[m]", [LOCKSTEP]),
-    (SAMPLER, "                out[w0:w1] *= S",
-     "                pass", [LOCKSTEP]),
-    (SAMPLER, "    guide += row_lo",
-     "    pass", [LOCKSTEP]),
+    # the halving step's last entry
+    (SAMPLER, "                    np.add(pos, step - 1, out=cand)",
+     "                    np.add(pos, step, out=cand)", [LOCKSTEP]),
     # the fold's discovery ranks: one per discovery, counted along the steps
     (CONVERGENCE, "        rank[c, t] = 1",
      "        rank[c, t] = 2", [FOLD]),

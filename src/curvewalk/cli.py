@@ -100,19 +100,24 @@ def _write_csvs(paths, header, tables):
     # V=1000; a chunk's text stays under 1 MB, below the engine's and the
     # fold's working set
     chunk = 2048
+    # the last file that writes each column
+    last = {id(c): f for f, columns in enumerate(tables) for c in columns}
     with ExitStack() as stack:
         files = [stack.enter_context(open(path, "w", encoding="utf-8", newline=""))
                  for path in paths]
         for fh in files:
             csv.writer(fh, lineterminator="\n").writerow(header)
         for lo in range(0, len(tables[0][0]), chunk):
-            text = {}  # id of a column -> its cells in this chunk
-            for fh, columns in zip(files, tables):
+            text = {}  # id of a column -> its cells in this chunk, until its last file
+            for f, (fh, columns) in enumerate(zip(files, tables)):
                 for c in columns:
                     if id(c) not in text:
                         text[id(c)] = _cells(c[lo:lo + chunk])
                 rows = zip(*(text[id(c)] for c in columns))
                 fh.write("\n".join(map(",".join, rows)) + "\n")
+                for c in columns:
+                    if last[id(c)] == f:
+                        text.pop(id(c), None)
 
 
 def _write_json(path, doc):
@@ -288,18 +293,17 @@ def cmd_converge(args, g, labels):
     if result.component_nodes is not None:
         labels = tuple(labels[int(o)] for o in result.component_nodes)
 
-    csvs, files = [], []
-    for sampler, curves in result.mse.items():
-        # a sampler's curves share their n and mean_distinct columns
-        mean_distinct = result.mean_distinct[sampler]
-        n = range(1, len(mean_distinct) + 1)
-        names = [f"mse_{sampler}_{kind}.csv" for kind in curves]
-        csvs.append((names, ["n", "mse", "mean_distinct"],
-                     [(n, mse, mean_distinct) for mse in curves.values()]))
-        files.extend(names)
+    # every curve file shares one n column, and a sampler's curves share
+    # its mean_distinct column, so the writer turns each into text once
+    first = next(iter(result.visit_counts))
+    n = range(1, len(result.mean_distinct[first]) + 1)
+    files = [f"mse_{sampler}_{kind}.csv"
+             for sampler, curves in result.mse.items() for kind in curves]
+    csvs = [(files, ["n", "mse", "mean_distinct"],
+             [(n, mse, result.mean_distinct[sampler])
+              for sampler, curves in result.mse.items() for mse in curves.values()])]
 
     # backbone ranking of the first (primary) sampler in the plan
-    first = next(iter(result.visit_counts))
     counts = result.visit_counts[first]
     ranked = extract_backbone(counts, 1.0)
     csvs.append((["backbone.csv"], ["node", "visits", "rank"],

@@ -147,8 +147,8 @@ class ExperimentResult:
 
 # marks an entry of the first-visit scratch array that holds no position
 _NO_VISIT = np.iinfo(np.int64).max
-# visits per slice of chains that _StepSums.add folds at once, 32 chains of
-# a 1024-step block: 256 KiB of discovery ranks, at most S times as many
+# visits per slice of chains that _StepSums.add folds at once, 64 chains of
+# a 512-step block: 256 KiB of discovery ranks, at most S times as many
 # padded running sums, each reused in place as the squared errors
 _SLICE_CELLS = 1 << 15
 

@@ -29,19 +29,21 @@ Two drivers share one table per kernel, built once per run (the chains are
 time-homogeneous): :func:`run_chain` runs one chain in a scalar loop and
 returns its read-only int64 visits array, and the lockstep engine
 (:func:`_lockstep_stream`) runs every template from every chain index's
-seed and start, one family per step rule and burn-in, as numpy vectors,
-and reproduces :func:`run_chain` exactly. It yields the visits a block of
-steps at a time, which experiments fold as they come; no chains x steps
-matrix is ever held.
+seed and start, one family per burn-in whatever the templates' kinds, as
+numpy vectors, and reproduces :func:`run_chain` exactly. It yields the
+visits a block of steps at a time, which experiments fold as they come; no
+chains x steps matrix is ever held.
 
 The engine's working set is a few buffers as wide as a family's chains. A
 family of ``K`` templates and ``C`` chain indices keeps ``K x C`` states,
-``C`` generators and a chain-major buffer in which each generator draws
-``_TIME_CHUNK`` steps of uniforms into its own row. Each draw is copied
-once, ``_WINDOW`` steps at a time, transposed and broadcast to every
-template, ``_COPY_CHAINS`` chain indices at a time so that each group's
-copy stays in cache. Each block of visits is a fresh array whose recorded
-rows become node ids in place, one template's columns at a time.
+one cell table of about five words per half-edge and template, and, for
+each step rule it holds, ``C`` generators and a chain-major buffer in which
+each generator draws ``_DRAW_STEPS`` steps of uniforms into its own row.
+Each draw is copied once, ``_WINDOW`` steps at a time, transposed and
+broadcast to every template of its rule, ``_COPY_CHAINS`` chain indices at
+a time so that each group's copy stays in cache. Each block of visits is a
+fresh array whose recorded rows become node ids in place, one template's
+columns at a time.
 
 An MH step costs O(1) and one comparison. It proposes the neighbor at
 ``int(u * d)`` of the current row and accepts when ``v <= t``, where ``t``
@@ -56,17 +58,28 @@ that value is the double just below ``d``; otherwise ``d * 2**-53`` is more
 than half the spacing of the doubles around ``d``, so the product rounds
 to a double below ``d``. Either way ``int(u * d) <= d - 1``.
 
-An edge step inverts the row's cumulative move probabilities: the scalar loop
-bisects the whole row in O(log d); the lockstep engine first looks up a
-guide table (Chen & Asau 1974; Devroye 1986, section III.2.4) that splits
-[0, 1) into ``m`` equal cells, ``m`` a power of two, and bisects only the
-cell holding ``u``. That costs O(log c) for the fullest cell's count ``c``
-of row entries, fixed when the table is built (1 or 2 on the benchmark
-graphs). It is exact: scaling by a power of two is exact, so
-``k = floor(u * m)`` satisfies ``k / m <= u < (k + 1) / m``, and the entries
-``<= k / m`` are counted without rounding. Row entries before the cell are
-``<= k / m <= u`` and those after it ``> (k + 1) / m > u``, so the cell
-holds the count of entries ``<= u`` that bisection of the whole row finds.
+An edge step moves to the neighbor at the count of row entries ``<= u`` of
+the row's cumulative move probabilities; the scalar loop bisects the whole
+row in O(log d).
+
+The lockstep engine takes every step, of any kind, by one rule on a cell
+table (:func:`_cell_table`): ``cell = base[s] + int(u * width[s])``, ``pos
+= first[cell]``, ``pos += x > thresh[pos]``, ``s = nbr[pos]``. An MH row's
+cells are its half-edges and ``width = d(s)``, so the cell is
+:func:`run_chain`'s own proposal ``int(u * d)``; ``x`` is the accept
+uniform ``v``, and the cell's two positions hold the threshold with the
+neighbor, then ``+inf`` with the node itself. An edge row's cells are a
+guide table kept per node (Chen & Asau 1974; Devroye 1986, section
+III.2.4): a power of two ``m_s >= 2 d(s)`` of equal cells of [0, 1), and
+``x = u``. Scaling by a power of two is exact, so ``k = int(u * m_s)``
+satisfies ``k / m_s <= u < (k + 1) / m_s``, and ``first`` counts the row
+entries ``<= k / m_s`` without rounding. Entries counted there are ``<= u``;
+entries ``>= (k + 1) / m_s`` are ``> u``; so only the entries strictly
+inside cell ``k`` are left to count. Each position's threshold is the
+double just below its entry, so ``x > thresh[pos]`` is exactly ``entry <=
+u``. A row is refined until no cell holds two entries strictly inside it,
+so that one comparison finishes the count of ``bisect_right``; a row still
+crowded at ``16 d(s)`` cells makes the family take halving steps first.
 """
 
 from __future__ import annotations
@@ -86,13 +99,17 @@ GENERATOR_NAME = "pcg64"
 DEFAULT_EPSILON_FLOOR = 1e-9
 
 _MASK64 = (1 << 64) - 1
-# steps of uniforms a chain draws at a time, and the most steps of a block
-# the lockstep engine yields; a family's uniforms buffer holds draws x
-# _TIME_CHUNK uniforms of each of its chain indices
-_TIME_CHUNK = 1 << 10
+# steps of uniforms run_chain draws at a time, and the most steps of a block
+# the lockstep engine yields: a family of all four kinds then holds blocks
+# no larger than 1024-step ones of two kinds
+_TIME_CHUNK = 1 << 9
+# steps of uniforms each generator of a lockstep family draws at a time, a
+# multiple of _WINDOW: each step rule of a family keeps a buffer of draws x
+# _DRAW_STEPS uniforms per chain index
+_DRAW_STEPS = 1 << 8
 # steps whose draws a lockstep family copies to all its templates at once,
 # which costs less than a copy per step or a broadcast in each call
-_WINDOW = 64
+_WINDOW = 32
 # chain indices whose window of draws a lockstep family copies, transposed,
 # at once: a group's copy stays in cache, where a copy of every chain
 # index's window did not
@@ -406,13 +423,13 @@ def _lockstep_stream(g: WeightedGraph, templates, seeds, starts, n):
     Every template runs every chain index: chain ``c`` of ``templates[k]``
     equals :func:`run_chain` of the template with
     ``seeds[c]``, ``starts[c]`` and ``n`` for its seed, start and
-    ``max_steps``, bit for bit. Templates of one step rule (the edge kinds,
-    or the MH kinds) and one burn-in form a family, whose chains advance
-    together, one vectorized step per time index (:func:`_lockstep_family`);
-    families run one after the other, edge families first, by ascending
-    burn-in. A family makes one generator per chain index, which draws,
-    ``_TIME_CHUNK`` steps at a time, exactly the stream prefix
-    :func:`run_chain` consumes, for every template of the family.
+    ``max_steps``, bit for bit. Templates of one burn-in form a family,
+    whatever their kinds, whose chains advance together, one vectorized
+    step per time index (:func:`_lockstep_family`); families run one after
+    the other, by ascending burn-in. A family makes one generator per step
+    rule it holds (edge, then MH) and chain index, which draws,
+    ``_DRAW_STEPS`` steps at a time, exactly the stream prefix
+    :func:`run_chain` consumes, for every template of that rule.
 
     It yields ``(k, k0, states)``: ``k0`` is the recorded step at which the
     block starts, and ``states`` is a ``(steps, C)`` int64 array of node
@@ -423,8 +440,8 @@ def _lockstep_stream(g: WeightedGraph, templates, seeds, starts, n):
     spans at least one step and at most ``_TIME_CHUNK``.
     """
     curvmaps = {}
-    # (is_mh, burn_in) -> (template, kernel) of each member; a family builds
-    # their tables when it starts, so no two families' tables are held
+    # burn_in -> (template, kernel) of each member; a family builds their
+    # tables when it starts, so no two families' tables are held
     families = {}
     for k, cfg in enumerate(templates):
         curvmap = curvmaps[cfg.curvature_mode] = _resolve_curvmap(
@@ -432,46 +449,42 @@ def _lockstep_stream(g: WeightedGraph, templates, seeds, starts, n):
         target = _resolve_target(g, cfg, curvmap, None) if _is_mh(cfg.kind) else None
         for start in starts:
             _check_start(g, start, target)
-        families.setdefault((_is_mh(cfg.kind), cfg.burn_in), []).append(
-            (k, (cfg, curvmap, target)))
-    return (block for (is_mh, burn), members in sorted(families.items())
-            for block in _lockstep_family(g, is_mh, burn, members, seeds, starts, n))
+        families.setdefault(cfg.burn_in, []).append((k, (cfg, curvmap, target)))
+    return (block for burn, members in sorted(families.items())
+            for block in _lockstep_family(g, burn, members, seeds, starts, n))
 
 
-def _lockstep_family(g, is_mh, burn, members, seeds, starts, n):
+def _lockstep_family(g, burn, members, seeds, starts, n):
     """Advance one family's chains together, each ``burn + n - 1`` steps,
     and yield their recorded visits as :func:`_lockstep_stream` does, ``n``
     per chain.
 
     ``members`` lists ``(template, (config, curvmap, target))`` of the
     family's ``K`` templates, whose tables (:func:`_kernel_table`) are built
-    and stacked when the family starts. The state holds ``C`` chains of
-    each template in turn, those of the ``j``-th template at the stacked
-    nodes ``j * V + node``, so one gather serves every table. The family
+    into one cell table (:func:`_cell_table`) when the family starts. The
+    state holds ``C`` chains of each template in turn, edge templates
+    first, those of the ``j``-th template at the stacked nodes
+    ``j * V + node``, so one gather serves every template. Each step rule
     makes one generator per seed, which draws a block's uniforms into its
-    own row of ``uniforms``; ``_WINDOW`` steps at a time, they are copied
-    to all ``K`` templates. An MH step reads its row start from ``row_lo``;
-    an edge step reads the cell-major guide, where state ``s`` in cell ``k``
-    is entry ``k * S + s`` of ``S`` stacked states.
+    own row of its rule's buffer; ``_WINDOW`` steps at a time, they are
+    copied to all the rule's templates as each step's ``(u, x)``: an MH
+    step's proposal and accept uniforms, or an edge step's one uniform
+    twice.
     """
-    V, H = g.node_count, len(g.adj_neighbors)
+    V = g.node_count
+    members = sorted(members, key=lambda member: _is_mh(member[1][0].kind))
     ks, kernels = zip(*members)
     K, C = len(ks), len(seeds)
-    stack = np.arange(K)[:, None]
-    nbr = (g.adj_neighbors + stack * V).ravel()  # per stacked half-edge
-    row_lo = (g.adj_indptr[:-1] + stack * H).ravel()  # per stacked state
-    table = np.concatenate([_kernel_table(g, *kernel)[0] for kernel in kernels])
-    rngs = [make_rng(seed) for seed in seeds]
-    draws = 2 if is_mh else 1
-    if is_mh:
-        deg = np.tile(g.degrees.astype(np.float64), K)
-    else:
-        guide, m, wide = _guide_table(g, table, row_lo)
-        S = len(row_lo)
-        row_last = guide[m] - 1
-        guide = guide.ravel()
-        at, cand = np.empty((2, K * C), dtype=np.int64)
-    state = (np.array(starts, dtype=np.int64) + stack * V).ravel()
+    edges = sum(not _is_mh(cfg.kind) for cfg, _, _ in kernels)
+    base, width, first, thresh, nbr, row_last, wide = _cell_table(
+        g, [(_is_mh(kernel[0].kind), _kernel_table(g, *kernel)[0]) for kernel in kernels])
+    # per step rule, kept for every block: its generators, their
+    # chain-major uniforms (one per edge step, two per MH step) and its
+    # templates
+    rules = [([make_rng(seed) for seed in seeds], np.empty((C, draws * _DRAW_STEPS)),
+              draws, j0, j1)
+             for draws, j0, j1 in ((1, 0, edges), (2, edges, K)) if j0 < j1]
+    state = (np.array(starts, dtype=np.int64) + np.arange(K)[:, None] * V).ravel()
 
     def recorded(states, t0):
         """The recorded rows of ``states`` (one per time index from ``t0``,
@@ -486,88 +499,152 @@ def _lockstep_family(g, is_mh, burn, members, seeds, starts, n):
 
     # the start row is the live state, so it is converted in a copy
     yield from recorded(state[None, :].copy(), 0)
+    # a window's (u, x) of every step, per template and then in state order
+    near = np.empty((_WINDOW, 2, K, C))
+    flat = near.reshape(_WINDOW, 2, K * C)
     below = np.empty(K * C, dtype=bool)
-    uniforms = np.empty((C, draws * _TIME_CHUNK))  # kept for every block
-    near = np.empty((draws * _WINDOW, K, C))  # a window's draws, per template
-    flat = near.reshape(len(near), K * C)  # in state order
+    cand = np.empty(K * C, dtype=np.int64)
     total = burn + n - 1
     t = 0
     while t < total:
         block = min(_TIME_CHUNK, total - t)
-        for rng, row in zip(rngs, uniforms):
-            rng.random(out=row[:draws * block])
         out = np.empty((block, K * C), dtype=np.int64)
         for w0 in range(0, block, _WINDOW):
             w1 = min(w0 + _WINDOW, block)
-            d0, d1 = draws * w0, draws * w1
-            for c0 in range(0, C, _COPY_CHAINS):
-                c1 = c0 + _COPY_CHAINS
-                np.copyto(near[:d1 - d0, :, c0:c1], uniforms[c0:c1, d0:d1].T[:, None])
-            if is_mh:
-                for i, u, v in zip(range(w0, w1), flat[0::2], flat[1::2]):
-                    pos = row_lo[state] + (u * deg[state]).astype(np.int64)
-                    np.less_equal(v, table[pos], out=below)
-                    np.copyto(state, nbr[pos], where=below)
-                    out[i] = state
-            else:
-                # out[i] holds the guide cells k = floor(u * m) of step i,
-                # times S, until the step overwrites it with the states;
-                # exact, since m is a power of two
-                np.multiply(flat[:w1 - w0], m, out=out[w0:w1], casting="unsafe")
-                out[w0:w1] *= S
-                for i, u in zip(range(w0, w1), flat):
-                    # bisect_right: the count of row entries <= u lies in u's
-                    # guide cell; from its first position, take each halving
-                    # step whose last entry, table[pos + step - 1], is <= u.
-                    # A step that would pass the row's end reads the row's
-                    # last entry instead, 1.0 > u, and is not taken; the step
-                    # of 1 never passes it
-                    np.add(state, out[i], out=at)
-                    pos = guide[at]
-                    if wide:
-                        last = row_last[state]
-                    for step in wide:
-                        np.add(pos, step - 1, out=cand)
-                        np.minimum(cand, last, out=cand)
-                        np.less_equal(table[cand], u, out=below)
-                        np.add(pos, step, out=pos, where=below)
-                    np.less_equal(table[pos], u, out=below)
-                    pos += below
-                    state = nbr[pos]
-                    out[i] = state
+            d0 = w0 % _DRAW_STEPS  # the window's first step in the draws
+            if d0 == 0:
+                for rngs, uniforms, draws, _, _ in rules:
+                    for rng, row in zip(rngs, uniforms):
+                        rng.random(out=row[:draws * min(_DRAW_STEPS, block - w0)])
+            for _, uniforms, draws, j0, j1 in rules:
+                by_step = uniforms.reshape(C, _DRAW_STEPS, draws)[:, d0:d0 + w1 - w0]
+                for c0 in range(0, C, _COPY_CHAINS):
+                    c1 = c0 + _COPY_CHAINS
+                    np.copyto(near[:w1 - w0, :, j0:j1, c0:c1],
+                              by_step[c0:c1].transpose(1, 2, 0)[:, :, None])
+            for i, (u, x) in zip(range(w0, w1), flat):
+                # the cell of u in the state's row, its first position, and
+                # one step on per threshold below x (see _cell_table)
+                cell = base[state]
+                cell += (u * width[state]).astype(np.int64)
+                pos = first[cell]
+                if wide:
+                    last = row_last[state]
+                for step in wide:
+                    np.add(pos, step - 1, out=cand)
+                    np.minimum(cand, last, out=cand)
+                    np.greater(x, thresh[cand], out=below)
+                    np.add(pos, step, out=pos, where=below)
+                np.greater(x, thresh[pos], out=below)
+                pos += below
+                state = nbr[pos]
+                out[i] = state
         yield from recorded(out, t + 1)
         t += block
 
 
-def _guide_table(g, table, row_lo):
-    """Guide table of the stacked cumulative rows (Chen & Asau 1974).
+def _edge_cells(g, cum):
+    """Per node, the number ``m_s`` of equal cells of [0, 1) that the
+    lockstep engine's guide keeps for an edge kernel's cumulative rows
+    ``cum``.
 
-    ``table`` stacks one cumulative row table per kernel and ``row_lo`` is
-    each of its ``S`` stacked states' row start in it. Returns
-    ``(guide, m, wide)``. ``m`` is a power of two: at least two cells per
-    entry of the longest row, but at most 16 guide entries per stacked
-    half-edge. ``guide`` is cell-major, of shape ``(m + 1, S)``:
-    ``guide[k, s]`` is state ``s``'s row start plus the count of its entries
-    ``<= k / m``, so ``guide[m]`` holds the rows' ends. ``x <= k / m`` holds
-    exactly when ``ceil(x * m) <= k``, and ``x * m`` is exact, so one
-    ``bincount`` of the ceilings and one ``cumsum`` down the cells build the
-    table. A uniform ``u`` in cell ``k = floor(u * m)`` has
-    ``k / m <= u < (k + 1) / m``, so the count of row entries ``<= u`` lies
-    between guide entries ``k`` and ``k + 1``. ``wide`` are the descending
-    halving steps above 1 that, with a last step of 1, bisect the fullest
-    cell.
+    ``m_s`` is the least power of two ``>= 2 d(s)``, doubled while two of
+    the row's entries lie strictly inside one cell and the doubled count is
+    at most ``16 d(s)``; an isolated node gets 2 cells. Entries ``a <= b``
+    of a row lie strictly inside one cell exactly when
+    ``floor(b * m) < ceil(a * m)``, and both products are exact.
     """
-    V, S = g.node_count, len(row_lo)
-    m = 1 << min(int(2 * g.degrees.max() - 1).bit_length(),
-                 max(16 * len(g.adj_neighbors) // V, 1).bit_length() - 1)
-    owner = (g.adj_tails + np.arange(S // V)[:, None] * V).ravel()
-    counts = np.bincount(np.ceil(table * m).astype(np.int64) * S + owner,
-                         minlength=(m + 1) * S).reshape(m + 1, S)
-    fullest = int(counts[1:].max())
-    wide = [1 << j for j in reversed(range(1, fullest.bit_length()))]
-    guide = np.cumsum(counts, axis=0, out=counts)
-    guide += row_lo
-    return guide, m, wide
+    d = g.degrees
+    m = np.int64(1) << np.frexp(2 * d - 1)[1]
+    # the pairs of neighboring entries of one row
+    inner = np.flatnonzero(g.adj_tails[1:] == g.adj_tails[:-1])
+    owner, a, b = g.adj_tails[inner], cum[inner], cum[inner + 1]
+    for _ in range(3):
+        at = m[owner]
+        grow = np.zeros(len(d), dtype=bool)
+        grow[owner[np.floor(b * at) < np.ceil(a * at)]] = True
+        grow &= 2 * m <= 16 * d
+        if not grow.any():
+            break
+        m[grow] *= 2
+    return m
+
+
+def _cell_table(g, tables):
+    """The cell table of a lockstep family: per stacked state, a row of
+    cells; per cell, a first position; per position, a threshold and a next
+    state.
+
+    ``tables`` lists ``(is_mh, table)`` of the family's templates, each as
+    :func:`_kernel_table` builds it; template ``j``'s states are the stacked
+    nodes ``j * V + node``. Returns ``(base, width, first, thresh, nbr,
+    row_last, wide)``. A step from state ``s`` with uniforms ``u`` and ``x``
+    takes ``cell = base[s] + int(u * width[s])`` and ``pos = first[cell]``,
+    then for each halving step of ``wide`` moves ``pos`` on by the step when
+    ``x > thresh[min(pos + step - 1, row_last[s])]``, then by one when
+    ``x > thresh[pos]``, and goes to ``nbr[pos]``.
+
+    MH kinds (``x = v``): a node's cells are its half-edges, ``width =
+    d(s)``, so ``cell`` is the half-edge :func:`run_chain` proposes. Cell
+    ``h`` leads to positions ``2h`` and ``2h + 1``, which hold the
+    half-edge's acceptance threshold and its neighbor, then ``+inf`` and
+    the node itself: the step moves exactly when ``v <= t``. An odd
+    position's ``+inf`` is never passed, and every halving step lands on
+    one, so MH rows need no clamp.
+
+    Edge kinds (``x = u``): a node's ``m_s`` cells (:func:`_edge_cells`) cut
+    [0, 1) into equal parts; ``first`` is the row start plus the count of
+    row entries ``<= k / m_s`` of cell ``k``, and each CSR position holds
+    ``nextafter(entry, -inf)``, so ``x > thresh[pos]`` is ``entry <= u``.
+    ``wide`` are the descending halving steps above 1 that, with a last step
+    of 1, reach across the most entries strictly inside any cell; a row's
+    last entry is 1.0, which no uniform reaches, and clamps the steps.
+    """
+    V, H = g.node_count, len(g.adj_neighbors)
+    hi = g.adj_indptr[1:]
+    widths = [g.degrees if is_mh else _edge_cells(g, table) for is_mh, table in tables]
+    # filled in place, each template's slice in turn: no full-size temporaries
+    base = np.empty(len(tables) * V, dtype=np.int64)
+    width = np.empty(len(tables) * V)
+    row_last = np.empty(len(tables) * V, dtype=np.int64)
+    first = np.empty(int(sum(m.sum() for m in widths)), dtype=np.int64)
+    thresh = np.empty(sum(2 * H if is_mh else H for is_mh, _ in tables))
+    nbr = np.empty(len(thresh), dtype=np.int64)
+    cell0 = slot0 = fullest = 0
+    for j, ((is_mh, table), m) in enumerate(zip(tables, widths)):
+        states = slice(j * V, (j + 1) * V)
+        width[states] = m
+        np.cumsum(m, out=base[states])
+        base[states] -= m  # each row's first cell, from the template's
+        cells = first[cell0:cell0 + int(m.sum())]
+        if is_mh:
+            cells[:] = np.arange(slot0, slot0 + 2 * H, 2)
+            thresh[slot0:slot0 + 2 * H:2] = table
+            thresh[slot0 + 1:slot0 + 2 * H:2] = np.inf
+            np.add(g.adj_neighbors, j * V, out=nbr[slot0:slot0 + 2 * H:2])
+            np.add(g.adj_tails, j * V, out=nbr[slot0 + 1:slot0 + 2 * H:2])
+            row_last[states] = slot0 + 2 * hi - 1
+            slot0 += 2 * H
+        else:
+            at = base[states][g.adj_tails]
+            scaled = table * m[g.adj_tails]
+            # entry x is counted in the cells k >= ceil(x * m_s), and lies
+            # strictly inside cell floor(x * m_s) unless x * m_s is whole
+            counts = np.bincount(at + np.ceil(scaled).astype(np.int64),
+                                 minlength=len(cells) + 1)
+            np.cumsum(counts[:-1], out=cells)
+            cells += slot0
+            floor = np.floor(scaled)
+            inside = np.bincount(at[scaled > floor] + floor[scaled > floor].astype(np.int64))
+            fullest = max(fullest, int(inside.max(initial=0)))
+            np.nextafter(table, -np.inf, out=thresh[slot0:slot0 + H])
+            np.add(g.adj_neighbors, j * V, out=nbr[slot0:slot0 + H])
+            row_last[states] = slot0 + hi - 1
+            slot0 += H
+        base[states] += cell0
+        cell0 += len(cells)
+    wide = [1 << e for e in reversed(range(1, fullest.bit_length()))]
+    return base, width, first, thresh, nbr, row_last, wide
 
 
 def distinct_prefix_counts(visits: np.ndarray) -> np.ndarray:

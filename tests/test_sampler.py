@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.util
 import sys
 import tracemalloc
+from bisect import bisect_right
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,8 +22,8 @@ from curvewalk import (SAMPLER_KINDS, CurvatureMap, SamplerConfig,
                        make_target, run_chain, splitmix64,
                        stationary_distribution)
 from curvewalk.sampler import (_TIME_CHUNK, _acceptance_thresholds,
-                               _guide_table, _kernel_table, _lockstep_stream,
-                               distinct_prefix_counts)
+                               _cell_table, _edge_cells, _kernel_table,
+                               _lockstep_stream, distinct_prefix_counts)
 from conftest import (LESMIS, chain_configs, cycle_graph, path_graph,
                       random_connected_graph, star_graph)
 from oracles import edge_curved_step, edge_row_cdf, mh_step
@@ -577,31 +578,196 @@ def edge_lockstep_configs(g, steps, floor, burn_ins=(0, 3, 17)):
     return templates, [0, 31, 62], [0, 1, g.node_count - 1], steps
 
 
+def cell_table_of(g, kinds, mode, floor):
+    """The kernel table of each of ``kinds`` under curvature ``mode`` and
+    ``floor``, and the lockstep cell table that stacks them in that order."""
+    cm = compute_curvature_map(g, mode)
+    tables = [_kernel_table(g, SamplerConfig(kind=kind, seed=0, max_steps=1,
+                                             curvature_mode=mode, epsilon_floor=floor),
+                            cm)[0]
+              for kind in kinds]
+    return tables, _cell_table(g, [(kind.startswith("node_mh"), table)
+                                   for kind, table in zip(kinds, tables)])
+
+
+def cell_step(cells, s, u, x):
+    """The step the cell table documents, from the stacked states ``s`` with
+    uniforms ``u`` and ``x``, one array entry per step."""
+    base, width, first, thresh, nbr, row_last, wide = cells
+    pos = first[base[s] + (u * width[s]).astype(np.int64)]
+    for step in wide:
+        cand = np.minimum(pos + step - 1, row_last[s])
+        pos = np.where(x > thresh[cand], pos + step, pos)
+    return nbr[pos + (x > thresh[pos])]
+
+
+def crowded(row, m):
+    """Whether two entries of ``row`` lie strictly inside one of ``m`` equal
+    cells of [0, 1); ``x * m`` is exact for a power of two ``m``."""
+    cells = [int(x * m) for x in row.tolist() if x * m != int(x * m)]
+    return len(cells) != len(set(cells))
+
+
+def cell_graph(name, tmp_path):
+    if name == "lesmis":
+        return load_edge_list(LESMIS)[0]
+    if name == "synth-1000":
+        return synthetic_graph(tmp_path, 1000)
+    if name == "hub":
+        # 65 spokes whose 1e-12 weights crowd some rows past 16 d(s) cells
+        return hub_graph(np.random.default_rng(5), 65, [1e-12, 1.0, 2.5], 195)
+    # node 0 is isolated, ahead of rows of three degrees
+    return WeightedGraph(5, [(1, 2), (1, 3), (2, 3), (3, 4)], [1.0, 2.5, 0.7, 1.3])
+
+
+CELL_SETTINGS = pytest.mark.parametrize("graph, mode, floor", [
+    (graph, mode, floor) for graph in ("lesmis", "synth-1000", "hub", "isolated")
+    for mode in ("combinatorial", "weighted") for floor in (1e-9, 0.6)])
+
+
 class TestGuideTable:
+    """The lockstep family's cell table (:func:`_cell_table`): a guide table
+    (Chen & Asau 1974) kept per node, with MH rows as cells of their own."""
+
     @pytest.mark.parametrize("hub", [15, 16, 17, 31, 32, 33, 64])
     @pytest.mark.parametrize("extra", [0.3, 3])
     def test_entries_count_row_entries_up_to_each_cell(self, hub, extra):
         g = hub_graph(np.random.default_rng(hub), hub, [1e-12, 1.0, 2.5],
                       int(extra * hub))
-        cm = compute_curvature_map(g, "weighted")
-        tables = [_kernel_table(g, SamplerConfig(kind=kind, seed=0, max_steps=1,
-                                                 epsilon_floor=0.0), cm)[0]
-                  for kind in ("edge_curved", "edge_uniform")]
-        table = np.concatenate(tables)
+        tables, cells = cell_table_of(g, ("edge_curved", "edge_uniform"), "weighted", 0.0)
+        base, width, first = cells[:3]
         V, H = g.node_count, len(g.adj_neighbors)
-        row_lo = np.concatenate([g.adj_indptr[:-1] + k * H for k in range(len(tables))])
-        guide, m, wide = _guide_table(g, table, row_lo)
-        assert m & (m - 1) == 0
-        assert guide.shape == (m + 1, len(tables) * V)
         fullest = 0
         for s in range(len(tables) * V):
-            lo = g.adj_indptr[s % V] + (s // V) * H
-            row = table[lo:lo + g.degrees[s % V]]
-            expected = lo + np.searchsorted(row, np.arange(m + 1) / m, side="right")
-            assert guide[:, s].tolist() == expected.tolist()
-            fullest = max(fullest, int(np.diff(guide[:, s]).max(initial=0)))
-        # the halving steps, with a last step of 1, reach across the fullest cell
-        assert wide == [1 << j for j in reversed(range(1, fullest.bit_length()))]
+            table, node = tables[s // V], s % V
+            lo, m = (s // V) * H + g.adj_indptr[node], int(width[s])
+            row = table[g.adj_indptr[node]:g.adj_indptr[node + 1]]
+            assert m & (m - 1) == 0 and m >= 2 * len(row)
+            expected = lo + np.searchsorted(row, np.arange(m) / m, side="right")
+            assert first[base[s]:base[s] + m].tolist() == expected.tolist()
+            inside = [int(x * m) for x in row.tolist() if x * m != int(x * m)]
+            fullest = max([fullest, *np.bincount(inside, minlength=1).tolist()])
+        # the halving steps, with a last step of 1, reach across the most
+        # entries strictly inside one cell
+        assert cells[6] == [1 << j for j in reversed(range(1, fullest.bit_length()))]
+
+    @CELL_SETTINGS
+    def test_every_cell_of_the_four_kinds(self, tmp_path, graph, mode, floor):
+        g = cell_graph(graph, tmp_path)
+        tables, (base, width, first, thresh, nbr, row_last, wide) = cell_table_of(
+            g, SAMPLER_KINDS, mode, floor)
+        V, H, d = g.node_count, len(g.adj_neighbors), g.degrees
+        lo, hi = g.adj_indptr[:-1], g.adj_indptr[1:]
+        least = np.int64(1) << np.frexp(2 * d - 1)[1]  # the least power of two >= 2 d
+        slot = 0  # each template's first position
+        for j, (kind, table) in enumerate(zip(SAMPLER_KINDS, tables)):
+            states = slice(j * V, (j + 1) * V)
+            if kind.startswith("node_mh"):
+                # cell h of a row is its half-edge h, which leads to the pair
+                # of positions (threshold, neighbor) and (+inf, the node)
+                assert width[states].tolist() == d.astype(np.float64).tolist()
+                for s in np.flatnonzero(d):
+                    cells = first[base[j * V + s]:base[j * V + s] + d[s]]
+                    assert cells.tolist() == (slot + 2 * np.arange(lo[s], hi[s])).tolist()
+                pairs = thresh[slot:slot + 2 * H].reshape(H, 2)
+                assert pairs[:, 0].view(np.int64).tolist() == table.view(np.int64).tolist()
+                assert (pairs[:, 1] == np.inf).all()
+                assert nbr[slot:slot + 2 * H].reshape(H, 2).tolist() == (
+                    np.stack([g.adj_neighbors, g.adj_tails], axis=1) + j * V).tolist()
+                assert row_last[states][d > 0].tolist() == (slot + 2 * hi - 1)[d > 0].tolist()
+                slot += 2 * H
+                continue
+            m = width[states].astype(np.int64)
+            assert (m & (m - 1) == 0).all() and (m >= least).all()
+            for s in np.flatnonzero(d):
+                row = table[lo[s]:hi[s]]
+                # refined while crowded, up to 16 d(s) cells
+                assert m[s] <= max(least[s], 16 * d[s])
+                assert m[s] == least[s] or crowded(row, m[s] // 2)
+                assert 2 * m[s] > 16 * d[s] or not crowded(row, m[s])
+                k = np.arange(m[s])
+                cells = first[base[j * V + s] + k] - slot - lo[s]
+                assert cells.tolist() == [bisect_right(row, c) for c in (k / m[s]).tolist()]
+            assert thresh[slot:slot + H].view(np.int64).tolist() == \
+                np.nextafter(table, -np.inf).view(np.int64).tolist()
+            assert nbr[slot:slot + H].tolist() == (g.adj_neighbors + j * V).tolist()
+            assert row_last[states][d > 0].tolist() == (slot + hi - 1)[d > 0].tolist()
+            slot += H
+        assert slot == len(thresh) == len(nbr)
+
+    @CELL_SETTINGS
+    def test_one_step_is_the_scalar_step(self, tmp_path, graph, mode, floor):
+        # every edge step equals bisect_right of its row, and every MH step
+        # run_chain's proposal int(u * d) with v <= t, at each cell's lower
+        # edge, at every row entry (an edge row's cumulative entries, an MH
+        # row's thresholds) and its two nextafter neighbors, and at the
+        # largest uniform
+        g = cell_graph(graph, tmp_path)
+        tables, cells = cell_table_of(g, SAMPLER_KINDS, mode, floor)
+        # the hub's crowded rows keep the halving steps under test
+        assert bool(cells[6]) == (graph == "hub" and mode == "weighted")
+        V, d = g.node_count, g.degrees
+        lo, hi = g.adj_indptr[:-1], g.adj_indptr[1:]
+        width = cells[1]
+        for j, (kind, table) in enumerate(zip(SAMPLER_KINDS, tables)):
+            s, u, x, want = [], [], [], []
+            for node in np.flatnonzero(d).tolist():
+                row = table[lo[node]:hi[node]]
+                near = np.concatenate([row, np.nextafter(row, -1.0), np.nextafter(row, 2.0)])
+                edges = np.arange(int(width[j * V + node])) / width[j * V + node]
+                if kind.startswith("node_mh"):
+                    # proposals at each cell's lower edge and the largest
+                    # uniform, each tried against every threshold's neighbors
+                    pu = np.append(edges, MAX_UNIFORM)
+                    pv = np.append(near, [0.0, MAX_UNIFORM])[:, None]
+                    pu, pv = np.broadcast_arrays(pu, pv)
+                    pu, pv = pu.ravel(), pv.ravel()
+                    keep = (0.0 <= pv) & (pv <= MAX_UNIFORM)
+                    pu, pv = pu[keep], pv[keep]
+                    pos = lo[node] + (pu * d[node]).astype(np.int64)
+                    want.append(np.where(pv <= table[pos], g.adj_neighbors[pos], node))
+                else:
+                    pu = np.concatenate([edges, near, [MAX_UNIFORM]])
+                    pu = pv = pu[(0.0 <= pu) & (pu <= MAX_UNIFORM)]
+                    want.append(g.adj_neighbors[lo[node] + np.array(
+                        [bisect_right(row, v) for v in pu.tolist()])])
+                s.append(np.full(len(pu), j * V + node))
+                u.append(pu)
+                x.append(pv)
+            got = cell_step(cells, *map(np.concatenate, (s, u, x))) - j * V
+            assert np.array_equal(got, np.concatenate(want)), kind
+
+    def test_one_burn_in_is_one_family(self, monkeypatch):
+        # a burn-in holding all four kinds builds one cell table and makes
+        # one generator per step rule and chain index, edge first; each ends
+        # after its documented prefix, one uniform per edge step or two per
+        # MH step, burn-in included
+        made, built = {}, []
+
+        def recording_rng(seed):
+            made.setdefault(seed, []).append(make_rng(seed))
+            return made[seed][-1]
+
+        def recording_cells(g, tables):
+            built.append([is_mh for is_mh, _ in tables])
+            return _cell_table(g, tables)
+
+        monkeypatch.setattr(curvewalk.sampler, "make_rng", recording_rng)
+        monkeypatch.setattr(curvewalk.sampler, "_cell_table", recording_cells)
+        g, _ = load_edge_list(LESMIS)
+        n, burn, seeds = 700, 9, [4, 5, 6]
+        templates = [SamplerConfig(kind=kind, seed=0, max_steps=1, burn_in=burn)
+                     for kind in ("node_mh_uniform", "edge_curved",
+                                  "node_mh_curved", "edge_uniform")]
+        for _ in _lockstep_stream(g, templates, seeds, [0, 3, 11], n):
+            pass
+        assert built == [[False, False, True, True]]
+        assert {seed: len(rngs) for seed, rngs in made.items()} == {seed: 2 for seed in seeds}
+        for seed in seeds:
+            for rng, draws in zip(made[seed], (1, 2)):
+                want = make_rng(seed)
+                want.random(draws * (burn + n - 1))
+                assert rng.bit_generator.state == want.bit_generator.state, (seed, draws)
 
 
 class TestLockstep:
@@ -665,10 +831,37 @@ class TestLockstep:
         for configs in (templates, mixed):
             assert_lockstep_equals_run_chain(g, configs, *chains)
 
+    def test_draws_end_inside_blocks(self, monkeypatch):
+        # generators that draw 4 steps at a time, in blocks of 7 steps and
+        # windows of 2, end their draws inside a block, and a block's last
+        # draw is short: every chain still equals run_chain, and every
+        # generator ends after its prefix
+        made = {}
+
+        def recording_rng(seed):
+            made.setdefault(seed, []).append(make_rng(seed))
+            return made[seed][-1]
+
+        for name, value in (("_WINDOW", 2), ("_DRAW_STEPS", 4), ("_TIME_CHUNK", 7)):
+            monkeypatch.setattr(curvewalk.sampler, name, value)
+        g = random_connected_graph(np.random.default_rng(31), 20, extra=1.5, weighted=True)
+        templates, seeds, starts, n = lockstep_configs(g, 40, 3, "weighted")
+        monkeypatch.setattr(curvewalk.sampler, "make_rng", recording_rng)
+        for _ in _lockstep_stream(g, templates, seeds, starts, n):
+            pass
+        for seed in seeds:
+            assert len(made[seed]) == 2
+            for rng, draws in zip(made[seed], (1, 2)):
+                want = make_rng(seed)
+                want.random(draws * (3 + n - 1))
+                assert rng.bit_generator.state == want.bit_generator.state, (seed, draws)
+        monkeypatch.setattr(curvewalk.sampler, "make_rng", make_rng)
+        assert_lockstep_equals_run_chain(g, templates, seeds, starts, n)
+
     def test_each_chain_draws_exactly_its_prefix(self, monkeypatch):
-        # burn-ins 0, 5 and 1100 (past one 1024-step block) make three
-        # families per step rule, of two templates each. Each family makes
-        # one generator per chain index, not one per chain, and each must
+        # burn-ins 0, 5 and 1100 (past two 512-step blocks) make three
+        # families, of all four kinds each. Each family makes one generator
+        # per step rule and chain index, not one per chain, and each must
         # end where the reproducibility contract puts it, with no start draw
         made = {}  # seed -> its generators, in the order the families made them
 
@@ -683,8 +876,9 @@ class TestLockstep:
                      for kind in SAMPLER_KINDS for burn in burn_ins]
         for _ in _lockstep_stream(g, templates, seeds, [0, 3, 11], n):
             pass
-        # the families run edge first, by ascending burn-in
-        families = [(draws, burn) for draws in (1, 2) for burn in burn_ins]
+        # the families run by ascending burn-in, each making its edge
+        # generators before its MH ones
+        families = [(draws, burn) for burn in burn_ins for draws in (1, 2)]
         assert {seed: len(rngs) for seed, rngs in made.items()} == {
             seed: len(families) for seed in seeds}
         over = []
@@ -698,11 +892,12 @@ class TestLockstep:
             f"left their prefix: {over}"
 
     def test_mh_family_holds_one_uniforms_buffer_and_two_blocks(self):
-        # 400 chains over 3 blocks: the kept chain-major buffer (two blocks
-        # of float64, proposal and accept), the block being stepped and the
-        # one the consumer still holds, and a little for the window. A
-        # second uniforms buffer or a second copy of each visits block
-        # would pass the bound
+        # 400 chains over 3 blocks: the kept chain-major buffer (half a
+        # block of steps of proposal and accept uniforms, one block of
+        # float64), the block being stepped and the one the consumer still
+        # holds, the generators and a little for the window. A second
+        # uniforms buffer or a second copy of each visits block would pass
+        # the bound
         width = 400
         stream = _lockstep_stream(
             cycle_graph(100), [SamplerConfig(kind="node_mh_uniform", seed=0, max_steps=1)],
@@ -717,11 +912,11 @@ class TestLockstep:
             tracemalloc.stop()
         assert steps == 3 * _TIME_CHUNK
         block = _TIME_CHUNK * width * 8
-        assert peak < 5 * block, peak / block
+        assert peak < 4.5 * block, peak / block
 
     def test_paired_mh_family_holds_one_column_of_uniforms_per_chain_index(self):
         # 2 templates x 200 chain indices over 3 blocks: one buffer of 200
-        # rows of proposal and accept uniforms (one block of the 400
+        # rows of proposal and accept uniforms (half a block of the 400
         # chains' float64), the block being stepped, the one the consumer
         # still holds, and a little for the window. A row of uniforms per
         # chain, as for unpaired chains, would pass the bound
@@ -741,7 +936,7 @@ class TestLockstep:
             tracemalloc.stop()
         assert steps == [3 * _TIME_CHUNK] * 2
         block = _TIME_CHUNK * 2 * width * 8
-        assert peak < 3.75 * block, peak / block
+        assert peak < 3.5 * block, peak / block
 
     @pytest.mark.parametrize("g, ties", [
         # rows of degree 2 and 4 hold multiples of 1/4, which are guide cell
@@ -764,6 +959,31 @@ class TestLockstep:
         seeds = list(range(len(values)))
         assert_lockstep_equals_run_chain(
             g, templates, seeds, [seed % g.node_count for seed in seeds], 60)
+
+    def test_uniforms_on_crowded_entries(self, monkeypatch):
+        # rows still crowded at 16 d(s) cells take halving steps: uniforms
+        # equal to their entries, an ulp below and an ulp above, one step
+        # from each crowded row, must land where bisect_right puts them
+        g = cell_graph("hub", None)
+        cm = compute_curvature_map(g, "weighted")
+        cfg = SamplerConfig(kind="edge_curved", seed=0, max_steps=1, curvature_mode="weighted")
+        table = _kernel_table(g, cfg, cm)[0]
+        m = _edge_cells(g, table)
+        lo, hi = g.adj_indptr[:-1], g.adj_indptr[1:]
+        rows = [s for s in np.flatnonzero(g.degrees).tolist()
+                if crowded(table[lo[s]:hi[s]], m[s])]
+        assert rows
+        starts, values = [], []
+        for s in rows:
+            row = table[lo[s]:hi[s]]
+            near = np.concatenate([row, np.nextafter(row, -1.0), np.nextafter(row, 2.0)])
+            for u in near[near <= MAX_UNIFORM].tolist():
+                starts.append(s)
+                values.append(u)
+        # chain c draws values[c] first, then the values after it
+        monkeypatch.setattr(curvewalk.sampler, "make_rng",
+                            lambda seed: FixedUniforms(values, seed))
+        assert_lockstep_equals_run_chain(g, [cfg], list(range(len(values))), starts, 3)
 
     @pytest.mark.parametrize("graph", ["hub", "random"])
     @pytest.mark.parametrize("mode", ["combinatorial", "weighted"])
