@@ -155,6 +155,10 @@ MUTANTS = [
      "        below = levels[d]", ["tests/test_netstats.py"]),
     (NETSTATS, "    reached = totals > 0",
      "    reached = totals >= 0", ["tests/test_netstats.py"]),
+    # each weighted DAG tail's children, in descending pop rank
+    (NETSTATS, '    out_head = out_head[np.argsort(out_tail * (B * V) - rank[out_head], kind="stable")]',
+     '    out_head = out_head[np.argsort(out_tail * (B * V) + rank[out_head], kind="stable")]',
+     ["tests/test_netstats.py"]),
     # the weighted pop ranks' tie-break: by node id within a predecessor
     (NETSTATS, "            resorted = keys[np.lexsort((keys, first, keys // V))]",
      "            resorted = keys[np.lexsort((-keys, first, keys // V))]",
@@ -174,6 +178,13 @@ EQUIVALENT = [
      "        pass",
      "a row's total divided by itself is exactly 1.0, since the total is a "
      "finite double > 0"),
+    (NETSTATS, '    out_head = out_head[np.argsort(out_tail * (B * V) - rank[out_head], kind="stable")]',
+     "    out_head = out_head[np.argsort(out_tail * (B * V) - rank[out_head])]",
+     "the keys are distinct, since a tail has one edge per head"),
+    (NETSTATS, "_BLOCK_PAIRS = 1 << 16",
+     "_BLOCK_PAIRS = 1 << 15",
+     "the sweeps are bit-identical at any number of sources per block, and "
+     "TestHopSweep and TestWeightedSweep check 1, 7 and the default"),
 ]
 
 

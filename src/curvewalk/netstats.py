@@ -48,7 +48,22 @@ PATH_MODES = ("hop", "weighted")
 
 # Sources per sweep block: a block expands at most this many (source,
 # half-edge) pairs per round and holds this many (source, node) states.
-_BLOCK_PAIRS = 1 << 15
+# Wider blocks make fewer numpy calls per source until the work per call
+# dominates. Medians of `_path_statistics` on a shared 2-vCPU host:
+#
+#   graph                         sources  hop (ms)  weighted (ms)
+#   generate_edge_list(1, 500, 2)      10      64.0          124.4
+#                                      21      53.4          108.7
+#                                      43      57.0          108.5
+#                                      87      75.7          112.5
+#   generate_edge_list(0, 2000, 3)      2      1125           2623
+#                                       4      1112           2268
+#                                       8      1507           2381
+#
+# 1 << 16 gives the 21- and 4-source rows. A graph with more than 1 << 15
+# half-edges keeps 1 source per block, as generate_edge_list(0, 5000, 3)
+# does; at that size 26 sources per block measured slower than 1.
+_BLOCK_PAIRS = 1 << 16
 
 
 def _block_size(g: WeightedGraph) -> int:
@@ -129,11 +144,13 @@ def _sweep(g: WeightedGraph, path_mode: str):
     :func:`_weighted_dag`) fills the path counts ``sigma`` and returns the
     distances, the DAG's levels and, per level ``d``, its edges out of
     ``levels[d]``: each tail's index in the level and each head's flat state,
-    in descending pop rank of the head. A weighted row pops by (distance,
-    rank of the first-popped predecessor, node id). The dependencies then
-    flow back one level at a time, from the deepest parents up, each parent
-    taking its children's shares in that order, as the Dijkstra's reverse
-    sweep adds them.
+    each tail's children in descending pop rank. A weighted row pops by
+    (distance, rank of the first-popped predecessor, node id). The
+    dependencies then flow back one level at a time, from the deepest
+    parents up, each parent taking its children's shares in that order, as
+    the Dijkstra's reverse sweep adds them; ``np.bincount`` adds each
+    parent's shares in input order, so the order across parents does not
+    enter a sum.
 
     Returns the per-node sum of the sources' dependencies, added in source
     order, and each source's distance sum, added in node-id order, both as
@@ -239,9 +256,11 @@ def _weighted_dag(g: WeightedGraph, roots, sigma):
     the distance unchanged, so ``dist[u] < dist[v]`` would drop it.
 
     Path counts are summed level by level, a node's level being its longest
-    edge depth from the source, walking the DAG's own out-edge lists. Returns
-    the distances (``inf`` if unreached), the levels and, per level, the
-    edges out of it in descending pop rank of the head.
+    edge depth from the source, walking the DAG's own out-edge lists. Each
+    tail's out-edges are ordered once per block, by descending pop rank of
+    the head. Returns the distances (``inf`` if unreached), the levels and,
+    per level, the edges out of it as the walk lists them, each parent's
+    children in descending pop rank.
     """
     V = g.node_count
     E2 = len(g.adj_neighbors)
@@ -283,9 +302,12 @@ def _weighted_dag(g: WeightedGraph, roots, sigma):
     out_head = row + nbrs[pos]
     del row, pos
     rank = _pop_ranks(g, dist, B)
-    down = rank[out_tail] < rank[out_head]
-    out_head = out_head[down]
-    out_deg = np.bincount(out_tail[down], minlength=B * V)
+    down = np.flatnonzero(rank[out_tail] < rank[out_head])
+    out_tail, out_head = out_tail[down], out_head[down]
+    # each tail state's out-edges by descending pop rank of the head, the
+    # order in which its children's shares are added
+    out_head = out_head[np.argsort(out_tail * (B * V) - rank[out_head], kind="stable")]
+    out_deg = np.bincount(out_tail, minlength=B * V)
     out_end = np.cumsum(out_deg)
     del out_tail, down
     waiting = np.bincount(out_head, minlength=B * V)
@@ -303,8 +325,7 @@ def _weighted_dag(g: WeightedGraph, roots, sigma):
         np.add.at(sigma, head, sigma[above[tail]])
         np.subtract.at(waiting, head, 1)
         levels.append(_distinct(head[waiting[head] == 0], slot))
-        later = np.argsort(-rank[head], kind="stable")
-        edges.append((tail[later], head[later]))
+        edges.append((tail, head))
     return dist, levels, edges
 
 

@@ -535,7 +535,13 @@ def assert_lockstep_equals_run_chain(g, templates, seeds, starts, n):
 
 
 class FixedUniforms:
-    """Stand-in generator that cycles through ``values`` from ``offset``."""
+    """Stand-in generator that cycles through ``values`` from ``offset``.
+
+    ``random`` takes the arguments of ``numpy.random.Generator.random``: no
+    argument gives a float, ``size`` an int or a tuple, and ``out`` any
+    contiguous float64 array, filled in memory order as numpy fills it. A
+    strided or read-only ``out`` raises numpy's ``ValueError``.
+    """
 
     def __init__(self, values, offset):
         self.values, self.next = values, offset
@@ -543,14 +549,69 @@ class FixedUniforms:
     def random(self, size=None, out=None):
         if size is None and out is None:
             return float(self.random(1)[0])
-        n = size if out is None else out.size
-        picks = np.array([self.values[(self.next + j) % len(self.values)]
-                          for j in range(n)])
-        self.next += n
         if out is None:
-            return picks
-        out[...] = picks
+            out = np.empty(size)
+        elif size is not None and tuple(np.atleast_1d(size)) != out.shape:
+            raise ValueError("size must match out.shape when used together")
+        if out.dtype != np.float64:
+            raise TypeError(f"Supplied output array has the wrong type. "
+                            f"Expected float64, got {out.dtype}")
+        if not ((out.flags.c_contiguous or out.flags.f_contiguous)
+                and out.flags.writeable):
+            raise ValueError("Supplied output array must be contiguous, writable, "
+                             "aligned, and in machine byte-order.")
+        n = out.size
+        # a contiguous array reshapes to a view of its memory in that order
+        out.reshape(-1, order="A")[:] = [self.values[(self.next + j) % len(self.values)]
+                                         for j in range(n)]
+        self.next += n
         return out
+
+
+class TestFixedUniforms:
+    """The stand-in draws as ``numpy.random.Generator.random`` does, given
+    that generator's stream as its values."""
+
+    def pair(self):
+        return np.random.default_rng(5), FixedUniforms(np.random.default_rng(5).random(200), 0)
+
+    @pytest.mark.parametrize("shape", [(7,), (3, 5), (2, 3, 4)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_fills_a_contiguous_out_in_memory_order(self, shape, order):
+        real, stand_in = self.pair()
+        for _ in range(2):  # the second fill starts where the first ended
+            want, got = np.zeros(shape, order=order), np.ones(shape, order=order)
+            assert real.random(out=want) is want
+            assert stand_in.random(out=got) is got
+            assert np.array_equal(got, want)
+
+    def test_size_and_scalar(self):
+        real, stand_in = self.pair()
+        for size in (4, (2, 3), (3, 1), None):
+            want, got = real.random(size), stand_in.random(size)
+            assert type(got) is type(want) and np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want)
+        out = np.empty((2, 3))
+        assert np.array_equal(stand_in.random((2, 3), out=out), real.random((2, 3)))
+
+    @pytest.mark.parametrize("out", [np.zeros((4, 6))[:, ::2], np.zeros((5, 3))[:, :1],
+                                     np.zeros(9)[::3]])
+    def test_strided_out_raises_as_numpy_does(self, out):
+        real, stand_in = self.pair()
+        with pytest.raises(ValueError) as want:
+            real.random(out=out)
+        with pytest.raises(ValueError, match="must be contiguous") as got:
+            stand_in.random(out=out)
+        assert str(got.value) == str(want.value)
+        assert not out.any()
+
+    def test_size_other_than_out_or_float32_out_raises(self):
+        real, stand_in = self.pair()
+        for rng in (real, stand_in):
+            with pytest.raises(ValueError, match="size must match out.shape"):
+                rng.random((3,), out=np.zeros((4, 6)))
+            with pytest.raises(TypeError, match="Expected float64, got float32"):
+                rng.random(out=np.zeros(3, dtype=np.float32))
 
 
 def hub_graph(rng, hub, weights, extra):
