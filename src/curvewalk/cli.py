@@ -281,11 +281,24 @@ def _plan(args) -> ExperimentPlan:
         **raw, "samplers": samplers})
 
 
+def _plan_refused(plan_file) -> bool:
+    """Whether the keys of ``plan_file`` are refused on their own: its plan
+    is refused with every flag at its default too."""
+    defaults = build_parser().parse_args(
+        ["converge", "--graph=", "--out=", f"--plan={plan_file}"])
+    try:
+        _plan(defaults)
+    except (TypeError, ValueError):
+        return True
+    return False
+
+
 def cmd_converge(args, g, labels):
     try:
         plan = _plan(args)
     except (TypeError, ValueError) as exc:
-        if args.plan:
+        # the file is blamed only for its own keys, not for a bad flag
+        if args.plan and _plan_refused(args.plan):
             raise GraphFormatError(f"invalid plan file {args.plan}: {exc}") from exc
         raise UsageError(str(exc)) from None
     result = run_experiment(g, plan)

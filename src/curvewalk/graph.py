@@ -129,16 +129,6 @@ class WeightedGraph:
                 f"node id {i} out of range for graph with {self.node_count} nodes")
         return i
 
-    def edge_id(self, i, j) -> int:
-        """Index of edge ``{i, j}`` into ``edges``; raises ValueError if absent."""
-        i = self._check_node(i)
-        j = self._check_node(j)
-        s, e = self.adj_indptr[i], self.adj_indptr[i + 1]
-        pos = s + np.searchsorted(self.adj_neighbors[s:e], j)
-        if pos >= e or self.adj_neighbors[pos] != j:
-            raise ValueError(f"no edge between nodes {i} and {j}")
-        return int(self.adj_edge_ids[pos])
-
 
 def load_edge_list(path, *, delimiter=None, weighted=True,
                    default_node_weight=1.0):
@@ -212,8 +202,8 @@ def load_edge_list(path, *, delimiter=None, weighted=True,
                     raise GraphFormatError(
                         f"{path}:{lineno}: bad weight {parts[2]!r}") from None
                 if not (math.isfinite(w) and w > 0):
-                    raise GraphFormatError(
-                        f"{path}:{lineno}: weight must be positive, got {parts[2]}")
+                    raise GraphFormatError(f"{path}:{lineno}: weight must be "
+                                           f"finite and positive, got {parts[2]}")
             else:
                 w = 1.0
             u = node_of(parts[0])

@@ -30,6 +30,13 @@ package's table-driven chain drivers must reproduce them bit for bit.
 The component oracle is the per-node breadth-first search that the package's
 hook-and-jump ``connected_components`` replaced; it must return the same
 arrays in the same order.
+
+The exact-curve oracle builds each kernel's transition matrix from its
+formula and pushes the exact law of (current node, visited set) forward on
+a graph of at most 8 nodes, ``V * 2**(V - 1)`` states (Aldous & Fill,
+*Reversible Markov Chains and Random Walks on Graphs*, ch. 6). It gives the
+expected squared estimator error and distinct-node count at every step, and
+their variances, with which the harness's chain means are compared.
 """
 
 from __future__ import annotations
@@ -44,7 +51,6 @@ from math import inf
 import numpy as np
 
 from curvewalk import DEFAULT_EPSILON_FLOOR
-from curvewalk.sampler import distinct_prefix_counts
 
 
 def connected_components_oracle(g) -> list[np.ndarray]:
@@ -268,10 +274,17 @@ def dfs_hop_bc_oracle(g):
     return bc
 
 
+def edge_id(g, i, j) -> int:
+    """Row of edge ``{i, j}`` in ``g.edges``; raises ValueError if absent."""
+    lo, hi = sorted((int(i), int(j)))
+    (row,) = np.flatnonzero((g.edges[:, 0] == lo) & (g.edges[:, 1] == hi))
+    return int(row)
+
+
 def edge_forman_oracle(g, edge) -> float:
     """Weighted Forman curvature of one edge, term by term in scalar Python."""
     i, j = edge
-    w_ij = g.edge_weights[g.edge_id(i, j)]
+    w_ij = g.edge_weights[edge_id(g, i, j)]
     total = 0.0
     for node, other in ((int(i), int(j)), (int(j), int(i))):
         term = g.node_weights[node] / w_ij
@@ -400,6 +413,13 @@ def _discovery_means(values: np.ndarray, discovered: np.ndarray,
     return zbar
 
 
+def distinct_counts_oracle(chain) -> np.ndarray:
+    """The number of distinct nodes in every prefix of ``chain``, counted
+    with a set."""
+    seen = set()
+    return np.array([len(seen.add(v) or seen) for v in chain.tolist()], dtype=np.int64)
+
+
 def chain_sums_oracle(chains: np.ndarray, stat_values: dict, full_means: dict):
     """Per-step sums over ``chains`` (one visit sequence per row, summed in
     row order) of each statistic's squared estimator error and of the
@@ -409,7 +429,7 @@ def chain_sums_oracle(chains: np.ndarray, stat_values: dict, full_means: dict):
     distinct_sum = np.zeros(n_steps, dtype=np.int64)
     sq_sum = {kind: np.zeros(n_steps) for kind in stat_values}
     for chain in chains:
-        distinct = distinct_prefix_counts(chain)
+        distinct = distinct_counts_oracle(chain)
         first = np.diff(distinct, prepend=0) > 0
         distinct_sum += distinct
         counts += np.bincount(chain, minlength=V)
@@ -419,3 +439,76 @@ def chain_sums_oracle(chains: np.ndarray, stat_values: dict, full_means: dict):
             zbar = _discovery_means(values, discovered, full_means[kind])
             sq_sum[kind] += ((zbar - full_means[kind]) ** 2)[at]
     return sq_sum, distinct_sum, counts
+
+
+def kernel_matrix_oracle(g, kind, mode, epsilon_floor=DEFAULT_EPSILON_FLOOR):
+    """The transition matrix of ``kind`` on ``g``, entry by entry from the
+    kernels' formulas, with Forman curvature ``4 - d(i) - d(j)`` or
+    :func:`edge_forman_oracle` and a node's curvature the sum over its edges.
+
+    ``edge_curved`` moves from ``i`` to ``j`` in proportion to ``max(|F(<i,j>)|,
+    floor) / d(j)``, or uniformly when every ``|F|`` of the row is ``<=
+    floor``; ``edge_uniform`` moves uniformly. The MH kinds propose a uniform
+    neighbor ``y`` of ``x`` and accept it with probability ``min(1, h(y) /
+    h(x))``, ``h = target / d``, for the target ``max(|F(i)|, floor) / d(i)``
+    or 1; a rejection stays put.
+    """
+    V = g.node_count
+    d = np.bincount(g.edges.ravel(), minlength=V).tolist()
+    rows = [[] for _ in range(V)]  # (neighbor, edge curvature) per node
+    for i, j in g.edges.tolist():
+        f = 4.0 - d[i] - d[j] if mode == "combinatorial" else edge_forman_oracle(g, (i, j))
+        rows[i].append((j, f))
+        rows[j].append((i, f))
+    if kind == "node_mh_curved":
+        target = [max(abs(sum(f for _, f in row)), epsilon_floor) / d[i]
+                  for i, row in enumerate(rows)]
+    else:
+        target = [1.0] * V
+    h = [t / d[i] for i, t in enumerate(target)]
+    P = np.zeros((V, V))
+    for i, row in enumerate(rows):
+        if kind.startswith("node_mh"):
+            for j, _ in row:
+                P[i, j] = min(1.0, h[j] / h[i]) / d[i]
+            P[i, i] = 1.0 - P[i].sum()
+            continue
+        w = {j: 1.0 for j, _ in row}
+        if kind == "edge_curved" and max(abs(f) for _, f in row) > epsilon_floor:
+            w = {j: max(abs(f), epsilon_floor) / d[j] for j, f in row}
+        for j, x in w.items():
+            P[i, j] = x / sum(w.values())
+    return P
+
+
+def exact_curves_oracle(P, start, burn_in, values, n):
+    """The exact mean and variance, at each of steps 1 to ``n``, of one
+    chain's squared estimator error and of its distinct-node count.
+
+    The chain starts at ``start``, runs ``burn_in`` unrecorded steps of
+    ``P``, and then records its visits. The law of (current node, visited
+    set) is pushed forward exactly, with each set a bitmask; it starts from
+    ``delta_start P^burn_in`` on the one-node sets. The estimate of a set is
+    the mean of ``values`` over it, and at full coverage the full mean.
+    Returns ``(mse_mean, mse_var, distinct_mean, distinct_var)``, each with
+    ``n`` entries.
+    """
+    V = len(values)
+    masks = np.arange(1 << V)
+    members = (masks[:, None] >> np.arange(V)) & 1
+    size = members.sum(axis=1)
+    err = (members @ values / np.maximum(size, 1) - np.mean(values)) ** 2
+    # no chain holds the empty set, and the full set's estimate is the full mean
+    err[0] = err[-1] = 0.0
+    law = np.zeros((V, 1 << V))
+    law[np.arange(V), 1 << np.arange(V)] = np.linalg.matrix_power(P, burn_in)[start]
+    moments = []
+    for _ in range(n):
+        p = law.sum(axis=0)
+        moments.append([p @ err, p @ err**2, p @ size, p @ size**2])
+        pushed = np.zeros_like(law)
+        for w in range(V):
+            np.add.at(pushed[w], masks | (1 << w), P[:, w] @ law)
+        law = pushed
+    m = np.array(moments)
+    return m[:, 0], m[:, 1] - m[:, 0] ** 2, m[:, 2], m[:, 3] - m[:, 2] ** 2

@@ -22,7 +22,7 @@ from curvewalk.netstats import closeness
 from conftest import (CELEGANS, LESMIS, complete_graph, path_graph,
                       random_connected_graph, random_graph, star_graph,
                       two_hub_bridge)
-from oracles import edge_row_cdf, hop_bc_cc_oracle, weighted_bc_cc_oracle
+from oracles import edge_id, edge_row_cdf, hop_bc_cc_oracle, weighted_bc_cc_oracle
 
 
 def test_criterion_1_curvature_exactness(acceptance):
@@ -38,7 +38,7 @@ def test_criterion_1_curvature_exactness(acceptance):
             worst = max(worst, float(np.abs(weighted - comb).max()))
 
     def entry(g, mode, edge):
-        return compute_curvature_map(g, mode).edge_values[g.edge_id(*edge)]
+        return compute_curvature_map(g, mode).edge_values[edge_id(g, *edge)]
 
     hub = two_hub_bridge()
     modes = ("combinatorial", "weighted")

@@ -550,6 +550,23 @@ class TestConverge:
         assert main(["converge", "--graph", str(LESMIS),
                      "--out", str(tmp_path / "x"), "--plan", str(plan)]) == 1
 
+    @pytest.mark.parametrize("plan, flags, code, err", [
+        ({}, ["--chains", "1"], 2, "error: n_chains must be >= 2\n"),
+        ({"n_chains": 1}, [], 1,
+         "error: invalid plan file {plan}: n_chains must be >= 2\n"),
+        ({"n_chains": 5}, ["--chains", "1"], 0, ""),
+        ({"statistics": ["strength"]}, ["--epsilon-floor", "-1"], 2,
+         "error: epsilon_floor must be finite and >= 0\n"),
+    ], ids=["flag", "file", "file-overrides-flag", "floor-flag"])
+    def test_refusal_blames_the_file_only_for_its_keys(self, tmp_path, capsys, plan,
+                                                       flags, code, err):
+        plan = write_plan(tmp_path, plan)
+        out = tmp_path / "x"
+        assert main(["converge", "--graph", str(LESMIS), "--out", str(out), "--plan",
+                     plan, "--steps", "5", "--stats", "strength", *flags]) == code
+        assert capsys.readouterr().err == err.format(plan=plan)
+        assert out.exists() == (code == 0)
+
     def test_infinite_epsilon_floor_exit_2(self, tmp_path):
         out = tmp_path / "x"
         assert main(["converge", "--graph", str(LESMIS), "--out", str(out),

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import curvewalk.convergence
 import curvewalk.sampler
-from curvewalk import (ExperimentPlan, SamplerConfig, WeightedGraph,
+from curvewalk import (SAMPLER_KINDS, ExperimentPlan, SamplerConfig, WeightedGraph,
                        betweenness, extract_backbone,
                        induced_subgraph, run_chain, run_experiment,
                        strength_vector)
@@ -19,7 +19,9 @@ from curvewalk.sampler import _TIME_CHUNK, distinct_prefix_counts
 from curvewalk.convergence import _fold, sampler_labels
 from conftest import (cycle_graph, path_graph, random_connected_graph,
                       run_chain_stream)
-from oracles import chain_sums_oracle, running_estimator_oracle
+from oracles import (chain_sums_oracle, distinct_counts_oracle,
+                     exact_curves_oracle, kernel_matrix_oracle,
+                     running_estimator_oracle)
 
 
 def mh_template(kind="node_mh_uniform", **kwargs):
@@ -175,9 +177,9 @@ class TestAggregationOracle:
             want_sq = {kind: np.zeros(chains.shape[1]) for kind in values}
             want_distinct = np.zeros(chains.shape[1], dtype=np.int64)
             for chain in chains:
-                seen = set()
-                distinct = np.array([len(seen.add(v) or seen)
-                                     for v in chain.tolist()])
+                distinct = distinct_counts_oracle(chain)
+                # the count that trace.csv's distinct_count column holds
+                assert distinct_prefix_counts(chain).tolist() == distinct.tolist()
                 want_distinct += distinct
                 for kind, v in values.items():
                     zbar = running_estimator_oracle(v, chain, distinct,
@@ -685,3 +687,51 @@ class TestRunExperiment:
         result = run_experiment(g, plan)
         a, b = result.visit_counts.values()
         assert np.array_equal(a, b)
+
+
+# graphs of at most 8 nodes with fixed non-unit edge weights, each with its
+# start node
+EXACT_GRAPHS = {
+    "path": (path_graph(5, [1.5, 0.5, 2.0, 3.0]), 0),
+    "star": (WeightedGraph(5, [(0, i) for i in range(1, 5)], [0.5, 1.0, 2.5, 4.0]), 1),
+    "cycle": (WeightedGraph(6, [(i, (i + 1) % 6) for i in range(6)],
+                            [1.0, 2.0, 0.5, 1.5, 3.0, 2.5]), 0),
+    "triangle-pendant": (WeightedGraph(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5)],
+                                       [2.0, 0.5, 1.5, 1.0, 3.0, 0.75]), 4),
+}
+
+
+class TestExactCurves:
+    """The curves of ``run_experiment`` against the exact law of (current
+    node, visited set), from kernels built from their formulas: a kernel
+    bug that every driver shares shows here."""
+
+    @pytest.mark.parametrize("name, mode, burn_in, seed", [
+        ("path", "combinatorial", 0, 11), ("path", "weighted", 0, 12),
+        ("star", "combinatorial", 0, 13), ("star", "weighted", 0, 14),
+        ("cycle", "combinatorial", 0, 15), ("cycle", "weighted", 0, 16),
+        ("triangle-pendant", "combinatorial", 0, 17),
+        ("triangle-pendant", "weighted", 3, 18),
+    ])
+    def test_means_within_five_standard_errors(self, name, mode, burn_in, seed):
+        g, start = EXACT_GRAPHS[name]
+        chains, steps = 2000, np.array([1, 2, 3, 5, 8, 13, 24])
+        plan = ExperimentPlan(
+            samplers=[SamplerConfig(kind=kind, seed=0, max_steps=1, curvature_mode=mode,
+                                    burn_in=burn_in) for kind in SAMPLER_KINDS],
+            statistics=("strength",), n_chains=chains, max_steps=int(steps[-1]),
+            start_nodes=(start,), master_seed=seed)
+        result = run_experiment(g, plan)
+        strength = np.zeros(g.node_count)
+        np.add.at(strength, g.edges.ravel(), np.repeat(g.edge_weights, 2))
+        for kind in SAMPLER_KINDS:
+            P = kernel_matrix_oracle(g, kind, mode)
+            mse, mse_var, distinct, distinct_var = exact_curves_oracle(
+                P, start, burn_in, strength, steps[-1])
+            for what, got, mean, var in (
+                    ("mse", result.mse[kind]["strength"], mse, mse_var),
+                    ("mean_distinct", result.mean_distinct[kind], distinct, distinct_var)):
+                got, mean, var = got[steps - 1], mean[steps - 1], var[steps - 1]
+                # a curve that every chain shares differs only by rounding
+                tol = 5 * np.sqrt(np.maximum(var, 0.0) / chains) + 1e-9 * np.abs(mean)
+                assert (np.abs(got - mean) <= tol).all(), (kind, what, got, mean, tol)

@@ -10,14 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvewalk import (WeightedGraph, betweenness, closeness,
-                       compute_curvature_map, compute_statistics, graph,
-                       load_edge_list, mean_statistic, netstats,
-                       strength_vector, weighted_clustering)
-from conftest import (LESMIS, complete_graph, path_graph,
-                      random_connected_graph, random_graph, star_graph)
-from oracles import (dfs_hop_bc_oracle, dijkstra_bc_cc_oracle,
-                     edge_forman_oracle, hop_bc_cc_oracle,
-                     weighted_bc_cc_oracle, weighted_clustering_oracle)
+                       compute_statistics, graph, load_edge_list,
+                       mean_statistic, netstats, strength_vector,
+                       weighted_clustering)
+from conftest import (LESMIS, PATH_KINDS, assert_clustering_equals_oracle,
+                      assert_mode_equals, assert_weighted_map_equals_oracle,
+                      complete_graph, dijkstra_oracle, path_graph,
+                      random_connected_graph, random_graph,
+                      set_sources_per_block, star_graph, star_plus_path)
+from oracles import dfs_hop_bc_oracle, hop_bc_cc_oracle, weighted_bc_cc_oracle
 
 
 class TestWorkedValues:
@@ -150,24 +151,10 @@ class TestProperties:
             assert np.all(vals >= 0) and np.all(vals <= 1 + 1e-12)
 
 
-def assert_clustering_equals_oracle(g):
-    # as int64 bit patterns: equal floats, and the zero of a node without a
-    # triangle is the loop's +0.0
-    assert np.array_equal(weighted_clustering(g).view(np.int64),
-                          weighted_clustering_oracle(g).view(np.int64))
-
-
 # a sub-ulp weight is lost in a sum with 1.0, so term order shows
 _CLUSTERING_WEIGHTS = st.one_of(
     st.sampled_from([1.0, 0.1, 3.0, 1e-17, 1.0 + 2**-52, 1e-300, 7e5]),
     st.floats(1e-3, 1e3))
-
-
-def hub_graph(rng, n=120):
-    """A star on node 0 plus a path through the leaves, float weights."""
-    edges = [(0, i) for i in range(1, n)] + [(i, i + 1) for i in range(1, n - 1)]
-    return WeightedGraph(n, edges, rng.uniform(0.5, 3.0, len(edges)),
-                         rng.uniform(0.5, 2.0, n))
 
 
 class TestClusteringOracle:
@@ -193,7 +180,7 @@ class TestClusteringOracle:
 
     @pytest.mark.parametrize("make", [
         lambda: load_edge_list(LESMIS)[0],
-        lambda: hub_graph(np.random.default_rng(3)),
+        lambda: star_plus_path(np.random.default_rng(3), 120),
         lambda: complete_graph(9),
         lambda: random_connected_graph(np.random.default_rng(4), 300,
                                        extra=3.0, weighted=True),
@@ -204,7 +191,7 @@ class TestClusteringOracle:
     @pytest.mark.parametrize("cap", [1, 97])
     @pytest.mark.parametrize("make", [
         lambda: load_edge_list(LESMIS)[0],
-        lambda: hub_graph(np.random.default_rng(5)),
+        lambda: star_plus_path(np.random.default_rng(5), 120),
     ], ids=["lesmis", "hub"])
     def test_chunk_ends_inside_a_row(self, make, cap, monkeypatch):
         # a narrow cap ends chunks between two half-edges of one node, where
@@ -218,9 +205,7 @@ class TestClusteringOracle:
         his = [hi for _, hi, _, _ in graph._pair_walk(g, ends, g.edges[:, ::-1].ravel())]
         assert any(hi % 2 for hi in his)
         assert_clustering_equals_oracle(g)
-        expected = np.array([edge_forman_oracle(g, e) for e in g.edges.tolist()])
-        assert np.array_equal(compute_curvature_map(g, "weighted").edge_values,
-                              expected)
+        assert_weighted_map_equals_oracle(g)
 
 
 class TestMeanStatistic:
@@ -314,29 +299,9 @@ class TestSharedSweep:
                               closeness(graph, mode))
 
 
-PATH_KINDS = ("betweenness", "closeness")
-
-
-def dijkstra_oracle(g):
-    """Path statistics of the heap Dijkstra on ``g``'s edge weights."""
-    return dict(zip(PATH_KINDS, dijkstra_bc_cc_oracle(g)))
-
-
 def unit_dijkstra_oracle(g):
     """Path statistics of the heap Dijkstra on the unit-weight copy of ``g``."""
     return dijkstra_oracle(WeightedGraph(g.node_count, g.edges))
-
-
-def assert_mode_equals(g, mode, oracle):
-    out = compute_statistics(g, PATH_KINDS, mode)
-    for kind in PATH_KINDS:
-        assert np.array_equal(out[kind], oracle[kind]), kind
-
-
-def set_sources_per_block(mp, g, sources):
-    """Make both sweeps advance ``sources`` sources per block on ``g``."""
-    per_source = max(len(g.adj_neighbors), g.node_count, 1)
-    mp.setattr(netstats, "_BLOCK_PAIRS", sources * per_source)
 
 
 def triple_diamonds(hubs=61):

@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import importlib.util
-import sys
 import tracemalloc
 from bisect import bisect_right
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,9 +21,12 @@ from curvewalk import (SAMPLER_KINDS, CurvatureMap, SamplerConfig,
 from curvewalk.sampler import (_TIME_CHUNK, _acceptance_thresholds,
                                _cell_table, _edge_cells, _kernel_table,
                                _lockstep_stream, distinct_prefix_counts)
-from conftest import (LESMIS, chain_configs, cycle_graph, path_graph,
-                      random_connected_graph, star_graph)
-from oracles import edge_curved_step, edge_row_cdf, mh_step
+from conftest import (LESMIS, assert_edge_rows_equal_oracle,
+                      assert_generators_end_at_their_prefix,
+                      assert_lockstep_equals_run_chain, cycle_graph,
+                      path_graph, random_connected_graph, star_graph,
+                      synthetic_graph)
+from oracles import edge_curved_step, edge_id, mh_step
 
 
 class TestSeeding:
@@ -163,9 +163,9 @@ class TestEdgeKernel:
         # neighbor give equal move weights 2/2 = 1/1 = 1
         g = WeightedGraph(4, [(0, 1), (0, 2), (1, 3)])
         ev = np.zeros(3)
-        ev[g.edge_id(0, 1)] = 2.0   # d(1) = 2
-        ev[g.edge_id(0, 2)] = -1.0  # d(2) = 1
-        ev[g.edge_id(1, 3)] = 5.0
+        ev[edge_id(g, 0, 1)] = 2.0   # d(1) = 2
+        ev[edge_id(g, 0, 2)] = -1.0  # d(2) = 1
+        ev[edge_id(g, 1, 3)] = 5.0
         cm = CurvatureMap(edge_values=ev, node_values=np.zeros(4))
         P = build_transition_matrix(g, SamplerConfig(
             kind="edge_curved", seed=0, max_steps=1), curvmap=cm)
@@ -264,19 +264,6 @@ class TestMHStep:
         target = np.array([0.0, 1.0, 0.0])
         with pytest.raises(ValueError):
             mh_step(g, target, 0, make_rng(0))  # zero density
-
-
-def synthetic_graph(tmp_path, nodes):
-    """``generate_edge_list(0, nodes, 3)`` of the benchmark's workloads,
-    read back as the benchmark's program reads it."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # dataclasses look their module up
-    spec.loader.exec_module(workloads)
-    f = tmp_path / f"synth-{nodes}.tsv"
-    f.write_bytes(workloads.generate_edge_list(0, nodes, 3))
-    return load_edge_list(f)[0]
 
 
 MAX_UNIFORM = 1 - 2**-53  # the largest double PCG64's random() returns
@@ -383,7 +370,7 @@ class TestRunChain:
             if a == b:
                 assert kind.startswith("node_mh")  # self moves only on reject
             else:
-                g.edge_id(int(a), int(b))  # raises if there is no such edge
+                edge_id(g, a, b)  # raises if there is no such edge
 
     def test_distinct_counts_monotone(self):
         rng = np.random.default_rng(2)
@@ -454,6 +441,12 @@ class TestRunChain:
         cfg = SamplerConfig(kind="edge_uniform", seed=1234, max_steps=5)
         assert run_chain(g, cfg)[0] == run_chain(g, cfg)[0]
 
+    def test_out_of_range_start_rejected(self):
+        g = WeightedGraph(3, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match="node id 3 out of range"):
+            run_chain(g, SamplerConfig(kind="edge_uniform", seed=0,
+                                       max_steps=5, start_node=3))
+
     def test_isolated_start_rejected(self):
         g = WeightedGraph(3, [(0, 1)])
         with pytest.raises(ValueError):
@@ -491,15 +484,7 @@ class TestKernelTable:
         for g in graphs:
             cfg = SamplerConfig(kind=kind, seed=0, max_steps=1,
                                 curvature_mode=mode, epsilon_floor=floor)
-            cm = compute_curvature_map(g, mode)
-            table, _ = _kernel_table(g, cfg, cm)
-            for i in np.flatnonzero(g.degrees):
-                lo, hi = g.adj_indptr[i], g.adj_indptr[i + 1]
-                expected = edge_row_cdf(g, cm if kind == "edge_curved" else None,
-                                        i, floor)
-                # as int64 bit patterns, so the check is exact
-                assert table[lo:hi].view(np.int64).tolist() == \
-                    expected.view(np.int64).tolist()
+            assert_edge_rows_equal_oracle(g, cfg, compute_curvature_map(g, mode))
 
 
 def lockstep_configs(g, steps, burn_in, mode="combinatorial", chains=3):
@@ -510,28 +495,6 @@ def lockstep_configs(g, steps, burn_in, mode="combinatorial", chains=3):
                                curvature_mode=mode) for kind in SAMPLER_KINDS]
     starts = [int(live[(7 * c + 1) % len(live)]) for c in range(chains)]
     return templates, [1000 + c for c in range(chains)], starts, steps
-
-
-def assert_lockstep_equals_run_chain(g, templates, seeds, starts, n):
-    """Consume the lockstep stream block by block: each block equals the
-    ``run_chain`` visits it covers, and the stream keeps its contract. Each
-    block holds int64 node ids of its template's chains in ``C`` columns,
-    each template's blocks arrive in time order, every visit arrives
-    exactly once, and every block spans from 1 to ``_TIME_CHUNK`` steps."""
-    configs = [chain_configs(template, seeds, starts, n) for template in templates]
-    expected = [[run_chain(g, cfg) for cfg in chains] for chains in configs]
-    received = [0] * len(templates)  # visits so far of each template's chains
-    for k, k0, states in _lockstep_stream(g, templates, seeds, starts, n):
-        assert k in range(len(templates)), k
-        assert states.dtype == np.int64 and states.shape == (len(states), len(seeds))
-        assert 0 < len(states) <= curvewalk.sampler._TIME_CHUNK
-        # each template's block starts where its last one ended: none
-        # repeats, skips or arrives early
-        assert received[k] == k0, (k, k0, received[k])
-        for c, want in enumerate(expected[k]):
-            assert np.array_equal(states[:, c], want[k0:k0 + len(states)]), configs[k][c]
-        received[k] += len(states)
-    assert received == [n] * len(templates), received
 
 
 class FixedUniforms:
@@ -800,35 +763,22 @@ class TestGuideTable:
 
     def test_one_burn_in_is_one_family(self, monkeypatch):
         # a burn-in holding all four kinds builds one cell table and makes
-        # one generator per step rule and chain index, edge first; each ends
-        # after its documented prefix, one uniform per edge step or two per
-        # MH step, burn-in included
-        made, built = {}, []
-
-        def recording_rng(seed):
-            made.setdefault(seed, []).append(make_rng(seed))
-            return made[seed][-1]
+        # one generator per step rule and chain index, edge first, each
+        # ending after its documented prefix
+        built = []
 
         def recording_cells(g, tables):
             built.append([is_mh for is_mh, _ in tables])
             return _cell_table(g, tables)
 
-        monkeypatch.setattr(curvewalk.sampler, "make_rng", recording_rng)
         monkeypatch.setattr(curvewalk.sampler, "_cell_table", recording_cells)
         g, _ = load_edge_list(LESMIS)
-        n, burn, seeds = 700, 9, [4, 5, 6]
-        templates = [SamplerConfig(kind=kind, seed=0, max_steps=1, burn_in=burn)
+        templates = [SamplerConfig(kind=kind, seed=0, max_steps=1, burn_in=9)
                      for kind in ("node_mh_uniform", "edge_curved",
                                   "node_mh_curved", "edge_uniform")]
-        for _ in _lockstep_stream(g, templates, seeds, [0, 3, 11], n):
-            pass
+        assert_generators_end_at_their_prefix(monkeypatch, g, templates, [4, 5, 6],
+                                              [0, 3, 11], 700)
         assert built == [[False, False, True, True]]
-        assert {seed: len(rngs) for seed, rngs in made.items()} == {seed: 2 for seed in seeds}
-        for seed in seeds:
-            for rng, draws in zip(made[seed], (1, 2)):
-                want = make_rng(seed)
-                want.random(draws * (burn + n - 1))
-                assert rng.bit_generator.state == want.bit_generator.state, (seed, draws)
 
 
 class TestLockstep:
@@ -897,60 +847,21 @@ class TestLockstep:
         # windows of 2, end their draws inside a block, and a block's last
         # draw is short: every chain still equals run_chain, and every
         # generator ends after its prefix
-        made = {}
-
-        def recording_rng(seed):
-            made.setdefault(seed, []).append(make_rng(seed))
-            return made[seed][-1]
-
         for name, value in (("_WINDOW", 2), ("_DRAW_STEPS", 4), ("_TIME_CHUNK", 7)):
             monkeypatch.setattr(curvewalk.sampler, name, value)
         g = random_connected_graph(np.random.default_rng(31), 20, extra=1.5, weighted=True)
-        templates, seeds, starts, n = lockstep_configs(g, 40, 3, "weighted")
-        monkeypatch.setattr(curvewalk.sampler, "make_rng", recording_rng)
-        for _ in _lockstep_stream(g, templates, seeds, starts, n):
-            pass
-        for seed in seeds:
-            assert len(made[seed]) == 2
-            for rng, draws in zip(made[seed], (1, 2)):
-                want = make_rng(seed)
-                want.random(draws * (3 + n - 1))
-                assert rng.bit_generator.state == want.bit_generator.state, (seed, draws)
-        monkeypatch.setattr(curvewalk.sampler, "make_rng", make_rng)
-        assert_lockstep_equals_run_chain(g, templates, seeds, starts, n)
+        chains = lockstep_configs(g, 40, 3, "weighted")
+        assert_generators_end_at_their_prefix(monkeypatch, g, *chains)
+        assert_lockstep_equals_run_chain(g, *chains)
 
     def test_each_chain_draws_exactly_its_prefix(self, monkeypatch):
         # burn-ins 0, 5 and 1100 (past two 512-step blocks) make three
-        # families, of all four kinds each. Each family makes one generator
-        # per step rule and chain index, not one per chain, and each must
-        # end where the reproducibility contract puts it, with no start draw
-        made = {}  # seed -> its generators, in the order the families made them
-
-        def recording_rng(seed):
-            made.setdefault(seed, []).append(make_rng(seed))
-            return made[seed][-1]
-
-        monkeypatch.setattr(curvewalk.sampler, "make_rng", recording_rng)
+        # families, of all four kinds each
         g, _ = load_edge_list(LESMIS)
-        n, burn_ins, seeds = 300, (0, 5, 1100), [7, 8, 9]
         templates = [SamplerConfig(kind=kind, seed=0, max_steps=1, burn_in=burn)
-                     for kind in SAMPLER_KINDS for burn in burn_ins]
-        for _ in _lockstep_stream(g, templates, seeds, [0, 3, 11], n):
-            pass
-        # the families run by ascending burn-in, each making its edge
-        # generators before its MH ones
-        families = [(draws, burn) for burn in burn_ins for draws in (1, 2)]
-        assert {seed: len(rngs) for seed, rngs in made.items()} == {
-            seed: len(families) for seed in seeds}
-        over = []
-        for seed in seeds:
-            for rng, (draws, burn) in zip(made[seed], families):
-                want = make_rng(seed)
-                want.random(draws * (burn + n - 1))
-                if rng.bit_generator.state != want.bit_generator.state:
-                    over.append((seed, draws, burn))
-        assert not over, f"{len(over)} of {len(made) * len(families)} generators " \
-            f"left their prefix: {over}"
+                     for kind in SAMPLER_KINDS for burn in (0, 5, 1100)]
+        assert_generators_end_at_their_prefix(monkeypatch, g, templates, [7, 8, 9],
+                                              [0, 3, 11], 300)
 
     def test_mh_family_holds_one_uniforms_buffer_and_two_blocks(self):
         # 400 chains over 3 blocks: the kept chain-major buffer (half a
@@ -1153,7 +1064,7 @@ class TestTransitionMatrix:
         for i in range(g.node_count):
             for j in range(g.node_count):
                 if P[i, j] > 0 and i != j:
-                    g.edge_id(i, j)  # raises if there is no such edge
+                    edge_id(g, i, j)  # raises if there is no such edge
             if not is_mh:
                 assert P[i, i] == 0.0
 
